@@ -25,9 +25,11 @@ returned effects at the barrier.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -47,7 +49,7 @@ from .kernel import (
     tasks_of,
 )
 from .tasks import Task, TaskStatus
-from .workspace import FileUnit, PathViolation, analyze, normalize_path
+from .workspace import ExtractedSymbols, FileUnit, PathViolation, analyze, normalize_path
 
 logger = logging.getLogger(__name__)
 
@@ -193,9 +195,19 @@ def _is_internal_name(name: str) -> bool:
     return name.startswith("_")
 
 
-def match(task: Task, unit: FileUnit | None, entry: ApiSpecEntry | None = None) -> bool:
+def _analyze_body(path: str, body: str) -> ExtractedSymbols:
+    return analyze(FileUnit(path=path, body=body))
+
+
+def match(
+    task: Task,
+    unit: FileUnit | None,
+    entry: ApiSpecEntry | None = None,
+    symbols: ExtractedSymbols | None = None,
+) -> bool:
     """Physical alignment: file exists at the task's path, is non-empty, and
-    defines every class the contract names for it (the hollow-skeleton guard)."""
+    defines every class the contract names for it (the hollow-skeleton guard).
+    ``symbols`` is the unit's analysis when the caller already has it."""
     if unit is None:
         return False
     try:
@@ -206,7 +218,8 @@ def match(task: Task, unit: FileUnit | None, entry: ApiSpecEntry | None = None) 
     if not unit.body.strip():
         return False
     if entry is not None and entry.classes:
-        symbols = analyze(unit)
+        if symbols is None:
+            symbols = analyze(unit)
         if symbols.unanalyzable:
             return False
         defined = {c.name for c in symbols.classes}
@@ -224,9 +237,13 @@ def match(task: Task, unit: FileUnit | None, entry: ApiSpecEntry | None = None) 
 
 
 def existence_check(
-    contract: LanguageContract, view: dict[str, str]
+    contract: LanguageContract,
+    view: dict[str, str],
+    symbols_of: Callable[[str, str], ExtractedSymbols] = _analyze_body,
 ) -> tuple[float, tuple[str, ...]]:
-    """Fraction of tasks physically realized in the workspace, plus the misses."""
+    """Fraction of tasks physically realized in the workspace, plus the misses.
+    ``symbols_of(path, body)`` analyzes a file; ``audit_layer`` passes its own
+    so a body it has already analyzed is not analyzed again."""
     kernel = project(contract)
     tasks = _tasks_by_id(kernel)
     if not tasks:
@@ -236,8 +253,10 @@ def existence_check(
     unmatched = []
     for task_id, task in sorted(tasks.items()):
         body = view.get(task_id)
-        unit = FileUnit(path=task_id, body=body) if body is not None else None
-        if not match(task, unit, entries.get(task_id)):
+        unit = symbols = None
+        if body is not None:
+            unit, symbols = FileUnit(path=task_id, body=body), symbols_of(task_id, body)
+        if not match(task, unit, entries.get(task_id), symbols):
             unmatched.append(task_id)
     fraction = (len(tasks) - len(unmatched)) / len(tasks)
     return fraction, tuple(unmatched)
@@ -247,10 +266,13 @@ def _tasks_by_id(kernel: SymbolicKernel) -> dict[str, Task]:
     return {t.id: t for t in tasks_of(kernel)}
 
 
-def compare_unit(entry: ApiSpecEntry, body: str) -> list[MismatchDetail]:
-    """Definition-side comparison of one file against its contract entry."""
-    unit = FileUnit(path=entry.file_path, body=body)
-    symbols = analyze(unit)
+def compare_unit(
+    entry: ApiSpecEntry, body: str, symbols: ExtractedSymbols | None = None
+) -> list[MismatchDetail]:
+    """Definition-side comparison of one file against its contract entry.
+    ``symbols`` is the body's analysis when the caller already has it."""
+    if symbols is None:
+        symbols = _analyze_body(entry.file_path, body)
     if symbols.unanalyzable:
         return [MismatchDetail(DetailKind.UNANALYZABLE, entry.file_path, actual="unanalyzable")]
     details: list[MismatchDetail] = []
@@ -327,11 +349,14 @@ def compare_unit(entry: ApiSpecEntry, body: str) -> list[MismatchDetail]:
     return details
 
 
-def demand_details(kernel: SymbolicKernel, path: str, body: str) -> list[MismatchDetail]:
+def demand_details(
+    kernel: SymbolicKernel, path: str, body: str, symbols: ExtractedSymbols | None = None
+) -> list[MismatchDetail]:
     """Attributes a file reads off a contracted peer class that the contract
-    does not declare: the demand side of a schema divergence."""
-    unit = FileUnit(path=path, body=body)
-    symbols = analyze(unit)
+    does not declare: the demand side of a schema divergence. ``symbols`` is
+    the body's analysis when the caller already has it."""
+    if symbols is None:
+        symbols = _analyze_body(path, body)
     if symbols.unanalyzable:
         return []
     class_specs = kernel.class_specs()
@@ -443,10 +468,16 @@ def _schema_additions(
     kernel: SymbolicKernel,
     deltas: dict[str, list[MismatchDetail]],
     view: dict[str, str],
+    symbols_of: Callable[[str, str], ExtractedSymbols],
 ) -> SchemaAdditions:
-    """Turn EXTRA/DEMANDED details into schema additions."""
+    """Turn EXTRA/DEMANDED details into schema additions, reading recorded
+    members off the analysis of the files in ``view``."""
     class_specs = kernel.class_specs()
     out = SchemaAdditions()
+
+    def symbols_in(module_id: str) -> ExtractedSymbols:
+        body = view.get(module_id)
+        return ExtractedSymbols() if body is None else symbols_of(module_id, body)
 
     def add_member(cls_name: str, item: AttributeSpec | MethodSig, symbol: str) -> None:
         if symbol not in out.symbols:
@@ -468,7 +499,7 @@ def _schema_additions(
                 if cls_name not in class_specs:
                     continue
                 if detail.actual.startswith("def "):
-                    sig = _extracted_method(view, kernel, cls_name, member)
+                    sig = _extracted_method(symbols_in(class_specs[cls_name][0]), cls_name, member)
                     if sig is not None:
                         add_member(
                             cls_name, replace(sig, docstring=f"recorded from {task_id}"), detail.symbol
@@ -484,18 +515,14 @@ def _schema_additions(
                         detail.symbol,
                     )
             elif detail.kind is DetailKind.EXTRA and detail.actual == "class":
-                spec = _extracted_class(view, task_id, detail.symbol)
+                spec = _extracted_class(symbols_in(task_id), task_id, detail.symbol)
                 if spec is not None and detail.symbol not in out.symbols:
                     out.classes.setdefault(task_id, []).append(spec)
                     out.symbols.append(detail.symbol)
     return out
 
 
-def _extracted_class(view: dict[str, str], module_id: str, cls_name: str) -> ClassSpec | None:
-    body = view.get(module_id)
-    if body is None:
-        return None
-    symbols = analyze(FileUnit(path=module_id, body=body))
+def _extracted_class(symbols: ExtractedSymbols, module_id: str, cls_name: str) -> ClassSpec | None:
     for cls in symbols.classes:
         if cls.name == cls_name:
             attrs = tuple(
@@ -512,14 +539,7 @@ def _extracted_class(view: dict[str, str], module_id: str, cls_name: str) -> Cla
     return None
 
 
-def _extracted_method(
-    view: dict[str, str], kernel: SymbolicKernel, cls_name: str, member: str
-) -> MethodSig | None:
-    module_id = kernel.class_specs()[cls_name][0]
-    body = view.get(module_id)
-    if body is None:
-        return None
-    symbols = analyze(FileUnit(path=module_id, body=body))
+def _extracted_method(symbols: ExtractedSymbols, cls_name: str, member: str) -> MethodSig | None:
     for cls in symbols.classes:
         if cls.name == cls_name:
             for sig in cls.methods:
@@ -587,8 +607,10 @@ def audit_layer(
 
     Pure: identical inputs produce identical reports. The scheduler applies
     the returned artifact commits, status updates, contract actions and task
-    injections at the barrier.
+    injections at the barrier. Each distinct (path, body) is analyzed once per
+    call; the memo dies with the call.
     """
+    symbols_of = functools.cache(_analyze_body)
     kernel = project(contract)
     entries = {normalize_module_id(e.file_path): e for e in kernel.entries}
 
@@ -624,8 +646,9 @@ def audit_layer(
             continue
         worker_artifacts[outcome.task_id] = tuple(artifacts)
         entry = entries.get(outcome.task_id)
-        details = compare_unit(entry, own_body) if entry is not None else []
-        details.extend(demand_details(kernel, outcome.task_id, own_body))
+        symbols = symbols_of(outcome.task_id, own_body)
+        details = compare_unit(entry, own_body, symbols) if entry is not None else []
+        details.extend(demand_details(kernel, outcome.task_id, own_body, symbols))
         worker_details[outcome.task_id] = details
 
     # Tentative amendment from every patchable superset.
@@ -641,7 +664,7 @@ def audit_layer(
                 candidate_view[path] = body
 
     additions = _schema_additions(
-        kernel, {tid: worker_details[tid] for tid in patchable_ids}, candidate_view
+        kernel, {tid: worker_details[tid] for tid in patchable_ids}, candidate_view, symbols_of
     )
 
     amendment_action: ContractAction | None = None
@@ -732,7 +755,7 @@ def audit_layer(
         if body is None or entry is None:
             continue
         missing_members: dict[str, list[str]] = {}
-        for detail in compare_unit(entry, body):
+        for detail in compare_unit(entry, body, symbols_of(task_id, body)):
             if detail.kind is DetailKind.MISSING and "." in detail.symbol:
                 cls_name, member = detail.symbol.split(".", 1)
                 missing_members.setdefault(cls_name, []).append(member)
@@ -754,7 +777,7 @@ def audit_layer(
     # Structural existence over the post-commit view, against the amended
     # contract. Every unmatched task is (re)injected as next-layer TODO work;
     # for contracted paths with no task yet the injection also creates one.
-    existence, unmatched = existence_check(amended_contract, committed_view)
+    existence, unmatched = existence_check(amended_contract, committed_view, symbols_of)
     injections: list[TaskInjection] = []
     injected: list[tuple[str, str]] = []
     missing_task_paths = [m for m in sorted(amended_by_id) if m not in tasks]

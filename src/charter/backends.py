@@ -32,6 +32,11 @@ class MissingTranscriptEntry(BackendError):
     pass
 
 
+class RequestRejected(BackendError):
+    """The endpoint refused the request itself (a 4xx other than 429); a retry
+    would be refused the same way."""
+
+
 @dataclass(frozen=True)
 class CompletionRequest:
     layer: int
@@ -86,7 +91,8 @@ class ScriptedBackend:
 
 
 class RemoteBackend:
-    """Chat-completion client with bounded retries.
+    """Chat-completion client with bounded retries. Connection errors, 5xx and
+    429 (rate limited) are retried; any other 4xx raises ``RequestRejected``.
 
     The endpoint key comes from the environment only; it is never accepted as
     a flag or stored in config files.
@@ -133,17 +139,15 @@ class RemoteBackend:
         for attempt in range(self.retries + 1):
             try:
                 resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
-                if resp.status_code >= 500:
-                    last_error = BackendError(f"server error {resp.status_code}")
+                if resp.status_code >= 500 or resp.status_code == 429:
+                    last_error = BackendError(f"retryable status {resp.status_code}")
                 elif resp.status_code >= 400:
-                    raise BackendError(f"request failed with {resp.status_code}: {resp.text[:200]}")
+                    raise RequestRejected(f"request failed with {resp.status_code}: {resp.text[:200]}")
                 else:
                     data = resp.json()
                     return data["choices"][0]["message"]["content"]
-            except BackendError as exc:
-                if "request failed" in str(exc):
-                    raise
-                last_error = exc
+            except RequestRejected:
+                raise
             except Exception as exc:  # connection errors, malformed payloads
                 last_error = exc
             if attempt < self.retries:

@@ -90,7 +90,6 @@ def _run_config(args, file_config: dict) -> RunConfig:
     return RunConfig(
         t_max=int(pick(getattr(args, "t_max", None), "t_max", 8)),
         mode=RunMode(pick(getattr(args, "mode", None), "mode", "PARALLEL")),
-        backend_kind=getattr(args, "backend", "scripted"),
         model=pick(getattr(args, "model", None), "model", "gpt-4o-2024-11-20"),
         temperature=float(pick(getattr(args, "temperature", None), "temperature", 0.0)),
         context_limit=int(pick(getattr(args, "context_limit", None), "context_limit", 16384)),

@@ -509,27 +509,6 @@ def find_cycle(nodes: list[str] | tuple[str, ...], edges: dict[str, tuple[str, .
     return None
 
 
-def topological_order(kernel: SymbolicKernel) -> list[str]:
-    """Kahn order over the declared dependency graph, ties broken lexicographically."""
-    indegree = {n: 0 for n in kernel.nodes}
-    for src, dsts in kernel.dependencies.items():
-        for dst in dsts:
-            indegree[dst] += 1
-    ready = sorted(n for n, d in indegree.items() if d == 0)
-    order: list[str] = []
-    while ready:
-        node = ready.pop(0)
-        order.append(node)
-        for dst in kernel.dependencies.get(node, ()):
-            indegree[dst] -= 1
-            if indegree[dst] == 0:
-                ready.append(dst)
-        ready.sort()
-    if len(order) != len(kernel.nodes):
-        raise KernelError("graph has a cycle; no topological order exists")
-    return order
-
-
 def validate(kernel: SymbolicKernel) -> list[Violation]:
     """All violations in the kernel; an empty list means valid.
 

@@ -11,7 +11,7 @@ silently dropped.
 from __future__ import annotations
 
 import difflib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .contract import ActionOp, ContractAction, LanguageContract, SectionKey, body_from_text
 from .kernel import Violation, guard_violations
@@ -58,9 +58,7 @@ class Conflict:
 class MergeResult:
     sections: dict[SectionKey, tuple[str, ...]]
     conflicts: tuple[Conflict, ...] = ()
-    dropped: tuple = ()  # always empty: union-first preserves every proposal
     patch_count: int = 0
-    authors_by_section: dict[SectionKey, tuple[str, ...]] = field(default_factory=dict)
 
 
 def diff_against_base(base: list[str] | tuple[str, ...], proposed: list[str] | tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...]]]:
@@ -149,14 +147,11 @@ def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> Merge
 
     sections: dict[SectionKey, tuple[str, ...]] = dict(contract.base)
     conflicts: list[Conflict] = []
-    authors_by_section: dict[SectionKey, tuple[str, ...]] = {}
 
     for section in sorted(by_section, key=lambda s: s.value):
         section_patches = sorted(
             by_section[section], key=lambda p: (p.start, p.end, p.author, p.replacement)
         )
-        authors_by_section[section] = tuple(sorted({p.author for p in section_patches}))
-
         # Group intersecting intervals into clusters; empty intervals at the
         # same point stay separate (they are adjacent, not overlapping).
         clusters: list[list[AtomicPatch]] = []
@@ -189,13 +184,7 @@ def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> Merge
         merged = apply_patches(list(contract.base_body(section)), flat)
         sections[section] = tuple(merged)
 
-    return MergeResult(
-        sections=sections,
-        conflicts=tuple(conflicts),
-        dropped=(),
-        patch_count=len(patches),
-        authors_by_section=authors_by_section,
-    )
+    return MergeResult(sections=sections, conflicts=tuple(conflicts), patch_count=len(patches))
 
 
 def commit_merge(contract: LanguageContract, result: MergeResult) -> LanguageContract:

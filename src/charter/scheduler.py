@@ -51,7 +51,6 @@ class InternalInconsistency(RuntimeError):
 class RunConfig:
     t_max: int = 8
     mode: RunMode = RunMode.PARALLEL
-    backend_kind: str = "scripted"
     model: str = "gpt-4o-2024-11-20"
     temperature: float = 0.0
     context_limit: int = 16384
@@ -263,6 +262,8 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
                 tasks[dispatch.task_id].attempts += 1
 
         report = audit_layer(snapshot, workspace.view(), tasks, outcomes)
+        for warning in report.warnings:
+            logger.warning("event=audit_warning layer=%d %s", layers_used, warning)
         for intervention in report.interventions:
             logger.info("event=intervention layer=%d %s", layers_used, intervention.to_dict())
 

@@ -43,10 +43,8 @@ class Task:
     attempts: int = 0
     feedback: list[str] = field(default_factory=list)
 
-    def transition(self, new: TaskStatus) -> tuple[TaskStatus, TaskStatus]:
-        """Move to ``new``, returning the (old, new) pair for the run ledger."""
+    def transition(self, new: TaskStatus) -> None:
+        """Move to ``new``; an illegal move raises ``IllegalTransition``."""
         if not is_legal_transition(self.status, new):
             raise IllegalTransition(f"{self.id}: {self.status.value} -> {new.value}")
-        old = self.status
         self.status = new
-        return (old, new)

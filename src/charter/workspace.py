@@ -1,17 +1,21 @@
 """The generated repository: file units, symbol extraction, import resolution.
 
-Extraction deliberately uses a line-level grammar rather than a full parser:
-the auditor and the evaluation metrics only need symbol presence (classes,
-constructor attributes, method signatures, imports), and a shallow grammar
-keeps the engine agnostic about the generated language's full syntax.
-Analyzers are pluggable per file extension.
+Symbols are read from the syntax tree of the standard ``ast`` module: the
+auditor and the evaluation metrics need classes, attributes (constructor
+assignments and class-body annotations), method signatures, imports and
+attribute uses, and a real parser reads them regardless of layout (multi-line
+signatures, decorators, docstrings, nested defs). Analyzers are pluggable per
+file extension; only ``.py`` has one, and files of any other type yield no
+symbols.
 """
 
 from __future__ import annotations
 
+import ast
 import logging
 import posixpath
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .kernel import MethodSig
@@ -62,195 +66,154 @@ class ExtractedSymbols:
     unanalyzable: bool = False
 
 
-_CLASS_RE = re.compile(r"^(\s*)class\s+([A-Za-z_]\w*)\s*(?:\([^)]*\))?\s*:")
-_DEF_RE = re.compile(r"^(\s*)def\s+([A-Za-z_]\w*)\s*\(")
-_SELF_ATTR_RE = re.compile(
-    r"^\s*self\.([A-Za-z_]\w*)\s*(?::\s*([^=]+?))?\s*=(?!=)"
-)
-_IMPORT_RE = re.compile(r"^\s*import\s+(.+?)\s*$")
-_FROM_RE = re.compile(r"^\s*from\s+([\w\.]+)\s+import\s+(.+?)\s*$")
-_ASSIGN_RE = re.compile(r"^([A-Za-z_]\w*)\s*(?::[^=]+)?=(?!=)")
-_USE_RE = re.compile(r"\b([A-Za-z_]\w*)\.([A-Za-z_]\w*)\b")
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _KEYWORD_RECEIVERS = {"self", "cls", "super"}
+_OPENERS = "([{"
+_CLOSERS = ")]}"
 
 
-def _strip_comment(line: str) -> str:
-    # Rough: drops '#' comments; quote-aware enough for extraction purposes.
-    out = []
-    quote: str | None = None
-    for ch in line:
-        if quote:
-            out.append(ch)
-            if ch == quote:
-                quote = None
-            continue
-        if ch in "\"'":
-            quote = ch
-            out.append(ch)
-            continue
-        if ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
+def _source_text(node: ast.expr, lines: list[bytes]) -> str:
+    """A node's source text with whitespace collapsed.
 
-
-def _lenient_signature(line: str) -> MethodSig | None:
-    header = _strip_comment(line).strip()
-    if not header.endswith(":"):
-        header = header + ":"
-    # Tolerate untyped parameters and missing return annotations.
-    m = re.match(r"^def\s+([A-Za-z_]\w*)\s*\((.*)\)\s*(?:->\s*(.+?))?\s*:$", header, re.S)
-    if m is None:
-        return None
-    name, inner, ret = m.group(1), m.group(2), m.group(3) or "None"
-    params: list[tuple[str, str]] = []
-    depth = 0
-    piece = ""
-    pieces: list[str] = []
-    for ch in inner:
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        if ch == "," and depth == 0:
-            pieces.append(piece)
-            piece = ""
-        else:
-            piece += ch
-    if piece.strip():
-        pieces.append(piece)
+    Annotations are compared as written (``Tuple[int,int]`` stays as is), so
+    the text is sliced from the source rather than unparsed. A wrapped
+    annotation is joined back onto one line: no space after an opening or
+    before a closing bracket, and a trailing comma before a closing bracket
+    dropped, so black's three-line ``list[`` / ``list[int],`` / ``]`` reads
+    ``list[list[int]]``. Offsets are UTF-8 byte columns, hence the byte lines.
+    """
+    first, last = node.lineno - 1, node.end_lineno - 1
+    if first == last:
+        return " ".join(lines[first][node.col_offset : node.end_col_offset].decode().split())
+    pieces = [lines[first][node.col_offset :], *lines[first + 1 : last], lines[last][: node.end_col_offset]]
+    text = ""
     for raw in pieces:
-        part = raw.split("=", 1)[0].strip()
-        if not part or part in ("*", "/"):
+        piece = " ".join(raw.decode().split())
+        if not piece:
             continue
-        if ":" in part:
-            pname, ptype = part.split(":", 1)
-            params.append((pname.strip().lstrip("*"), " ".join(ptype.split())))
+        if text.endswith(",") and piece[0] in _CLOSERS:
+            text = text[:-1] + piece
+        elif not text or text[-1] in _OPENERS or piece[0] in _CLOSERS:
+            text += piece
         else:
-            params.append((part.lstrip("*"), "any"))
-    if params and params[0][0] in ("self", "cls"):
-        params = params[1:]
-    return MethodSig(name=name, params=tuple(params), return_type=" ".join(ret.split()))
+            text += " " + piece
+    return text
+
+
+def _signature(node: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> MethodSig:
+    """Untyped parameters read "any" and a missing return annotation "None";
+    a leading ``self``/``cls`` is dropped."""
+    args = node.args
+    params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+    pairs = [
+        (a.arg, "any" if a.annotation is None else _source_text(a.annotation, lines))
+        for a in params
+        if a is not None
+    ]
+    if pairs and pairs[0][0] in ("self", "cls"):
+        pairs = pairs[1:]
+    returns = "None" if node.returns is None else _source_text(node.returns, lines)
+    return MethodSig(name=node.name, params=tuple(pairs), return_type=returns)
+
+
+def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> list[tuple[str, str]]:
+    """``self.NAME [: TYPE] = ...`` targets anywhere in a constructor, in source order."""
+    params = init.args.posonlyargs + init.args.args
+    if not params:
+        return []
+    receiver = params[0].arg
+    found: list[tuple[int, int, str, str]] = []
+    for node in ast.walk(init):
+        if isinstance(node, ast.Assign):
+            targets, type_name = node.targets, "any"
+        elif isinstance(node, ast.AnnAssign):
+            targets, type_name = [node.target], _source_text(node.annotation, lines)
+        else:
+            continue
+        for target in targets:
+            for item in target.elts if isinstance(target, ast.Tuple) else (target,):
+                if isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name) and item.value.id == receiver:
+                    found.append((item.lineno, item.col_offset, item.attr, type_name))
+    return [(name, type_name) for _, _, name, type_name in sorted(found)]
+
+
+def _class(node: ast.ClassDef, lines: list[bytes]) -> ExtractedClass:
+    """Class-body annotations (dataclass fields) and constructor assignments
+    are attributes; the class body's own defs are methods. The first
+    definition of a name wins, so a property's setter does not replace its
+    getter."""
+    attributes: dict[str, str] = {}
+    methods: dict[str, MethodSig] = {}
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            attributes.setdefault(item.target.id, _source_text(item.annotation, lines))
+        elif isinstance(item, _DEFS):
+            methods.setdefault(item.name, _signature(item, lines))
+            if item.name == "__init__":
+                for name, type_name in _self_attributes(item, lines):
+                    attributes.setdefault(name, type_name)
+    return ExtractedClass(name=node.name, attributes=tuple(attributes.items()), methods=tuple(methods.values()))
 
 
 def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
-    """Line-grammar extraction of classes, signatures, imports and attribute uses."""
+    """Classes, signatures, imports and attribute uses of one Python module.
+
+    Classes are found at any depth; functions and top-level names are the
+    module's own statements (defs, classes, assigned names). A body that does
+    not parse is unanalyzable; so is one nested too deep for the parser,
+    which reports that as RecursionError or MemoryError.
+    """
     try:
-        lines = unit.body.split("\n")
-    except (UnicodeDecodeError, AttributeError):
+        tree = ast.parse(unit.body)
+        lines = unit.body.encode("utf-8").splitlines()
+    except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
 
-    classes: list[dict] = []
-    functions: list[MethodSig] = []
+    classes: list[ExtractedClass] = []
     imports: list[tuple[str, str]] = []
-    uses: list[tuple[str, str]] = []
+    uses: list[tuple[int, int, str, str]] = []  # source position first: the walk is breadth-first
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id not in _KEYWORD_RECEIVERS:
+                uses.append((node.lineno, node.col_offset, node.value.id, node.attr))
+        elif isinstance(node, ast.ClassDef):
+            classes.append(_class(node, lines))
+        elif isinstance(node, ast.Import):
+            imports.extend((alias.name, WHOLE_MODULE) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imports.extend((module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names)
+
+    functions: list[MethodSig] = []
     toplevel: list[str] = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            toplevel.append(node.name)
+        elif isinstance(node, _DEFS):
+            functions.append(_signature(node, lines))
+            toplevel.append(node.name)
+        elif isinstance(node, ast.Assign):
+            toplevel.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None and isinstance(node.target, ast.Name):
+            toplevel.append(node.target.id)
 
-    current_class: dict | None = None
-    class_indent = -1
-    in_init = False
-    init_indent = -1
-
-    for raw in lines:
-        line = _strip_comment(raw)
-        if not line.strip():
-            continue
-        indent = len(line) - len(line.lstrip())
-
-        if current_class is not None and indent <= class_indent and line.strip():
-            current_class = None
-            in_init = False
-        if in_init and indent <= init_indent:
-            in_init = False
-
-        m = _CLASS_RE.match(line)
-        if m:
-            current_class = {"name": m.group(2), "attributes": [], "methods": []}
-            class_indent = indent
-            classes.append(current_class)
-            if indent == 0:
-                toplevel.append(m.group(2))
-            in_init = False
-            continue
-
-        m = _DEF_RE.match(line)
-        if m:
-            sig = _lenient_signature(line)
-            if sig is None:
-                continue
-            if current_class is not None and indent > class_indent:
-                current_class["methods"].append(sig)
-                in_init = sig.name == "__init__"
-                init_indent = indent
-            else:
-                functions.append(sig)
-                if indent == 0:
-                    toplevel.append(sig.name)
-                in_init = False
-            continue
-
-        m = _IMPORT_RE.match(line)
-        if m and not line.lstrip().startswith("from"):
-            for item in m.group(1).split(","):
-                module = item.strip().split(" as ")[0].strip()
-                if module and re.fullmatch(r"[\w\.]+", module):
-                    imports.append((module, WHOLE_MODULE))
-            continue
-
-        m = _FROM_RE.match(line)
-        if m:
-            module = m.group(1)
-            for item in m.group(2).split(","):
-                symbol = item.strip().split(" as ")[0].strip()
-                if symbol == "*":
-                    imports.append((module, WHOLE_MODULE))
-                elif re.fullmatch(r"[A-Za-z_]\w*", symbol):
-                    imports.append((module, symbol))
-            continue
-
-        if in_init and current_class is not None:
-            m = _SELF_ATTR_RE.match(line)
-            if m:
-                type_name = " ".join(m.group(2).split()) if m.group(2) else "any"
-                pairs = current_class["attributes"]
-                if not any(n == m.group(1) for n, _ in pairs):
-                    pairs.append((m.group(1), type_name))
-
-        if indent == 0:
-            m = _ASSIGN_RE.match(line)
-            if m:
-                toplevel.append(m.group(1))
-
-        for receiver, attr in _USE_RE.findall(line):
-            if receiver not in _KEYWORD_RECEIVERS:
-                uses.append((receiver, attr))
-
-    extracted_classes = tuple(
-        ExtractedClass(
-            name=c["name"],
-            attributes=tuple(c["attributes"]),
-            methods=tuple(c["methods"]),
-        )
-        for c in classes
-    )
     return ExtractedSymbols(
-        classes=extracted_classes,
+        classes=tuple(classes),
         functions=tuple(functions),
         imports=tuple(imports),
-        attribute_uses=tuple(dict.fromkeys(uses)),
+        attribute_uses=tuple(dict.fromkeys((receiver, attr) for _, _, receiver, attr in sorted(uses))),
         toplevel_names=tuple(dict.fromkeys(toplevel)),
     )
 
 
-# Analyzers are keyed by file extension; the default line-grammar analyzer
-# covers the dynamic-scripting-language shape the generated repositories use.
-ANALYZERS: dict[str, object] = {".py": extract_symbols}
+# Analyzers are keyed by file extension; a file no analyzer claims yields no
+# symbols.
+ANALYZERS: dict[str, Callable[[FileUnit], ExtractedSymbols]] = {".py": extract_symbols}
 
 
 def analyze(unit: FileUnit) -> ExtractedSymbols:
-    ext = "." + unit.path.rsplit(".", 1)[-1] if "." in unit.path else ""
-    analyzer = ANALYZERS.get(ext, extract_symbols)
-    return analyzer(unit)  # type: ignore[operator]
+    analyzer = ANALYZERS.get(posixpath.splitext(unit.path)[1])
+    return analyzer(unit) if analyzer is not None else ExtractedSymbols()
 
 
 class Workspace:

@@ -325,3 +325,36 @@ def test_audit_layer_amendment_downgrade_on_duplicate_class():
     assert not any(isinstance(i, ContractAmendment) for i in report.interventions)
     assert report.accepted_artifacts == ()
     assert any("amendment rejected" in w for w in report.warnings)
+
+
+PLAYER_BLACK = '''\
+class Player:
+    """A movable player."""
+
+    def __init__(self) -> None:
+        self.x: int = 0
+        self.y: int = 0
+        self.health: int = 100
+
+    def move(
+        self,
+        dx: int,
+        dy: int,
+    ) -> None:
+        self.x += dx
+        self.y += dy
+
+    async def _sync(self) -> None:
+        pass
+
+    def take_damage(self, amount: int) -> None:
+        self.health -= amount
+'''
+
+
+def test_audit_layer_accepts_black_formatted_artifact():
+    contract = contract_with([make_entry("entities/player.py", classes=(PLAYER_CLASS,))])
+    outcomes = [_worker_outcome("entities/player.py", "entities/player.py", PLAYER_BLACK)]
+    report = audit_layer(contract, {}, _tasks(contract), outcomes)
+    assert [(d.task_id, d.kind, d.details) for d in report.deltas] == [("entities/player.py", DeltaKind.EMPTY, ())]
+    assert [t for t, _ in report.accepted_artifacts] == ["entities/player.py"]

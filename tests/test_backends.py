@@ -11,6 +11,7 @@ from charter.backends import (
     MissingTranscriptEntry,
     RecordingBackend,
     RemoteBackend,
+    RequestRejected,
     ScriptedBackend,
 )
 
@@ -71,9 +72,17 @@ def test_remote_backend_client_error_fails_fast(monkeypatch):
     monkeypatch.setenv("CHARTER_API_KEY", "k")
     session = _FakeSession([401])
     backend = RemoteBackend(retries=2, backoff=0, session=session)
-    with pytest.raises(BackendError, match="401"):
+    with pytest.raises(RequestRejected, match="401"):
         backend.complete(_request())
     assert session.calls == 1
+
+
+def test_remote_backend_retries_rate_limit(monkeypatch):
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    session = _FakeSession([429, 200])
+    backend = RemoteBackend(retries=2, backoff=0, session=session)
+    assert backend.complete(_request()) == "ok"
+    assert session.calls == 2
 
 
 def test_remote_backend_requires_env_key(monkeypatch):

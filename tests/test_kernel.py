@@ -19,7 +19,6 @@ from charter.kernel import (
     print_signature,
     project,
     tasks_of,
-    topological_order,
     validate,
 )
 from charter.tasks import TaskStatus
@@ -110,17 +109,6 @@ def _three_module_contract():
         [mk("a.py", "A"), mk("b.py", "B"), mk("c.py", "C")],
         dependency_lines=["a.py --> b.py", "b.py --> c.py"],
     )
-
-
-def test_topological_order_matches_oracle():
-    kernel = project(_three_module_contract())
-    order = topological_order(kernel)
-    assert order == ["a.py", "b.py", "c.py"]
-    # independent oracle: every edge goes forward in the order
-    position = {n: i for i, n in enumerate(order)}
-    for src, dsts in kernel.dependencies.items():
-        for dst in dsts:
-            assert position[src] < position[dst]
 
 
 def test_edge_endpoint_resolution_variants():

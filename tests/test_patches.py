@@ -56,7 +56,6 @@ def test_union_keeps_both_authors_lines():
     merged = result.sections[section]
     assert "        - width: int | a side" in merged
     assert "        - color: str | paint" in merged
-    assert result.dropped == ()
 
 
 def _contract_with_attr_block():

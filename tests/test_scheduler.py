@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
@@ -324,8 +326,6 @@ def test_existence_monotone_when_no_commit_rejected(gomoku_intent, gomoku_transc
 
 
 def test_dispatch_events_logged(gomoku_intent, gomoku_transcript, caplog):
-    import logging
-
     backend = ScriptedBackend.from_file(gomoku_transcript)
     with caplog.at_level(logging.INFO, logger="charter.scheduler"):
         run(IntentSpec(gomoku_intent.read_text()), RunConfig(t_max=5), backend)
@@ -333,3 +333,16 @@ def test_dispatch_events_logged(gomoku_intent, gomoku_transcript, caplog):
     finishes = [r for r in caplog.records if "event=dispatch_finish" in r.getMessage()]
     assert len(starts) == 6  # 3 workers + 3 critics
     assert len(finishes) == 6
+
+
+def test_audit_warnings_are_logged(caplog):
+    records = _synthesis_records(_single_module_entries())
+    records.append(_worker_record(1, "mod.py", MOD_BODY))
+    silent = AgentResponse(thinking="t", output="review without a verdict line")
+    records.append({"layer": 2, "role": "critic", "task": "mod.py", "response": format_response(silent)})
+    with caplog.at_level(logging.WARNING, logger="charter.scheduler"):
+        run(IntentSpec("one module"), RunConfig(t_max=2), ScriptedBackend(records))
+    warnings = [r for r in caplog.records if "event=audit_warning" in r.getMessage()]
+    assert [(r.levelno, "layer=2" in r.getMessage(), "produced no verdict" in r.getMessage()) for r in warnings] == [
+        (logging.WARNING, True, True)
+    ]

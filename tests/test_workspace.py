@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import pytest
 
+from charter.kernel import MethodSig
 from charter.workspace import (
+    ExtractedSymbols,
     FileUnit,
     PathViolation,
     Workspace,
     WHOLE_MODULE,
+    analyze,
     extract_symbols,
     module_candidates,
     normalize_path,
@@ -90,6 +93,110 @@ def test_extract_symbols_empty_file():
     assert symbols.classes == ()
     assert symbols.functions == ()
     assert symbols.imports == ()
+
+
+def _members(symbols):
+    return [(c.name, dict(c.attributes), [m.name for m in c.methods]) for c in symbols.classes]
+
+
+LAYOUT_CASES = {
+    "multi-line def": (
+        "board.py",
+        "class Board:\n"
+        "    def place(\n"
+        "        self,\n"
+        "        row: int,\n"
+        "        col: int,\n"
+        "    ) -> bool:\n"
+        "        return True\n",
+        lambda s: s.classes[0].methods,
+        (MethodSig("place", (("row", "int"), ("col", "int")), "bool"),),
+    ),
+    "docstring containing a class statement": (
+        "game.py",
+        'class Game:\n'
+        '    """Runs the loop.\n'
+        "\n"
+        "    class Fake:\n"
+        "        pass\n"
+        '    """\n'
+        "\n"
+        "    def __init__(self):\n"
+        "        self.turn: int = 0\n"
+        "\n"
+        "    def step(self) -> None:\n"
+        "        pass\n",
+        _members,
+        [("Game", {"turn": "int"}, ["__init__", "step"])],
+    ),
+    "decorated method: a setter keeps the getter": (
+        "counter.py",
+        "class Counter:\n"
+        "    @property\n"
+        "    def value(self) -> int:\n"
+        "        return self._value\n"
+        "\n"
+        "    @value.setter\n"
+        "    def value(self, new: int) -> None:\n"
+        "        self._value = new\n",
+        lambda s: s.classes[0].methods,
+        (MethodSig("value", (), "int"),),
+    ),
+    "async def": (
+        "client.py",
+        "class Client:\n"
+        "    async def fetch(self, url: str) -> bytes:\n"
+        "        return b''\n"
+        "\n"
+        "\n"
+        "async def main() -> None:\n"
+        "    pass\n",
+        lambda s: (s.classes[0].methods, s.functions),
+        ((MethodSig("fetch", (("url", "str"),), "bytes"),), (MethodSig("main", (), "None"),)),
+    ),
+    "def nested in a method": (
+        "grid.py",
+        "class Grid:\n"
+        "    def cells(self) -> list:\n"
+        "        def key(cell: tuple) -> int:\n"
+        "            return cell[0]\n"
+        "        return []\n",
+        lambda s: (_members(s), s.functions),
+        ([("Grid", {}, ["cells"])], ()),
+    ),
+    "parenthesised multi-line import": (
+        "main.py",
+        "from core.game import (\n    Board,\n    Game,\n)\n",
+        lambda s: s.imports,
+        (("core.game", "Board"), ("core.game", "Game")),
+    ),
+    "wrapped attribute annotation": (
+        "grid.py",
+        "class Grid:\n"
+        "    def __init__(self):\n"
+        "        self.cells: list[\n"
+        "            list[int],\n"
+        "        ] = []\n"
+        "        self.pair: Tuple[int,int] = (0, 0)\n",
+        lambda s: s.classes[0].attributes,
+        (("cells", "list[list[int]]"), ("pair", "Tuple[int,int]")),
+    ),
+    "dataclass fields": (
+        "point.py",
+        "@dataclass\nclass Point:\n    x: int\n    y: int = 0\n    label: str = ''\n",
+        _members,
+        [("Point", {"x": "int", "y": "int", "label": "str"}, [])],
+    ),
+    "syntax error": ("broken.py", "def broken(:\n    pass\n", lambda s: s, ExtractedSymbols(unanalyzable=True)),
+    "nested too deep to parse": ("deep.py", "x = " + "-" * 100_000 + "1\n", lambda s: s, ExtractedSymbols(unanalyzable=True)),
+    "non-python path": ("notes.md", "class Note:\n    x: int = 0\nimport os\n", lambda s: s, ExtractedSymbols()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CASES))
+def test_analyze_reads_any_layout(case):
+    path, body, view, expected = LAYOUT_CASES[case]
+    assert view(analyze(FileUnit(path=path, body=body))) == expected
 
 
 def test_attribute_use_extraction():
