@@ -2,12 +2,10 @@
 
 The contract is the single shared planning document every agent reads and
 patches. It is stored line-oriented (lines are the coordinate unit for the
-patch machinery) and is immutable: every mutation produces a new value. Two
-snapshots live side by side:
-
-* ``sections`` - the current body of each section,
-* ``base`` - the frozen snapshot taken at the last layer commit, which is the
-  coordinate system all patches in the next layer are expressed against.
+patch machinery) and is immutable: every mutation produces a new value. The
+value committed at a layer barrier is therefore itself the frozen snapshot that
+every dispatch of the next layer reads and that all of that layer's patches
+are expressed against; there is no second copy of the sections.
 
 On disk the document is markdown with two fixed tier headings and the seven
 section headings below, extension ``.contract.md``.
@@ -151,30 +149,21 @@ def body_from_text(text: str) -> tuple[str, ...]:
 class LanguageContract:
     sections: dict[SectionKey, tuple[str, ...]]
     revision: int
-    base: dict[SectionKey, tuple[str, ...]]
 
     def body(self, key: SectionKey) -> tuple[str, ...]:
         return self.sections[key]
-
-    def base_body(self, key: SectionKey) -> tuple[str, ...]:
-        return self.base[key]
 
     def with_section(self, key: SectionKey, lines: Sequence[str]) -> "LanguageContract":
         sections = dict(self.sections)
         sections[key] = _normalize_body(lines)
         return replace(self, sections=sections, revision=self.revision + 1)
 
-    def refresh_base(self) -> "LanguageContract":
-        """Freeze the current sections as the next layer's coordinate system."""
-        return replace(self, base=dict(self.sections))
-
     def fingerprint(self) -> str:
         return hashlib.sha256(render(self).encode("utf-8")).hexdigest()
 
     @staticmethod
     def empty() -> "LanguageContract":
-        sections = {key: () for key in SECTION_ORDER}
-        return LanguageContract(sections=sections, revision=0, base=dict(sections))
+        return LanguageContract(sections={key: () for key in SECTION_ORDER}, revision=0)
 
 
 def render(contract: LanguageContract) -> str:
@@ -238,11 +227,11 @@ def parse(doc: str) -> LanguageContract:
     if missing:
         raise MalformedTemplate(f"missing section heading(s): {', '.join(missing)}")
     sections = {key: _normalize_body(bodies[key]) for key in SECTION_ORDER}
-    return LanguageContract(sections=sections, revision=0, base=dict(sections))
+    return LanguageContract(sections=sections, revision=0)
 
 
 def new_contract(template: str) -> LanguageContract:
-    """Build a fresh contract from a template document; revision 0, base == sections."""
+    """Build a fresh contract from a template document at revision 0."""
     return parse(template)
 
 

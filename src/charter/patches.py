@@ -1,11 +1,13 @@
-"""Interval patches against the frozen base contract, and union-first merging.
+"""Interval patches against one contract snapshot, and union-first merging.
 
-All of a layer's edits are expressed as line-interval replacements whose
-coordinates refer to the base snapshot, never to any intermediate state; that
-single coordinate system is what makes concurrent edits mergeable without
-index-shift corruption. Overlapping edits are resolved by union: every
-author's proposed lines survive (exact duplicates collapse), nothing is
-silently dropped.
+A contract value is immutable, so the snapshot a layer's dispatches read is
+also the coordinate system of all of that layer's edits: each edit is a
+line-interval replacement into that snapshot's section bodies, never into any
+intermediate state. One coordinate system is what makes concurrent edits
+mergeable without index-shift corruption. Overlapping edits are resolved by
+union: every author's proposed lines survive (exact duplicates collapse),
+nothing is silently dropped. The merged value must still pass the kernel
+guard; ``commit_merge`` raises ``KernelViolation`` otherwise.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ class MergeError(Exception):
 
 
 class StalePatch(MergeError):
-    """Patch coordinates do not fit the current base (author saw an older base)."""
+    """Patch coordinates do not fit the snapshot (author saw another contract)."""
 
 
 class KernelViolation(MergeError):
@@ -34,11 +36,10 @@ class KernelViolation(MergeError):
 @dataclass(frozen=True)
 class AtomicPatch:
     section: SectionKey
-    start: int  # half-open interval [start, end) into the base section body
+    start: int  # half-open interval [start, end) into the snapshot's section body
     end: int
     replacement: tuple[str, ...]
     author: str
-    layer: int
 
     def __post_init__(self):
         if not (0 <= self.start <= self.end):
@@ -51,7 +52,6 @@ class Conflict:
     start: int
     end: int
     authors: tuple[str, ...]
-    resolution: str = "UNION"
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,9 @@ def apply_patches(base: list[str] | tuple[str, ...], patches: list[tuple[int, in
     return out
 
 
-def patches_for_action(
-    contract: LanguageContract, action: ContractAction, author: str, layer: int
-) -> list[AtomicPatch]:
-    """Express one section action as atomic patches against the contract base."""
-    base = contract.base_body(action.section)
+def patches_for_action(contract: LanguageContract, action: ContractAction, author: str) -> list[AtomicPatch]:
+    """Express one section action as atomic patches against ``contract``."""
+    base = contract.body(action.section)
     new_lines = body_from_text(action.content)
     proposed = tuple(base) + new_lines if action.op is ActionOp.ADD else new_lines
     return [
@@ -104,7 +102,6 @@ def patches_for_action(
             end=end,
             replacement=replacement,
             author=author,
-            layer=layer,
         )
         for start, end, replacement in diff_against_base(list(base), list(proposed))
     ]
@@ -129,7 +126,7 @@ def _union_replacement(cluster: list[AtomicPatch]) -> tuple[str, ...]:
 
 
 def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> MergeResult:
-    """Merge one layer's patches against the contract base.
+    """Merge one layer's patches against ``contract``, the snapshot they address.
 
     Non-overlapping patches apply positionally; patches whose half-open
     intervals intersect form a cluster resolved by union (adjacent intervals
@@ -137,7 +134,7 @@ def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> Merge
     """
     by_section: dict[SectionKey, list[AtomicPatch]] = {}
     for patch in patches:
-        base_len = len(contract.base_body(patch.section))
+        base_len = len(contract.body(patch.section))
         if patch.end > base_len:
             raise StalePatch(
                 f"{patch.section.value}: interval [{patch.start},{patch.end}) "
@@ -145,7 +142,7 @@ def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> Merge
             )
         by_section.setdefault(patch.section, []).append(patch)
 
-    sections: dict[SectionKey, tuple[str, ...]] = dict(contract.base)
+    sections: dict[SectionKey, tuple[str, ...]] = dict(contract.sections)
     conflicts: list[Conflict] = []
 
     for section in sorted(by_section, key=lambda s: s.value):
@@ -181,25 +178,21 @@ def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> Merge
                         authors=tuple(sorted({p.author for p in cluster})),
                     )
                 )
-        merged = apply_patches(list(contract.base_body(section)), flat)
+        merged = apply_patches(list(contract.body(section)), flat)
         sections[section] = tuple(merged)
 
     return MergeResult(sections=sections, conflicts=tuple(conflicts), patch_count=len(patches))
 
 
 def commit_merge(contract: LanguageContract, result: MergeResult) -> LanguageContract:
-    """Commit a merge at the layer barrier: new sections, new base, revision +1.
+    """Commit a merge at the layer barrier: new sections, revision +1.
 
     The committed contract must re-project to a valid kernel; otherwise the
     whole merge is rejected and the caller's contract is unchanged.
     """
     if result.patch_count == 0:
         return contract
-    candidate = LanguageContract(
-        sections=dict(result.sections),
-        revision=contract.revision + 1,
-        base=dict(result.sections),
-    )
+    candidate = LanguageContract(sections=dict(result.sections), revision=contract.revision + 1)
     violations = guard_violations(candidate)
     if violations:
         raise KernelViolation(violations)

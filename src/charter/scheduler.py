@@ -5,8 +5,10 @@ statuses alone. TODO and ERROR tasks get a worker, DONE tasks get a critic,
 VERIFIED tasks get nothing. Every dispatch in a layer sees the same immutable
 contract snapshot; all mutation (statuses, workspace, contract) happens
 single-threaded at the layer barrier after the auditor has classified the
-outputs. The loop runs until everything is verified or the layer budget is
-exhausted, in which case the current best-effort repository is returned.
+outputs, and every status move, artifact commit and document action comes
+from its report. The loop runs until everything is verified or the layer
+budget is exhausted, in which case the current best-effort repository is
+returned.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from .agents import (
     parse_response,
     synthesize_contract,
 )
-from .auditor import DispatchOutcome, audit_layer
+from .auditor import AUDITOR_AUTHOR, DispatchOutcome, audit_layer
 from .backends import CompletionRequest
-from .contract import LanguageContract, journal_record
+from .contract import ContractAction, LanguageContract, journal_record
 from .kernel import ViolationKind, project, tasks_of, validate
 from .ledger import RunLedger, file_sha256
-from .patches import KernelViolation, StalePatch, merge_layer, commit_merge, patches_for_action
+from .patches import KernelViolation, commit_merge, merge_layer, patches_for_action
 from .tasks import Task, TaskStatus
 from .workspace import Workspace
 
@@ -69,7 +71,7 @@ class Dispatch:
     role: Role
 
 
-def dispatch_for(task: Task, contract: LanguageContract, implementation: str | None = None) -> Dispatch | None:
+def dispatch_for(task: Task, implementation: str | None = None) -> Dispatch | None:
     """The state-conditional dispatch map: TODO/ERROR -> worker, DONE -> critic,
     VERIFIED -> nothing."""
     if task.status is TaskStatus.VERIFIED:
@@ -94,7 +96,6 @@ class LayerPlan:
 
 def plan_layer(
     tasks: dict[str, Task],
-    contract: LanguageContract,
     workspace: Workspace,
     attempt_cap: int = 0,
 ) -> LayerPlan:
@@ -111,7 +112,7 @@ def plan_layer(
         ):
             skipped.append(task_id)
             continue
-        dispatch = dispatch_for(task, contract, unit.body if unit else None)
+        dispatch = dispatch_for(task, unit.body if unit else None)
         if dispatch is not None:
             dispatches.append(dispatch)
     return LayerPlan(dispatches=tuple(dispatches), skipped=tuple(skipped))
@@ -209,9 +210,23 @@ class RunResult:
         return not self.converged
 
 
-def _offending_authors(patch_authors: set[str]) -> set[str]:
-    agents = {a for a in patch_authors if a != "auditor"}
-    return agents or set(patch_authors)
+def _commit_actions(
+    contract: LanguageContract, actions: list[tuple[str, ContractAction]], ledger: RunLedger
+) -> tuple[LanguageContract, int]:
+    """Merge ``actions`` against ``contract``, commit and journal them.
+
+    Returns the committed contract and the merge's conflict count; raises
+    ``KernelViolation`` (journaling nothing) when the guard refuses the merge.
+    """
+    patches = [p for author, action in actions for p in patches_for_action(contract, action, author)]
+    if not patches:
+        return contract, 0
+    merged = merge_layer(contract, patches)
+    committed = commit_merge(contract, merged)
+    for _, action in actions:
+        ledger.add_journal(journal_record(action, committed.revision))
+    ledger.add_journal({"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()})
+    return committed, len(merged.conflicts)
 
 
 def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
@@ -225,7 +240,6 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         context_limit=config.context_limit,
         on_accept=lambda action, revision: ledger.add_journal(journal_record(action, revision)),
     )
-    contract = contract.refresh_base()
     kernel = project(contract)
     tasks = {t.id: t for t in tasks_of(kernel)}
 
@@ -245,7 +259,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
 
     layers_used = 0
     while layers_used < config.t_max:
-        plan = plan_layer(tasks, contract, workspace, attempt_cap=config.attempt_cap)
+        plan = plan_layer(tasks, workspace, attempt_cap=config.attempt_cap)
         for task_id in plan.skipped:
             note = f"attempt cap ({config.attempt_cap}) reached; task parked"
             if note not in tasks[task_id].feedback:
@@ -254,73 +268,40 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         if not plan.dispatches:
             break
         layers_used += 1
-        snapshot = contract
-        outcomes = run_layer(plan, backend, snapshot, intent, tasks, workspace, layers_used, config)
+        outcomes = run_layer(plan, backend, contract, intent, tasks, workspace, layers_used, config)
 
         for dispatch in plan.dispatches:
             if dispatch.role.kind is RoleKind.WORKER:
                 tasks[dispatch.task_id].attempts += 1
 
-        report = audit_layer(snapshot, workspace.view(), tasks, outcomes)
+        report = audit_layer(contract, workspace.view(), tasks, outcomes)
         for warning in report.warnings:
             logger.warning("event=audit_warning layer=%d %s", layers_used, warning)
         for intervention in report.interventions:
             logger.info("event=intervention layer=%d %s", layers_used, intervention.to_dict())
 
-        # Merge every accepted document action against the frozen base.
-        patches = []
-        for author, action in report.contract_actions:
-            patches.extend(patches_for_action(snapshot, action, author, layers_used))
-
-        status_updates = list(report.status_updates)
-        accepted_artifacts = dict(report.accepted_artifacts)
+        # Every document action is a patch against the snapshot the layer
+        # read. If the guard refuses the merge, the agents' actions are
+        # dropped and the auditor's write-back (the guarded amendment plus
+        # Status lines) commits alone; artifacts and statuses stay as audited.
+        actions = list(report.contract_actions)
         feedback = list(report.feedback)
-        rejected_authors: set[str] = set()
-        merge_conflicts = 0
-
-        if patches:
-            try:
-                merge_result = merge_layer(snapshot, patches)
-                merge_conflicts = len(merge_result.conflicts)
-                contract = commit_merge(snapshot, merge_result)
-                for author, action in report.contract_actions:
-                    ledger.add_journal(journal_record(action, contract.revision))
-                ledger.add_journal(
-                    {
-                        "kind": "commit",
-                        "revision": contract.revision,
-                        "base_sha256": contract.fingerprint(),
-                    }
-                )
-            except (KernelViolation, StalePatch) as exc:
-                rejected_authors = _offending_authors({p.author for p in patches})
-                logger.warning(
-                    "event=merge_rejected layer=%d authors=%s reason=%s",
-                    layers_used,
-                    sorted(rejected_authors),
-                    exc,
-                )
-                note = f"layer merge rejected: {exc}"
-                status_updates = [u for u in status_updates if u[0] not in rejected_authors]
-                for author in sorted(rejected_authors):
-                    if author not in tasks:
-                        continue
-                    accepted_artifacts.pop(author, None)
-                    feedback.append((author, note))
-                    current = tasks[author].status
-                    if current is TaskStatus.TODO:
-                        status_updates.append((author, "TODO", "DONE"))
-                        status_updates.append((author, "DONE", "ERROR"))
-                    elif current is TaskStatus.DONE:
-                        status_updates.append((author, "DONE", "ERROR"))
+        try:
+            contract, merge_conflicts = _commit_actions(contract, actions, ledger)
+        except KernelViolation as exc:
+            authors = sorted({author for author, _ in actions if author != AUDITOR_AUTHOR})
+            logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layers_used, authors, exc)
+            feedback.extend((author, f"document action rejected: {exc}") for author in authors)
+            actions = [(author, action) for author, action in actions if author == AUDITOR_AUTHOR]
+            contract, merge_conflicts = _commit_actions(contract, actions, ledger)
 
         commits = []
-        for task_id in sorted(accepted_artifacts):
-            for path, body in accepted_artifacts[task_id]:
+        for task_id, artifacts in report.accepted_artifacts:
+            for path, body in artifacts:
                 workspace.commit_file(path, body, writer=task_id, layer=layers_used)
                 commits.append({"path": path, "sha256": file_sha256(body), "writer": task_id})
 
-        for task_id, old, new in status_updates:
+        for task_id, _old, new in report.status_updates:
             task = tasks.get(task_id)
             if task is None:
                 continue
@@ -346,7 +327,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
                 "dispatches": [
                     {"task": d.task_id, "role": d.role.kind.value} for d in plan.dispatches
                 ],
-                "transitions": [[t, old, new] for t, old, new in status_updates],
+                "transitions": [list(update) for update in report.status_updates],
                 "audit_sha256": report.sha256(),
                 "deltas": [{"task": d.task_id, "kind": d.kind.value} for d in report.deltas],
                 "interventions": [i.to_dict() for i in report.interventions],

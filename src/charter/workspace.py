@@ -12,9 +12,11 @@ symbols.
 from __future__ import annotations
 
 import ast
+import io
 import logging
 import posixpath
 import re
+import tokenize
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -72,23 +74,37 @@ _OPENERS = "([{"
 _CLOSERS = ")]}"
 
 
+def _without_comments(pieces: list[str]) -> list[str]:
+    """The lines of a wrapped node's source, each cut where a ``#`` comment
+    starts. The lines are tokenized inside parentheses, so every line break is
+    a continuation; a ``#`` inside a string literal is no comment and stays."""
+    cuts: dict[int, int] = {}
+    source = "(" + "\n".join(pieces) + ")"
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            cuts[row - 1] = col - 1 if row == 1 else col
+    return [piece[: cuts[i]] if i in cuts else piece for i, piece in enumerate(pieces)]
+
+
 def _source_text(node: ast.expr, lines: list[bytes]) -> str:
     """A node's source text with whitespace collapsed.
 
     Annotations are compared as written (``Tuple[int,int]`` stays as is), so
     the text is sliced from the source rather than unparsed. A wrapped
-    annotation is joined back onto one line: no space after an opening or
-    before a closing bracket, and a trailing comma before a closing bracket
-    dropped, so black's three-line ``list[`` / ``list[int],`` / ``]`` reads
-    ``list[list[int]]``. Offsets are UTF-8 byte columns, hence the byte lines.
+    annotation is joined back onto one line without its comments: no space
+    after an opening or before a closing bracket, and a trailing comma before
+    a closing bracket dropped, so black's three-line ``list[`` /
+    ``list[int],`` / ``]`` reads ``list[list[int]]``. Offsets are UTF-8 byte
+    columns, hence the byte lines.
     """
     first, last = node.lineno - 1, node.end_lineno - 1
     if first == last:
         return " ".join(lines[first][node.col_offset : node.end_col_offset].decode().split())
     pieces = [lines[first][node.col_offset :], *lines[first + 1 : last], lines[last][: node.end_col_offset]]
     text = ""
-    for raw in pieces:
-        piece = " ".join(raw.decode().split())
+    for raw in _without_comments([piece.decode() for piece in pieces]):
+        piece = " ".join(raw.split())
         if not piece:
             continue
         if text.endswith(",") and piece[0] in _CLOSERS:
@@ -159,7 +175,8 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
     """Classes, signatures, imports and attribute uses of one Python module.
 
     Classes are found at any depth; functions and top-level names are the
-    module's own statements (defs, classes, assigned names). A body that does
+    module's own statements (defs, classes, assigned and imported names; a
+    package's ``__init__.py`` re-exports what it imports). A body that does
     not parse is unanalyzable; so is one nested too deep for the parser,
     which reports that as RecursionError or MemoryError.
     """
@@ -196,6 +213,9 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
             toplevel.extend(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and node.value is not None and isinstance(node.target, ast.Name):
             toplevel.append(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``; a star import binds nothing nameable.
+            toplevel.extend(alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*")
 
     return ExtractedSymbols(
         classes=tuple(classes),

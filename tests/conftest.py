@@ -76,7 +76,7 @@ def contract_with(
         )
         assert isinstance(result2, LanguageContract), result2
         result = result2
-    return result.refresh_base()
+    return result
 
 
 def simple_class(name: str, attrs: list[tuple[str, str]], methods: list[MethodSig]) -> ClassSpec:

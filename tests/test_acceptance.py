@@ -129,7 +129,7 @@ def test_c3_scheduler_law_pointwise_and_legal_traces():
     for i in range(1000):
         status = rng.choice(statuses)
         task = Task(id=f"t{i}.py", file_path=f"t{i}.py", owner="d", status=status)
-        dispatch = dispatch_for(task, contract, "body" if status is TaskStatus.DONE else None)
+        dispatch = dispatch_for(task, "body" if status is TaskStatus.DONE else None)
         if status in (TaskStatus.TODO, TaskStatus.ERROR):
             assert dispatch is not None and dispatch.role.kind is RoleKind.WORKER
         elif status is TaskStatus.DONE:
@@ -213,14 +213,14 @@ def test_c5_merge_properties():
     for i in range(10_000):
         base_len = rng.randrange(2, 10)
         base_lines = tuple(f"base{j}" for j in range(base_len))
-        contract = base_contract.with_section(section, base_lines).refresh_base()
+        contract = base_contract.with_section(section, base_lines)
         start1 = rng.randrange(0, base_len)
         end1 = rng.randrange(start1, base_len + 1)
         # force an intersection for the second interval
         start2 = rng.randrange(0, max(1, end1)) if end1 > start1 else start1
         end2 = rng.randrange(min(start2 + 1, base_len), base_len + 1) if start2 < base_len else start2
-        p1 = AtomicPatch(section, start1, end1, tuple(f"a{i}_{k}" for k in range(rng.randrange(1, 4))), "a", 1)
-        p2 = AtomicPatch(section, start2, max(end2, start2), tuple(f"b{i}_{k}" for k in range(rng.randrange(1, 4))), "b", 1)
+        p1 = AtomicPatch(section, start1, end1, tuple(f"a{i}_{k}" for k in range(rng.randrange(1, 4))), "a")
+        p2 = AtomicPatch(section, start2, max(end2, start2), tuple(f"b{i}_{k}" for k in range(rng.randrange(1, 4))), "b")
         merged = merge_layer(contract, [p1, p2])
         merged_lines = set(merged.sections[section])
         for patch in (p1, p2):
@@ -231,14 +231,14 @@ def test_c5_merge_properties():
 
     # (b) order independence: permuted patch lists merge byte-identically
     base_lines = tuple(f"l{j}" for j in range(8))
-    contract = base_contract.with_section(section, base_lines).refresh_base()
+    contract = base_contract.with_section(section, base_lines)
     for _ in range(200):
         patches = []
         for author in ("a", "b", "c"):
             s = rng.randrange(0, 8)
             e = rng.randrange(s, 9)
             patches.append(
-                AtomicPatch(section, s, e, tuple(f"{author}{k}" for k in range(rng.randrange(0, 3))), author, 1)
+                AtomicPatch(section, s, e, tuple(f"{author}{k}" for k in range(rng.randrange(0, 3))), author)
             )
         baseline = merge_layer(contract, patches)
         for perm in itertools.permutations(patches):

@@ -29,7 +29,6 @@ def test_default_template_yields_seven_empty_sections():
     assert set(contract.sections) == set(SectionKey)
     assert all(body == () for body in contract.sections.values())
     assert contract.revision == 0
-    assert contract.base == contract.sections
 
 
 def test_template_missing_section_rejected():
@@ -180,14 +179,3 @@ def test_render_parse_round_trip(bodies):
     assert reparsed.sections == contract.sections
     # idempotence of the serialized form
     assert render(parse(render(contract))) == render(contract)
-
-
-def test_refresh_base_freezes_sections():
-    contract = apply_action(
-        new_contract(DEFAULT_TEMPLATE),
-        ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- x"),
-    )
-    assert contract.base[SectionKey.CONSTRAINTS] == ()
-    refreshed = contract.refresh_base()
-    assert refreshed.base[SectionKey.CONSTRAINTS] == ("- x",)
-    assert refreshed.revision == contract.revision

@@ -20,10 +20,8 @@ from charter.patches import (
 from conftest import contract_with, make_entry, method, simple_class
 
 
-def _patch(section, start, end, lines, author, layer=1):
-    return AtomicPatch(
-        section=section, start=start, end=end, replacement=tuple(lines), author=author, layer=layer
-    )
+def _patch(section, start, end, lines, author):
+    return AtomicPatch(section=section, start=start, end=end, replacement=tuple(lines), author=author)
 
 
 def test_diff_identity_is_empty():
@@ -48,7 +46,7 @@ def test_diff_apply_round_trip_randomized():
 def test_union_keeps_both_authors_lines():
     base_contract = _contract_with_attr_block()
     section = SectionKey.API_SPECIFICATIONS
-    base = list(base_contract.base_body(section))
+    base = list(base_contract.body(section))
     idx = base.index("        - y: int | y value") + 1
     a = _patch(section, idx, idx, ["        - width: int | a side"], author="agent-a")
     b = _patch(section, idx, idx, ["        - color: str | paint"], author="agent-b")
@@ -70,19 +68,18 @@ def _contract_with_attr_block():
 
 def test_overlapping_replacements_union_dedups():
     contract = new_contract(DEFAULT_TEMPLATE)
-    contract = contract.with_section(SectionKey.CONSTRAINTS, ("one", "two", "three")).refresh_base()
+    contract = contract.with_section(SectionKey.CONSTRAINTS, ("one", "two", "three"))
     a = _patch(SectionKey.CONSTRAINTS, 0, 3, ["one", "two", "three", "alpha"], "a")
     b = _patch(SectionKey.CONSTRAINTS, 0, 3, ["one", "two", "three", "beta"], "b")
     result = merge_layer(contract, [a, b])
     assert result.sections[SectionKey.CONSTRAINTS] == ("one", "two", "three", "alpha", "beta")
     assert len(result.conflicts) == 1
     assert result.conflicts[0].authors == ("a", "b")
-    assert result.conflicts[0].resolution == "UNION"
 
 
 def test_disjoint_patches_commute():
     contract = new_contract(DEFAULT_TEMPLATE)
-    contract = contract.with_section(SectionKey.CONSTRAINTS, ("c1", "c2")).refresh_base()
+    contract = contract.with_section(SectionKey.CONSTRAINTS, ("c1", "c2"))
     p1 = _patch(SectionKey.CONSTRAINTS, 0, 1, ["c1x"], "a")
     p2 = _patch(SectionKey.USER_STORIES, 0, 0, ["s1"], "b")
     merged_ab = merge_layer(contract, [p1, p2]).sections
@@ -94,7 +91,7 @@ def test_merge_order_independence_permutations():
     contract = new_contract(DEFAULT_TEMPLATE)
     contract = contract.with_section(
         SectionKey.CONSTRAINTS, tuple(f"l{i}" for i in range(6))
-    ).refresh_base()
+    )
     patches = [
         _patch(SectionKey.CONSTRAINTS, 0, 2, ["a0", "a1"], "a"),
         _patch(SectionKey.CONSTRAINTS, 1, 3, ["b0"], "b"),
@@ -112,7 +109,7 @@ def test_union_superset_of_each_alone():
     rng = random.Random(99)
     contract = new_contract(DEFAULT_TEMPLATE)
     base_lines = tuple(f"base{i}" for i in range(8))
-    contract = contract.with_section(SectionKey.CONSTRAINTS, base_lines).refresh_base()
+    contract = contract.with_section(SectionKey.CONSTRAINTS, base_lines)
     for _ in range(300):
         s1, s2 = sorted(rng.sample(range(8), 2))
         p1 = _patch(
@@ -136,24 +133,23 @@ def test_stale_patch_detected():
 
 def test_patches_for_action_add_and_update():
     contract = new_contract(DEFAULT_TEMPLATE)
-    contract = contract.with_section(SectionKey.CONSTRAINTS, ("old",)).refresh_base()
+    contract = contract.with_section(SectionKey.CONSTRAINTS, ("old",))
     add = ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, "extra")
-    patches = patches_for_action(contract, add, author="x", layer=1)
-    assert apply_patches(list(contract.base_body(SectionKey.CONSTRAINTS)), [
+    patches = patches_for_action(contract, add, author="x")
+    assert apply_patches(list(contract.body(SectionKey.CONSTRAINTS)), [
         (p.start, p.end, p.replacement) for p in patches
     ]) == ["old", "extra"]
     update = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "new only")
-    patches = patches_for_action(contract, update, author="x", layer=1)
+    patches = patches_for_action(contract, update, author="x")
     assert apply_patches(["old"], [(p.start, p.end, p.replacement) for p in patches]) == ["new only"]
 
 
 def test_commit_merge_refreshes_base_and_bumps_revision():
     contract = _contract_with_attr_block()
     action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- constrained")
-    patches = patches_for_action(contract, action, author="a", layer=1)
+    patches = patches_for_action(contract, action, author="a")
     committed = commit_merge(contract, merge_layer(contract, patches))
     assert committed.revision == contract.revision + 1
-    assert committed.base == committed.sections
     assert committed.body(SectionKey.CONSTRAINTS) == ("- constrained",)
 
 
@@ -171,7 +167,7 @@ def test_commit_merge_rejects_cycle_and_names_it():
         SectionKey.DEPENDENCY_RELATIONSHIPS,
         "a.py --> b.py\nb.py --> a.py",
     )
-    patches = patches_for_action(contract, action, author="agent", layer=1)
+    patches = patches_for_action(contract, action, author="agent")
     before = render(contract)
     with pytest.raises(KernelViolation) as excinfo:
         commit_merge(contract, merge_layer(contract, patches))

@@ -7,7 +7,7 @@ import pytest
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
 from charter.backends import ScriptedBackend
 from charter.contract import ActionOp, ContractAction, SectionKey
-from charter.kernel import print_api_section
+from charter.kernel import normalize_module_id, print_api_section, project
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
@@ -23,31 +23,23 @@ from charter.workspace import Workspace
 from conftest import contract_with, make_entry, method, simple_class
 
 
-def _contract():
-    return contract_with(
-        [make_entry("mod.py", owner="dev", classes=(simple_class("M", [("v", "int")], [method("def f() -> None")]),))]
-    )
-
-
 def _task(status=TaskStatus.TODO):
     return Task(id="mod.py", file_path="mod.py", owner="dev", status=status)
 
 
 def test_dispatch_map_pointwise():
-    contract = _contract()
-    assert dispatch_for(_task(TaskStatus.TODO), contract).role.kind is RoleKind.WORKER
-    assert dispatch_for(_task(TaskStatus.ERROR), contract).role.kind is RoleKind.WORKER
-    assert dispatch_for(_task(TaskStatus.DONE), contract, "body").role.kind is RoleKind.CRITIC
-    assert dispatch_for(_task(TaskStatus.VERIFIED), contract) is None
+    assert dispatch_for(_task(TaskStatus.TODO)).role.kind is RoleKind.WORKER
+    assert dispatch_for(_task(TaskStatus.ERROR)).role.kind is RoleKind.WORKER
+    assert dispatch_for(_task(TaskStatus.DONE), "body").role.kind is RoleKind.CRITIC
+    assert dispatch_for(_task(TaskStatus.VERIFIED)) is None
 
 
 def test_dispatch_done_without_impl_is_inconsistent():
     with pytest.raises(InternalInconsistency):
-        dispatch_for(_task(TaskStatus.DONE), _contract())
+        dispatch_for(_task(TaskStatus.DONE))
 
 
 def test_plan_layer_mixed_statuses():
-    contract = _contract()
     ws = Workspace()
     ws.commit_file("b.py", "class B:\n    pass\n")
     tasks = {
@@ -55,7 +47,7 @@ def test_plan_layer_mixed_statuses():
         "b.py": Task(id="b.py", file_path="b.py", owner="d", status=TaskStatus.DONE),
         "c.py": Task(id="c.py", file_path="c.py", owner="d", status=TaskStatus.VERIFIED),
     }
-    plan = plan_layer(tasks, contract, ws)
+    plan = plan_layer(tasks, ws)
     assert [(d.task_id, d.role.kind) for d in plan.dispatches] == [
         ("a.py", RoleKind.WORKER),
         ("b.py", RoleKind.CRITIC),
@@ -63,20 +55,18 @@ def test_plan_layer_mixed_statuses():
 
 
 def test_plan_layer_empty_iff_all_verified():
-    contract = _contract()
     tasks = {
         f"t{i}.py": Task(id=f"t{i}.py", file_path=f"t{i}.py", owner="d", status=TaskStatus.VERIFIED)
         for i in range(3)
     }
-    assert len(plan_layer(tasks, contract, Workspace())) == 0
+    assert len(plan_layer(tasks, Workspace())) == 0
 
 
 def test_plan_layer_five_todo_gives_width_five():
-    contract = _contract()
     tasks = {
         f"t{i}.py": Task(id=f"t{i}.py", file_path=f"t{i}.py", owner="d") for i in range(5)
     }
-    plan = plan_layer(tasks, contract, Workspace())
+    plan = plan_layer(tasks, Workspace())
     assert len(plan) == 5
     assert all(d.role.kind is RoleKind.WORKER for d in plan.dispatches)
 
@@ -148,7 +138,7 @@ def test_run_layer_isolates_missing_transcript_entry():
         "a.py": Task(id="a.py", file_path="a.py", owner="d"),
         "b.py": Task(id="b.py", file_path="b.py", owner="d"),
     }
-    plan = plan_layer(tasks, contract, Workspace())
+    plan = plan_layer(tasks, Workspace())
     outcomes = run_layer(
         plan, backend, contract, IntentSpec("x"), tasks, Workspace(), 1, RunConfig()
     )
@@ -346,3 +336,35 @@ def test_audit_warnings_are_logged(caplog):
     assert [(r.levelno, "layer=2" in r.getMessage(), "produced no verdict" in r.getMessage()) for r in warnings] == [
         (logging.WARNING, True, True)
     ]
+
+
+def test_rejected_document_action_keeps_audited_artifacts_and_statuses():
+    # a.py adds a public method (PATCHABLE); b.py conforms but closes a cycle
+    # in the dependency diagram. Only b.py's document action is rejected.
+    entries = [
+        make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> None")]),)),
+        make_entry("b.py", classes=(simple_class("B", [], [method("def g() -> None")]),)),
+    ]
+    a_body = (
+        "class A:\n"
+        "    def f(self) -> None:\n        \"\"\"documented\"\"\"\n\n"
+        "    def extra(self) -> int:\n        \"\"\"documented\"\"\"\n        return 1\n"
+    )
+    b_body = "class B:\n    def g(self) -> None:\n        \"\"\"documented\"\"\"\n"
+    cycle = ContractAction(ActionOp.ADD, SectionKey.DEPENDENCY_RELATIONSHIPS, "b.py --> a.py")
+    b_response = AgentResponse(thinking="t", output="built", artifacts=(("b.py", b_body),), actions=(cycle,))
+    records = _synthesis_records(entries, deps=["a.py --> b.py"]) + [
+        _worker_record(1, "a.py", a_body),
+        {"layer": 1, "role": "worker", "task": "b.py", "response": format_response(b_response)},
+    ]
+    result = run(IntentSpec("two modules"), RunConfig(t_max=1), ScriptedBackend(records))
+
+    kernel = project(result.contract)
+    assert [m.name for m in kernel.class_specs()["A"][1].methods] == ["f", "extra"]
+    statuses = {normalize_module_id(e.file_path): e.status for e in kernel.entries}
+    assert statuses == {t: task.status for t, task in result.tasks.items()}
+    assert set(statuses.values()) == {TaskStatus.DONE}
+    assert result.workspace.get("b.py").body == b_body
+    assert result.tasks["b.py"].feedback[0].startswith("document action rejected: CYCLE")
+    layer = next(r for r in result.ledger.records if r["kind"] == "layer")
+    assert [t for t in layer["transitions"] if t[1:] == ["DONE", "ERROR"]] == []

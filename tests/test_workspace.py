@@ -181,6 +181,20 @@ LAYOUT_CASES = {
         lambda s: s.classes[0].attributes,
         (("cells", "list[list[int]]"), ("pair", "Tuple[int,int]")),
     ),
+    "comments inside a wrapped annotation": (
+        "grid.py",
+        "def fill(\n"
+        "    x: list[  # one row\n"
+        "        int  # cell\n"
+        "    ],\n"
+        "    mark: Literal[\n"
+        "        '#',\n"
+        "    ],\n"
+        ") -> None:\n"
+        "    pass\n",
+        lambda s: s.functions,
+        (MethodSig("fill", (("x", "list[int]"), ("mark", "Literal['#']")), "None"),),
+    ),
     "dataclass fields": (
         "point.py",
         "@dataclass\nclass Point:\n    x: int\n    y: int = 0\n    label: str = ''\n",
@@ -254,6 +268,15 @@ def test_resolve_imports_whole_module():
     ws.commit_file("main.py", "import util\n")
     checks = resolve_imports(ws)
     assert [(c.module, c.valid) for c in checks] == [("util", True)]
+
+
+def test_resolve_imports_package_reexport():
+    ws = Workspace()
+    ws.commit_file("game/core.py", "class Game:\n    pass\n")
+    ws.commit_file("game/__init__.py", "from .core import Game\nimport os.path\nimport json as codec\nfrom .core import *\n")
+    ws.commit_file("main.py", "from game import Game\nfrom game import os, codec\nfrom game import path\n")
+    checks = {(c.module, c.symbol): c.valid for c in resolve_imports(ws) if c.importer == "main.py"}
+    assert checks == {("game", "Game"): True, ("game", "os"): True, ("game", "codec"): True, ("game", "path"): False}
 
 
 def brute_force_import_check(ws: Workspace, module: str, symbol: str, importer: str) -> bool | None:
