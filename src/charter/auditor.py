@@ -408,7 +408,8 @@ def classify(details: list[MismatchDetail]) -> DeltaKind:
 def consistency_check(
     contract: LanguageContract, view: dict[str, str]
 ) -> tuple[bool, tuple[AuditDelta, ...]]:
-    """Signature alignment between the contract and the workspace, per task."""
+    """Signature alignment between the contract and the workspace, per task,
+    classified like ``audit_layer``: definitions and peer demands."""
     kernel = project(contract)
     deltas: list[AuditDelta] = []
     for entry in sorted(kernel.entries, key=lambda e: normalize_module_id(e.file_path)):
@@ -416,7 +417,8 @@ def consistency_check(
         body = view.get(task_id)
         if body is None:
             continue
-        details = compare_unit(entry, body)
+        symbols = _analyze_body(task_id, body)
+        details = compare_unit(entry, body, symbols) + demand_details(kernel, task_id, body, symbols)
         deltas.append(AuditDelta(task_id=task_id, kind=classify(details), details=tuple(details)))
     ok = all(d.kind is DeltaKind.EMPTY for d in deltas)
     return ok, tuple(deltas)

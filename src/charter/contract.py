@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
@@ -149,6 +149,9 @@ def body_from_text(text: str) -> tuple[str, ...]:
 class LanguageContract:
     sections: dict[SectionKey, tuple[str, ...]]
     revision: int
+    # The value's projection, filled by ``kernel.project`` on first use; a
+    # derived value (``with_section``, ``replace``) starts without one.
+    _kernel: object = field(default=None, init=False, repr=False, compare=False)
 
     def body(self, key: SectionKey) -> tuple[str, ...]:
         return self.sections[key]

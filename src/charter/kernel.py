@@ -5,13 +5,23 @@ map (module id -> file path), a signature table (fully qualified symbol ->
 method signature or attribute type), and the inter-module dependency digraph.
 Any contract mutation re-projects the kernel; a projection or validation
 failure is what lets the store refuse an action before it pollutes shared
-state.
+state. A contract value is immutable, so ``project`` computes its kernel once
+and keeps it on the value.
+
+Contract method signatures are Python ``def`` headers. They are read by the
+same ``ast`` reader (``read_signature``) that reads the generated code's
+definitions, so contract and code agree on defaults (not part of a
+signature), a leading ``self``/``cls`` (dropped), ``*args``/``**kw`` and the
+``/``/``*`` markers (not recorded).
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import logging
 import re
+import tokenize
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -115,72 +125,92 @@ def normalize_module_id(path: str) -> str:
     return path.replace("\\", "/").strip().strip("/")
 
 
-# --- signature grammar ------------------------------------------------------
-#
-#   def NAME ( (NAME : TYPE) {, NAME : TYPE} ) -> TYPE
-#
-# Whitespace-insensitive; zero parameters and a None return are accepted.
+# --- signature reader: one for contract headers and generated code -------------
 
-_DEF_RE = re.compile(r"^\s*def\s+([A-Za-z_]\w*)\s*\(")
+_OPENERS = "([{"
+_CLOSERS = ")]}"
 
 
-def _split_top_level(text: str, offset: int) -> list[tuple[str, int]]:
-    """Split on commas outside brackets, keeping each piece's source column."""
-    pieces: list[tuple[str, int]] = []
-    depth = 0
-    start = 0
-    for i, ch in enumerate(text):
-        if ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            pieces.append((text[start:i], offset + start))
-            start = i + 1
-    pieces.append((text[start:], offset + start))
-    return pieces
+def without_comments(pieces: list[str]) -> list[str]:
+    """The lines of a wrapped node's source, each cut where a ``#`` comment
+    starts. The lines are tokenized inside parentheses, so every line break is
+    a continuation; a ``#`` inside a string literal is no comment and stays."""
+    cuts: dict[int, int] = {}
+    source = "(" + "\n".join(pieces) + ")"
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type == tokenize.COMMENT:
+            row, col = token.start
+            cuts[row - 1] = col - 1 if row == 1 else col
+    return [piece[: cuts[i]] if i in cuts else piece for i, piece in enumerate(pieces)]
+
+
+def source_text(node: ast.expr, lines: list[bytes]) -> str:
+    """A node's source text with whitespace collapsed.
+
+    Annotations are compared as written (``Tuple[int,int]`` stays as is), so
+    the text is sliced from the source rather than unparsed. A wrapped
+    annotation is joined back onto one line without its comments: no space
+    after an opening or before a closing bracket, and a trailing comma before
+    a closing bracket dropped, so black's three-line ``list[`` /
+    ``list[int],`` / ``]`` reads ``list[list[int]]``. Offsets are UTF-8 byte
+    columns, hence the byte lines.
+    """
+    first, last = node.lineno - 1, node.end_lineno - 1
+    if first == last:
+        return " ".join(lines[first][node.col_offset : node.end_col_offset].decode().split())
+    pieces = [lines[first][node.col_offset :], *lines[first + 1 : last], lines[last][: node.end_col_offset]]
+    text = ""
+    for raw in without_comments([piece.decode() for piece in pieces]):
+        piece = " ".join(raw.split())
+        if not piece:
+            continue
+        if text.endswith(",") and piece[0] in _CLOSERS:
+            text = text[:-1] + piece
+        elif not text or text[-1] in _OPENERS or piece[0] in _CLOSERS:
+            text += piece
+        else:
+            text += " " + piece
+    return text
+
+
+def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.arg]:
+    """Every parameter in source order, a leading ``self``/``cls`` dropped."""
+    args = node.args
+    params = [a for a in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg) if a is not None]
+    return params[1:] if params and params[0].arg in ("self", "cls") else params
+
+
+def read_signature(node: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> MethodSig:
+    """Untyped parameters read "any" and a missing return annotation "None"."""
+    params = tuple(
+        (a.arg, "any" if a.annotation is None else source_text(a.annotation, lines)) for a in _parameters(node)
+    )
+    returns = "None" if node.returns is None else source_text(node.returns, lines)
+    return MethodSig(name=node.name, params=params, return_type=returns)
 
 
 def parse_signature(text: str) -> MethodSig:
-    m = _DEF_RE.match(text)
-    if m is None:
-        col = len(text) - len(text.lstrip()) + 1
-        raise SignatureError("expected 'def NAME('", col)
-    open_paren = m.end() - 1
-    depth = 0
-    close_paren = -1
-    for i in range(open_paren, len(text)):
-        if text[i] in "([{":
-            depth += 1
-        elif text[i] in ")]}":
-            depth -= 1
-            if depth == 0:
-                close_paren = i
-                break
-    if close_paren < 0:
-        raise SignatureError("unclosed parameter list", len(text))
-    params: list[tuple[str, str]] = []
-    inner = text[open_paren + 1 : close_paren]
-    if inner.strip():
-        for piece, col in _split_top_level(inner, open_paren + 1):
-            if not piece.strip():
-                raise SignatureError("empty parameter", col + 1)
-            if ":" not in piece:
-                raise SignatureError(f"missing ':' in parameter {piece.strip()!r}", col + 1)
-            pname, ptype = piece.split(":", 1)
-            pname = pname.strip()
-            ptype = " ".join(ptype.split())
-            if not re.fullmatch(r"[A-Za-z_]\w*", pname):
-                raise SignatureError(f"bad parameter name {pname!r}", col + 1)
-            if not ptype:
-                raise SignatureError(f"missing type for parameter {pname!r}", col + 1)
-            params.append((pname, ptype))
-    tail = text[close_paren + 1 :]
-    arrow = re.match(r"\s*->\s*(.+?)\s*:?\s*$", tail)
-    if arrow is None:
-        raise SignatureError("expected '-> TYPE' after parameter list", close_paren + 2)
-    return_type = " ".join(arrow.group(1).split())
-    return MethodSig(name=m.group(1), params=tuple(params), return_type=return_type)
+    """Read one contract header such as ``def move(dx: int) -> None``.
+
+    Every parameter but a leading ``self``/``cls`` and the return must be
+    annotated; a default is not part of the signature. Columns are 1-based.
+    """
+    indent = len(text) - len(text.lstrip())
+    header = text.strip().removesuffix(":")
+    source = header + ": ..."
+    try:
+        tree = ast.parse(source)
+    except SyntaxError as exc:
+        raise SignatureError(exc.msg, indent + (exc.offset or 1)) from None
+    if len(tree.body) != 1 or not isinstance(tree.body[0], ast.FunctionDef):
+        raise SignatureError("expected one 'def NAME(...) -> TYPE'", indent + 1)
+    node = tree.body[0]
+    if node.returns is None:
+        raise SignatureError("expected '-> TYPE' after parameter list", indent + len(header) + 1)
+    for a in _parameters(node):
+        if a.annotation is None:
+            raise SignatureError(f"missing type for parameter {a.arg!r}", indent + a.col_offset + 1)
+    return read_signature(node, [source.encode()])
 
 
 def print_signature(sig: MethodSig) -> str:
@@ -422,7 +452,17 @@ def _resolve_endpoint(name: str, nodes: dict[str, str]) -> str:
 
 
 def project(contract: LanguageContract) -> SymbolicKernel:
-    """Project the API and dependency sections into the kernel."""
+    """Project the API and dependency sections into the kernel.
+
+    A contract value never changes, so its kernel is computed once and kept
+    on the value; a projection that raises is not kept.
+    """
+    if contract._kernel is None:
+        object.__setattr__(contract, "_kernel", _project(contract))
+    return contract._kernel
+
+
+def _project(contract: LanguageContract) -> SymbolicKernel:
     entries = parse_api_section(list(contract.body(SectionKey.API_SPECIFICATIONS)))
     nodes: dict[str, str] = {}
     signatures: dict[str, MethodSig | str] = {}

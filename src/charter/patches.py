@@ -62,8 +62,12 @@ class MergeResult:
 
 
 def diff_against_base(base: list[str] | tuple[str, ...], proposed: list[str] | tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...]]]:
-    """Minimal line diff as interval replacements; applying them rebuilds ``proposed``."""
-    matcher = difflib.SequenceMatcher(a=list(base), b=list(proposed), autojunk=False)
+    """Line diff as interval replacements; applying them rebuilds ``proposed``.
+
+    difflib's default popular-line heuristic is used: an API section repeats
+    lines such as ``Version: 1`` and ``Methods:`` once per entry, and with the
+    heuristic off the diff of a long section is quadratic."""
+    matcher = difflib.SequenceMatcher(a=list(base), b=list(proposed))
     out: list[tuple[int, int, tuple[str, ...]]] = []
     for tag, a0, a1, b0, b1 in matcher.get_opcodes():
         if tag == "equal":

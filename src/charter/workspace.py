@@ -4,23 +4,22 @@ Symbols are read from the syntax tree of the standard ``ast`` module: the
 auditor and the evaluation metrics need classes, attributes (constructor
 assignments and class-body annotations), method signatures, imports and
 attribute uses, and a real parser reads them regardless of layout (multi-line
-signatures, decorators, docstrings, nested defs). Analyzers are pluggable per
-file extension; only ``.py`` has one, and files of any other type yield no
-symbols.
+signatures, decorators, docstrings, nested defs). Signatures go through
+``kernel.read_signature``, the reader that also reads the contract's headers.
+Analyzers are pluggable per file extension; only ``.py`` has one, and files of
+any other type yield no symbols.
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import logging
 import posixpath
 import re
-import tokenize
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .kernel import MethodSig
+from .kernel import MethodSig, read_signature, source_text
 
 logger = logging.getLogger(__name__)
 
@@ -70,66 +69,6 @@ class ExtractedSymbols:
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _KEYWORD_RECEIVERS = {"self", "cls", "super"}
-_OPENERS = "([{"
-_CLOSERS = ")]}"
-
-
-def _without_comments(pieces: list[str]) -> list[str]:
-    """The lines of a wrapped node's source, each cut where a ``#`` comment
-    starts. The lines are tokenized inside parentheses, so every line break is
-    a continuation; a ``#`` inside a string literal is no comment and stays."""
-    cuts: dict[int, int] = {}
-    source = "(" + "\n".join(pieces) + ")"
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type == tokenize.COMMENT:
-            row, col = token.start
-            cuts[row - 1] = col - 1 if row == 1 else col
-    return [piece[: cuts[i]] if i in cuts else piece for i, piece in enumerate(pieces)]
-
-
-def _source_text(node: ast.expr, lines: list[bytes]) -> str:
-    """A node's source text with whitespace collapsed.
-
-    Annotations are compared as written (``Tuple[int,int]`` stays as is), so
-    the text is sliced from the source rather than unparsed. A wrapped
-    annotation is joined back onto one line without its comments: no space
-    after an opening or before a closing bracket, and a trailing comma before
-    a closing bracket dropped, so black's three-line ``list[`` /
-    ``list[int],`` / ``]`` reads ``list[list[int]]``. Offsets are UTF-8 byte
-    columns, hence the byte lines.
-    """
-    first, last = node.lineno - 1, node.end_lineno - 1
-    if first == last:
-        return " ".join(lines[first][node.col_offset : node.end_col_offset].decode().split())
-    pieces = [lines[first][node.col_offset :], *lines[first + 1 : last], lines[last][: node.end_col_offset]]
-    text = ""
-    for raw in _without_comments([piece.decode() for piece in pieces]):
-        piece = " ".join(raw.split())
-        if not piece:
-            continue
-        if text.endswith(",") and piece[0] in _CLOSERS:
-            text = text[:-1] + piece
-        elif not text or text[-1] in _OPENERS or piece[0] in _CLOSERS:
-            text += piece
-        else:
-            text += " " + piece
-    return text
-
-
-def _signature(node: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> MethodSig:
-    """Untyped parameters read "any" and a missing return annotation "None";
-    a leading ``self``/``cls`` is dropped."""
-    args = node.args
-    params = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
-    pairs = [
-        (a.arg, "any" if a.annotation is None else _source_text(a.annotation, lines))
-        for a in params
-        if a is not None
-    ]
-    if pairs and pairs[0][0] in ("self", "cls"):
-        pairs = pairs[1:]
-    returns = "None" if node.returns is None else _source_text(node.returns, lines)
-    return MethodSig(name=node.name, params=tuple(pairs), return_type=returns)
 
 
 def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> list[tuple[str, str]]:
@@ -143,7 +82,7 @@ def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[b
         if isinstance(node, ast.Assign):
             targets, type_name = node.targets, "any"
         elif isinstance(node, ast.AnnAssign):
-            targets, type_name = [node.target], _source_text(node.annotation, lines)
+            targets, type_name = [node.target], source_text(node.annotation, lines)
         else:
             continue
         for target in targets:
@@ -162,9 +101,9 @@ def _class(node: ast.ClassDef, lines: list[bytes]) -> ExtractedClass:
     methods: dict[str, MethodSig] = {}
     for item in node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            attributes.setdefault(item.target.id, _source_text(item.annotation, lines))
+            attributes.setdefault(item.target.id, source_text(item.annotation, lines))
         elif isinstance(item, _DEFS):
-            methods.setdefault(item.name, _signature(item, lines))
+            methods.setdefault(item.name, read_signature(item, lines))
             if item.name == "__init__":
                 for name, type_name in _self_attributes(item, lines):
                     attributes.setdefault(name, type_name)
@@ -207,7 +146,7 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
         if isinstance(node, ast.ClassDef):
             toplevel.append(node.name)
         elif isinstance(node, _DEFS):
-            functions.append(_signature(node, lines))
+            functions.append(read_signature(node, lines))
             toplevel.append(node.name)
         elif isinstance(node, ast.Assign):
             toplevel.extend(t.id for t in node.targets if isinstance(t, ast.Name))

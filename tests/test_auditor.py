@@ -11,6 +11,8 @@ from charter.auditor import (
     SyncTask,
     TaskInjection,
     audit_layer,
+    classify,
+    compare_unit,
     consistency_check,
     demand_details,
     existence_check,
@@ -160,6 +162,36 @@ def test_consistency_identical_everywhere():
     ok, deltas = consistency_check(contract, {"entities/player.py": PLAYER_OK})
     assert ok is True
     assert all(d.kind is DeltaKind.EMPTY for d in deltas)
+
+
+def test_consistency_reports_demands_like_the_layer_audit():
+    contract = _plane_contract()
+    view = {"entities/player.py": PLAYER_OK, "systems/collision.py": COLLISION_DEMANDING}
+    ok, deltas = consistency_check(contract, view)
+    assert ok is False
+    by_id = {d.task_id: d for d in deltas}
+    assert by_id["entities/player.py"].kind is DeltaKind.EMPTY
+    collision = by_id["systems/collision.py"]
+    assert collision.kind is DeltaKind.PATCHABLE
+    assert [(d.kind, d.symbol) for d in collision.details] == [
+        (DetailKind.DEMANDED, "Player.height"),
+        (DetailKind.DEMANDED, "Player.width"),
+    ]
+
+
+def test_default_valued_contract_method_matches_its_implementation():
+    cls = simple_class("Player", [("x", "int")], [method("def move(dx: int = 1) -> None")])
+    entry = make_entry("entities/player.py", classes=(cls,))
+    body = (
+        "class Player:\n"
+        "    def __init__(self):\n"
+        "        self.x: int = 0\n\n"
+        "    def move(self, dx: int = 1) -> None:\n"
+        "        self.x += dx\n"
+    )
+    details = compare_unit(entry, body)
+    assert details == []
+    assert classify(details) is DeltaKind.EMPTY
 
 
 def test_demand_details_resolves_param_annotation():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import keyword
 import random
 
 import pytest
@@ -22,6 +23,7 @@ from charter.kernel import (
     validate,
 )
 from charter.tasks import TaskStatus
+from charter.workspace import FileUnit, extract_symbols
 
 from conftest import contract_with, make_entry, method, simple_class
 
@@ -43,7 +45,7 @@ def test_parse_signature_zero_params():
 def test_parse_signature_missing_colon_reports_column():
     with pytest.raises(SignatureError) as excinfo:
         parse_signature("def f(x int)")
-    assert excinfo.value.column == 7
+    assert excinfo.value.column == 9  # Python's parser points at `int`
 
 
 def test_parse_signature_whitespace_insensitive():
@@ -63,8 +65,35 @@ def test_parse_signature_requires_return():
         parse_signature("def f(x: int)")
 
 
+@pytest.mark.parametrize(
+    "header", ["def f(x) -> None", "def f(self, x) -> None", "list of int", "def if(x: int) -> None", "x = 1"]
+)
+def test_parse_signature_rejects(header):
+    with pytest.raises(SignatureError):
+        parse_signature(header)
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "def f(x: int = 0) -> None",
+        "def f(self, x: int) -> None",
+        "def f(*args: int, **kw: str) -> None",
+        "def f(a: int, /, b: int, *, c: int) -> None",
+        "def f(m: dict[str, list[int]]) -> tuple[int, int]",
+    ],
+)
+def test_contract_and_code_read_a_header_alike(header):
+    symbols = extract_symbols(FileUnit(path="m.py", body=header + ":\n    ...\n"))
+    assert symbols.functions == (parse_signature(header),)
+
+
 _type_names = st.sampled_from(["int", "float", "str", "bool", "None", "list[int]", "dict[str, int]", "Game"])
-_identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
+# A keyword cannot name a function or parameter, and a leading self/cls is the
+# receiver, not a parameter.
+_identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
+    lambda name: not keyword.iskeyword(name) and name not in ("self", "cls")
+)
 
 
 @given(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,8 @@ from charter.patches import (
     merge_layer,
     patches_for_action,
 )
+from charter.kernel import print_api_section
+from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
 
@@ -41,6 +44,22 @@ def test_diff_apply_round_trip_randomized():
         proposed = [rng.choice(alphabet) for _ in range(rng.randrange(0, 14))]
         patches = diff_against_base(base, proposed)
         assert apply_patches(base, patches) == proposed
+
+
+def test_status_write_back_diffs_to_one_line_per_flip():
+    entries = [
+        make_entry(f"mod{i}.py", classes=(simple_class(f"C{i}", [("n", "int")], [method("def run() -> None")]),))
+        for i in range(100)
+    ]
+    base = print_api_section(entries)
+    assert len(base) >= 200
+    flipped = {i: random.Random(i).choice([TaskStatus.DONE, TaskStatus.ERROR]) for i in range(0, 100, 7)}
+    proposed = print_api_section(
+        [replace(e, status=flipped[i]) if i in flipped else e for i, e in enumerate(entries)]
+    )
+    changed = [i for i, (old, new) in enumerate(zip(base, proposed)) if old != new]
+    assert len(changed) == len(flipped)
+    assert diff_against_base(base, proposed) == [(i, i + 1, (proposed[i],)) for i in changed]
 
 
 def test_union_keeps_both_authors_lines():

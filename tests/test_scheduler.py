@@ -4,6 +4,9 @@ import logging
 
 import pytest
 
+import charter.auditor
+import charter.kernel
+import charter.scheduler
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
 from charter.backends import ScriptedBackend
 from charter.contract import ActionOp, ContractAction, SectionKey
@@ -313,6 +316,29 @@ def test_existence_monotone_when_no_commit_rejected(gomoku_intent, gomoku_transc
         result = run(IntentSpec(intent_path.read_text()), RunConfig(t_max=t_max), backend)
         values = [r["existence"] for r in result.ledger.records if r["kind"] == "layer"]
         assert values == sorted(values)
+
+
+def test_each_contract_value_is_parsed_once(monkeypatch, gomoku_intent, gomoku_transcript, plane_intent, plane_transcript):
+    projected = []  # the values themselves, so no id is reused while the runs last
+    parsed = []
+    project_, parse_ = charter.kernel.project, charter.kernel.parse_api_section
+
+    def recording_project(contract):
+        projected.append(contract)
+        return project_(contract)
+
+    def recording_parse(body):
+        parsed.append(body)
+        return parse_(body)
+
+    for module in (charter.kernel, charter.auditor, charter.scheduler):
+        monkeypatch.setattr(module, "project", recording_project)
+    monkeypatch.setattr(charter.kernel, "parse_api_section", recording_parse)
+    for intent_path, transcript in ((gomoku_intent, gomoku_transcript), (plane_intent, plane_transcript)):
+        run(IntentSpec(intent_path.read_text()), RunConfig(t_max=6), ScriptedBackend.from_file(transcript))
+    distinct = {id(contract) for contract in projected}
+    assert len(projected) > len(distinct)
+    assert len(parsed) == len(distinct)
 
 
 def test_dispatch_events_logged(gomoku_intent, gomoku_transcript, caplog):
