@@ -204,8 +204,7 @@ def build_prompt(
         if implementation is None:
             raise ValueError("critic dispatch requires the implementation body")
         parts.append(f"Implementation under review ({task.file_path}):\n\n{implementation}")
-    bundle = PromptBundle(role=role, parts=tuple(parts), token_count=0)
-    tokens = estimator(bundle.text)
+    tokens = estimator("\n\n".join(parts))
     if tokens > context_limit:
         raise ContextOverflow(f"prompt needs {tokens} tokens, limit is {context_limit}")
     return PromptBundle(role=role, parts=tuple(parts), token_count=tokens)

@@ -11,7 +11,12 @@ classifies the difference:
 * PATCHABLE - the artifact is a strict superset of the contract (extra
   symbols defined, or symbols demanded from a peer class that the contract
   does not declare yet); the artifact is committed and the contract is
-  formally amended to legitimize the superset.
+  formally amended to legitimize the superset. Extra members and classes are
+  recorded as they were read from the audited body.
+
+A worker may write its own file and files no task owns; an artifact at a
+peer task's path is dropped with feedback, so each contracted file committed
+is the body audited for it.
 
 Amendments run through the same guarded transition as any other action; an
 amendment that would break the kernel is dropped and the delta is downgraded
@@ -284,7 +289,7 @@ def compare_unit(
             details.append(MismatchDetail(DetailKind.MISSING, cls.name, expected="class"))
             continue
         declared_attrs = {a.name: a for a in cls.attributes}
-        extracted_attrs = dict(extracted.attributes)
+        extracted_attrs = {a.name: a.type_name for a in extracted.attributes}
         for name, attr in declared_attrs.items():
             if name not in extracted_attrs:
                 details.append(
@@ -467,87 +472,51 @@ class SchemaAdditions:
 
 
 def _schema_additions(
-    kernel: SymbolicKernel,
-    deltas: dict[str, list[MismatchDetail]],
-    view: dict[str, str],
-    symbols_of: Callable[[str, str], ExtractedSymbols],
+    deltas: dict[str, list[MismatchDetail]], symbols: dict[str, ExtractedSymbols]
 ) -> SchemaAdditions:
-    """Turn EXTRA/DEMANDED details into schema additions, reading recorded
-    members off the analysis of the files in ``view``."""
-    class_specs = kernel.class_specs()
+    """Turn EXTRA/DEMANDED details into schema additions. Every detail names a
+    class of the kernel it was computed against; recorded members and classes
+    are read off ``symbols[task_id]``, the analysis of the body audited for
+    that task."""
     out = SchemaAdditions()
-
-    def symbols_in(module_id: str) -> ExtractedSymbols:
-        body = view.get(module_id)
-        return ExtractedSymbols() if body is None else symbols_of(module_id, body)
-
-    def add_member(cls_name: str, item: AttributeSpec | MethodSig, symbol: str) -> None:
-        if symbol not in out.symbols:
-            out.members.setdefault(cls_name, []).append(item)
-            out.symbols.append(symbol)
-
     for task_id in sorted(deltas):
+        # The same class per name that compare_unit compared.
+        code = {c.name: _recorded_class(c, task_id) for c in symbols[task_id].classes}
         for detail in deltas[task_id]:
+            if detail.symbol in out.symbols:
+                continue
             if detail.kind is DetailKind.DEMANDED:
                 cls_name, attr = detail.symbol.split(".", 1)
-                if cls_name in class_specs:
-                    add_member(
-                        cls_name,
-                        AttributeSpec(name=attr, type_name="any", description=f"required by {task_id}"),
-                        detail.symbol,
-                    )
-            elif detail.kind is DetailKind.EXTRA and "." in detail.symbol:
+                out.members.setdefault(cls_name, []).append(
+                    AttributeSpec(name=attr, type_name="any", description=f"required by {task_id}")
+                )
+            elif "." in detail.symbol:
                 cls_name, member = detail.symbol.split(".", 1)
-                if cls_name not in class_specs:
-                    continue
-                if detail.actual.startswith("def "):
-                    sig = _extracted_method(symbols_in(class_specs[cls_name][0]), cls_name, member)
-                    if sig is not None:
-                        add_member(
-                            cls_name, replace(sig, docstring=f"recorded from {task_id}"), detail.symbol
-                        )
-                else:
-                    add_member(
-                        cls_name,
-                        AttributeSpec(
-                            name=member,
-                            type_name=detail.actual or "any",
-                            description=f"observed in {task_id}",
-                        ),
-                        detail.symbol,
-                    )
-            elif detail.kind is DetailKind.EXTRA and detail.actual == "class":
-                spec = _extracted_class(symbols_in(task_id), task_id, detail.symbol)
-                if spec is not None and detail.symbol not in out.symbols:
-                    out.classes.setdefault(task_id, []).append(spec)
-                    out.symbols.append(detail.symbol)
+                cls = code[cls_name]
+                items = cls.methods if detail.actual.startswith("def ") else cls.attributes
+                out.members.setdefault(cls_name, []).append(next(i for i in items if i.name == member))
+            else:
+                out.classes.setdefault(task_id, []).append(code[detail.symbol])
+            out.symbols.append(detail.symbol)
     return out
 
 
-def _extracted_class(symbols: ExtractedSymbols, module_id: str, cls_name: str) -> ClassSpec | None:
-    for cls in symbols.classes:
-        if cls.name == cls_name:
-            attrs = tuple(
-                AttributeSpec(name=n, type_name=t, description=f"observed in {module_id}")
-                for n, t in cls.attributes
-                if not _is_internal_name(n)
-            )
-            methods = tuple(
-                replace(m, docstring=f"recorded from {module_id}")
-                for m in cls.methods
-                if not _is_internal_name(m.name)
-            )
-            return ClassSpec(name=cls_name, attributes=attrs, methods=methods)
-    return None
-
-
-def _extracted_method(symbols: ExtractedSymbols, cls_name: str, member: str) -> MethodSig | None:
-    for cls in symbols.classes:
-        if cls.name == cls_name:
-            for sig in cls.methods:
-                if sig.name == member:
-                    return sig
-    return None
+def _recorded_class(cls: ClassSpec, module_id: str) -> ClassSpec:
+    """A class read from code, as the contract records it: public members
+    only, each attributed to the file it came from."""
+    return ClassSpec(
+        name=cls.name,
+        attributes=tuple(
+            replace(a, description=f"observed in {module_id}")
+            for a in cls.attributes
+            if not _is_internal_name(a.name)
+        ),
+        methods=tuple(
+            replace(m, docstring=f"recorded from {module_id}")
+            for m in cls.methods
+            if not _is_internal_name(m.name)
+        ),
+    )
 
 
 def amended_entries(
@@ -619,6 +588,7 @@ def audit_layer(
     feedback: list[tuple[str, str]] = []
     warnings: list[str] = []
     worker_details: dict[str, list[MismatchDetail]] = {}
+    worker_symbols: dict[str, ExtractedSymbols] = {}
     worker_artifacts: dict[str, tuple[tuple[str, str], ...]] = {}
 
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
@@ -638,6 +608,10 @@ def audit_layer(
             except PathViolation as exc:
                 feedback.append((outcome.task_id, f"artifact dropped: {exc}"))
                 continue
+            if normalized != outcome.task_id and normalized in tasks:
+                # A peer task's file is written only by the peer's audited body.
+                feedback.append((outcome.task_id, f"artifact dropped: {normalized} is another task's file"))
+                continue
             artifacts.append((normalized, body))
             if normalized == outcome.task_id:
                 own_body = body
@@ -648,7 +622,7 @@ def audit_layer(
             continue
         worker_artifacts[outcome.task_id] = tuple(artifacts)
         entry = entries.get(outcome.task_id)
-        symbols = symbols_of(outcome.task_id, own_body)
+        symbols = worker_symbols[outcome.task_id] = symbols_of(outcome.task_id, own_body)
         details = compare_unit(entry, own_body, symbols) if entry is not None else []
         details.extend(demand_details(kernel, outcome.task_id, own_body, symbols))
         worker_details[outcome.task_id] = details
@@ -659,15 +633,7 @@ def audit_layer(
         for task_id, details in worker_details.items()
         if classify(details) is DeltaKind.PATCHABLE
     }
-    candidate_view = dict(view)
-    for task_id in sorted(worker_artifacts):
-        if task_id in worker_details and classify(worker_details[task_id]) is not DeltaKind.CRITICAL:
-            for path, body in worker_artifacts[task_id]:
-                candidate_view[path] = body
-
-    additions = _schema_additions(
-        kernel, {tid: worker_details[tid] for tid in patchable_ids}, candidate_view, symbols_of
-    )
+    additions = _schema_additions({tid: worker_details[tid] for tid in patchable_ids}, worker_symbols)
 
     amendment_action: ContractAction | None = None
     amended_contract = contract

@@ -4,7 +4,9 @@ Symbols are read from the syntax tree of the standard ``ast`` module: the
 auditor and the evaluation metrics need classes, attributes (constructor
 assignments and class-body annotations), method signatures, imports and
 attribute uses, and a real parser reads them regardless of layout (multi-line
-signatures, decorators, docstrings, nested defs). Signatures go through
+signatures, decorators, docstrings, nested defs). Code is read into the
+contract's own model: classes are ``kernel.ClassSpec`` values with
+``AttributeSpec`` attributes, and signatures go through
 ``kernel.read_signature``, the reader that also reads the contract's headers.
 Analyzers are pluggable per file extension; only ``.py`` has one, and files of
 any other type yield no symbols.
@@ -19,7 +21,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .kernel import MethodSig, read_signature, source_text
+from .kernel import AttributeSpec, ClassSpec, MethodSig, read_signature, source_text
 
 logger = logging.getLogger(__name__)
 
@@ -51,15 +53,8 @@ class FileUnit:
 
 
 @dataclass(frozen=True)
-class ExtractedClass:
-    name: str
-    attributes: tuple[tuple[str, str], ...]  # (name, annotated type or "any")
-    methods: tuple[MethodSig, ...]
-
-
-@dataclass(frozen=True)
 class ExtractedSymbols:
-    classes: tuple[ExtractedClass, ...] = ()
+    classes: tuple[ClassSpec, ...] = ()
     functions: tuple[MethodSig, ...] = ()
     imports: tuple[tuple[str, str], ...] = ()  # (module path, symbol or WHOLE_MODULE)
     attribute_uses: tuple[tuple[str, str], ...] = ()  # (receiver name, attribute)
@@ -92,11 +87,11 @@ def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[b
     return [(name, type_name) for _, _, name, type_name in sorted(found)]
 
 
-def _class(node: ast.ClassDef, lines: list[bytes]) -> ExtractedClass:
+def _class(node: ast.ClassDef, lines: list[bytes]) -> ClassSpec:
     """Class-body annotations (dataclass fields) and constructor assignments
-    are attributes; the class body's own defs are methods. The first
-    definition of a name wins, so a property's setter does not replace its
-    getter."""
+    are attributes, typed ``"any"`` when unannotated; the class body's own
+    defs are methods. The first definition of a name wins, so a property's
+    setter does not replace its getter."""
     attributes: dict[str, str] = {}
     methods: dict[str, MethodSig] = {}
     for item in node.body:
@@ -107,7 +102,11 @@ def _class(node: ast.ClassDef, lines: list[bytes]) -> ExtractedClass:
             if item.name == "__init__":
                 for name, type_name in _self_attributes(item, lines):
                     attributes.setdefault(name, type_name)
-    return ExtractedClass(name=node.name, attributes=tuple(attributes.items()), methods=tuple(methods.values()))
+    return ClassSpec(
+        name=node.name,
+        attributes=tuple(AttributeSpec(name, type_name) for name, type_name in attributes.items()),
+        methods=tuple(methods.values()),
+    )
 
 
 def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
@@ -125,7 +124,7 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
     except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
 
-    classes: list[ExtractedClass] = []
+    classes: list[ClassSpec] = []
     imports: list[tuple[str, str]] = []
     uses: list[tuple[int, int, str, str]] = []  # source position first: the walk is breadth-first
     for node in ast.walk(tree):
@@ -273,14 +272,7 @@ def resolve_imports(workspace: Workspace) -> list[ImportCheck]:
     directories = {p.rsplit("/", 1)[0] for p in paths if "/" in p}
     directories.update(d.split("/", 1)[0] for d in set(directories))
     file_stems = {p.rsplit("/", 1)[-1].rsplit(".", 1)[0] for p in paths}
-    defined_cache: dict[str, set[str]] = {}
-
-    def defined_names(path: str) -> set[str]:
-        if path not in defined_cache:
-            unit = workspace.get(path)
-            symbols = analyze(unit) if unit else ExtractedSymbols()
-            defined_cache[path] = set(symbols.toplevel_names)
-        return defined_cache[path]
+    analyzed = {unit.path: analyze(unit) for unit in workspace.units()}
 
     def looks_internal(module: str) -> bool:
         if module.startswith("."):
@@ -288,20 +280,19 @@ def resolve_imports(workspace: Workspace) -> list[ImportCheck]:
         parts = module.split(".")
         return parts[0] in directories or parts[-1] in file_stems
 
-    for unit in workspace.units():
-        symbols = analyze(unit)
+    for path, symbols in analyzed.items():
         if symbols.unanalyzable:
             continue
         for module, symbol in symbols.imports:
-            candidates = module_candidates(module, unit.path)
+            candidates = module_candidates(module, path)
             target = next((c for c in candidates if c in paths), None)
             if target is None:
                 # Dangling: counts as internal (and invalid) when the module
                 # path points at something that plausibly lives in this
                 # repository; anything else is an external package.
                 if looks_internal(module):
-                    checks.append(ImportCheck(unit.path, module, symbol, None, False))
+                    checks.append(ImportCheck(path, module, symbol, None, False))
                 continue
-            valid = symbol == WHOLE_MODULE or symbol in defined_names(target)
-            checks.append(ImportCheck(unit.path, module, symbol, target, valid))
+            valid = symbol == WHOLE_MODULE or symbol in analyzed[target].toplevel_names
+            checks.append(ImportCheck(path, module, symbol, target, valid))
     return checks

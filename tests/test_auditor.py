@@ -390,3 +390,100 @@ def test_audit_layer_accepts_black_formatted_artifact():
     report = audit_layer(contract, {}, _tasks(contract), outcomes)
     assert [(d.task_id, d.kind, d.details) for d in report.deltas] == [("entities/player.py", DeltaKind.EMPTY, ())]
     assert [t for t, _ in report.accepted_artifacts] == ["entities/player.py"]
+
+
+def test_audit_layer_drops_an_artifact_written_to_a_peer_tasks_file():
+    contract = _plane_contract()
+    drifted = PLAYER_OK.replace("def take_damage(self, amount: int)", "def take_damage(self, amount: str)")
+    collision_clean = COLLISION_DEMANDING.replace(" + player.width", "").replace(" + player.height", "")
+    squatter = DispatchOutcome(
+        task_id="systems/collision.py",
+        role=RoleKind.WORKER,
+        response=AgentResponse(
+            thinking="t",
+            output="built",
+            artifacts=(("systems/collision.py", collision_clean), ("entities/player.py", drifted)),
+        ),
+    )
+    outcomes = [_worker_outcome("entities/player.py", "entities/player.py", PLAYER_OK), squatter]
+    report = audit_layer(contract, {}, _tasks(contract), outcomes)
+
+    assert [(d.task_id, d.kind) for d in report.deltas] == [
+        ("entities/player.py", DeltaKind.EMPTY),
+        ("systems/collision.py", DeltaKind.EMPTY),
+    ]
+    committed = {path: body for _, artifacts in report.accepted_artifacts for path, body in artifacts}
+    assert committed == {"entities/player.py": PLAYER_OK, "systems/collision.py": collision_clean}
+    assert ("systems/collision.py", "artifact dropped: entities/player.py is another task's file") in report.feedback
+
+
+PLAYER_GROWN = PLAYER_OK.replace(
+    "        self.health: int = 100\n",
+    "        self.health: int = 100\n        self.speed: float = 1.5\n        self._cache = {}\n",
+) + '''
+    def heal(self, amount: int = 5) -> int:
+        self.health += amount
+        return self.health
+
+
+class Inventory:
+    def __init__(self):
+        self._dirty = False
+
+    def _flush(self) -> None:
+        self._dirty = False
+'''
+
+COLLISION_READING_SPEED = """\
+class CollisionSystem:
+    def __init__(self):
+        self.hits: int = 0
+
+    def hit_test(self, player: Player, px: int, py: int) -> bool:
+        return player.x <= px < player.x + player.width * player.speed
+"""
+
+
+def test_audit_layer_amendment_records_members_from_the_audited_body():
+    # The worker's own members are recorded from its body, private names left
+    # out; a member both defined and demanded keeps the first task's wording.
+    contract = _plane_contract()
+    outcomes = [
+        _worker_outcome("entities/player.py", "entities/player.py", PLAYER_GROWN),
+        _worker_outcome("systems/collision.py", "systems/collision.py", COLLISION_READING_SPEED),
+    ]
+    report = audit_layer(contract, {}, _tasks(contract), outcomes)
+
+    amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
+    assert amendment.added_symbols == ("Inventory", "Player.heal", "Player.speed", "Player.width")
+    [(author, write_back)] = report.contract_actions
+    assert author == "auditor"
+    assert write_back.content == """\
+- File: entities/player.py
+  Owner: backend
+  Version: 2
+  Status: ERROR
+  Classes:
+    - Class: Player
+      Attributes:
+        - x: int | x value
+        - y: int | y value
+        - health: int | health value
+        - speed: float | observed in entities/player.py
+        - width: any | required by systems/collision.py
+      Methods:
+        - def move(dx: int, dy: int) -> None | documented
+        - def take_damage(amount: int) -> None | documented
+        - def heal(amount: int) -> int | recorded from entities/player.py
+    - Class: Inventory
+
+- File: systems/collision.py
+  Owner: algorithm
+  Version: 1
+  Status: DONE
+  Classes:
+    - Class: CollisionSystem
+      Attributes:
+        - hits: int | hits value
+      Methods:
+        - def hit_test(player: Player, px: int, py: int) -> bool | documented"""

@@ -76,7 +76,8 @@ def test_extract_symbols_player():
     symbols = extract_symbols(FileUnit(path="player.py", body=PLAYER_BODY))
     assert [c.name for c in symbols.classes] == ["Player"]
     player = symbols.classes[0]
-    assert dict(player.attributes) == {"x": "any", "y": "any", "health": "int", "_secret": "any"}
+    attributes = {a.name: a.type_name for a in player.attributes}
+    assert attributes == {"x": "any", "y": "any", "health": "int", "_secret": "any"}
     names = [m.name for m in player.methods]
     assert names == ["__init__", "move", "helper"]
     move = player.methods[1]
@@ -96,7 +97,7 @@ def test_extract_symbols_empty_file():
 
 
 def _members(symbols):
-    return [(c.name, dict(c.attributes), [m.name for m in c.methods]) for c in symbols.classes]
+    return [(c.name, {a.name: a.type_name for a in c.attributes}, [m.name for m in c.methods]) for c in symbols.classes]
 
 
 LAYOUT_CASES = {
@@ -178,7 +179,7 @@ LAYOUT_CASES = {
         "            list[int],\n"
         "        ] = []\n"
         "        self.pair: Tuple[int,int] = (0, 0)\n",
-        lambda s: s.classes[0].attributes,
+        lambda s: tuple((a.name, a.type_name) for a in s.classes[0].attributes),
         (("cells", "list[list[int]]"), ("pair", "Tuple[int,int]")),
     ),
     "comments inside a wrapped annotation": (
