@@ -195,7 +195,7 @@ def build_prompt(
     elif task_paths:
         parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
     if task is not None:
-        directive = [f"Assigned file: {task.file_path}", f"Owner: {task.owner}"]
+        directive = [f"Assigned file: {task.id}", f"Owner: {task.owner}"]
         if task.feedback:
             directive.append("Feedback to address:")
             directive.extend(f"- {note}" for note in task.feedback)
@@ -203,7 +203,7 @@ def build_prompt(
     if role.kind is RoleKind.CRITIC:
         if implementation is None:
             raise ValueError("critic dispatch requires the implementation body")
-        parts.append(f"Implementation under review ({task.file_path}):\n\n{implementation}")
+        parts.append(f"Implementation under review ({task.id}):\n\n{implementation}")
     tokens = estimator("\n\n".join(parts))
     if tokens > context_limit:
         raise ContextOverflow(f"prompt needs {tokens} tokens, limit is {context_limit}")

@@ -24,6 +24,10 @@ to CRITICAL. After amending, every committed file is re-checked: a file that
 no longer satisfies the amended schema gets a synchronization task (status
 regressed to ERROR with a repair directive).
 
+Every lookup is keyed by module path: a task id is a key of the kernel's
+``entries`` and a workspace path, all spelled by ``kernel.normalize_path``.
+In analyzed code, a class name denotes the class ``code_classes`` picks.
+
 ``audit_layer`` is a pure function of its inputs; the scheduler applies the
 returned effects at the barrier.
 """
@@ -45,16 +49,17 @@ from .kernel import (
     AttributeSpec,
     ClassSpec,
     MethodSig,
+    PathViolation,
     SymbolicKernel,
     guard_violations,
-    normalize_module_id,
+    normalize_path,
     print_api_section,
     print_signature,
     project,
     tasks_of,
 )
 from .tasks import Task, TaskStatus
-from .workspace import ExtractedSymbols, FileUnit, PathViolation, analyze, normalize_path
+from .workspace import ExtractedSymbols, FileUnit, analyze
 
 logger = logging.getLogger(__name__)
 
@@ -204,6 +209,17 @@ def _analyze_body(path: str, body: str) -> ExtractedSymbols:
     return analyze(FileUnit(path=path, body=body))
 
 
+def code_classes(symbols: ExtractedSymbols) -> dict[str, ClassSpec]:
+    """The class each name denotes in analyzed code: the first of that name in
+    ``symbols.classes``. The walk that fills it is breadth-first, so a
+    module-level class wins over a nested one of the same name. ``match``,
+    ``compare_unit`` and the amendment all read classes through here."""
+    classes: dict[str, ClassSpec] = {}
+    for cls in symbols.classes:
+        classes.setdefault(cls.name, cls)
+    return classes
+
+
 def match(
     task: Task,
     unit: FileUnit | None,
@@ -216,7 +232,7 @@ def match(
     if unit is None:
         return False
     try:
-        if normalize_path(unit.path) != normalize_path(task.file_path):
+        if normalize_path(unit.path) != task.id:
             return False
     except PathViolation:
         return False
@@ -227,15 +243,13 @@ def match(
             symbols = analyze(unit)
         if symbols.unanalyzable:
             return False
-        defined = {c.name for c in symbols.classes}
+        code = code_classes(symbols)
         for cls in entry.classes:
-            if cls.name not in defined:
-                return False
-            extracted = next(c for c in symbols.classes if c.name == cls.name)
+            extracted = code.get(cls.name)
             # A bare `class X: pass` counts as hollow when attributes or
             # methods are contracted for it.
-            if (cls.attributes or cls.methods) and not (
-                extracted.attributes or extracted.methods
+            if extracted is None or (
+                (cls.attributes or cls.methods) and not (extracted.attributes or extracted.methods)
             ):
                 return False
     return True
@@ -250,25 +264,20 @@ def existence_check(
     ``symbols_of(path, body)`` analyzes a file; ``audit_layer`` passes its own
     so a body it has already analyzed is not analyzed again."""
     kernel = project(contract)
-    tasks = _tasks_by_id(kernel)
+    tasks = tasks_of(kernel)
     if not tasks:
         logger.warning("existence check over an empty task set; defining it as 1.0")
         return 1.0, ()
-    entries = {normalize_module_id(e.file_path): e for e in kernel.entries}
     unmatched = []
-    for task_id, task in sorted(tasks.items()):
-        body = view.get(task_id)
+    for task in tasks:
+        body = view.get(task.id)
         unit = symbols = None
         if body is not None:
-            unit, symbols = FileUnit(path=task_id, body=body), symbols_of(task_id, body)
-        if not match(task, unit, entries.get(task_id), symbols):
-            unmatched.append(task_id)
+            unit, symbols = FileUnit(path=task.id, body=body), symbols_of(task.id, body)
+        if not match(task, unit, kernel.entries[task.id], symbols):
+            unmatched.append(task.id)
     fraction = (len(tasks) - len(unmatched)) / len(tasks)
     return fraction, tuple(unmatched)
-
-
-def _tasks_by_id(kernel: SymbolicKernel) -> dict[str, Task]:
-    return {t.id: t for t in tasks_of(kernel)}
 
 
 def compare_unit(
@@ -281,7 +290,7 @@ def compare_unit(
     if symbols.unanalyzable:
         return [MismatchDetail(DetailKind.UNANALYZABLE, entry.file_path, actual="unanalyzable")]
     details: list[MismatchDetail] = []
-    extracted_by_name = {c.name: c for c in symbols.classes}
+    extracted_by_name = code_classes(symbols)
 
     for cls in entry.classes:
         extracted = extracted_by_name.get(cls.name)
@@ -364,14 +373,13 @@ def demand_details(
         symbols = _analyze_body(path, body)
     if symbols.unanalyzable:
         return []
-    class_specs = kernel.class_specs()
-    by_lower = {name.lower(): name for name in class_specs}
+    by_lower = {name.lower(): name for name in kernel.classes}
 
     receiver_types: dict[str, set[str]] = {}
     for method in [m for c in symbols.classes for m in c.methods] + list(symbols.functions):
         for pname, ptype in method.params:
             head = ptype.split("[")[0].strip()
-            if head in class_specs:
+            if head in kernel.classes:
                 receiver_types.setdefault(pname, set()).add(head)
 
     details: list[MismatchDetail] = []
@@ -384,7 +392,7 @@ def demand_details(
             candidates = {by_lower[receiver.lower()]}
         if not candidates:
             continue
-        if any(_class_declares(class_specs[c][1], attr) for c in candidates):
+        if any(_class_declares(kernel.classes[c][1], attr) for c in candidates):
             continue
         target = sorted(candidates)[0]
         symbol = f"{target}.{attr}"
@@ -417,8 +425,7 @@ def consistency_check(
     classified like ``audit_layer``: definitions and peer demands."""
     kernel = project(contract)
     deltas: list[AuditDelta] = []
-    for entry in sorted(kernel.entries, key=lambda e: normalize_module_id(e.file_path)):
-        task_id = normalize_module_id(entry.file_path)
+    for task_id, entry in sorted(kernel.entries.items()):
         body = view.get(task_id)
         if body is None:
             continue
@@ -481,7 +488,7 @@ def _schema_additions(
     out = SchemaAdditions()
     for task_id in sorted(deltas):
         # The same class per name that compare_unit compared.
-        code = {c.name: _recorded_class(c, task_id) for c in symbols[task_id].classes}
+        code = {name: _recorded_class(c, task_id) for name, c in code_classes(symbols[task_id]).items()}
         for detail in deltas[task_id]:
             if detail.symbol in out.symbols:
                 continue
@@ -527,8 +534,7 @@ def amended_entries(
     """Rebuild the entry list with schema additions folded in and live
     statuses written back; amended entries get a version bump."""
     out: list[ApiSpecEntry] = []
-    for entry in kernel.entries:
-        module_id = normalize_module_id(entry.file_path)
+    for module_id, entry in kernel.entries.items():
         classes = []
         amended = False
         for cls in entry.classes:
@@ -583,7 +589,6 @@ def audit_layer(
     """
     symbols_of = functools.cache(_analyze_body)
     kernel = project(contract)
-    entries = {normalize_module_id(e.file_path): e for e in kernel.entries}
 
     feedback: list[tuple[str, str]] = []
     warnings: list[str] = []
@@ -616,12 +621,10 @@ def audit_layer(
             if normalized == outcome.task_id:
                 own_body = body
         if own_body is None:
-            feedback.append(
-                (outcome.task_id, f"worker produced no artifact for {task.file_path}")
-            )
+            feedback.append((outcome.task_id, f"worker produced no artifact for {task.id}"))
             continue
         worker_artifacts[outcome.task_id] = tuple(artifacts)
-        entry = entries.get(outcome.task_id)
+        entry = kernel.entries.get(outcome.task_id)
         symbols = worker_symbols[outcome.task_id] = symbols_of(outcome.task_id, own_body)
         details = compare_unit(entry, own_body, symbols) if entry is not None else []
         details.extend(demand_details(kernel, outcome.task_id, own_body, symbols))
@@ -713,8 +716,7 @@ def audit_layer(
             committed_view[path] = body
 
     sync_tasks: list[SyncTask] = []
-    amended_kernel = project(amended_contract)
-    amended_by_id = {normalize_module_id(e.file_path): e for e in amended_kernel.entries}
+    amended_by_id = project(amended_contract).entries
     for task_id in sorted(tasks):
         if task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL:
             continue

@@ -108,6 +108,8 @@ class RemoteBackend:
         backoff: float = 1.0,
         session=None,
     ):
+        if temperature < 0:
+            raise ValueError("temperature must be >= 0")
         import requests
 
         self.base_url = base_url.rstrip("/")

@@ -81,29 +81,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args, file_config: dict) -> RunConfig:
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_config.get(key, default)
+def _setting(args, file_config: dict, key: str, default):
+    """The flag named ``key`` if given, else the config file's ``key``, else ``default``."""
+    flag = getattr(args, key, None)
+    return flag if flag is not None else file_config.get(key, default)
 
+
+def _run_config(args, file_config: dict) -> RunConfig:
     return RunConfig(
-        t_max=int(pick(getattr(args, "t_max", None), "t_max", 8)),
-        mode=RunMode(pick(getattr(args, "mode", None), "mode", "PARALLEL")),
-        model=pick(getattr(args, "model", None), "model", "gpt-4o-2024-11-20"),
-        temperature=float(pick(getattr(args, "temperature", None), "temperature", 0.0)),
-        context_limit=int(pick(getattr(args, "context_limit", None), "context_limit", 16384)),
+        t_max=int(_setting(args, file_config, "t_max", 8)),
+        mode=RunMode(_setting(args, file_config, "mode", "PARALLEL")),
+        context_limit=int(_setting(args, file_config, "context_limit", 16384)),
         attempt_cap=int(file_config.get("attempt_cap", 3)),
     )
 
 
-def _make_backend(kind: str, args, config: RunConfig, parser: argparse.ArgumentParser):
+def _make_backend(kind: str, args, file_config: dict, parser: argparse.ArgumentParser):
     if kind in ("scripted", "record") and not getattr(args, "transcript", None):
         parser.error(f"--transcript is required with the {kind} backend")
     if kind == "scripted":
         return ScriptedBackend.from_file(args.transcript)
-    base_url = getattr(args, "base_url", None) or "https://api.openai.com/v1"
-    remote = RemoteBackend(base_url=base_url, model=config.model, temperature=config.temperature)
+    remote = RemoteBackend(
+        base_url=getattr(args, "base_url", None) or "https://api.openai.com/v1",
+        model=_setting(args, file_config, "model", "gpt-4o-2024-11-20"),
+        temperature=float(_setting(args, file_config, "temperature", 0.0)),
+    )
     if kind == "record":
         return RecordingBackend(remote, args.transcript)
     return remote
@@ -123,7 +125,7 @@ def _write_run(result, out_dir: Path) -> None:
 def _cmd_generate(args, parser) -> int:
     file_config = _load_config_file(args.config)
     config = _run_config(args, file_config)
-    backend = _make_backend(args.backend, args, config, parser)
+    backend = _make_backend(args.backend, args, file_config, parser)
     intent = IntentSpec(Path(args.intent).read_text(encoding="utf-8"))
     result = run(intent, config, backend)
     _write_run(result, Path(args.out))

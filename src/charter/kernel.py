@@ -1,12 +1,14 @@
 """Projection of the contract's technical sections into a machine-checkable kernel.
 
-The kernel is the triple the orchestrator actually executes against: a node
-map (module id -> file path), a signature table (fully qualified symbol ->
-method signature or attribute type), and the inter-module dependency digraph.
-Any contract mutation re-projects the kernel; a projection or validation
-failure is what lets the store refuse an action before it pollutes shared
-state. A contract value is immutable, so ``project`` computes its kernel once
-and keeps it on the value.
+The kernel is what the orchestrator actually executes against: the API
+entries keyed by module path, the classes they declare, and the inter-module
+dependency digraph. A module is named by its ``File:`` path, normalized once
+here by ``normalize_path``, the same function the workspace keys files by, so
+a task id, a kernel key and a workspace path are one string. Any contract
+mutation re-projects the kernel; a projection or validation failure is what
+lets the store refuse an action before it pollutes shared state. A contract
+value is immutable, so ``project`` computes its kernel once and keeps it on
+the value.
 
 Contract method signatures are Python ``def`` headers. They are read by the
 same ``ast`` reader (``read_signature``) that reads the generated code's
@@ -20,6 +22,7 @@ from __future__ import annotations
 import ast
 import io
 import logging
+import posixpath
 import re
 import tokenize
 from dataclasses import dataclass, replace
@@ -107,22 +110,28 @@ class Violation:
 
 @dataclass(frozen=True)
 class SymbolicKernel:
-    nodes: dict[str, str]  # module id -> file path (ids are normalized paths)
-    signatures: dict[str, MethodSig | str]  # "path::Class.member" -> sig or attr type
-    dependencies: dict[str, tuple[str, ...]]  # declared edges, module id -> successors
-    entries: tuple[ApiSpecEntry, ...] = ()
+    entries: dict[str, ApiSpecEntry]  # module path -> entry, in contract order
+    classes: dict[str, tuple[str, ClassSpec]]  # class name -> (owning module path, class)
+    dependencies: dict[str, tuple[str, ...]]  # declared edges, module path -> successors
     derived_edges: tuple[tuple[str, str], ...] = ()  # implied by cross-entry type refs
 
-    def class_specs(self) -> dict[str, tuple[str, ClassSpec]]:
-        out: dict[str, tuple[str, ClassSpec]] = {}
-        for entry in self.entries:
-            for cls in entry.classes:
-                out[cls.name] = (normalize_module_id(entry.file_path), cls)
-        return out
+
+class PathViolation(ValueError):
+    """A path escapes the workspace root or is otherwise unusable."""
 
 
-def normalize_module_id(path: str) -> str:
-    return path.replace("\\", "/").strip().strip("/")
+def normalize_path(path: str) -> str:
+    """The one spelling of a module path: the ``File:`` path of a contract
+    entry, a task id and a workspace file path all go through here."""
+    cleaned = path.strip().replace("\\", "/")
+    if not cleaned:
+        raise PathViolation("empty path")
+    if cleaned.startswith("/") or re.match(r"^[A-Za-z]:", cleaned):
+        raise PathViolation(f"absolute path not allowed: {path!r}")
+    normalized = posixpath.normpath(cleaned)
+    if normalized == "." or normalized.startswith("../") or normalized == "..":
+        raise PathViolation(f"path escapes the workspace root: {path!r}")
+    return normalized
 
 
 # --- signature reader: one for contract headers and generated code -------------
@@ -243,9 +252,8 @@ _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.+?)\s*(?:\|\s*(.*))?$")
 
 
 class _EntryBuilder:
-    def __init__(self, path: str, line: int):
+    def __init__(self, path: str):
         self.path = path
-        self.line = line
         self.owner = ""
         self.version = 0
         self.status = TaskStatus.TODO
@@ -272,6 +280,7 @@ class _EntryBuilder:
 
 def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
     entries: list[_EntryBuilder] = []
+    paths: set[str] = set()
     entry: _EntryBuilder | None = None
     block: str | None = None  # None | "attrs" | "methods"
 
@@ -284,7 +293,14 @@ def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
         if key in ("file", "file path"):
             if not parsed[1]:
                 raise ProjectionError("File field without a path", lineno)
-            entry = _EntryBuilder(parsed[1].strip('"'), lineno)
+            try:
+                path = normalize_path(parsed[1].strip('"'))
+            except PathViolation as exc:
+                raise ProjectionError(str(exc), lineno) from None
+            if path in paths:
+                raise ProjectionError(f"duplicate File entry: {path}", lineno)
+            paths.add(path)
+            entry = _EntryBuilder(path)
             entry.seen_fields.add("file")
             entries.append(entry)
             block = None
@@ -366,18 +382,14 @@ def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
 
         raise ProjectionError(f"unparseable specification line: {line.strip()!r}", lineno)
 
-    built = [e.build() for e in entries]
-    seen_paths: set[str] = set()
-    for e in built:
-        path = normalize_module_id(e.file_path)
-        if path in seen_paths:
-            raise ProjectionError(f"duplicate File entry: {e.file_path}")
-        seen_paths.add(path)
-    return built
+    return [e.build() for e in entries]
 
 
 def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) -> list[str]:
-    """Canonical re-rendering; ``parse_api_section`` inverts it exactly."""
+    """Canonical re-rendering. ``parse_api_section`` inverts it, except for a
+    type spelled with ``|``: the attribute line ``x: int | None | doc`` reads
+    back as type ``int``, and the method line ``def f(y: int | None) -> int``
+    does not parse, since ``|`` also separates the description."""
     lines: list[str] = []
     for i, entry in enumerate(entries):
         if i:
@@ -430,18 +442,19 @@ def parse_dependency_edges(body: tuple[str, ...] | list[str]) -> list[tuple[str,
     return edges
 
 
-def _resolve_endpoint(name: str, nodes: dict[str, str]) -> str:
-    direct = normalize_module_id(name)
-    if direct in nodes:
-        return direct
-    dotted = normalize_module_id(name.replace(".", "/"))
-    for candidate in (dotted, dotted + ".py"):
-        if candidate in nodes:
-            return candidate
+def _resolve_endpoint(name: str, entries: dict[str, ApiSpecEntry]) -> str:
+    dotted = name.replace(".", "/")
+    for candidate in (name, dotted, dotted + ".py"):
+        try:
+            path = normalize_path(candidate)
+        except PathViolation:
+            continue
+        if path in entries:
+            return path
     stem_matches = [
-        node
-        for node in nodes
-        if node.rsplit("/", 1)[-1].rsplit(".", 1)[0] == name.strip()
+        path
+        for path in entries
+        if path.rsplit("/", 1)[-1].rsplit(".", 1)[0] == name.strip()
     ]
     if len(stem_matches) == 1:
         return stem_matches[0]
@@ -463,34 +476,24 @@ def project(contract: LanguageContract) -> SymbolicKernel:
 
 
 def _project(contract: LanguageContract) -> SymbolicKernel:
-    entries = parse_api_section(list(contract.body(SectionKey.API_SPECIFICATIONS)))
-    nodes: dict[str, str] = {}
-    signatures: dict[str, MethodSig | str] = {}
-    class_owner: dict[str, str] = {}
-    for entry in entries:
-        module_id = normalize_module_id(entry.file_path)
-        nodes[module_id] = entry.file_path
+    parsed = parse_api_section(list(contract.body(SectionKey.API_SPECIFICATIONS)))
+    entries = {e.file_path: e for e in parsed}
+    classes: dict[str, tuple[str, ClassSpec]] = {}
+    for path, entry in entries.items():
         for cls in entry.classes:
-            if cls.name in class_owner:
-                raise ProjectionError(
-                    f"class {cls.name} declared in both {class_owner[cls.name]} and {module_id}"
-                )
-            class_owner[cls.name] = module_id
-            for attr in cls.attributes:
-                signatures[f"{module_id}::{cls.name}.{attr.name}"] = attr.type_name
-            for sig in cls.methods:
-                signatures[f"{module_id}::{cls.name}.{sig.name}"] = sig
+            if cls.name in classes:
+                raise ProjectionError(f"class {cls.name} declared in both {classes[cls.name][0]} and {path}")
+            classes[cls.name] = (path, cls)
 
-    declared: dict[str, set[str]] = {node: set() for node in nodes}
+    declared: dict[str, set[str]] = {path: set() for path in entries}
     for left, right in parse_dependency_edges(list(contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS))):
-        src = _resolve_endpoint(left, nodes)
-        dst = _resolve_endpoint(right, nodes)
+        src = _resolve_endpoint(left, entries)
+        dst = _resolve_endpoint(right, entries)
         if src != dst:
             declared[src].add(dst)
 
     derived: set[tuple[str, str]] = set()
-    for entry in entries:
-        module_id = normalize_module_id(entry.file_path)
+    for path, entry in entries.items():
         for cls in entry.classes:
             referenced: set[str] = set()
             for attr in cls.attributes:
@@ -498,17 +501,15 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
             for sig in cls.methods:
                 referenced.add(type_head(sig.return_type))
                 referenced.update(type_head(t) for _, t in sig.params)
-            for ref in referenced:
-                owner = class_owner.get(ref)
-                if owner is not None and owner != module_id and owner not in declared[module_id]:
-                    derived.add((module_id, owner))
+            for ref in referenced & classes.keys():
+                owner = classes[ref][0]
+                if owner != path and owner not in declared[path]:
+                    derived.add((path, owner))
 
-    dependencies = {node: tuple(sorted(declared[node])) for node in sorted(nodes)}
     return SymbolicKernel(
-        nodes=dict(sorted(nodes.items())),
-        signatures=dict(sorted(signatures.items())),
-        dependencies=dependencies,
-        entries=tuple(entries),
+        entries=entries,
+        classes=classes,
+        dependencies={path: tuple(sorted(declared[path])) for path in sorted(entries)},
         derived_edges=tuple(sorted(derived)),
     )
 
@@ -559,15 +560,13 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
     for an interface described in too little detail to implement against.
     """
     violations: list[Violation] = []
-    cycle = find_cycle(list(kernel.nodes), kernel.dependencies)
+    cycle = find_cycle(list(kernel.entries), kernel.dependencies)
     if cycle is not None:
         violations.append(
             Violation(ViolationKind.CYCLE, " -> ".join(cycle), "dependency graph contains a cycle")
         )
 
-    declared_classes = set(kernel.class_specs())
-    for entry in kernel.entries:
-        module_id = normalize_module_id(entry.file_path)
+    for path, entry in kernel.entries.items():
         for cls in entry.classes:
             referenced: list[tuple[str, str]] = []
             for attr in cls.attributes:
@@ -577,11 +576,11 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
                 referenced.extend((f"{cls.name}.{sig.name}({n})", t) for n, t in sig.params)
             for where, type_name in referenced:
                 head = type_head(type_name)
-                if head not in PRIMITIVE_TYPES and head not in declared_classes:
+                if head not in PRIMITIVE_TYPES and head not in kernel.classes:
                     violations.append(
                         Violation(
                             ViolationKind.TYPE_UNDEFINED,
-                            f"{module_id}::{where}",
+                            f"{path}::{where}",
                             f"type {head!r} is neither primitive nor a declared class",
                         )
                     )
@@ -590,7 +589,7 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
             violations.append(
                 Violation(
                     ViolationKind.INCOMPLETE,
-                    module_id,
+                    path,
                     "entry has no documented method; interface detail is insufficient",
                 )
             )
@@ -612,11 +611,5 @@ def guard_violations(contract: LanguageContract) -> list[Violation]:
 
 
 def tasks_of(kernel: SymbolicKernel) -> list[Task]:
-    """One task per kernel node, in path-lexicographic order."""
-    tasks = []
-    for entry in sorted(kernel.entries, key=lambda e: normalize_module_id(e.file_path)):
-        module_id = normalize_module_id(entry.file_path)
-        tasks.append(
-            Task(id=module_id, file_path=entry.file_path, owner=entry.owner, status=entry.status)
-        )
-    return tasks
+    """One task per kernel entry, in path-lexicographic order."""
+    return [Task(id=path, owner=e.owner, status=e.status) for path, e in sorted(kernel.entries.items())]

@@ -53,16 +53,12 @@ class InternalInconsistency(RuntimeError):
 class RunConfig:
     t_max: int = 8
     mode: RunMode = RunMode.PARALLEL
-    model: str = "gpt-4o-2024-11-20"
-    temperature: float = 0.0
     context_limit: int = 16384
     attempt_cap: int = 3
 
     def __post_init__(self):
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def plan_layer(
     skipped: list[str] = []
     for task_id in sorted(tasks):
         task = tasks[task_id]
-        unit = workspace.get(task.file_path)
+        unit = workspace.get(task_id)
         if (
             attempt_cap
             and task.status in (TaskStatus.TODO, TaskStatus.ERROR)
@@ -134,13 +130,13 @@ def run_layer(
     dispatches run one at a time in plan order; the scripted backend makes the
     two modes produce identical outputs.
     """
-    all_paths = tuple(tasks[t].file_path for t in sorted(tasks))
+    all_paths = tuple(sorted(tasks))
     requests: list[tuple[Dispatch, CompletionRequest | None, str]] = []
     for dispatch in plan.dispatches:
         task = tasks[dispatch.task_id]
         implementation = None
         if dispatch.role.kind is RoleKind.CRITIC:
-            unit = workspace.get(task.file_path)
+            unit = workspace.get(task.id)
             if unit is None:
                 raise InternalInconsistency(f"{task.id} is DONE but has no workspace unit")
             implementation = unit.body
@@ -314,7 +310,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
 
         for path, owner in report.injected_tasks:
             if path not in tasks:
-                tasks[path] = Task(id=path, file_path=path, owner=owner, status=TaskStatus.TODO)
+                tasks[path] = Task(id=path, owner=owner, status=TaskStatus.TODO)
                 logger.info("event=task_injected layer=%d task=%s", layers_used, path)
 
         ledger.add(

@@ -36,8 +36,7 @@ class IllegalTransition(RuntimeError):
 class Task:
     """One atomic unit of work: implement and verify a single contracted file."""
 
-    id: str
-    file_path: str
+    id: str  # the contracted file's normalized path
     owner: str
     status: TaskStatus = TaskStatus.TODO
     attempts: int = 0

@@ -9,7 +9,9 @@ contract's own model: classes are ``kernel.ClassSpec`` values with
 ``AttributeSpec`` attributes, and signatures go through
 ``kernel.read_signature``, the reader that also reads the contract's headers.
 Analyzers are pluggable per file extension; only ``.py`` has one, and files of
-any other type yield no symbols.
+any other type yield no symbols. Files are keyed by ``kernel.normalize_path``,
+the function that also keys the kernel's entries, so a workspace path is the
+task id of the file contracted there.
 """
 
 from __future__ import annotations
@@ -17,31 +19,22 @@ from __future__ import annotations
 import ast
 import logging
 import posixpath
-import re
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .kernel import AttributeSpec, ClassSpec, MethodSig, read_signature, source_text
+from .kernel import (
+    AttributeSpec,
+    ClassSpec,
+    MethodSig,
+    PathViolation,
+    normalize_path,
+    read_signature,
+    source_text,
+)
 
 logger = logging.getLogger(__name__)
 
 WHOLE_MODULE = "*"
-
-
-class PathViolation(ValueError):
-    """Commit path escapes the workspace root or is otherwise unusable."""
-
-
-def normalize_path(path: str) -> str:
-    cleaned = path.strip().replace("\\", "/")
-    if not cleaned:
-        raise PathViolation("empty path")
-    if cleaned.startswith("/") or re.match(r"^[A-Za-z]:", cleaned):
-        raise PathViolation(f"absolute path not allowed: {path!r}")
-    normalized = posixpath.normpath(cleaned)
-    if normalized == "." or normalized.startswith("../") or normalized == "..":
-        raise PathViolation(f"path escapes the workspace root: {path!r}")
-    return normalized
 
 
 @dataclass(frozen=True)

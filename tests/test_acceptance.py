@@ -128,7 +128,7 @@ def test_c3_scheduler_law_pointwise_and_legal_traces():
     statuses = list(TaskStatus)
     for i in range(1000):
         status = rng.choice(statuses)
-        task = Task(id=f"t{i}.py", file_path=f"t{i}.py", owner="d", status=status)
+        task = Task(id=f"t{i}.py", owner="d", status=status)
         dispatch = dispatch_for(task, "body" if status is TaskStatus.DONE else None)
         if status in (TaskStatus.TODO, TaskStatus.ERROR):
             assert dispatch is not None and dispatch.role.kind is RoleKind.WORKER
@@ -196,7 +196,7 @@ def test_c4_audit_metric_arithmetic():
     # the hollow skeleton fails the physical match
     from charter.workspace import FileUnit
 
-    task = Task(id="entities/player.py", file_path="entities/player.py", owner="b")
+    task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CONTRACT_CLASS,))
     hollow = FileUnit(path="entities/player.py", body="class Player: pass\n")
     assert match(task, hollow, entry) is False

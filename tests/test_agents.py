@@ -39,7 +39,7 @@ def _contract():
 
 def test_worker_bundle_contains_contract_and_no_file_bodies():
     contract = _contract()
-    task = Task(id="core/engine.py", file_path="core/engine.py", owner="dev")
+    task = Task(id="core/engine.py", owner="dev")
     secret_body = "class Engine:\n    SECRET_CONSTANT = 42\n"
     bundle = build_prompt(Role(RoleKind.WORKER, owner="dev"), task, contract, INTENT)
     assert render(contract) in bundle.text
@@ -49,7 +49,7 @@ def test_worker_bundle_contains_contract_and_no_file_bodies():
 
 def test_worker_bundle_includes_feedback():
     contract = _contract()
-    task = Task(id="core/engine.py", file_path="core/engine.py", owner="dev")
+    task = Task(id="core/engine.py", owner="dev")
     task.feedback.append("Fix the schema definition; Engine requires ticks")
     bundle = build_prompt(Role(RoleKind.WORKER, owner="dev"), task, contract, INTENT)
     assert "Fix the schema definition; Engine requires ticks" in bundle.text
@@ -57,7 +57,7 @@ def test_worker_bundle_includes_feedback():
 
 def test_critic_bundle_contains_implementation():
     contract = _contract()
-    task = Task(id="core/engine.py", file_path="core/engine.py", owner="dev", status=TaskStatus.DONE)
+    task = Task(id="core/engine.py", owner="dev", status=TaskStatus.DONE)
     body = "class Engine:\n    def tick(self) -> None:\n        pass\n"
     bundle = build_prompt(Role(RoleKind.CRITIC), task, contract, INTENT, implementation=body)
     assert body in bundle.text
@@ -65,7 +65,7 @@ def test_critic_bundle_contains_implementation():
 
 def test_contractless_bundle_replaces_document_with_paths():
     contract = _contract()
-    task = Task(id="core/engine.py", file_path="core/engine.py", owner="dev")
+    task = Task(id="core/engine.py", owner="dev")
     bundle = build_prompt(
         Role(RoleKind.WORKER, owner="dev"),
         task,
@@ -80,7 +80,7 @@ def test_contractless_bundle_replaces_document_with_paths():
 
 def test_context_overflow():
     contract = _contract()
-    task = Task(id="core/engine.py", file_path="core/engine.py", owner="dev")
+    task = Task(id="core/engine.py", owner="dev")
     with pytest.raises(ContextOverflow):
         build_prompt(Role(RoleKind.WORKER, owner="dev"), task, contract, INTENT, context_limit=50)
 

@@ -90,13 +90,13 @@ def _tasks(contract, statuses=None):
 
 
 def test_match_true_when_classes_present():
-    task = Task(id="entities/player.py", file_path="entities/player.py", owner="b")
+    task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
     assert match(task, FileUnit(path="entities/player.py", body=PLAYER_OK), entry)
 
 
 def test_match_false_on_missing_class_or_empty_file():
-    task = Task(id="a.py", file_path="a.py", owner="b")
+    task = Task(id="a.py", owner="b")
     entry = make_entry("a.py", classes=(PLAYER_CLASS,))
     assert not match(task, FileUnit(path="a.py", body="x = 1\n"), entry)
     assert not match(task, FileUnit(path="a.py", body="   \n"), entry)
@@ -104,9 +104,17 @@ def test_match_false_on_missing_class_or_empty_file():
 
 
 def test_match_rejects_hollow_skeleton():
-    task = Task(id="entities/player.py", file_path="entities/player.py", owner="b")
+    task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
     assert not match(task, FileUnit(path="entities/player.py", body="class Player: pass\n"), entry)
+
+
+def test_a_nested_class_of_a_contracted_name_is_not_the_one_audited():
+    # Both read the module-level Player, not the one nested in factory().
+    body = PLAYER_OK + "\n\ndef factory():\n    class Player:\n        pass\n    return Player\n"
+    entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
+    assert match(Task(id="entities/player.py", owner="b"), FileUnit(path="entities/player.py", body=body), entry)
+    assert compare_unit(entry, body) == []
 
 
 def test_existence_two_of_three():

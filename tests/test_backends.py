@@ -113,6 +113,11 @@ def test_recording_backend_appends_transcript(tmp_path):
     assert replay.complete(request) == "answer"
 
 
+def test_remote_backend_rejects_a_negative_temperature():
+    with pytest.raises(ValueError, match="temperature"):
+        RemoteBackend(temperature=-1)
+
+
 def test_remote_backend_sends_configured_model_and_temperature(monkeypatch):
     monkeypatch.setenv("CHARTER_API_KEY", "k")
     payloads = []

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from charter.cli import main
+from charter.cli import _build_parser, _make_backend, main
 
 from conftest import fixture_path
 
@@ -176,6 +176,18 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert main(argv) == 0
     summary = json.loads(capsys.readouterr().out)
     assert summary["converged"] is True  # the flag's t_max=5 won over the file's 0
+
+
+def test_remote_backend_settings_follow_flags_then_config_file(tmp_path, capsys):
+    parser = _build_parser()
+    args = parser.parse_args(["generate", "--intent", "i", "--out", "o", "--temperature", "0.5"])
+    backend = _make_backend("remote", args, {"model": "m", "temperature": 0.2}, parser)
+    assert (backend.model, backend.temperature) == ("m", 0.5)
+    backend = _make_backend("remote", parser.parse_args(["generate", "--intent", "i", "--out", "o"]), {}, parser)
+    assert (backend.model, backend.temperature) == ("gpt-4o-2024-11-20", 0.0)
+    argv = ["generate", "--intent", "i", "--out", str(tmp_path), "--temperature", "-1"]
+    assert main(argv) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "ValueError"
 
 
 def test_journal_records_accepted_actions(tmp_path, capsys):

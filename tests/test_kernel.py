@@ -14,6 +14,7 @@ from charter.kernel import (
     UnknownEdgeEndpoint,
     ViolationKind,
     find_cycle,
+    guard_violations,
     parse_api_section,
     parse_signature,
     print_api_section,
@@ -119,16 +120,14 @@ def test_project_player_entry():
         ),
     )
     kernel = project(contract_with([entry]))
-    assert list(kernel.nodes) == ["entities/player.py"]
-    attr_symbols = [s for s, v in kernel.signatures.items() if isinstance(v, str)]
-    assert len(attr_symbols) == 3
-    assert "entities/player.py::Player.move" in kernel.signatures
+    assert kernel.entries == {"entities/player.py": entry}
+    assert kernel.classes == {"Player": ("entities/player.py", entry.classes[0])}
 
 
 def test_project_empty_section():
     kernel = project(new_contract(DEFAULT_TEMPLATE))
-    assert kernel.nodes == {}
-    assert kernel.signatures == {}
+    assert kernel.entries == {}
+    assert kernel.classes == {}
     assert kernel.dependencies == {}
 
 
@@ -154,6 +153,17 @@ def test_unknown_edge_endpoint():
     entries = [make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> None")]),))]
     with pytest.raises(UnknownEdgeEndpoint):
         project(contract_with(entries, dependency_lines=["a.py --> ghost.py"]))
+
+
+def test_edge_endpoints_are_read_as_normalized_paths():
+    entries = [
+        make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> None")]),)),
+        make_entry("b.py", classes=(simple_class("B", [], [method("def g() -> None")]),)),
+    ]
+    kernel = project(contract_with(entries, dependency_lines=["./a.py --> b.py"]))
+    assert kernel.dependencies["a.py"] == ("b.py",)
+    with pytest.raises(UnknownEdgeEndpoint):
+        project(contract_with(entries, dependency_lines=["/a.py --> b.py"]))
 
 
 def test_validate_finds_cycle():
@@ -241,6 +251,23 @@ def test_parse_api_section_reports_line_locus():
         parse_api_section(["- File: a.py", "  what is this line"])
 
 
+def test_file_paths_are_projected_normalized():
+    entries = parse_api_section(print_api_section([make_entry("./a.py"), make_entry("pkg//b.py")]))
+    assert [e.file_path for e in entries] == ["a.py", "pkg/b.py"]
+
+
+def test_one_module_spelled_twice_is_a_duplicate_entry():
+    with pytest.raises(ProjectionError, match="line 6: duplicate File entry: a.py"):
+        parse_api_section(print_api_section([make_entry("a.py"), make_entry("./a.py")]))
+
+
+@pytest.mark.parametrize("path", ["../a.py", "/a.py"])
+def test_guard_reports_a_file_path_outside_the_root(path):
+    violations = guard_violations(contract_with([make_entry(path)]))
+    assert [v.subject for v in violations] == ["projection"]
+    assert repr(path) in violations[0].message
+
+
 def test_duplicate_class_across_entries_rejected():
     entries = [
         make_entry("a.py", classes=(simple_class("Dup", [], [method("def f() -> None")]),)),
@@ -302,6 +329,6 @@ def test_cycle_detector_random_sample_matches_brute_force():
 
 def test_no_orphan_signatures():
     kernel = project(_three_module_contract())
-    for symbol in kernel.signatures:
-        module_id = symbol.split("::", 1)[0]
-        assert module_id in kernel.nodes
+    assert set(kernel.classes) == {"A", "B", "C"}
+    for owner, cls in kernel.classes.values():
+        assert cls in kernel.entries[owner].classes

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import pytest
 
@@ -10,7 +11,7 @@ import charter.scheduler
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
 from charter.backends import ScriptedBackend
 from charter.contract import ActionOp, ContractAction, SectionKey
-from charter.kernel import normalize_module_id, print_api_section, project
+from charter.kernel import print_api_section, project
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
@@ -27,7 +28,7 @@ from conftest import contract_with, make_entry, method, simple_class
 
 
 def _task(status=TaskStatus.TODO):
-    return Task(id="mod.py", file_path="mod.py", owner="dev", status=status)
+    return Task(id="mod.py", owner="dev", status=status)
 
 
 def test_dispatch_map_pointwise():
@@ -46,9 +47,9 @@ def test_plan_layer_mixed_statuses():
     ws = Workspace()
     ws.commit_file("b.py", "class B:\n    pass\n")
     tasks = {
-        "a.py": Task(id="a.py", file_path="a.py", owner="d", status=TaskStatus.TODO),
-        "b.py": Task(id="b.py", file_path="b.py", owner="d", status=TaskStatus.DONE),
-        "c.py": Task(id="c.py", file_path="c.py", owner="d", status=TaskStatus.VERIFIED),
+        "a.py": Task(id="a.py", owner="d", status=TaskStatus.TODO),
+        "b.py": Task(id="b.py", owner="d", status=TaskStatus.DONE),
+        "c.py": Task(id="c.py", owner="d", status=TaskStatus.VERIFIED),
     }
     plan = plan_layer(tasks, ws)
     assert [(d.task_id, d.role.kind) for d in plan.dispatches] == [
@@ -59,7 +60,7 @@ def test_plan_layer_mixed_statuses():
 
 def test_plan_layer_empty_iff_all_verified():
     tasks = {
-        f"t{i}.py": Task(id=f"t{i}.py", file_path=f"t{i}.py", owner="d", status=TaskStatus.VERIFIED)
+        f"t{i}.py": Task(id=f"t{i}.py", owner="d", status=TaskStatus.VERIFIED)
         for i in range(3)
     }
     assert len(plan_layer(tasks, Workspace())) == 0
@@ -67,7 +68,7 @@ def test_plan_layer_empty_iff_all_verified():
 
 def test_plan_layer_five_todo_gives_width_five():
     tasks = {
-        f"t{i}.py": Task(id=f"t{i}.py", file_path=f"t{i}.py", owner="d") for i in range(5)
+        f"t{i}.py": Task(id=f"t{i}.py", owner="d") for i in range(5)
     }
     plan = plan_layer(tasks, Workspace())
     assert len(plan) == 5
@@ -138,8 +139,8 @@ def test_run_layer_isolates_missing_transcript_entry():
         ]
     )
     tasks = {
-        "a.py": Task(id="a.py", file_path="a.py", owner="d"),
-        "b.py": Task(id="b.py", file_path="b.py", owner="d"),
+        "a.py": Task(id="a.py", owner="d"),
+        "b.py": Task(id="b.py", owner="d"),
     }
     plan = plan_layer(tasks, Workspace())
     outcomes = run_layer(
@@ -187,6 +188,20 @@ def test_run_permanent_critic_rejection_best_effort():
     assert result.layers_used == 4
     assert result.tasks["mod.py"].status is TaskStatus.ERROR
     assert any("never good enough" in note for note in result.tasks["mod.py"].feedback)
+
+
+@pytest.mark.parametrize("written, path", [("./mod.py", "mod.py"), ("pkg//mod.py", "pkg/mod.py")])
+def test_run_converges_on_an_unnormalized_file_path(written, path):
+    # The task, its transcript key and its workspace file are the normalized path.
+    entries = [replace(_single_module_entries()[0], file_path=written)]
+    records = _synthesis_records(entries) + [
+        _worker_record(1, path, MOD_BODY, path=written),
+        _critic_record(2, path),
+    ]
+    result = run(IntentSpec("one module"), RunConfig(t_max=3), ScriptedBackend(records))
+    assert result.converged
+    assert result.workspace.paths() == [path]
+    assert list(project(result.contract).entries) == [path]
 
 
 def test_run_attempt_cap_parks_thrashing_task():
@@ -242,7 +257,7 @@ def test_run_traces_only_legal_transitions(gomoku_intent, gomoku_transcript, pla
 
 
 def test_task_transition_guard():
-    task = Task(id="x", file_path="x", owner="d", status=TaskStatus.TODO)
+    task = Task(id="x", owner="d", status=TaskStatus.TODO)
     with pytest.raises(IllegalTransition):
         task.transition(TaskStatus.VERIFIED)
 
@@ -386,8 +401,8 @@ def test_rejected_document_action_keeps_audited_artifacts_and_statuses():
     result = run(IntentSpec("two modules"), RunConfig(t_max=1), ScriptedBackend(records))
 
     kernel = project(result.contract)
-    assert [m.name for m in kernel.class_specs()["A"][1].methods] == ["f", "extra"]
-    statuses = {normalize_module_id(e.file_path): e.status for e in kernel.entries}
+    assert [m.name for m in kernel.classes["A"][1].methods] == ["f", "extra"]
+    statuses = {path: e.status for path, e in kernel.entries.items()}
     assert statuses == {t: task.status for t, task in result.tasks.items()}
     assert set(statuses.values()) == {TaskStatus.DONE}
     assert result.workspace.get("b.py").body == b_body
