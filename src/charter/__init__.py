@@ -41,7 +41,6 @@ from .scheduler import RunConfig, RunMode, RunResult, dispatch_for, plan_layer, 
 from .agents import (
     AgentResponse,
     IntentSpec,
-    Role,
     RoleKind,
     Verdict,
     build_prompt,
@@ -83,7 +82,6 @@ __all__ = [
     "MethodSig",
     "ProjectionError",
     "Rejection",
-    "Role",
     "RoleKind",
     "RunConfig",
     "RunMode",

@@ -24,6 +24,7 @@ from .contract import (
     LanguageContract,
     Rejection,
     SectionKey,
+    UnknownSection,
     apply_action,
     is_partial_api_patch,
     new_contract,
@@ -42,16 +43,6 @@ class RoleKind(Enum):
     DISCRIMINATOR = "discriminator"
     WORKER = "worker"
     CRITIC = "critic"
-
-
-@dataclass(frozen=True)
-class Role:
-    kind: RoleKind
-    owner: str = ""
-
-    def __post_init__(self):
-        if self.kind is RoleKind.WORKER and not self.owner:
-            raise ValueError("worker roles require a non-empty owner")
 
 
 @dataclass(frozen=True)
@@ -158,39 +149,32 @@ ROLE_PROMPTS: dict[RoleKind, str] = {
 
 @dataclass(frozen=True)
 class PromptBundle:
-    role: Role
-    parts: tuple[str, ...]
+    text: str
     token_count: int
-
-    @property
-    def text(self) -> str:
-        return "\n\n".join(self.parts)
 
 
 def build_prompt(
-    role: Role,
+    role: RoleKind,
     task: Task | None,
     contract: LanguageContract,
     intent: IntentSpec,
     *,
     context_limit: int = 16384,
-    estimator: TokenEstimator = estimate_tokens,
     implementation: str | None = None,
-    include_contract: bool = True,
-    task_paths: tuple[str, ...] = (),
+    task_paths: tuple[str, ...] | None = None,
 ) -> PromptBundle:
     """Assemble the prompt for one dispatch.
 
     Worker bundles carry the full rendered document and never any peer file
     body; critic bundles additionally carry the body of the file under
-    review. With ``include_contract`` off (the contract-less ablation), the
-    document is replaced by the raw intent plus the task path list.
+    review. Given ``task_paths`` (the contract-less ablation), the document is
+    replaced by the raw intent plus the task path list.
     """
-    if role.kind in (RoleKind.WORKER, RoleKind.CRITIC) and task is None:
-        raise ValueError(f"{role.kind.value} dispatch requires a task")
-    parts: list[str] = [SYSTEM_PROMPT, ROLE_PROMPTS[role.kind]]
+    if role in (RoleKind.WORKER, RoleKind.CRITIC) and task is None:
+        raise ValueError(f"{role.value} dispatch requires a task")
+    parts: list[str] = [SYSTEM_PROMPT, ROLE_PROMPTS[role]]
     parts.append(f"User intent:\n{intent.text.strip()}")
-    if include_contract:
+    if task_paths is None:
         parts.append("Shared document:\n\n" + render(contract))
     elif task_paths:
         parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
@@ -200,14 +184,15 @@ def build_prompt(
             directive.append("Feedback to address:")
             directive.extend(f"- {note}" for note in task.feedback)
         parts.append("\n".join(directive))
-    if role.kind is RoleKind.CRITIC:
+    if role is RoleKind.CRITIC:
         if implementation is None:
             raise ValueError("critic dispatch requires the implementation body")
         parts.append(f"Implementation under review ({task.id}):\n\n{implementation}")
-    tokens = estimator("\n\n".join(parts))
+    text = "\n\n".join(parts)
+    tokens = estimate_tokens(text)
     if tokens > context_limit:
         raise ContextOverflow(f"prompt needs {tokens} tokens, limit is {context_limit}")
-    return PromptBundle(role=role, parts=tuple(parts), token_count=tokens)
+    return PromptBundle(text=text, token_count=tokens)
 
 
 # --- response protocol -------------------------------------------------------
@@ -215,6 +200,13 @@ def build_prompt(
 _BLOCK_RE = re.compile(r"<(thinking|output|document_action)>\s*\n?(.*?)\n?\s*</\1>", re.S)
 _ARTIFACT_RE = re.compile(r"```[A-Za-z0-9_+-]*\n# FILE: ([^\n]+)\n(.*?)```", re.S)
 _VERDICT_RE = re.compile(r"^VERDICT:\s*(PASS|FAIL)\s*(.*)$", re.M)
+
+
+def _section_key(name: str) -> SectionKey:
+    try:
+        return section_key_from_name(name)
+    except UnknownSection as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_actions(payload: str) -> tuple[ContractAction, ...]:
@@ -238,13 +230,13 @@ def _parse_actions(payload: str) -> tuple[ContractAction, ...]:
             raise ParseError(f"unknown action type: {raw_type!r}")
         content = item.get("content")
         if isinstance(content, dict):
-            pairs = [(section_key_from_name(k), str(v)) for k, v in content.items()]
+            pairs = [(_section_key(k), str(v)) for k, v in content.items()]
         else:
             if "section" not in item:
                 raise ParseError("action item missing 'section'")
             if not isinstance(content, str):
                 raise ParseError("action item 'content' must be a string")
-            pairs = [(section_key_from_name(str(item["section"])), content)]
+            pairs = [(_section_key(str(item["section"])), content)]
         for section, body in pairs:
             if section is SectionKey.API_SPECIFICATIONS and is_partial_api_patch(body):
                 raise ParseError(
@@ -334,15 +326,10 @@ def synthesize_contract(
     from .backends import CompletionRequest  # local import: backends never import agents
 
     contract = new_contract(DEFAULT_TEMPLATE)
-    stages = (
-        (Role(RoleKind.PROJECT_MANAGER), "proposal"),
-        (Role(RoleKind.DISCRIMINATOR), "rectification"),
-    )
+    stages = ((RoleKind.PROJECT_MANAGER, "proposal"), (RoleKind.DISCRIMINATOR, "rectification"))
     for role, stage in stages:
         bundle = build_prompt(role, None, contract, intent, context_limit=context_limit)
-        raw = backend.complete(
-            CompletionRequest(layer=0, role=role.kind.value, task_id="", bundle=bundle)
-        )
+        raw = backend.complete(CompletionRequest(layer=0, role=role.value, task_id="", bundle=bundle))
         try:
             response = parse_response(raw)
         except ParseError as exc:

@@ -28,17 +28,20 @@ Every lookup is keyed by module path: a task id is a key of the kernel's
 ``entries`` and a workspace path, all spelled by ``kernel.normalize_path``.
 In analyzed code, a class name denotes the class ``code_classes`` picks.
 
+Every check reads ``FileUnit`` values and takes their analysis from
+``workspace.analyze``, which keeps it on the unit. The report carries the
+accepted units themselves, and the workspace stores them, so a committed
+body is not analyzed again in later layers.
+
 ``audit_layer`` is a pure function of its inputs; the scheduler applies the
 returned effects at the barrier.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -161,7 +164,7 @@ class AuditReport:
     consistency: bool
     deltas: tuple[AuditDelta, ...]
     interventions: tuple
-    accepted_artifacts: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    accepted_artifacts: tuple[tuple[str, tuple[FileUnit, ...]], ...]
     contract_actions: tuple[tuple[str, ContractAction], ...]
     feedback: tuple[tuple[str, str], ...]
     injected_tasks: tuple[tuple[str, str], ...]  # (path, owner)
@@ -176,7 +179,7 @@ class AuditReport:
             "deltas": [d.to_dict() for d in self.deltas],
             "interventions": [i.to_dict() for i in self.interventions],
             "accepted_artifacts": [
-                {"task": task_id, "paths": [p for p, _ in artifacts]}
+                {"task": task_id, "paths": [unit.path for unit in artifacts]}
                 for task_id, artifacts in self.accepted_artifacts
             ],
             "contract_actions": [
@@ -205,10 +208,6 @@ def _is_internal_name(name: str) -> bool:
     return name.startswith("_")
 
 
-def _analyze_body(path: str, body: str) -> ExtractedSymbols:
-    return analyze(FileUnit(path=path, body=body))
-
-
 def code_classes(symbols: ExtractedSymbols) -> dict[str, ClassSpec]:
     """The class each name denotes in analyzed code: the first of that name in
     ``symbols.classes``. The walk that fills it is breadth-first, so a
@@ -220,15 +219,9 @@ def code_classes(symbols: ExtractedSymbols) -> dict[str, ClassSpec]:
     return classes
 
 
-def match(
-    task: Task,
-    unit: FileUnit | None,
-    entry: ApiSpecEntry | None = None,
-    symbols: ExtractedSymbols | None = None,
-) -> bool:
+def match(task: Task, unit: FileUnit | None, entry: ApiSpecEntry) -> bool:
     """Physical alignment: file exists at the task's path, is non-empty, and
-    defines every class the contract names for it (the hollow-skeleton guard).
-    ``symbols`` is the unit's analysis when the caller already has it."""
+    defines every class the contract names for it (the hollow-skeleton guard)."""
     if unit is None:
         return False
     try:
@@ -238,9 +231,8 @@ def match(
         return False
     if not unit.body.strip():
         return False
-    if entry is not None and entry.classes:
-        if symbols is None:
-            symbols = analyze(unit)
+    if entry.classes:
+        symbols = analyze(unit)
         if symbols.unanalyzable:
             return False
         code = code_classes(symbols)
@@ -256,13 +248,9 @@ def match(
 
 
 def existence_check(
-    contract: LanguageContract,
-    view: dict[str, str],
-    symbols_of: Callable[[str, str], ExtractedSymbols] = _analyze_body,
+    contract: LanguageContract, files: dict[str, FileUnit]
 ) -> tuple[float, tuple[str, ...]]:
-    """Fraction of tasks physically realized in the workspace, plus the misses.
-    ``symbols_of(path, body)`` analyzes a file; ``audit_layer`` passes its own
-    so a body it has already analyzed is not analyzed again."""
+    """Fraction of tasks physically realized in the workspace, plus the misses."""
     kernel = project(contract)
     tasks = tasks_of(kernel)
     if not tasks:
@@ -270,23 +258,15 @@ def existence_check(
         return 1.0, ()
     unmatched = []
     for task in tasks:
-        body = view.get(task.id)
-        unit = symbols = None
-        if body is not None:
-            unit, symbols = FileUnit(path=task.id, body=body), symbols_of(task.id, body)
-        if not match(task, unit, kernel.entries[task.id], symbols):
+        if not match(task, files.get(task.id), kernel.entries[task.id]):
             unmatched.append(task.id)
     fraction = (len(tasks) - len(unmatched)) / len(tasks)
     return fraction, tuple(unmatched)
 
 
-def compare_unit(
-    entry: ApiSpecEntry, body: str, symbols: ExtractedSymbols | None = None
-) -> list[MismatchDetail]:
-    """Definition-side comparison of one file against its contract entry.
-    ``symbols`` is the body's analysis when the caller already has it."""
-    if symbols is None:
-        symbols = _analyze_body(entry.file_path, body)
+def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
+    """Definition-side comparison of one file against its contract entry."""
+    symbols = analyze(unit)
     if symbols.unanalyzable:
         return [MismatchDetail(DetailKind.UNANALYZABLE, entry.file_path, actual="unanalyzable")]
     details: list[MismatchDetail] = []
@@ -363,14 +343,10 @@ def compare_unit(
     return details
 
 
-def demand_details(
-    kernel: SymbolicKernel, path: str, body: str, symbols: ExtractedSymbols | None = None
-) -> list[MismatchDetail]:
+def demand_details(kernel: SymbolicKernel, unit: FileUnit) -> list[MismatchDetail]:
     """Attributes a file reads off a contracted peer class that the contract
-    does not declare: the demand side of a schema divergence. ``symbols`` is
-    the body's analysis when the caller already has it."""
-    if symbols is None:
-        symbols = _analyze_body(path, body)
+    does not declare: the demand side of a schema divergence."""
+    symbols = analyze(unit)
     if symbols.unanalyzable:
         return []
     by_lower = {name.lower(): name for name in kernel.classes}
@@ -419,18 +395,17 @@ def classify(details: list[MismatchDetail]) -> DeltaKind:
 
 
 def consistency_check(
-    contract: LanguageContract, view: dict[str, str]
+    contract: LanguageContract, files: dict[str, FileUnit]
 ) -> tuple[bool, tuple[AuditDelta, ...]]:
     """Signature alignment between the contract and the workspace, per task,
     classified like ``audit_layer``: definitions and peer demands."""
     kernel = project(contract)
     deltas: list[AuditDelta] = []
     for task_id, entry in sorted(kernel.entries.items()):
-        body = view.get(task_id)
-        if body is None:
+        unit = files.get(task_id)
+        if unit is None:
             continue
-        symbols = _analyze_body(task_id, body)
-        details = compare_unit(entry, body, symbols) + demand_details(kernel, task_id, body, symbols)
+        details = compare_unit(entry, unit) + demand_details(kernel, unit)
         deltas.append(AuditDelta(task_id=task_id, kind=classify(details), details=tuple(details)))
     ok = all(d.kind is DeltaKind.EMPTY for d in deltas)
     return ok, tuple(deltas)
@@ -479,16 +454,16 @@ class SchemaAdditions:
 
 
 def _schema_additions(
-    deltas: dict[str, list[MismatchDetail]], symbols: dict[str, ExtractedSymbols]
+    deltas: dict[str, list[MismatchDetail]], units: dict[str, FileUnit]
 ) -> SchemaAdditions:
     """Turn EXTRA/DEMANDED details into schema additions. Every detail names a
     class of the kernel it was computed against; recorded members and classes
-    are read off ``symbols[task_id]``, the analysis of the body audited for
-    that task."""
+    are read off the analysis of ``units[task_id]``, the unit audited for that
+    task."""
     out = SchemaAdditions()
     for task_id in sorted(deltas):
         # The same class per name that compare_unit compared.
-        code = {name: _recorded_class(c, task_id) for name, c in code_classes(symbols[task_id]).items()}
+        code = {name: _recorded_class(c, task_id) for name, c in code_classes(analyze(units[task_id])).items()}
         for detail in deltas[task_id]:
             if detail.symbol in out.symbols:
                 continue
@@ -576,25 +551,23 @@ def _repair_directive(missing: dict[str, list[str]]) -> str:
 
 def audit_layer(
     contract: LanguageContract,
-    view: dict[str, str],
+    files: dict[str, FileUnit],
     tasks: dict[str, Task],
     outcomes: list[DispatchOutcome],
 ) -> AuditReport:
     """Classify one layer's outputs and plan every intervention.
 
-    Pure: identical inputs produce identical reports. The scheduler applies
-    the returned artifact commits, status updates, contract actions and task
-    injections at the barrier. Each distinct (path, body) is analyzed once per
-    call; the memo dies with the call.
+    Pure: identical inputs produce identical reports. The scheduler commits
+    the accepted units, the values audited here, and applies the status
+    updates, contract actions and task injections at the barrier.
     """
-    symbols_of = functools.cache(_analyze_body)
     kernel = project(contract)
 
     feedback: list[tuple[str, str]] = []
     warnings: list[str] = []
     worker_details: dict[str, list[MismatchDetail]] = {}
-    worker_symbols: dict[str, ExtractedSymbols] = {}
-    worker_artifacts: dict[str, tuple[tuple[str, str], ...]] = {}
+    worker_units: dict[str, FileUnit] = {}
+    worker_artifacts: dict[str, tuple[FileUnit, ...]] = {}
 
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
         if outcome.role is not RoleKind.WORKER:
@@ -606,7 +579,7 @@ def audit_layer(
             feedback.append((outcome.task_id, f"worker dispatch failed: {outcome.error or 'no response'}"))
             continue
         artifacts = []
-        own_body: str | None = None
+        own: FileUnit | None = None
         for path, body in outcome.response.artifacts:
             try:
                 normalized = normalize_path(path)
@@ -617,17 +590,18 @@ def audit_layer(
                 # A peer task's file is written only by the peer's audited body.
                 feedback.append((outcome.task_id, f"artifact dropped: {normalized} is another task's file"))
                 continue
-            artifacts.append((normalized, body))
+            unit = FileUnit(normalized, body)
+            artifacts.append(unit)
             if normalized == outcome.task_id:
-                own_body = body
-        if own_body is None:
+                own = unit
+        if own is None:
             feedback.append((outcome.task_id, f"worker produced no artifact for {task.id}"))
             continue
         worker_artifacts[outcome.task_id] = tuple(artifacts)
         entry = kernel.entries.get(outcome.task_id)
-        symbols = worker_symbols[outcome.task_id] = symbols_of(outcome.task_id, own_body)
-        details = compare_unit(entry, own_body, symbols) if entry is not None else []
-        details.extend(demand_details(kernel, outcome.task_id, own_body, symbols))
+        worker_units[outcome.task_id] = own
+        details = compare_unit(entry, own) if entry is not None else []
+        details.extend(demand_details(kernel, own))
         worker_details[outcome.task_id] = details
 
     # Tentative amendment from every patchable superset.
@@ -636,7 +610,7 @@ def audit_layer(
         for task_id, details in worker_details.items()
         if classify(details) is DeltaKind.PATCHABLE
     }
-    additions = _schema_additions({tid: worker_details[tid] for tid in patchable_ids}, worker_symbols)
+    additions = _schema_additions({tid: worker_details[tid] for tid in patchable_ids}, worker_units)
 
     amendment_action: ContractAction | None = None
     amended_contract = contract
@@ -676,7 +650,7 @@ def audit_layer(
     # Plan worker status moves. A rejected artifact still consumed a worker
     # pass: the task lands on ERROR via the legal TODO -> DONE -> ERROR path.
     status_updates: list[tuple[str, TaskStatus, TaskStatus]] = []
-    accepted: dict[str, tuple[tuple[str, str], ...]] = {}
+    accepted: dict[str, tuple[FileUnit, ...]] = {}
     statuses = {task_id: task.status for task_id, task in tasks.items()}
 
     for task_id, delta in sorted(deltas.items()):
@@ -710,22 +684,21 @@ def audit_layer(
 
     # Post-amendment synchronization: committed files that no longer satisfy
     # the (possibly amended) schema compel a repair round.
-    committed_view = dict(view)
-    for task_id, artifacts in accepted.items():
-        for path, body in artifacts:
-            committed_view[path] = body
+    committed = dict(files)
+    for artifacts in accepted.values():
+        committed.update((unit.path, unit) for unit in artifacts)
 
     sync_tasks: list[SyncTask] = []
     amended_by_id = project(amended_contract).entries
     for task_id in sorted(tasks):
         if task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL:
             continue
-        body = committed_view.get(task_id)
+        unit = committed.get(task_id)
         entry = amended_by_id.get(task_id)
-        if body is None or entry is None:
+        if unit is None or entry is None:
             continue
         missing_members: dict[str, list[str]] = {}
-        for detail in compare_unit(entry, body, symbols_of(task_id, body)):
+        for detail in compare_unit(entry, unit):
             if detail.kind is DetailKind.MISSING and "." in detail.symbol:
                 cls_name, member = detail.symbol.split(".", 1)
                 missing_members.setdefault(cls_name, []).append(member)
@@ -747,7 +720,7 @@ def audit_layer(
     # Structural existence over the post-commit view, against the amended
     # contract. Every unmatched task is (re)injected as next-layer TODO work;
     # for contracted paths with no task yet the injection also creates one.
-    existence, unmatched = existence_check(amended_contract, committed_view, symbols_of)
+    existence, unmatched = existence_check(amended_contract, committed)
     injections: list[TaskInjection] = []
     injected: list[tuple[str, str]] = []
     missing_task_paths = [m for m in sorted(amended_by_id) if m not in tasks]

@@ -146,8 +146,10 @@ class RemoteBackend:
                 elif resp.status_code >= 400:
                     raise RequestRejected(f"request failed with {resp.status_code}: {resp.text[:200]}")
                 else:
-                    data = resp.json()
-                    return data["choices"][0]["message"]["content"]
+                    content = resp.json()["choices"][0]["message"]["content"]
+                    if not isinstance(content, str):  # refusals and tool calls carry null content
+                        raise ValueError(f"completion content is {type(content).__name__}, not text")
+                    return content
             except RequestRejected:
                 raise
             except Exception as exc:  # connection errors, malformed payloads

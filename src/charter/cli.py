@@ -144,9 +144,9 @@ def _cmd_generate(args, parser) -> int:
 def _cmd_audit(args) -> int:
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     workspace = Workspace.load(args.workspace)
-    view = workspace.view()
-    existence, unmatched = existence_check(contract, view)
-    consistent, deltas = consistency_check(contract, view)
+    files = workspace.view()
+    existence, unmatched = existence_check(contract, files)
+    consistent, deltas = consistency_check(contract, files)
     report = {
         "existence": existence,
         "unmatched": list(unmatched),

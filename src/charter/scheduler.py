@@ -21,7 +21,6 @@ from enum import Enum
 from .agents import (
     ContextOverflow,
     IntentSpec,
-    Role,
     RoleKind,
     build_prompt,
     parse_response,
@@ -64,7 +63,7 @@ class RunConfig:
 @dataclass(frozen=True)
 class Dispatch:
     task_id: str
-    role: Role
+    role: RoleKind
 
 
 def dispatch_for(task: Task, implementation: str | None = None) -> Dispatch | None:
@@ -73,11 +72,11 @@ def dispatch_for(task: Task, implementation: str | None = None) -> Dispatch | No
     if task.status is TaskStatus.VERIFIED:
         return None
     if task.status in (TaskStatus.TODO, TaskStatus.ERROR):
-        return Dispatch(task_id=task.id, role=Role(RoleKind.WORKER, owner=task.owner or task.id))
+        return Dispatch(task_id=task.id, role=RoleKind.WORKER)
     if task.status is TaskStatus.DONE:
         if implementation is None:
             raise InternalInconsistency(f"{task.id} is DONE but has no implementation to verify")
-        return Dispatch(task_id=task.id, role=Role(RoleKind.CRITIC))
+        return Dispatch(task_id=task.id, role=RoleKind.CRITIC)
     raise InternalInconsistency(f"unhandled status {task.status}")
 
 
@@ -135,7 +134,7 @@ def run_layer(
     for dispatch in plan.dispatches:
         task = tasks[dispatch.task_id]
         implementation = None
-        if dispatch.role.kind is RoleKind.CRITIC:
+        if dispatch.role is RoleKind.CRITIC:
             unit = workspace.get(task.id)
             if unit is None:
                 raise InternalInconsistency(f"{task.id} is DONE but has no workspace unit")
@@ -148,8 +147,7 @@ def run_layer(
                 intent,
                 context_limit=config.context_limit,
                 implementation=implementation,
-                include_contract=config.mode is not RunMode.NO_CONTRACT,
-                task_paths=all_paths if config.mode is RunMode.NO_CONTRACT else (),
+                task_paths=all_paths if config.mode is RunMode.NO_CONTRACT else None,
             )
         except ContextOverflow as exc:
             requests.append((dispatch, None, str(exc)))
@@ -157,9 +155,7 @@ def run_layer(
         requests.append(
             (
                 dispatch,
-                CompletionRequest(
-                    layer=layer, role=dispatch.role.kind.value, task_id=dispatch.task_id, bundle=bundle
-                ),
+                CompletionRequest(layer=layer, role=dispatch.role.value, task_id=dispatch.task_id, bundle=bundle),
                 "",
             )
         )
@@ -167,20 +163,20 @@ def run_layer(
     def execute(item: tuple[Dispatch, CompletionRequest | None, str]) -> DispatchOutcome:
         dispatch, request, build_error = item
         if request is None:
-            return DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role.kind, error=build_error)
+            return DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, error=build_error)
         logger.info(
-            "event=dispatch_start layer=%d role=%s task=%s", layer, dispatch.role.kind.value, dispatch.task_id
+            "event=dispatch_start layer=%d role=%s task=%s", layer, dispatch.role.value, dispatch.task_id
         )
         try:
             raw = backend.complete(request)
             response = parse_response(raw)
-            outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role.kind, response=response)
+            outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, response=response)
         except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
-            outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role.kind, error=str(exc))
+            outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, error=str(exc))
         logger.info(
             "event=dispatch_finish layer=%d role=%s task=%s ok=%s",
             layer,
-            dispatch.role.kind.value,
+            dispatch.role.value,
             dispatch.task_id,
             not outcome.error,
         )
@@ -267,7 +263,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         outcomes = run_layer(plan, backend, contract, intent, tasks, workspace, layers_used, config)
 
         for dispatch in plan.dispatches:
-            if dispatch.role.kind is RoleKind.WORKER:
+            if dispatch.role is RoleKind.WORKER:
                 tasks[dispatch.task_id].attempts += 1
 
         report = audit_layer(contract, workspace.view(), tasks, outcomes)
@@ -293,9 +289,9 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
 
         commits = []
         for task_id, artifacts in report.accepted_artifacts:
-            for path, body in artifacts:
-                workspace.commit_file(path, body, writer=task_id, layer=layers_used)
-                commits.append({"path": path, "sha256": file_sha256(body), "writer": task_id})
+            for unit in artifacts:
+                workspace.commit(unit)
+                commits.append({"path": unit.path, "sha256": file_sha256(unit.body), "writer": task_id})
 
         for task_id, _old, new in report.status_updates:
             task = tasks.get(task_id)
@@ -321,7 +317,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
                 "dispatch_count": len(plan.dispatches),
                 "execution_width": 1 if config.mode is RunMode.SEQUENTIAL else len(plan.dispatches),
                 "dispatches": [
-                    {"task": d.task_id, "role": d.role.kind.value} for d in plan.dispatches
+                    {"task": d.task_id, "role": d.role.value} for d in plan.dispatches
                 ],
                 "transitions": [list(update) for update in report.status_updates],
                 "audit_sha256": report.sha256(),

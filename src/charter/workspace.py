@@ -8,10 +8,12 @@ signatures, decorators, docstrings, nested defs). Code is read into the
 contract's own model: classes are ``kernel.ClassSpec`` values with
 ``AttributeSpec`` attributes, and signatures go through
 ``kernel.read_signature``, the reader that also reads the contract's headers.
-Analyzers are pluggable per file extension; only ``.py`` has one, and files of
-any other type yield no symbols. Files are keyed by ``kernel.normalize_path``,
-the function that also keys the kernel's entries, so a workspace path is the
-task id of the file contracted there.
+A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
+``analyze`` reads a ``.py`` unit on first use and stores the result on the
+unit, and files of any other type yield no symbols. The workspace stores the
+units the auditor read, so a committed body is not analyzed again. Files are
+keyed by ``kernel.normalize_path``, the function that also keys the kernel's
+entries, so a workspace path is the task id of the file contracted there.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from __future__ import annotations
 import ast
 import logging
 import posixpath
-from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kernel import (
     AttributeSpec,
@@ -41,8 +42,8 @@ WHOLE_MODULE = "*"
 class FileUnit:
     path: str
     body: str
-    writer: str = ""
-    layer: int = 0
+    # The body's analysis, filled by ``analyze`` on first use.
+    _symbols: ExtractedSymbols | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -157,14 +158,13 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
     )
 
 
-# Analyzers are keyed by file extension; a file no analyzer claims yields no
-# symbols.
-ANALYZERS: dict[str, Callable[[FileUnit], ExtractedSymbols]] = {".py": extract_symbols}
-
-
 def analyze(unit: FileUnit) -> ExtractedSymbols:
-    analyzer = ANALYZERS.get(posixpath.splitext(unit.path)[1])
-    return analyzer(unit) if analyzer is not None else ExtractedSymbols()
+    """The unit's symbols, computed once and kept on the unit; a file that is
+    not ``.py`` has none."""
+    if unit._symbols is None:
+        symbols = extract_symbols(unit) if posixpath.splitext(unit.path)[1] == ".py" else ExtractedSymbols()
+        object.__setattr__(unit, "_symbols", symbols)
+    return unit._symbols
 
 
 class Workspace:
@@ -173,11 +173,12 @@ class Workspace:
     def __init__(self):
         self._units: dict[str, FileUnit] = {}
 
-    def commit_file(self, path: str, body: str, writer: str = "", layer: int = 0) -> FileUnit:
-        normalized = normalize_path(path)
-        unit = FileUnit(path=normalized, body=body, writer=writer, layer=layer)
-        self._units[normalized] = unit
-        return unit
+    def commit(self, unit: FileUnit) -> None:
+        """Store ``unit`` under its normalized path; ``PathViolation`` if it
+        escapes the repository. A unit whose path is already normalized is
+        stored as is, with its analysis."""
+        path = normalize_path(unit.path)
+        self._units[path] = unit if path == unit.path else FileUnit(path, unit.body)
 
     def get(self, path: str) -> FileUnit | None:
         try:
@@ -191,8 +192,8 @@ class Workspace:
     def units(self) -> list[FileUnit]:
         return [self._units[p] for p in self.paths()]
 
-    def view(self) -> dict[str, str]:
-        return {p: self._units[p].body for p in self.paths()}
+    def view(self) -> dict[str, FileUnit]:
+        return {p: self._units[p] for p in self.paths()}
 
     def __len__(self) -> int:
         return len(self._units)
@@ -221,7 +222,7 @@ class Workspace:
             except UnicodeDecodeError:
                 logger.warning("skipping undecodable file %s", rel)
                 continue
-            ws.commit_file(rel, body)
+            ws.commit(FileUnit(rel, body))
         return ws
 
 

@@ -31,7 +31,7 @@ from charter.ledger import file_sha256
 from charter.patches import AtomicPatch, apply_patches, diff_against_base, merge_layer
 from charter.scheduler import RunConfig, RunMode, dispatch_for, run
 from charter.tasks import LEGAL_TRANSITIONS, Task, TaskStatus
-from charter.workspace import Workspace, module_candidates, resolve_imports, WHOLE_MODULE
+from charter.workspace import FileUnit, Workspace, module_candidates, resolve_imports, WHOLE_MODULE
 from charter.auditor import consistency_check, existence_check, match, DeltaKind, DetailKind
 from charter.agents import RoleKind
 
@@ -131,9 +131,9 @@ def test_c3_scheduler_law_pointwise_and_legal_traces():
         task = Task(id=f"t{i}.py", owner="d", status=status)
         dispatch = dispatch_for(task, "body" if status is TaskStatus.DONE else None)
         if status in (TaskStatus.TODO, TaskStatus.ERROR):
-            assert dispatch is not None and dispatch.role.kind is RoleKind.WORKER
+            assert dispatch is not None and dispatch.role is RoleKind.WORKER
         elif status is TaskStatus.DONE:
-            assert dispatch is not None and dispatch.role.kind is RoleKind.CRITIC
+            assert dispatch is not None and dispatch.role is RoleKind.CRITIC
         else:
             assert dispatch is None
 
@@ -177,25 +177,25 @@ def test_c4_audit_metric_arithmetic():
             make_entry("c.py", classes=(simple_class("C", [("v", "int")], [method("def h() -> None")]),)),
         ]
     )
-    view = {
-        "a.py": "class A:\n    def __init__(self):\n        self.v = 1\n",
-        "b.py": "class B:\n    def __init__(self):\n        self.v = 2\n",
+    files = {
+        "a.py": FileUnit("a.py", "class A:\n    def __init__(self):\n        self.v = 1\n"),
+        "b.py": FileUnit("b.py", "class B:\n    def __init__(self):\n        self.v = 2\n"),
     }
-    fraction, unmatched = existence_check(contract, view)
+    fraction, unmatched = existence_check(contract, files)
     assert fraction == 2 / 3  # exact
     assert unmatched == ("c.py",)
 
     # V(C) false with exactly the PATCHABLE(width, height) details
     contract = contract_with([make_entry("entities/player.py", classes=(PLAYER_CONTRACT_CLASS,))])
-    ok, deltas = consistency_check(contract, {"entities/player.py": PLAYER_SUPERSET_BODY})
+    ok, deltas = consistency_check(
+        contract, {"entities/player.py": FileUnit("entities/player.py", PLAYER_SUPERSET_BODY)}
+    )
     assert ok is False
     assert len(deltas) == 1 and deltas[0].kind is DeltaKind.PATCHABLE
     assert sorted(d.symbol for d in deltas[0].details) == ["Player.height", "Player.width"]
     assert all(d.kind is DetailKind.EXTRA for d in deltas[0].details)
 
     # the hollow skeleton fails the physical match
-    from charter.workspace import FileUnit
-
     task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CONTRACT_CLASS,))
     hollow = FileUnit(path="entities/player.py", body="class Player: pass\n")
@@ -320,26 +320,30 @@ def test_c7_eval_formulas():
     assert architecture_score(gen, ref) == 0.8  # exact
 
     ws = Workspace()
-    ws.commit_file("core/game.py", "class Game:\n    pass\n")
-    ws.commit_file("core/rules.py", "class Rules:\n    pass\n")
-    ws.commit_file(
-        "main.py",
-        "from core.game import Game\nfrom core.rules import Rules\nimport core.game\n"
-        "from core.engine import Engine\n",
+    ws.commit(FileUnit("core/game.py", "class Game:\n    pass\n"))
+    ws.commit(FileUnit("core/rules.py", "class Rules:\n    pass\n"))
+    ws.commit(
+        FileUnit(
+            "main.py",
+            "from core.game import Game\nfrom core.rules import Rules\nimport core.game\n"
+            "from core.engine import Engine\n",
+        )
     )
     assert linkage_score(ws) == 0.75  # exact
 
     # brute-force definition-scan oracle agreement on a 25-file fixture
     big = Workspace()
     for i in range(12):
-        big.commit_file(f"pkg{i % 4}/mod{i}.py", f"class C{i}:\n    pass\nVALUE{i} = {i}\n")
+        big.commit(FileUnit(f"pkg{i % 4}/mod{i}.py", f"class C{i}:\n    pass\nVALUE{i} = {i}\n"))
     for i in range(13):
         good = (i * 3) % 12
         bad = (i * 5 + 1) % 12
-        big.commit_file(
-            f"app/entry{i}.py",
-            f"from pkg{good % 4}.mod{good} import C{good}\n"
-            f"from pkg{bad % 4}.mod{bad} import Absent{bad}\n",
+        big.commit(
+            FileUnit(
+                f"app/entry{i}.py",
+                f"from pkg{good % 4}.mod{good} import C{good}\n"
+                f"from pkg{bad % 4}.mod{bad} import Absent{bad}\n",
+            )
         )
     assert len(big.paths()) == 25
     checks = resolve_imports(big)
@@ -382,7 +386,7 @@ def test_c8_token_compression_ratio():
     assert len(render(contract).encode("utf-8")) == 7600
 
     ws = Workspace()
-    ws.commit_file("big/module.py", "y" * (8857 * 4))
+    ws.commit(FileUnit("big/module.py", "y" * (8857 * 4)))
 
     contract_tokens, repo_tokens, ratio = token_report(contract, ws)
     assert contract_tokens == 1900

@@ -9,7 +9,6 @@ from charter.agents import (
     ContextOverflow,
     IntentSpec,
     ParseError,
-    Role,
     RoleKind,
     SynthesisFailure,
     Verdict,
@@ -41,7 +40,7 @@ def test_worker_bundle_contains_contract_and_no_file_bodies():
     contract = _contract()
     task = Task(id="core/engine.py", owner="dev")
     secret_body = "class Engine:\n    SECRET_CONSTANT = 42\n"
-    bundle = build_prompt(Role(RoleKind.WORKER, owner="dev"), task, contract, INTENT)
+    bundle = build_prompt(RoleKind.WORKER, task, contract, INTENT)
     assert render(contract) in bundle.text
     assert "SECRET_CONSTANT" not in bundle.text
     assert secret_body not in bundle.text
@@ -51,7 +50,7 @@ def test_worker_bundle_includes_feedback():
     contract = _contract()
     task = Task(id="core/engine.py", owner="dev")
     task.feedback.append("Fix the schema definition; Engine requires ticks")
-    bundle = build_prompt(Role(RoleKind.WORKER, owner="dev"), task, contract, INTENT)
+    bundle = build_prompt(RoleKind.WORKER, task, contract, INTENT)
     assert "Fix the schema definition; Engine requires ticks" in bundle.text
 
 
@@ -59,7 +58,7 @@ def test_critic_bundle_contains_implementation():
     contract = _contract()
     task = Task(id="core/engine.py", owner="dev", status=TaskStatus.DONE)
     body = "class Engine:\n    def tick(self) -> None:\n        pass\n"
-    bundle = build_prompt(Role(RoleKind.CRITIC), task, contract, INTENT, implementation=body)
+    bundle = build_prompt(RoleKind.CRITIC, task, contract, INTENT, implementation=body)
     assert body in bundle.text
 
 
@@ -67,11 +66,10 @@ def test_contractless_bundle_replaces_document_with_paths():
     contract = _contract()
     task = Task(id="core/engine.py", owner="dev")
     bundle = build_prompt(
-        Role(RoleKind.WORKER, owner="dev"),
+        RoleKind.WORKER,
         task,
         contract,
         INTENT,
-        include_contract=False,
         task_paths=("core/engine.py", "main.py"),
     )
     assert "Shared document:" not in bundle.text
@@ -82,12 +80,7 @@ def test_context_overflow():
     contract = _contract()
     task = Task(id="core/engine.py", owner="dev")
     with pytest.raises(ContextOverflow):
-        build_prompt(Role(RoleKind.WORKER, owner="dev"), task, contract, INTENT, context_limit=50)
-
-
-def test_worker_role_requires_owner():
-    with pytest.raises(ValueError):
-        Role(RoleKind.WORKER)
+        build_prompt(RoleKind.WORKER, task, contract, INTENT, context_limit=50)
 
 
 def test_token_estimator_rounds_up():
@@ -225,6 +218,18 @@ def test_synthesize_fails_without_api_content():
     overview = ContractAction(ActionOp.UPDATE, SectionKey.PROJECT_OVERVIEW, "words")
     backend = _synthesis_backend([_pm_record([overview]), _disc_record()])
     with pytest.raises(SynthesisFailure, match="Symbolic API Specifications"):
+        synthesize_contract(IntentSpec("anything"), backend)
+
+
+def test_synthesize_fails_on_unknown_section_name():
+    raw = (
+        "<thinking>plan</thinking>\n<output>planned</output>\n"
+        '<document_action>[{"type": "update", "section": "Architecture", "content": "x"}]</document_action>'
+    )
+    backend = _synthesis_backend(
+        [{"layer": 0, "role": "project_manager", "task": "", "response": raw}, _disc_record()]
+    )
+    with pytest.raises(SynthesisFailure, match="proposal response unparseable: unknown section key: 'Architecture'"):
         synthesize_contract(IntentSpec("anything"), backend)
 
 

@@ -89,6 +89,10 @@ def _tasks(contract, statuses=None):
     return tasks
 
 
+def _units(bodies: dict[str, str]) -> dict[str, FileUnit]:
+    return {path: FileUnit(path, body) for path, body in bodies.items()}
+
+
 def test_match_true_when_classes_present():
     task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
@@ -114,7 +118,7 @@ def test_a_nested_class_of_a_contracted_name_is_not_the_one_audited():
     body = PLAYER_OK + "\n\ndef factory():\n    class Player:\n        pass\n    return Player\n"
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
     assert match(Task(id="entities/player.py", owner="b"), FileUnit(path="entities/player.py", body=body), entry)
-    assert compare_unit(entry, body) == []
+    assert compare_unit(entry, FileUnit("entities/player.py", body)) == []
 
 
 def test_existence_two_of_three():
@@ -125,11 +129,13 @@ def test_existence_two_of_three():
             make_entry("c.py", classes=(simple_class("C", [("v", "int")], [method("def h() -> None")]),)),
         ]
     )
-    view = {
-        "a.py": "class A:\n    def __init__(self):\n        self.v = 1\n",
-        "b.py": "class B:\n    def __init__(self):\n        self.v = 2\n",
-    }
-    fraction, unmatched = existence_check(contract, view)
+    files = _units(
+        {
+            "a.py": "class A:\n    def __init__(self):\n        self.v = 1\n",
+            "b.py": "class B:\n    def __init__(self):\n        self.v = 2\n",
+        }
+    )
+    fraction, unmatched = existence_check(contract, files)
     assert fraction == pytest.approx(2 / 3)
     assert unmatched == ("c.py",)
 
@@ -145,7 +151,7 @@ def test_existence_zero_files():
 
 def test_consistency_superset_is_patchable_width_height():
     contract = contract_with([make_entry("entities/player.py", classes=(PLAYER_CLASS,))])
-    ok, deltas = consistency_check(contract, {"entities/player.py": PLAYER_SUPERSET})
+    ok, deltas = consistency_check(contract, _units({"entities/player.py": PLAYER_SUPERSET}))
     assert ok is False
     assert len(deltas) == 1
     delta = deltas[0]
@@ -158,7 +164,7 @@ def test_consistency_superset_is_patchable_width_height():
 def test_consistency_type_drift_is_critical():
     contract = contract_with([make_entry("entities/player.py", classes=(PLAYER_CLASS,))])
     drifted = PLAYER_OK.replace("def move(self, dx: int, dy: int) -> None:", "def move(self, dx: float, dy: int) -> None:")
-    ok, deltas = consistency_check(contract, {"entities/player.py": drifted})
+    ok, deltas = consistency_check(contract, _units({"entities/player.py": drifted}))
     assert ok is False
     assert deltas[0].kind is DeltaKind.CRITICAL
     mismatch = [d for d in deltas[0].details if d.kind is DetailKind.MISMATCH]
@@ -167,15 +173,15 @@ def test_consistency_type_drift_is_critical():
 
 def test_consistency_identical_everywhere():
     contract = contract_with([make_entry("entities/player.py", classes=(PLAYER_CLASS,))])
-    ok, deltas = consistency_check(contract, {"entities/player.py": PLAYER_OK})
+    ok, deltas = consistency_check(contract, _units({"entities/player.py": PLAYER_OK}))
     assert ok is True
     assert all(d.kind is DeltaKind.EMPTY for d in deltas)
 
 
 def test_consistency_reports_demands_like_the_layer_audit():
     contract = _plane_contract()
-    view = {"entities/player.py": PLAYER_OK, "systems/collision.py": COLLISION_DEMANDING}
-    ok, deltas = consistency_check(contract, view)
+    files = _units({"entities/player.py": PLAYER_OK, "systems/collision.py": COLLISION_DEMANDING})
+    ok, deltas = consistency_check(contract, files)
     assert ok is False
     by_id = {d.task_id: d for d in deltas}
     assert by_id["entities/player.py"].kind is DeltaKind.EMPTY
@@ -197,7 +203,7 @@ def test_default_valued_contract_method_matches_its_implementation():
         "    def move(self, dx: int = 1) -> None:\n"
         "        self.x += dx\n"
     )
-    details = compare_unit(entry, body)
+    details = compare_unit(entry, FileUnit("entities/player.py", body))
     assert details == []
     assert classify(details) is DeltaKind.EMPTY
 
@@ -205,7 +211,7 @@ def test_default_valued_contract_method_matches_its_implementation():
 def test_demand_details_resolves_param_annotation():
     contract = _plane_contract()
     kernel = project(contract)
-    details = demand_details(kernel, "systems/collision.py", COLLISION_DEMANDING)
+    details = demand_details(kernel, FileUnit("systems/collision.py", COLLISION_DEMANDING))
     assert [d.symbol for d in details] == ["Player.height", "Player.width"]
     assert all(d.kind is DetailKind.DEMANDED for d in details)
 
@@ -420,7 +426,7 @@ def test_audit_layer_drops_an_artifact_written_to_a_peer_tasks_file():
         ("entities/player.py", DeltaKind.EMPTY),
         ("systems/collision.py", DeltaKind.EMPTY),
     ]
-    committed = {path: body for _, artifacts in report.accepted_artifacts for path, body in artifacts}
+    committed = {unit.path: unit.body for _, artifacts in report.accepted_artifacts for unit in artifacts}
     assert committed == {"entities/player.py": PLAYER_OK, "systems/collision.py": collision_clean}
     assert ("systems/collision.py", "artifact dropped: entities/player.py is another task's file") in report.feedback
 

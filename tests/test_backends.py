@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from charter.agents import PromptBundle, Role, RoleKind
+from charter.agents import PromptBundle
 from charter.backends import (
     BackendError,
     CompletionRequest,
@@ -17,7 +17,7 @@ from charter.backends import (
 
 
 def _request(layer=1, role="worker", task="a.py", text="hello"):
-    bundle = PromptBundle(role=Role(RoleKind.WORKER, owner="w"), parts=(text,), token_count=1)
+    bundle = PromptBundle(text=text, token_count=1)
     return CompletionRequest(layer=layer, role=role, task_id=task, bundle=bundle)
 
 
@@ -43,13 +43,14 @@ class _FakeResponse:
 
 
 class _FakeSession:
-    def __init__(self, statuses):
+    def __init__(self, statuses, content="ok"):
         self.statuses = list(statuses)
+        self.content = content
         self.calls = 0
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls += 1
-        return _FakeResponse(self.statuses.pop(0))
+        return _FakeResponse(self.statuses.pop(0), self.content)
 
 
 def test_remote_backend_retries_then_succeeds(monkeypatch):
@@ -83,6 +84,16 @@ def test_remote_backend_retries_rate_limit(monkeypatch):
     backend = RemoteBackend(retries=2, backoff=0, session=session)
     assert backend.complete(_request()) == "ok"
     assert session.calls == 2
+
+
+def test_remote_backend_retries_null_content_then_fails(monkeypatch):
+    # Refusals and tool calls answer with "content": null; that is no completion.
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    session = _FakeSession([200, 200, 200], content=None)
+    backend = RemoteBackend(retries=2, backoff=0, session=session)
+    with pytest.raises(BackendError, match="not text"):
+        backend.complete(_request())
+    assert session.calls == 3
 
 
 def test_remote_backend_requires_env_key(monkeypatch):

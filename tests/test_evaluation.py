@@ -15,7 +15,7 @@ from charter.evaluation import (
     overall_score,
     token_report,
 )
-from charter.workspace import Workspace
+from charter.workspace import FileUnit, Workspace
 
 
 def test_architecture_score_formula():
@@ -47,11 +47,13 @@ def test_architecture_score_symmetric_and_bounded():
 
 def _workspace_with_dangling() -> Workspace:
     ws = Workspace()
-    ws.commit_file("core/game.py", "class Game:\n    pass\n\nSTATE = 1\n")
-    ws.commit_file(
-        "main.py",
-        "from core.game import Game\nfrom core.game import STATE\nfrom core.game import Ghost\n"
-        "from core.missing import Thing\n",
+    ws.commit(FileUnit("core/game.py", "class Game:\n    pass\n\nSTATE = 1\n"))
+    ws.commit(
+        FileUnit(
+            "main.py",
+            "from core.game import Game\nfrom core.game import STATE\nfrom core.game import Ghost\n"
+            "from core.missing import Thing\n",
+        )
     )
     return ws
 
@@ -59,29 +61,29 @@ def _workspace_with_dangling() -> Workspace:
 def test_linkage_score_three_quarters():
     # 4 internal imports, 1 dangling file + 1 missing symbol -> 2 invalid of 4
     ws = Workspace()
-    ws.commit_file("core/game.py", "class Game:\n    pass\n")
-    ws.commit_file("core/rules.py", "class Rules:\n    pass\n")
-    ws.commit_file(
-        "main.py",
-        "from core.game import Game\nfrom core.rules import Rules\nimport core.game\n"
-        "from core.engine import Engine\n",
+    ws.commit(FileUnit("core/game.py", "class Game:\n    pass\n"))
+    ws.commit(FileUnit("core/rules.py", "class Rules:\n    pass\n"))
+    ws.commit(
+        FileUnit(
+            "main.py",
+            "from core.game import Game\nfrom core.rules import Rules\nimport core.game\n"
+            "from core.engine import Engine\n",
+        )
     )
     assert linkage_score(ws) == pytest.approx(0.75)
 
 
 def test_linkage_score_all_valid_and_empty():
     ws = Workspace()
-    ws.commit_file("a.py", "import os\n")
+    ws.commit(FileUnit("a.py", "import os\n"))
     assert linkage_score(ws) == 1.0  # no internal imports
 
 
 def test_linkage_score_flat_layout_is_zero():
     ws = Workspace()
-    ws.commit_file("game.py", "class Game:\n    pass\n")
-    ws.commit_file("gui.py", "class Gui:\n    pass\n")
-    ws.commit_file(
-        "main.py", "from core.game import Game\nfrom core.gui import Gui\n"
-    )
+    ws.commit(FileUnit("game.py", "class Game:\n    pass\n"))
+    ws.commit(FileUnit("gui.py", "class Gui:\n    pass\n"))
+    ws.commit(FileUnit("main.py", "from core.game import Game\nfrom core.gui import Gui\n"))
     assert linkage_score(ws) == 0.0
 
 
@@ -114,7 +116,7 @@ def _contract_with_text(text: str):
 def test_token_report_ratio_one_when_equal():
     contract = _contract_with_text("shared")
     ws = Workspace()
-    ws.commit_file("copy.md", render(contract))
+    ws.commit(FileUnit("copy.md", render(contract)))
     c, r, ratio = token_report(contract, ws)
     assert c == r
     assert ratio == pytest.approx(1.0)
@@ -123,9 +125,9 @@ def test_token_report_ratio_one_when_equal():
 def test_token_report_ratio_doubles_with_repo():
     contract = _contract_with_text("shared")
     ws = Workspace()
-    ws.commit_file("a.py", "x" * 4000)
+    ws.commit(FileUnit("a.py", "x" * 4000))
     c1, r1, ratio1 = token_report(contract, ws)
-    ws.commit_file("b.py", "x" * 4000)
+    ws.commit(FileUnit("b.py", "x" * 4000))
     c2, r2, ratio2 = token_report(contract, ws)
     assert c1 == c2
     assert r2 == 2 * r1
@@ -135,10 +137,10 @@ def test_token_report_ratio_doubles_with_repo():
 def test_token_report_invariant_under_commit_order():
     contract = _contract_with_text("shared")
     ws1, ws2 = Workspace(), Workspace()
-    ws1.commit_file("a.py", "alpha " * 50)
-    ws1.commit_file("b.py", "beta " * 99)
-    ws2.commit_file("b.py", "beta " * 99)
-    ws2.commit_file("a.py", "alpha " * 50)
+    ws1.commit(FileUnit("a.py", "alpha " * 50))
+    ws1.commit(FileUnit("b.py", "beta " * 99))
+    ws2.commit(FileUnit("b.py", "beta " * 99))
+    ws2.commit(FileUnit("a.py", "alpha " * 50))
     assert token_report(contract, ws1) == token_report(contract, ws2)
 
 

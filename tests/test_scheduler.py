@@ -8,6 +8,7 @@ import pytest
 import charter.auditor
 import charter.kernel
 import charter.scheduler
+import charter.workspace
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
 from charter.backends import ScriptedBackend
 from charter.contract import ActionOp, ContractAction, SectionKey
@@ -22,7 +23,7 @@ from charter.scheduler import (
     run_layer,
 )
 from charter.tasks import IllegalTransition, LEGAL_TRANSITIONS, Task, TaskStatus
-from charter.workspace import Workspace
+from charter.workspace import FileUnit, Workspace
 
 from conftest import contract_with, make_entry, method, simple_class
 
@@ -32,9 +33,9 @@ def _task(status=TaskStatus.TODO):
 
 
 def test_dispatch_map_pointwise():
-    assert dispatch_for(_task(TaskStatus.TODO)).role.kind is RoleKind.WORKER
-    assert dispatch_for(_task(TaskStatus.ERROR)).role.kind is RoleKind.WORKER
-    assert dispatch_for(_task(TaskStatus.DONE), "body").role.kind is RoleKind.CRITIC
+    assert dispatch_for(_task(TaskStatus.TODO)).role is RoleKind.WORKER
+    assert dispatch_for(_task(TaskStatus.ERROR)).role is RoleKind.WORKER
+    assert dispatch_for(_task(TaskStatus.DONE), "body").role is RoleKind.CRITIC
     assert dispatch_for(_task(TaskStatus.VERIFIED)) is None
 
 
@@ -45,14 +46,14 @@ def test_dispatch_done_without_impl_is_inconsistent():
 
 def test_plan_layer_mixed_statuses():
     ws = Workspace()
-    ws.commit_file("b.py", "class B:\n    pass\n")
+    ws.commit(FileUnit("b.py", "class B:\n    pass\n"))
     tasks = {
         "a.py": Task(id="a.py", owner="d", status=TaskStatus.TODO),
         "b.py": Task(id="b.py", owner="d", status=TaskStatus.DONE),
         "c.py": Task(id="c.py", owner="d", status=TaskStatus.VERIFIED),
     }
     plan = plan_layer(tasks, ws)
-    assert [(d.task_id, d.role.kind) for d in plan.dispatches] == [
+    assert [(d.task_id, d.role) for d in plan.dispatches] == [
         ("a.py", RoleKind.WORKER),
         ("b.py", RoleKind.CRITIC),
     ]
@@ -72,7 +73,7 @@ def test_plan_layer_five_todo_gives_width_five():
     }
     plan = plan_layer(tasks, Workspace())
     assert len(plan) == 5
-    assert all(d.role.kind is RoleKind.WORKER for d in plan.dispatches)
+    assert all(d.role is RoleKind.WORKER for d in plan.dispatches)
 
 
 def _worker_record(layer, task, body, path=None):
@@ -354,6 +355,20 @@ def test_each_contract_value_is_parsed_once(monkeypatch, gomoku_intent, gomoku_t
     distinct = {id(contract) for contract in projected}
     assert len(projected) > len(distinct)
     assert len(parsed) == len(distinct)
+
+
+def test_each_file_value_is_analyzed_once(monkeypatch, gomoku_intent, gomoku_transcript, plane_intent, plane_transcript):
+    extract = charter.workspace.extract_symbols
+    for intent_path, transcript in ((gomoku_intent, gomoku_transcript), (plane_intent, plane_transcript)):
+        analyzed = []
+
+        def recording_extract(unit):
+            analyzed.append((unit.path, unit.body))
+            return extract(unit)
+
+        monkeypatch.setattr(charter.workspace, "extract_symbols", recording_extract)
+        run(IntentSpec(intent_path.read_text()), RunConfig(t_max=6), ScriptedBackend.from_file(transcript))
+        assert len(analyzed) == len(set(analyzed)) == 3
 
 
 def test_dispatch_events_logged(gomoku_intent, gomoku_transcript, caplog):

@@ -46,7 +46,7 @@ def spawn(game: Game) -> Player:
 
 def test_commit_and_read_back_identical(tmp_path):
     ws = Workspace()
-    ws.commit_file("core/engine.py", "print('hi')\n", writer="w", layer=1)
+    ws.commit(FileUnit("core/engine.py", "print('hi')\n"))
     assert ws.get("core/engine.py").body == "print('hi')\n"
     ws.materialize(tmp_path)
     assert (tmp_path / "core" / "engine.py").read_text() == "print('hi')\n"
@@ -57,19 +57,29 @@ def test_commit_and_read_back_identical(tmp_path):
 def test_commit_rejects_escaping_paths():
     ws = Workspace()
     with pytest.raises(PathViolation):
-        ws.commit_file("../etc/x", "boom")
+        ws.commit(FileUnit("../etc/x", "boom"))
     with pytest.raises(PathViolation):
-        ws.commit_file("/abs/path.py", "boom")
+        ws.commit(FileUnit("/abs/path.py", "boom"))
     with pytest.raises(PathViolation):
         normalize_path("a/../../b")
 
 
 def test_recommit_updates_writer_and_layer():
     ws = Workspace()
-    ws.commit_file("a.py", "v1", writer="w1", layer=1)
-    ws.commit_file("a.py", "v2", writer="w2", layer=3)
+    ws.commit(FileUnit("a.py", "v1"))
+    ws.commit(FileUnit("a.py", "v2"))
     unit = ws.get("a.py")
-    assert (unit.body, unit.writer, unit.layer) == ("v2", "w2", 3)
+    assert unit.body == "v2"
+
+
+def test_a_unit_keeps_its_analysis():
+    unit = FileUnit("player.py", PLAYER_BODY)
+    assert analyze(unit) is analyze(unit)
+    assert FileUnit("player.py", PLAYER_BODY) == unit
+    ws = Workspace()
+    ws.commit(unit)
+    assert ws.view()["player.py"] is unit
+    assert analyze(FileUnit("notes.md", "class Fake:\n    pass\n")) == ExtractedSymbols()
 
 
 def test_extract_symbols_player():
@@ -244,8 +254,8 @@ def test_module_candidates_absolute_and_relative():
 
 def test_resolve_imports_valid_and_dangling():
     ws = Workspace()
-    ws.commit_file("core/game.py", "class Game:\n    pass\n")
-    ws.commit_file("main.py", "from core.game import Game\nfrom core.game import Missing\nimport os\n")
+    ws.commit(FileUnit("core/game.py", "class Game:\n    pass\n"))
+    ws.commit(FileUnit("main.py", "from core.game import Game\nfrom core.game import Missing\nimport os\n"))
     checks = {(c.module, c.symbol): c.valid for c in resolve_imports(ws)}
     assert checks[("core.game", "Game")] is True
     assert checks[("core.game", "Missing")] is False
@@ -255,8 +265,8 @@ def test_resolve_imports_valid_and_dangling():
 def test_resolve_imports_flat_layout_failure_mode():
     # Nested import paths over a flat directory: every internal import dangles.
     ws = Workspace()
-    ws.commit_file("game.py", "class Game:\n    pass\n")
-    ws.commit_file("main.py", "from core.game import Game\n")
+    ws.commit(FileUnit("game.py", "class Game:\n    pass\n"))
+    ws.commit(FileUnit("main.py", "from core.game import Game\n"))
     checks = resolve_imports(ws)
     assert len(checks) == 1
     assert checks[0].valid is False
@@ -265,17 +275,17 @@ def test_resolve_imports_flat_layout_failure_mode():
 
 def test_resolve_imports_whole_module():
     ws = Workspace()
-    ws.commit_file("util/__init__.py", "")
-    ws.commit_file("main.py", "import util\n")
+    ws.commit(FileUnit("util/__init__.py", ""))
+    ws.commit(FileUnit("main.py", "import util\n"))
     checks = resolve_imports(ws)
     assert [(c.module, c.valid) for c in checks] == [("util", True)]
 
 
 def test_resolve_imports_package_reexport():
     ws = Workspace()
-    ws.commit_file("game/core.py", "class Game:\n    pass\n")
-    ws.commit_file("game/__init__.py", "from .core import Game\nimport os.path\nimport json as codec\nfrom .core import *\n")
-    ws.commit_file("main.py", "from game import Game\nfrom game import os, codec\nfrom game import path\n")
+    ws.commit(FileUnit("game/core.py", "class Game:\n    pass\n"))
+    ws.commit(FileUnit("game/__init__.py", "from .core import Game\nimport os.path\nimport json as codec\nfrom .core import *\n"))
+    ws.commit(FileUnit("main.py", "from game import Game\nfrom game import os, codec\nfrom game import path\n"))
     checks = {(c.module, c.symbol): c.valid for c in resolve_imports(ws) if c.importer == "main.py"}
     assert checks == {("game", "Game"): True, ("game", "os"): True, ("game", "codec"): True, ("game", "path"): False}
 
@@ -300,14 +310,16 @@ def brute_force_import_check(ws: Workspace, module: str, symbol: str, importer: 
 def test_resolve_imports_agrees_with_brute_force_on_larger_fixture():
     ws = Workspace()
     for i in range(12):
-        ws.commit_file(f"pkg{i % 3}/mod{i}.py", f"class C{i}:\n    pass\n\nVALUE{i} = {i}\n")
+        ws.commit(FileUnit(f"pkg{i % 3}/mod{i}.py", f"class C{i}:\n    pass\n\nVALUE{i} = {i}\n"))
     for i in range(12):
         target = (i + 5) % 12
         missing = (i + 7) % 12
-        ws.commit_file(
-            f"app/use{i}.py",
-            f"from pkg{target % 3}.mod{target} import C{target}\n"
-            f"from pkg{missing % 3}.mod{missing} import Nope{missing}\n",
+        ws.commit(
+            FileUnit(
+                f"app/use{i}.py",
+                f"from pkg{target % 3}.mod{target} import C{target}\n"
+                f"from pkg{missing % 3}.mod{missing} import Nope{missing}\n",
+            )
         )
     checks = resolve_imports(ws)
     assert len(checks) == 24
