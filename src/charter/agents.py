@@ -1,6 +1,13 @@
 """Agent roles, prompt assembly, the three-block response protocol, and
 two-stage contract synthesis.
 
+A worker or critic reads its task's view of the contract, not the whole
+document: the task's own API entry and those of its direct dependencies, with
+the directory and dependency lines of every other module left out. A prompt
+therefore stays the same size however many modules the contract holds, and
+the document actions it answers with are re-anchored through the same view
+(``patches.patches_for_action``), so lines it was not shown are kept.
+
 Every agent answers in the same tagged format: a ``<thinking>`` block, an
 ``<output>`` block, and an optional ``<document_action>`` block carrying a
 JSON array of section patches. Code leaves an agent as fenced blocks whose
@@ -32,7 +39,7 @@ from .contract import (
     section_key_from_name,
     DEFAULT_TEMPLATE,
 )
-from .kernel import guard_violations
+from .kernel import guard_violations, task_view
 from .tasks import Task
 
 logger = logging.getLogger(__name__)
@@ -106,10 +113,11 @@ Document patch objects look like:
     [{{"type": "update|add", "section": "<section key>", "content": "<markdown body>"}}]
 Allowed section keys:
 {_SECTION_KEY_LIST}
-A patch content is the FULL replacement body of that section: if you change
-one line you must still emit every unchanged line. Partial patches of the
-Symbolic API Specifications section (for example a Status field without a
-File field) are rejected to keep the section from being clobbered.
+A patch content is the FULL replacement body of that section: emit every
+unchanged line you were shown; lines you were not shown are kept. Partial
+patches of the Symbolic API Specifications section (for example a Status
+field without a File field) are rejected to keep the section from being
+clobbered.
 
 Code files are emitted inside your <output> as fenced code blocks whose first
 line is a comment of the form `# FILE: <workspace-relative path>`.
@@ -165,17 +173,23 @@ def build_prompt(
 ) -> PromptBundle:
     """Assemble the prompt for one dispatch.
 
-    Worker bundles carry the full rendered document and never any peer file
-    body; critic bundles additionally carry the body of the file under
-    review. Given ``task_paths`` (the contract-less ablation), the document is
-    replaced by the raw intent plus the task path list.
+    Synthesis bundles carry the whole rendered document. Worker and critic
+    bundles carry the task's view of it (``kernel.task_view``): every section
+    whole except the Symbolic API Specifications, which hold only the
+    entries of the task and of its direct dependencies, and the Directory
+    Structure and Dependency Relationships lines of other modules, which are
+    left out. They never carry a peer file body; critic bundles additionally
+    carry the body of the file under review. Given ``task_paths`` (the
+    contract-less ablation), the document is replaced by the raw intent plus
+    the task path list.
     """
     if role in (RoleKind.WORKER, RoleKind.CRITIC) and task is None:
         raise ValueError(f"{role.value} dispatch requires a task")
     parts: list[str] = [SYSTEM_PROMPT, ROLE_PROMPTS[role]]
     parts.append(f"User intent:\n{intent.text.strip()}")
     if task_paths is None:
-        parts.append("Shared document:\n\n" + render(contract))
+        view = task_view(contract, task.id) if role in (RoleKind.WORKER, RoleKind.CRITIC) else None
+        parts.append("Shared document:\n\n" + render(contract, view))
     elif task_paths:
         parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
     if task is not None:

@@ -202,6 +202,7 @@ class DispatchOutcome:
     role: RoleKind
     response: AgentResponse | None = None
     error: str = ""
+    transport_failed: bool = False  # the backend raised instead of answering
 
 
 def _is_internal_name(name: str) -> bool:

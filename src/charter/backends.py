@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -93,6 +94,8 @@ class ScriptedBackend:
 class RemoteBackend:
     """Chat-completion client with bounded retries. Connection errors, 5xx and
     429 (rate limited) are retried; any other 4xx raises ``RequestRejected``.
+    Retry ``n`` (from 0) waits ``backoff * 2**n`` seconds, or the seconds a
+    numeric ``Retry-After`` header of a 429 or 503 asks for.
 
     The endpoint key comes from the environment only; it is never accepted as
     a flag or stored in config files.
@@ -139,10 +142,13 @@ class RemoteBackend:
         headers = {"Authorization": f"Bearer {self._api_key()}"}
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
+            delay = self.backoff * 2**attempt
             try:
                 resp = self.session.post(url, json=payload, headers=headers, timeout=self.timeout)
                 if resp.status_code >= 500 or resp.status_code == 429:
                     last_error = BackendError(f"retryable status {resp.status_code}")
+                    if resp.status_code in (429, 503):
+                        delay = _retry_after(resp.headers.get("Retry-After"), delay)
                 elif resp.status_code >= 400:
                     raise RequestRejected(f"request failed with {resp.status_code}: {resp.text[:200]}")
                 else:
@@ -155,8 +161,18 @@ class RemoteBackend:
             except Exception as exc:  # connection errors, malformed payloads
                 last_error = exc
             if attempt < self.retries:
-                time.sleep(self.backoff * (attempt + 1))
+                time.sleep(delay)
         raise BackendError(f"backend failed after {self.retries} retries: {last_error}")
+
+
+def _retry_after(header: str | None, default: float) -> float:
+    """The delay a ``Retry-After`` header gives in seconds; ``default`` when it
+    is absent or not a number (an HTTP date is not read)."""
+    try:
+        seconds = float(header)
+    except (TypeError, ValueError):
+        return default
+    return seconds if 0 <= seconds < math.inf else default
 
 
 class RecordingBackend:

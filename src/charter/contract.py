@@ -17,7 +17,7 @@ import hashlib
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .tasks import TaskStatus
 
@@ -169,8 +169,11 @@ class LanguageContract:
         return LanguageContract(sections={key: () for key in SECTION_ORDER}, revision=0)
 
 
-def render(contract: LanguageContract) -> str:
-    """Serialize to the canonical markdown layout, deterministically."""
+def render(contract: LanguageContract, view: Mapping[SectionKey, Sequence[int]] | None = None) -> str:
+    """Serialize to the canonical markdown layout, deterministically.
+
+    Given a ``view`` (section -> line indices), each section shows only those
+    of its lines."""
     lines: list[str] = []
     for tier_title, keys in TIERS:
         lines.append(f"# {tier_title}")
@@ -179,6 +182,8 @@ def render(contract: LanguageContract) -> str:
             lines.append(f"## {key.title}")
             lines.append("")
             body = contract.sections[key]
+            if view is not None:
+                body = [body[i] for i in view[key]]
             if body:
                 lines.extend(body)
                 lines.append("")

@@ -25,7 +25,7 @@ import logging
 import posixpath
 import re
 import tokenize
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .contract import LanguageContract, SectionKey, parse_field_line
@@ -90,6 +90,10 @@ class ApiSpecEntry:
     version: int
     status: TaskStatus
     classes: tuple[ClassSpec, ...] = ()
+    # Half-open line interval of the entry in the section it was parsed from,
+    # from its File line up to the next entry's File line (or the section
+    # end); None for an entry that was not parsed.
+    span: tuple[int, int] | None = field(default=None, compare=False)
 
 
 class ViolationKind(Enum):
@@ -114,6 +118,10 @@ class SymbolicKernel:
     classes: dict[str, tuple[str, ClassSpec]]  # class name -> (owning module path, class)
     dependencies: dict[str, tuple[str, ...]]  # declared edges, module path -> successors
     derived_edges: tuple[tuple[str, str], ...] = ()  # implied by cross-entry type refs
+    # Line index -> resolved endpoints of each edge line of the diagram, and
+    # line index -> kernel paths named by a Directory Structure line.
+    edge_lines: dict[int, tuple[str, str]] = field(default_factory=dict)
+    directory_lines: dict[int, frozenset[str]] = field(default_factory=dict)
 
 
 class PathViolation(ValueError):
@@ -252,8 +260,10 @@ _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.+?)\s*(?:\|\s*(.*))?$")
 
 
 class _EntryBuilder:
-    def __init__(self, path: str):
+    def __init__(self, path: str, start: int):
         self.path = path
+        self.start = start
+        self.end = start
         self.owner = ""
         self.version = 0
         self.status = TaskStatus.TODO
@@ -275,6 +285,7 @@ class _EntryBuilder:
             version=self.version,
             status=self.status,
             classes=classes,
+            span=(self.start, self.end),
         )
 
 
@@ -300,7 +311,9 @@ def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
             if path in paths:
                 raise ProjectionError(f"duplicate File entry: {path}", lineno)
             paths.add(path)
-            entry = _EntryBuilder(path)
+            if entry is not None:
+                entry.end = lineno - 1
+            entry = _EntryBuilder(path, lineno - 1)
             entry.seen_fields.add("file")
             entries.append(entry)
             block = None
@@ -382,6 +395,8 @@ def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
 
         raise ProjectionError(f"unparseable specification line: {line.strip()!r}", lineno)
 
+    if entry is not None:
+        entry.end = len(body)
     return [e.build() for e in entries]
 
 
@@ -427,10 +442,11 @@ def _clean_endpoint(raw: str) -> str:
     return cleaned.strip()
 
 
-def parse_dependency_edges(body: tuple[str, ...] | list[str]) -> list[tuple[str, str]]:
-    """Extract ``A --> B`` edges; other diagram syntax is ignored with a warning."""
-    edges: list[tuple[str, str]] = []
-    for line in body:
+def parse_dependency_edges(body: tuple[str, ...] | list[str]) -> list[tuple[int, str, str]]:
+    """Extract ``A --> B`` edges as (line index, A, B); other diagram syntax is
+    ignored with a warning."""
+    edges: list[tuple[int, str, str]] = []
+    for index, line in enumerate(body):
         stripped = line.strip()
         if not stripped or stripped.startswith("```") or _DIAGRAM_NOISE_RE.match(stripped):
             continue
@@ -438,7 +454,7 @@ def parse_dependency_edges(body: tuple[str, ...] | list[str]) -> list[tuple[str,
         if m is None:
             logger.warning("ignoring unrecognized dependency line: %r", stripped)
             continue
-        edges.append((_clean_endpoint(m.group(1)), _clean_endpoint(m.group(2))))
+        edges.append((index, _clean_endpoint(m.group(1)), _clean_endpoint(m.group(2))))
     return edges
 
 
@@ -459,6 +475,31 @@ def _resolve_endpoint(name: str, entries: dict[str, ApiSpecEntry]) -> str:
     if len(stem_matches) == 1:
         return stem_matches[0]
     raise UnknownEdgeEndpoint(f"dependency edge endpoint {name!r} is not a known module")
+
+
+# --- directory listing ---------------------------------------------------------
+
+# Whatever separates a path from the text around it on a listing line:
+# whitespace, tree drawing, code quotes and punctuation.
+_LISTING_SEPARATORS_RE = re.compile(r"[\s`'\"|,;:()<>*─│├└]+")
+
+
+def _directory_lines(body: tuple[str, ...], entries: dict[str, ApiSpecEntry]) -> dict[int, frozenset[str]]:
+    """Line index -> the kernel paths a Directory Structure line names."""
+    named: dict[int, frozenset[str]] = {}
+    for index, line in enumerate(body):
+        paths = set()
+        for token in _LISTING_SEPARATORS_RE.split(line):
+            if "/" in token or "\\" in token:  # only such a token can change spelling
+                try:
+                    token = normalize_path(token)
+                except PathViolation:
+                    continue
+            if token in entries:
+                paths.add(token)
+        if paths:
+            named[index] = frozenset(paths)
+    return named
 
 
 # --- projection and validation ------------------------------------------------
@@ -486,9 +527,11 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
             classes[cls.name] = (path, cls)
 
     declared: dict[str, set[str]] = {path: set() for path in entries}
-    for left, right in parse_dependency_edges(list(contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS))):
+    edge_lines: dict[int, tuple[str, str]] = {}
+    for index, left, right in parse_dependency_edges(list(contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS))):
         src = _resolve_endpoint(left, entries)
         dst = _resolve_endpoint(right, entries)
+        edge_lines[index] = (src, dst)
         if src != dst:
             declared[src].add(dst)
 
@@ -511,7 +554,65 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
         classes=classes,
         dependencies={path: tuple(sorted(declared[path])) for path in sorted(entries)},
         derived_edges=tuple(sorted(derived)),
+        edge_lines=edge_lines,
+        directory_lines=_directory_lines(contract.body(SectionKey.DIRECTORY_STRUCTURE), entries),
     )
+
+
+# --- views: the lines one dispatch reads ----------------------------------------
+
+# Section -> the ascending base line indices a reader is shown.
+ContractView = dict[SectionKey, tuple[int, ...]]
+
+
+def full_view(contract: LanguageContract) -> ContractView:
+    """Every line of every section: what the auditor's write-back addresses."""
+    return {key: tuple(range(len(body))) for key, body in contract.sections.items()}
+
+
+def task_view(contract: LanguageContract, task_id: str) -> ContractView:
+    """The lines a worker or critic of ``task_id`` reads and writes back through.
+
+    The neighbourhood is the task's module and its direct dependencies: the
+    declared edges and the derived edges out of it, never the transitive
+    closure, so a view stays the same size however long the chain behind it.
+    Every section is shown whole except three. Symbolic API Specifications
+    keeps the lines before its first entry and the neighbourhood's entries;
+    Directory Structure drops the lines that name a kernel path outside the
+    neighbourhood; Dependency Relationships drops the edge lines with an
+    endpoint outside it. Blank lines left at either end of a section's view
+    are trimmed, as they are from an action's content.
+    """
+    kernel = project(contract)
+    shown = {task_id, *kernel.dependencies.get(task_id, ())}
+    shown.update(dst for src, dst in kernel.derived_edges if src == task_id)
+    view = full_view(contract)
+
+    api = contract.body(SectionKey.API_SPECIFICATIONS)
+    first = next((entry.span[0] for entry in kernel.entries.values()), len(api))
+    lines = list(range(first))
+    for path, entry in kernel.entries.items():  # in section order
+        if path in shown:
+            lines.extend(range(*entry.span))
+    view[SectionKey.API_SPECIFICATIONS] = _trimmed(api, lines)
+
+    directory = contract.body(SectionKey.DIRECTORY_STRUCTURE)
+    lines = [i for i in range(len(directory)) if kernel.directory_lines.get(i, frozenset()) <= shown]
+    view[SectionKey.DIRECTORY_STRUCTURE] = _trimmed(directory, lines)
+
+    diagram = contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS)
+    lines = [i for i in range(len(diagram)) if shown.issuperset(kernel.edge_lines.get(i, ()))]
+    view[SectionKey.DEPENDENCY_RELATIONSHIPS] = _trimmed(diagram, lines)
+    return view
+
+
+def _trimmed(body: tuple[str, ...], lines: list[int]) -> tuple[int, ...]:
+    start, end = 0, len(lines)
+    while start < end and not body[lines[start]].strip():
+        start += 1
+    while end > start and not body[lines[end - 1]].strip():
+        end -= 1
+    return tuple(lines[start:end])
 
 
 def find_cycle(nodes: list[str] | tuple[str, ...], edges: dict[str, tuple[str, ...]]) -> list[str] | None:

@@ -16,7 +16,7 @@ import difflib
 from dataclasses import dataclass
 
 from .contract import ActionOp, ContractAction, LanguageContract, SectionKey, body_from_text
-from .kernel import Violation, guard_violations
+from .kernel import ContractView, Violation, full_view, guard_violations
 
 
 class MergeError(Exception):
@@ -94,21 +94,53 @@ def apply_patches(base: list[str] | tuple[str, ...], patches: list[tuple[int, in
     return out
 
 
-def patches_for_action(contract: LanguageContract, action: ContractAction, author: str) -> list[AtomicPatch]:
-    """Express one section action as atomic patches against ``contract``."""
+def patches_for_action(
+    contract: LanguageContract, action: ContractAction, author: str, view: ContractView | None = None
+) -> list[AtomicPatch]:
+    """Express one section action as atomic patches against ``contract``.
+
+    ``view`` holds the lines the author was shown (``kernel.task_view``; the
+    whole contract when omitted). An UPDATE replaces what the author saw, so
+    it is diffed against the view and each hunk is re-anchored in the
+    snapshot: a pure insertion lands right after the preceding shown line; a
+    replaced or deleted range of the view is split into runs contiguous in the
+    snapshot, the first run taking the replacement and the later ones deleted.
+    A line the author was not shown is therefore never touched. ADD appends at
+    the end of the section. Under the whole-contract view the hunks are the
+    plain diff against the snapshot.
+    """
     base = contract.body(action.section)
     new_lines = body_from_text(action.content)
-    proposed = tuple(base) + new_lines if action.op is ActionOp.ADD else new_lines
+    if action.op is ActionOp.ADD:
+        hunks = diff_against_base(list(base), list(base + new_lines))
+    else:
+        shown = (full_view(contract) if view is None else view)[action.section]
+        seen = [base[i] for i in shown]
+        hunks = [
+            hunk
+            for start, end, replacement in diff_against_base(seen, list(new_lines))
+            for hunk in _reanchored(shown, start, end, replacement)
+        ]
     return [
-        AtomicPatch(
-            section=action.section,
-            start=start,
-            end=end,
-            replacement=replacement,
-            author=author,
-        )
-        for start, end, replacement in diff_against_base(list(base), list(proposed))
+        AtomicPatch(section=action.section, start=start, end=end, replacement=replacement, author=author)
+        for start, end, replacement in hunks
     ]
+
+
+def _reanchored(
+    shown: tuple[int, ...], start: int, end: int, replacement: tuple[str, ...]
+) -> list[tuple[int, int, tuple[str, ...]]]:
+    """One hunk in view coordinates as hunks in snapshot coordinates."""
+    if start == end:
+        at = shown[start - 1] + 1 if start else 0
+        return [(at, at, replacement)]
+    runs: list[list[int]] = []
+    for index in shown[start:end]:
+        if runs and runs[-1][1] == index:
+            runs[-1][1] = index + 1
+        else:
+            runs.append([index, index + 1])
+    return [(s, e, replacement if k == 0 else ()) for k, (s, e) in enumerate(runs)]
 
 
 def _dedup_key(line: str) -> str:

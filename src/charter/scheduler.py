@@ -2,11 +2,11 @@
 
 The execution topology is not hard-coded: each layer is derived from task
 statuses alone. TODO and ERROR tasks get a worker, DONE tasks get a critic,
-VERIFIED tasks get nothing. Every dispatch in a layer sees the same immutable
-contract snapshot; all mutation (statuses, workspace, contract) happens
-single-threaded at the layer barrier after the auditor has classified the
-outputs, and every status move, artifact commit and document action comes
-from its report. The loop runs until everything is verified or the layer
+VERIFIED tasks get nothing. Every dispatch in a layer reads its task's view
+of the same immutable contract snapshot; all mutation (statuses, workspace,
+contract) happens single-threaded at the layer barrier after the auditor has
+classified the outputs, and every status move, artifact commit and document
+action comes from its report. The loop runs until everything is verified or the layer
 budget is exhausted, in which case the current best-effort repository is
 returned.
 """
@@ -29,7 +29,7 @@ from .agents import (
 from .auditor import AUDITOR_AUTHOR, DispatchOutcome, audit_layer
 from .backends import CompletionRequest
 from .contract import ContractAction, LanguageContract, journal_record
-from .kernel import ViolationKind, project, tasks_of, validate
+from .kernel import ViolationKind, project, task_view, tasks_of, validate
 from .ledger import RunLedger, file_sha256
 from .patches import KernelViolation, commit_merge, merge_layer, patches_for_action
 from .tasks import Task, TaskStatus
@@ -169,10 +169,15 @@ def run_layer(
         )
         try:
             raw = backend.complete(request)
-            response = parse_response(raw)
-            outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, response=response)
         except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
-            outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, error=str(exc))
+            outcome = DispatchOutcome(
+                task_id=dispatch.task_id, role=dispatch.role, error=str(exc), transport_failed=True
+            )
+        else:
+            try:
+                outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, response=parse_response(raw))
+            except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
+                outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, error=str(exc))
         logger.info(
             "event=dispatch_finish layer=%d role=%s task=%s ok=%s",
             layer,
@@ -210,7 +215,15 @@ def _commit_actions(
     Returns the committed contract and the merge's conflict count; raises
     ``KernelViolation`` (journaling nothing) when the guard refuses the merge.
     """
-    patches = [p for author, action in actions for p in patches_for_action(contract, action, author)]
+    # An agent's action is re-anchored through the view its prompt showed;
+    # the auditor's write-back addresses the whole contract.
+    patches = [
+        patch
+        for author, action in actions
+        for patch in patches_for_action(
+            contract, action, author, None if author == AUDITOR_AUTHOR else task_view(contract, author)
+        )
+    ]
     if not patches:
         return contract, 0
     merged = merge_layer(contract, patches)
@@ -262,9 +275,11 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         layers_used += 1
         outcomes = run_layer(plan, backend, contract, intent, tasks, workspace, layers_used, config)
 
-        for dispatch in plan.dispatches:
-            if dispatch.role is RoleKind.WORKER:
-                tasks[dispatch.task_id].attempts += 1
+        # A worker pass is an attempt once the model answered (or the prompt
+        # could not be built); a transport failure costs none.
+        for outcome in outcomes:
+            if outcome.role is RoleKind.WORKER and not outcome.transport_failed:
+                tasks[outcome.task_id].attempts += 1
 
         report = audit_layer(contract, workspace.view(), tasks, outcomes)
         for warning in report.warnings:

@@ -33,9 +33,10 @@ def test_scripted_backend_missing_key():
 
 
 class _FakeResponse:
-    def __init__(self, status_code, content="ok"):
+    def __init__(self, status_code, content="ok", headers=None):
         self.status_code = status_code
         self.text = "error body"
+        self.headers = headers or {}
         self._content = content
 
     def json(self):
@@ -43,14 +44,15 @@ class _FakeResponse:
 
 
 class _FakeSession:
-    def __init__(self, statuses, content="ok"):
+    def __init__(self, statuses, content="ok", headers=()):
         self.statuses = list(statuses)
         self.content = content
+        self.headers = list(headers)  # response headers, one dict per response
         self.calls = 0
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls += 1
-        return _FakeResponse(self.statuses.pop(0), self.content)
+        return _FakeResponse(self.statuses.pop(0), self.content, self.headers.pop(0) if self.headers else None)
 
 
 def test_remote_backend_retries_then_succeeds(monkeypatch):
@@ -94,6 +96,35 @@ def test_remote_backend_retries_null_content_then_fails(monkeypatch):
     with pytest.raises(BackendError, match="not text"):
         backend.complete(_request())
     assert session.calls == 3
+
+
+def _recorded_sleeps(monkeypatch):
+    sleeps = []
+    monkeypatch.setattr("charter.backends.time.sleep", sleeps.append)
+    return sleeps
+
+
+def test_remote_backend_backs_off_exponentially(monkeypatch):
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    sleeps = _recorded_sleeps(monkeypatch)
+    backend = RemoteBackend(retries=3, backoff=0.5, session=_FakeSession([500, 502, 429, 200]))
+    assert backend.complete(_request()) == "ok"
+    assert sleeps == [0.5, 1.0, 2.0]
+
+
+def test_remote_backend_honours_a_numeric_retry_after(monkeypatch):
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    sleeps = _recorded_sleeps(monkeypatch)
+    headers = [
+        {"Retry-After": "7"},  # 429: replaces 0.5
+        {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"},  # 503, a date: not read, 1.0
+        {"Retry-After": "0.25"},  # 503: replaces 2.0
+        {"Retry-After": "9"},  # 500: only 429 and 503 are read, 4.0
+    ]
+    session = _FakeSession([429, 503, 503, 500, 200], headers=headers)
+    backend = RemoteBackend(retries=4, backoff=0.5, session=session)
+    assert backend.complete(_request()) == "ok"
+    assert sleeps == [7.0, 1.0, 0.25, 4.0]
 
 
 def test_remote_backend_requires_env_key(monkeypatch):

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import keyword
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from charter.contract import new_contract, DEFAULT_TEMPLATE
+from charter.agents import IntentSpec, synthesize_contract
+from charter.backends import ScriptedBackend
+from charter.contract import SectionKey, new_contract, DEFAULT_TEMPLATE
 from charter.kernel import (
     MethodSig,
     ProjectionError,
@@ -20,13 +24,18 @@ from charter.kernel import (
     print_api_section,
     print_signature,
     project,
+    task_view,
     tasks_of,
+    type_head,
     validate,
 )
 from charter.tasks import TaskStatus
 from charter.workspace import FileUnit, extract_symbols
 
 from conftest import contract_with, make_entry, method, simple_class
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import synth  # noqa: E402
 
 
 def test_parse_signature_basic():
@@ -285,7 +294,80 @@ def test_derived_edges_flagged_not_violating():
     kernel = project(contract_with(entries))
     assert ("a.py", "b.py") in kernel.derived_edges
     assert ("b.py", "a.py") in kernel.derived_edges
+    # Such entries may cycle: a reference that only annotates a signature or
+    # an attribute needs no import at run time (a quoted name or
+    # ``from __future__ import annotations`` suffices), so only the declared
+    # diagram, which orders the layers, must be acyclic.
     assert not any(v.kind is ViolationKind.CYCLE for v in validate(kernel))
+
+
+def _viewed_entries(contract, task_id):
+    api = contract.body(SectionKey.API_SPECIFICATIONS)
+    return parse_api_section([api[i] for i in task_view(contract, task_id)[SectionKey.API_SPECIFICATIONS]])
+
+
+def test_entries_that_reference_each_other_see_each_other():
+    entries = [
+        make_entry("a.py", classes=(simple_class("A", [("b", "B")], [method("def f() -> None")]),)),
+        make_entry("b.py", classes=(simple_class("B", [("a", "A")], [method("def g() -> None")]),)),
+        make_entry("c.py", classes=(simple_class("C", [], [method("def h() -> None")]),)),
+    ]
+    contract = contract_with(entries)
+    assert project(contract).dependencies == {"a.py": (), "b.py": (), "c.py": ()}
+    assert [e.file_path for e in _viewed_entries(contract, "a.py")] == ["a.py", "b.py"]
+    assert [e.file_path for e in _viewed_entries(contract, "b.py")] == ["a.py", "b.py"]
+    assert [e.file_path for e in _viewed_entries(contract, "c.py")] == ["c.py"]
+
+
+def test_a_view_holds_direct_dependencies_only():
+    entries = [
+        make_entry(f"m{i}.py", classes=(simple_class(f"M{i}", [], [method("def f() -> None")]),))
+        for i in range(4)
+    ]
+    edges = ["m3.py --> m2.py", "m2.py --> m1.py", "m1.py --> m0.py"]
+    contract = contract_with(entries, dependency_lines=edges)
+    contract = contract.with_section(
+        SectionKey.DIRECTORY_STRUCTURE, ["src/", *(f"  ./m{i}.py    node {i}" for i in range(4))]
+    )
+    view = task_view(contract, "m2.py")
+    assert [e.file_path for e in _viewed_entries(contract, "m2.py")] == ["m1.py", "m2.py"]
+    directory = contract.body(SectionKey.DIRECTORY_STRUCTURE)
+    assert [directory[i] for i in view[SectionKey.DIRECTORY_STRUCTURE]] == [
+        "src/", "  ./m1.py    node 1", "  ./m2.py    node 2"
+    ]
+    diagram = contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS)
+    assert [diagram[i] for i in view[SectionKey.DEPENDENCY_RELATIONSHIPS]] == ["m2.py --> m1.py"]
+    assert view[SectionKey.CONSTRAINTS] == tuple(range(len(contract.body(SectionKey.CONSTRAINTS))))
+
+
+def _fixture_contract(name):
+    root = Path(__file__).resolve().parents[1] / "src" / "charter" / "fixtures"
+    intent = IntentSpec((root / "intents" / f"{name}.txt").read_text())
+    return synthesize_contract(intent, ScriptedBackend.from_file(root / "transcripts" / f"{name}.jsonl"))
+
+
+def _heal_contract():
+    plan = synth.heal_plan(1, 48, 6, synth.Latency())
+    return synthesize_contract(IntentSpec(plan.intent), synth.SyntheticBackend(plan))
+
+
+@pytest.mark.parametrize("name", ["gomoku", "plane_battle", "heal_plan"])
+def test_every_class_an_entry_references_is_declared_in_its_view(name):
+    contract = _heal_contract() if name == "heal_plan" else _fixture_contract(name)
+    kernel = project(contract)
+    assert len(kernel.entries) > 1
+    for task_id, entry in kernel.entries.items():
+        referenced = {
+            type_head(t)
+            for cls in entry.classes
+            for t in (
+                *(a.type_name for a in cls.attributes),
+                *(sig.return_type for sig in cls.methods),
+                *(t for sig in cls.methods for _, t in sig.params),
+            )
+        }
+        declared = {cls.name for e in _viewed_entries(contract, task_id) for cls in e.classes}
+        assert referenced & kernel.classes.keys() <= declared, task_id
 
 
 def _brute_force_has_cycle(n: int, edges: set[tuple[int, int]]) -> bool:

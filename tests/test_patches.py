@@ -5,8 +5,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
-from charter.contract import ActionOp, ContractAction, SectionKey, new_contract, render, DEFAULT_TEMPLATE
+from charter.contract import (
+    ActionOp,
+    ContractAction,
+    LanguageContract,
+    SectionKey,
+    new_contract,
+    render,
+    DEFAULT_TEMPLATE,
+)
 from charter.patches import (
     AtomicPatch,
     KernelViolation,
@@ -17,7 +26,7 @@ from charter.patches import (
     merge_layer,
     patches_for_action,
 )
-from charter.kernel import print_api_section
+from charter.kernel import full_view, print_api_section
 from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
@@ -192,3 +201,58 @@ def test_commit_merge_rejects_cycle_and_names_it():
         commit_merge(contract, merge_layer(contract, patches))
     assert "a.py" in str(excinfo.value) and "b.py" in str(excinfo.value)
     assert render(contract) == before
+
+
+_VIEW_LINES = ("- a", "- b", "- c", "  Status: TODO", "  Status: DONE", "- File: x.py")
+
+
+@st.composite
+def _view_edits(draw):
+    """A base body, any subset of its lines as the view, and an edit of the view."""
+    base = draw(st.lists(st.sampled_from(_VIEW_LINES), max_size=12))
+    shown = tuple(sorted(draw(st.sets(st.integers(0, len(base) - 1))))) if base else ()
+    seen = [base[i] for i in shown]
+    proposed = list(seen)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(proposed)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert" or at == len(proposed):
+            proposed.insert(at, draw(st.sampled_from(_VIEW_LINES)))
+        elif op == "delete":
+            del proposed[at : at + draw(st.integers(1, 3))]
+        else:
+            proposed[at] = draw(st.sampled_from(_VIEW_LINES))
+    return base, shown, proposed
+
+
+def _update(base, proposed):
+    section = SectionKey.GLOBAL_SHARED_KNOWLEDGE
+    contract = LanguageContract.empty().with_section(section, base)
+    return contract, ContractAction(ActionOp.UPDATE, section, "\n".join(proposed))
+
+
+@given(_view_edits())
+def test_a_view_edit_keeps_every_unseen_line(case):
+    base, shown, proposed = case
+    contract, action = _update(base, proposed)
+    patches = patches_for_action(contract, action, "w", {action.section: shown})
+    # Tag each line with its base index (None for written lines) and apply.
+    tagged = apply_patches(
+        list(enumerate(base)),
+        [(p.start, p.end, tuple((None, line) for line in p.replacement)) for p in patches],
+    )
+    unseen = [i for i in range(len(base)) if i not in shown]
+    assert [i for i, _ in tagged if i is not None and i not in shown] == unseen
+    assert [line for i, line in tagged if i is None or i in shown] == proposed
+
+
+@given(_view_edits())
+def test_the_whole_contract_view_patches_the_plain_diff(case):
+    base, _, proposed = case
+    contract, action = _update(base, proposed)
+    expected = [
+        AtomicPatch(action.section, start, end, replacement, "w")
+        for start, end, replacement in diff_against_base(list(base), proposed)
+    ]
+    assert patches_for_action(contract, action, "w") == expected
+    assert patches_for_action(contract, action, "w", full_view(contract)) == expected

@@ -10,9 +10,9 @@ import charter.kernel
 import charter.scheduler
 import charter.workspace
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
-from charter.backends import ScriptedBackend
-from charter.contract import ActionOp, ContractAction, SectionKey
-from charter.kernel import print_api_section, project
+from charter.backends import BackendError, ScriptedBackend
+from charter.contract import ActionOp, ContractAction, SectionKey, render
+from charter.kernel import print_api_section, project, task_view
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
@@ -263,27 +263,33 @@ def test_task_transition_guard():
         task.transition(TaskStatus.VERIFIED)
 
 
-def test_layer_snapshot_identical_for_all_dispatches(gomoku_intent, gomoku_transcript):
-    seen_per_layer: dict[int, set[str]] = {}
+def test_layer_snapshot_identical_for_all_dispatches(monkeypatch, gomoku_intent, gomoku_transcript):
+    # Every layer-N prompt is built from one contract value, and each
+    # dispatch's document is that snapshot's view for its task.
+    built: list[tuple[str, object, str]] = []  # (task id, contract, document) per worker/critic prompt
+    build = charter.scheduler.build_prompt
 
-    class Capture:
-        def __init__(self, inner):
-            self.inner = inner
+    def recording_build(role, task, contract, intent, **kwargs):
+        bundle = build(role, task, contract, intent, **kwargs)
+        start, end = bundle.text.index("Shared document:"), bundle.text.index("Assigned file:")
+        built.append((task.id, contract, bundle.text[start:end]))
+        return bundle
 
-        def complete(self, request):
-            if request.layer > 0:
-                start = request.bundle.text.index("Shared document:")
-                end = request.bundle.text.index("Assigned file:")
-                seen_per_layer.setdefault(request.layer, set()).add(
-                    request.bundle.text[start:end]
-                )
-            return self.inner.complete(request)
-
-    backend = Capture(ScriptedBackend.from_file(gomoku_transcript))
-    run(IntentSpec(gomoku_intent.read_text()), RunConfig(t_max=5), backend)
-    assert seen_per_layer
-    for layer, snapshots in seen_per_layer.items():
-        assert len(snapshots) == 1, f"layer {layer} saw diverging snapshots"
+    monkeypatch.setattr(charter.scheduler, "build_prompt", recording_build)
+    backend = ScriptedBackend.from_file(gomoku_transcript)
+    result = run(IntentSpec(gomoku_intent.read_text()), RunConfig(t_max=5), backend)
+    layers = [r for r in result.ledger.records if r["kind"] == "layer"]
+    assert [len(layer["dispatches"]) for layer in layers] == [3, 3] and len(built) == 6
+    snapshots = []
+    for layer, prompts in zip(layers, (built[:3], built[3:])):
+        assert [task_id for task_id, _, _ in prompts] == [d["task"] for d in layer["dispatches"]]
+        snapshot = prompts[0][1]
+        assert all(contract is snapshot for _, contract, _ in prompts)
+        for task_id, _, document in prompts:
+            assert document == "Shared document:\n\n" + render(snapshot, task_view(snapshot, task_id)) + "\n\n"
+        assert len({document for _, _, document in prompts}) == 3  # the views differ by design
+        snapshots.append(snapshot)
+    assert snapshots[0].revision < snapshots[1].revision
 
 
 def test_workspace_equals_fold_of_ledger_commits(plane_intent, plane_transcript):
@@ -424,3 +430,61 @@ def test_rejected_document_action_keeps_audited_artifacts_and_statuses():
     assert result.tasks["b.py"].feedback[0].startswith("document action rejected: CYCLE")
     layer = next(r for r in result.ledger.records if r["kind"] == "layer")
     assert [t for t in layer["transitions"] if t[1:] == ["DONE", "ERROR"]] == []
+
+
+def test_a_sliced_workers_update_keeps_the_entries_it_was_not_shown():
+    # b.py depends on a.py; c.py is nobody's neighbour, and its worker gets no
+    # answer, so the auditor leaves its entry alone. b.py's worker is shown
+    # a.py and b.py and answers with both, its own entry edited.
+    def entry(path, cls, doc="documented"):
+        return make_entry(path, classes=(simple_class(cls, [("v", "int")], [method("def f() -> None", doc)]),))
+
+    def body(cls):
+        return f"class {cls}:\n    v: int = 0\n\n    def f(self) -> None:\n        pass\n"
+
+    entries = [entry("a.py", "A"), entry("b.py", "B"), entry("c.py", "C")]
+    own_and_dependency = "\n".join(print_api_section([entries[0], entry("b.py", "B", "edited")]))
+    update = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, own_and_dependency)
+    b_response = AgentResponse(thinking="t", output="built", artifacts=(("b.py", body("B")),), actions=(update,))
+    records = _synthesis_records(entries, deps=["b.py --> a.py"]) + [
+        _worker_record(1, "a.py", body("A")),
+        {"layer": 1, "role": "worker", "task": "b.py", "response": format_response(b_response)},
+    ]
+    prompts = {}
+
+    class Capture(ScriptedBackend):
+        def complete(self, request):
+            prompts[request.task_id] = request.bundle.text
+            return super().complete(request)
+
+    result = run(IntentSpec("three modules"), RunConfig(t_max=1), Capture(records))
+    assert "- File: a.py" in prompts["b.py"] and "- File: c.py" not in prompts["b.py"]
+    kernel = project(result.contract)
+    assert list(kernel.entries) == ["a.py", "b.py", "c.py"]
+    assert kernel.classes["B"][1].methods[0].docstring == "edited"
+    assert {path: e.status for path, e in kernel.entries.items()} == {
+        "a.py": TaskStatus.DONE,
+        "b.py": TaskStatus.DONE,
+        "c.py": TaskStatus.TODO,
+    }
+
+
+def test_transport_failures_do_not_consume_attempts():
+    records = _synthesis_records(_single_module_entries()) + [
+        _worker_record(3, "mod.py", MOD_BODY),
+        _critic_record(4, "mod.py"),
+    ]
+
+    class Flaky(ScriptedBackend):
+        failures = 2
+
+        def complete(self, request):
+            if request.role == "worker" and self.failures:
+                self.failures -= 1
+                raise BackendError("retryable status 503")
+            return super().complete(request)
+
+    result = run(IntentSpec("one module"), RunConfig(t_max=8, attempt_cap=2), Flaky(records))
+    assert result.converged
+    assert result.layers_used == 4
+    assert result.tasks["mod.py"].attempts == 1
