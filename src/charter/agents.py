@@ -4,9 +4,11 @@ two-stage contract synthesis.
 A worker or critic reads its task's view of the contract, not the whole
 document: the task's own API entry and those of its direct dependencies, with
 the directory and dependency lines of every other module left out. A prompt
-therefore stays the same size however many modules the contract holds, and
-the document actions it answers with are re-anchored through the same view
-(``patches.patches_for_action``), so lines it was not shown are kept.
+therefore stays the same size however many modules the contract holds.
+``build_prompt`` decides the view once and records it on the bundle; the
+scheduler carries it with the dispatch's document actions to the barrier,
+where ``patches.patches_for_action`` re-anchors each action through it, so
+lines an author was not shown are kept.
 
 Every agent answers in the same tagged format: a ``<thinking>`` block, an
 ``<output>`` block, and an optional ``<document_action>`` block carrying a
@@ -39,7 +41,7 @@ from .contract import (
     section_key_from_name,
     DEFAULT_TEMPLATE,
 )
-from .kernel import guard_violations, task_view
+from .kernel import ContractView, full_view, guard_violations, task_view
 from .tasks import Task
 
 logger = logging.getLogger(__name__)
@@ -89,11 +91,8 @@ class SynthesisFailure(Exception):
 
 
 def estimate_tokens(text: str) -> int:
-    """Default estimator: one token per four UTF-8 bytes, rounded up."""
+    """One token per four UTF-8 bytes, rounded up."""
     return math.ceil(len(text.encode("utf-8")) / 4)
-
-
-TokenEstimator = Callable[[str], int]
 
 
 _SECTION_KEY_LIST = "\n".join(f'    - "{key.title}"' for key in SectionKey)
@@ -159,6 +158,7 @@ ROLE_PROMPTS: dict[RoleKind, str] = {
 class PromptBundle:
     text: str
     token_count: int
+    view: ContractView  # the contract lines the text shows, per section
 
 
 def build_prompt(
@@ -173,25 +173,29 @@ def build_prompt(
 ) -> PromptBundle:
     """Assemble the prompt for one dispatch.
 
-    Synthesis bundles carry the whole rendered document. Worker and critic
-    bundles carry the task's view of it (``kernel.task_view``): every section
-    whole except the Symbolic API Specifications, which hold only the
-    entries of the task and of its direct dependencies, and the Directory
-    Structure and Dependency Relationships lines of other modules, which are
-    left out. They never carry a peer file body; critic bundles additionally
-    carry the body of the file under review. Given ``task_paths`` (the
-    contract-less ablation), the document is replaced by the raw intent plus
-    the task path list.
+    The bundle records the view its text shows, and a document action
+    answering it is re-anchored through that view. Synthesis bundles show the
+    whole document (``kernel.full_view``). Worker and critic bundles show the
+    task's view of it (``kernel.task_view``): every section whole except the
+    Symbolic API Specifications, which hold only the entries of the task and
+    of its direct dependencies, and the Directory Structure and Dependency
+    Relationships lines of other modules, which are left out. They never
+    carry a peer file body; critic bundles additionally carry the body of the
+    file under review. Given ``task_paths`` (the contract-less ablation), the
+    document is replaced by the raw intent plus the task path list, and the
+    view is empty.
     """
     if role in (RoleKind.WORKER, RoleKind.CRITIC) and task is None:
         raise ValueError(f"{role.value} dispatch requires a task")
     parts: list[str] = [SYSTEM_PROMPT, ROLE_PROMPTS[role]]
     parts.append(f"User intent:\n{intent.text.strip()}")
-    if task_paths is None:
-        view = task_view(contract, task.id) if role in (RoleKind.WORKER, RoleKind.CRITIC) else None
+    if task_paths is not None:
+        view = {key: () for key in contract.sections}
+        if task_paths:
+            parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
+    else:
+        view = task_view(contract, task.id) if role in (RoleKind.WORKER, RoleKind.CRITIC) else full_view(contract)
         parts.append("Shared document:\n\n" + render(contract, view))
-    elif task_paths:
-        parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
     if task is not None:
         directive = [f"Assigned file: {task.id}", f"Owner: {task.owner}"]
         if task.feedback:
@@ -206,7 +210,7 @@ def build_prompt(
     tokens = estimate_tokens(text)
     if tokens > context_limit:
         raise ContextOverflow(f"prompt needs {tokens} tokens, limit is {context_limit}")
-    return PromptBundle(text=text, token_count=tokens)
+    return PromptBundle(text=text, token_count=tokens, view=view)
 
 
 # --- response protocol -------------------------------------------------------
@@ -335,14 +339,18 @@ def synthesize_contract(
     agent gets exactly one corrective pass. Every action runs through the
     kernel guard, so the returned contract projects to an acyclic, type-safe
     kernel by construction. Interfaces that survive with too little detail are
-    left for downstream feedback, not rejected here.
+    left for downstream feedback, not rejected here. A stage whose prompt
+    exceeds ``context_limit`` fails the synthesis.
     """
     from .backends import CompletionRequest  # local import: backends never import agents
 
     contract = new_contract(DEFAULT_TEMPLATE)
     stages = ((RoleKind.PROJECT_MANAGER, "proposal"), (RoleKind.DISCRIMINATOR, "rectification"))
     for role, stage in stages:
-        bundle = build_prompt(role, None, contract, intent, context_limit=context_limit)
+        try:
+            bundle = build_prompt(role, None, contract, intent, context_limit=context_limit)
+        except ContextOverflow as exc:
+            raise SynthesisFailure(f"{stage} prompt does not fit: {exc}") from exc
         raw = backend.complete(CompletionRequest(layer=0, role=role.value, task_id="", bundle=bundle))
         try:
             response = parse_response(raw)

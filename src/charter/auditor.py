@@ -34,7 +34,8 @@ accepted units themselves, and the workspace stores them, so a committed
 body is not analyzed again in later layers.
 
 ``audit_layer`` is a pure function of its inputs; the scheduler applies the
-returned effects at the barrier.
+returned effects at the barrier. Each document action it returns carries the
+view its author was shown, which the barrier re-anchors it through.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ from .kernel import (
     ApiSpecEntry,
     AttributeSpec,
     ClassSpec,
+    ContractView,
     MethodSig,
     PathViolation,
     SymbolicKernel,
+    full_view,
     guard_violations,
     normalize_path,
     print_api_section,
@@ -144,14 +147,15 @@ class SyncTask:
 
 @dataclass(frozen=True)
 class ContractAmendment:
-    action: ContractAction
+    """Schema additions written into the Symbolic API Specifications."""
+
     added_symbols: tuple[str, ...]
 
     def to_dict(self) -> dict:
         return {
             "kind": "ContractAmendment",
-            "section": self.action.section.value,
-            "op": self.action.op.value,
+            "section": SectionKey.API_SPECIFICATIONS.value,
+            "op": ActionOp.UPDATE.value,
             "added_symbols": list(self.added_symbols),
         }
 
@@ -165,7 +169,7 @@ class AuditReport:
     deltas: tuple[AuditDelta, ...]
     interventions: tuple
     accepted_artifacts: tuple[tuple[str, tuple[FileUnit, ...]], ...]
-    contract_actions: tuple[tuple[str, ContractAction], ...]
+    contract_actions: tuple[tuple[str, ContractAction, ContractView], ...]  # (author, action, view shown)
     feedback: tuple[tuple[str, str], ...]
     injected_tasks: tuple[tuple[str, str], ...]  # (path, owner)
     warnings: tuple[str, ...] = ()
@@ -184,7 +188,7 @@ class AuditReport:
             ],
             "contract_actions": [
                 {"author": author, "section": action.section.value, "op": action.op.value}
-                for author, action in self.contract_actions
+                for author, action, _ in self.contract_actions
             ],
             "feedback": [list(f) for f in self.feedback],
             "injected_tasks": [list(t) for t in self.injected_tasks],
@@ -200,9 +204,10 @@ class AuditReport:
 class DispatchOutcome:
     task_id: str
     role: RoleKind
+    view: ContractView  # the contract lines the dispatch's prompt showed
     response: AgentResponse | None = None
     error: str = ""
-    transport_failed: bool = False  # the backend raised instead of answering
+    transport_failed: bool = False  # the backend raised, short of refusing the request
 
 
 def _is_internal_name(name: str) -> bool:
@@ -502,13 +507,9 @@ def _recorded_class(cls: ClassSpec, module_id: str) -> ClassSpec:
     )
 
 
-def amended_entries(
-    kernel: SymbolicKernel,
-    additions: SchemaAdditions,
-    statuses: dict[str, TaskStatus],
-) -> list[ApiSpecEntry]:
-    """Rebuild the entry list with schema additions folded in and live
-    statuses written back; amended entries get a version bump."""
+def amended_entries(kernel: SymbolicKernel, additions: SchemaAdditions) -> list[ApiSpecEntry]:
+    """Rebuild the entry list with schema additions folded in; amended entries
+    get a version bump."""
     out: list[ApiSpecEntry] = []
     for module_id, entry in kernel.entries.items():
         classes = []
@@ -529,16 +530,7 @@ def amended_entries(
         for new_class in additions.classes.get(module_id, []):
             classes.append(new_class)
             amended = True
-        status = statuses.get(module_id, entry.status)
-        out.append(
-            ApiSpecEntry(
-                file_path=entry.file_path,
-                owner=entry.owner,
-                version=entry.version + 1 if amended else entry.version,
-                status=status,
-                classes=tuple(classes),
-            )
-        )
+        out.append(replace(entry, version=entry.version + 1 if amended else entry.version, classes=tuple(classes)))
     return out
 
 
@@ -560,7 +552,13 @@ def audit_layer(
 
     Pure: identical inputs produce identical reports. The scheduler commits
     the accepted units, the values audited here, and applies the status
-    updates, contract actions and task injections at the barrier.
+    updates, contract actions and task injections at the barrier. Each
+    contract action is ``(author, action, view)``: a ride-along agent action
+    carries the view of its dispatch (``DispatchOutcome.view``), and the
+    auditor's own Status/amendment write-back carries ``full_view(contract)``.
+    The write-back prints one entry list: ``amended_entries`` once, tried
+    through ``apply_action`` under the guard, and stamped with the planned
+    statuses.
     """
     kernel = project(contract)
 
@@ -613,33 +611,31 @@ def audit_layer(
     }
     additions = _schema_additions({tid: worker_details[tid] for tid in patchable_ids}, worker_units)
 
-    amendment_action: ContractAction | None = None
+    entries = amended_entries(kernel, additions)
     amended_contract = contract
     if additions:
-        body_lines = print_api_section(amended_entries(kernel, additions, {}))
-        amendment_action = ContractAction(
-            op=ActionOp.UPDATE,
-            section=SectionKey.API_SPECIFICATIONS,
-            content="\n".join(body_lines),
+        trial = apply_action(
+            contract,
+            ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section(entries))),
+            guard=guard_violations,
         )
-        outcome_contract = apply_action(contract, amendment_action, guard=guard_violations)
-        if isinstance(outcome_contract, Rejection):
+        if isinstance(trial, Rejection):
             # The superset cannot be legitimized; reject the contributing
             # artifacts instead of polluting the kernel.
-            warnings.append(f"amendment rejected: {outcome_contract}")
+            warnings.append(f"amendment rejected: {trial}")
             for task_id in sorted(patchable_ids):
                 worker_details[task_id] = worker_details[task_id] + [
                     MismatchDetail(
                         DetailKind.MISMATCH,
                         task_id,
                         expected="amendable superset",
-                        actual=str(outcome_contract.reason),
+                        actual=str(trial.reason),
                     )
                 ]
-            amendment_action = None
+            entries = list(kernel.entries.values())
             additions = SchemaAdditions()
         else:
-            amended_contract = outcome_contract
+            amended_contract = trial
 
     deltas: dict[str, AuditDelta] = {}
     for task_id in sorted(worker_details):
@@ -730,23 +726,16 @@ def audit_layer(
     for module_id in missing_task_paths:
         injected.append((module_id, amended_by_id[module_id].owner))
 
-    # Write live statuses (and any schema additions) back into the document.
-    contract_actions: list[tuple[str, ContractAction]] = []
-    final_body = print_api_section(amended_entries(kernel, additions, statuses))
+    # Write live statuses (and any schema additions) back into the document,
+    # addressed to the whole contract.
+    contract_actions: list[tuple[str, ContractAction, ContractView]] = []
+    final_body = print_api_section([replace(e, status=statuses.get(e.file_path, e.status)) for e in entries])
     if tuple(final_body) != contract.body(SectionKey.API_SPECIFICATIONS):
-        contract_actions.append(
-            (
-                AUDITOR_AUTHOR,
-                ContractAction(
-                    op=ActionOp.UPDATE,
-                    section=SectionKey.API_SPECIFICATIONS,
-                    content="\n".join(final_body),
-                ),
-            )
-        )
+        write_back = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(final_body))
+        contract_actions.append((AUDITOR_AUTHOR, write_back, full_view(contract)))
 
-    # Agent-proposed document actions ride along unless their artifact was
-    # rejected outright.
+    # Agent-proposed document actions ride along, each with the view its
+    # author was shown, unless their artifact was rejected outright.
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
         if outcome.response is None:
             continue
@@ -754,13 +743,11 @@ def audit_layer(
         if delta is not None and delta.kind is DeltaKind.CRITICAL:
             continue
         for action in outcome.response.actions:
-            contract_actions.append((outcome.task_id or outcome.role.value, action))
+            contract_actions.append((outcome.task_id, action, outcome.view))
 
     interventions: list = []
-    if amendment_action is not None:
-        interventions.append(
-            ContractAmendment(action=amendment_action, added_symbols=tuple(additions.symbols))
-        )
+    if additions:
+        interventions.append(ContractAmendment(added_symbols=tuple(additions.symbols)))
     interventions.extend(regressions)
     interventions.extend(sync_tasks)
     interventions.extend(injections)

@@ -16,7 +16,7 @@ import subprocess
 import sys
 from dataclasses import dataclass, asdict
 
-from .agents import TokenEstimator, estimate_tokens
+from .agents import estimate_tokens
 from .contract import LanguageContract, render
 from .workspace import Workspace, resolve_imports
 
@@ -24,10 +24,6 @@ logger = logging.getLogger(__name__)
 
 
 class ScoreRangeError(ValueError):
-    pass
-
-
-class RatioUndefined(ZeroDivisionError):
     pass
 
 
@@ -73,17 +69,12 @@ def overall_score(exec_score: float, inter_score: float, rule_score: float) -> f
     return (exec_score + inter_score + rule_score) / 3.0 * 100.0
 
 
-def token_report(
-    contract: LanguageContract,
-    workspace: Workspace,
-    estimator: TokenEstimator = estimate_tokens,
-) -> tuple[int, int, float]:
+def token_report(contract: LanguageContract, workspace: Workspace) -> tuple[int, int, float]:
     """Token counts of the rendered contract and the repository, plus the
-    repo/contract compression ratio."""
-    contract_tokens = estimator(render(contract))
-    repo_tokens = sum(estimator(unit.body) for unit in workspace.units())
-    if contract_tokens == 0:
-        raise RatioUndefined("contract has zero tokens; ratio undefined")
+    repo/contract compression ratio. A rendered contract always holds its
+    section headings, so its count is never zero."""
+    contract_tokens = estimate_tokens(render(contract))
+    repo_tokens = sum(estimate_tokens(unit.body) for unit in workspace.units())
     return contract_tokens, repo_tokens, repo_tokens / contract_tokens
 
 
@@ -142,7 +133,6 @@ def evaluate(
     ref_paths: set[str] | None = None,
     scores: tuple[float, float, float] | None = None,
     contract: LanguageContract | None = None,
-    estimator: TokenEstimator = estimate_tokens,
 ) -> EvalReport:
     report = EvalReport()
     if ref_paths is not None:
@@ -152,7 +142,7 @@ def evaluate(
         report.s_exec, report.s_inter, report.s_rule = scores
         report.s_overall = overall_score(*scores)
     if contract is not None:
-        contract_tokens, repo_tokens, ratio = token_report(contract, workspace, estimator)
+        contract_tokens, repo_tokens, ratio = token_report(contract, workspace)
         report.contract_tokens = contract_tokens
         report.repo_tokens = repo_tokens
         report.compression_ratio = ratio

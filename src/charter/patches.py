@@ -16,7 +16,7 @@ import difflib
 from dataclasses import dataclass
 
 from .contract import ActionOp, ContractAction, LanguageContract, SectionKey, body_from_text
-from .kernel import ContractView, Violation, full_view, guard_violations
+from .kernel import ContractView, Violation, guard_violations
 
 
 class MergeError(Exception):
@@ -95,26 +95,29 @@ def apply_patches(base: list[str] | tuple[str, ...], patches: list[tuple[int, in
 
 
 def patches_for_action(
-    contract: LanguageContract, action: ContractAction, author: str, view: ContractView | None = None
+    contract: LanguageContract, action: ContractAction, author: str, view: ContractView
 ) -> list[AtomicPatch]:
     """Express one section action as atomic patches against ``contract``.
 
-    ``view`` holds the lines the author was shown (``kernel.task_view``; the
-    whole contract when omitted). An UPDATE replaces what the author saw, so
-    it is diffed against the view and each hunk is re-anchored in the
-    snapshot: a pure insertion lands right after the preceding shown line; a
-    replaced or deleted range of the view is split into runs contiguous in the
-    snapshot, the first run taking the replacement and the later ones deleted.
-    A line the author was not shown is therefore never touched. ADD appends at
-    the end of the section. Under the whole-contract view the hunks are the
-    plain diff against the snapshot.
+    ``view`` holds the lines the author was shown: the view its prompt bundle
+    recorded (``kernel.task_view`` for a worker or critic, empty for the
+    contract-less ablation), or ``kernel.full_view`` for the auditor's
+    write-back. An UPDATE replaces what the author saw, so it is diffed
+    against the view and each hunk is re-anchored in the snapshot: a pure
+    insertion lands right after the preceding shown line; a replaced or
+    deleted range of the view is split into runs contiguous in the snapshot,
+    the first run taking the replacement and the later ones deleted. A line
+    the author was not shown is therefore never touched. An ADD is one
+    insertion at the end of the section (none when it adds no line). Under
+    the whole-contract view the hunks are the plain diff against the
+    snapshot.
     """
     base = contract.body(action.section)
     new_lines = body_from_text(action.content)
     if action.op is ActionOp.ADD:
-        hunks = diff_against_base(list(base), list(base + new_lines))
+        hunks = [(len(base), len(base), new_lines)] if new_lines else []
     else:
-        shown = (full_view(contract) if view is None else view)[action.section]
+        shown = view[action.section]
         seen = [base[i] for i in shown]
         hunks = [
             hunk

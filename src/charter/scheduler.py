@@ -17,6 +17,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .agents import (
     ContextOverflow,
@@ -27,9 +28,9 @@ from .agents import (
     synthesize_contract,
 )
 from .auditor import AUDITOR_AUTHOR, DispatchOutcome, audit_layer
-from .backends import CompletionRequest
+from .backends import CompletionRequest, RequestRejected
 from .contract import ContractAction, LanguageContract, journal_record
-from .kernel import ViolationKind, project, task_view, tasks_of, validate
+from .kernel import ContractView, ViolationKind, project, tasks_of, validate
 from .ledger import RunLedger, file_sha256
 from .patches import KernelViolation, commit_merge, merge_layer, patches_for_action
 from .tasks import Task, TaskStatus
@@ -163,21 +164,22 @@ def run_layer(
     def execute(item: tuple[Dispatch, CompletionRequest | None, str]) -> DispatchOutcome:
         dispatch, request, build_error = item
         if request is None:
-            return DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, error=build_error)
+            # No prompt was sent, so the dispatch was shown no line.
+            return DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, view={}, error=build_error)
         logger.info(
             "event=dispatch_start layer=%d role=%s task=%s", layer, dispatch.role.value, dispatch.task_id
         )
+        outcome_of = partial(DispatchOutcome, dispatch.task_id, dispatch.role, request.bundle.view)
         try:
             raw = backend.complete(request)
         except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
-            outcome = DispatchOutcome(
-                task_id=dispatch.task_id, role=dispatch.role, error=str(exc), transport_failed=True
-            )
+            # A refused request would be refused again, so it is no transport failure.
+            outcome = outcome_of(error=str(exc), transport_failed=not isinstance(exc, RequestRejected))
         else:
             try:
-                outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, response=parse_response(raw))
+                outcome = outcome_of(response=parse_response(raw))
             except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
-                outcome = DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, error=str(exc))
+                outcome = outcome_of(error=str(exc))
         logger.info(
             "event=dispatch_finish layer=%d role=%s task=%s ok=%s",
             layer,
@@ -208,27 +210,25 @@ class RunResult:
 
 
 def _commit_actions(
-    contract: LanguageContract, actions: list[tuple[str, ContractAction]], ledger: RunLedger
+    contract: LanguageContract, actions: list[tuple[str, ContractAction, ContractView]], ledger: RunLedger
 ) -> tuple[LanguageContract, int]:
     """Merge ``actions`` against ``contract``, commit and journal them.
 
-    Returns the committed contract and the merge's conflict count; raises
-    ``KernelViolation`` (journaling nothing) when the guard refuses the merge.
+    Each action is re-anchored through the view it carries, the one its
+    author was shown. Returns the committed contract and the merge's conflict
+    count; raises ``KernelViolation`` (journaling nothing) when the guard
+    refuses the merge.
     """
-    # An agent's action is re-anchored through the view its prompt showed;
-    # the auditor's write-back addresses the whole contract.
     patches = [
         patch
-        for author, action in actions
-        for patch in patches_for_action(
-            contract, action, author, None if author == AUDITOR_AUTHOR else task_view(contract, author)
-        )
+        for author, action, view in actions
+        for patch in patches_for_action(contract, action, author, view)
     ]
     if not patches:
         return contract, 0
     merged = merge_layer(contract, patches)
     committed = commit_merge(contract, merged)
-    for _, action in actions:
+    for _, action, _ in actions:
         ledger.add_journal(journal_record(action, committed.revision))
     ledger.add_journal({"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()})
     return committed, len(merged.conflicts)
@@ -275,8 +275,9 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         layers_used += 1
         outcomes = run_layer(plan, backend, contract, intent, tasks, workspace, layers_used, config)
 
-        # A worker pass is an attempt once the model answered (or the prompt
-        # could not be built); a transport failure costs none.
+        # A worker pass is an attempt once the model answered, the prompt
+        # could not be built or the endpoint refused the request; any other
+        # transport failure costs none.
         for outcome in outcomes:
             if outcome.role is RoleKind.WORKER and not outcome.transport_failed:
                 tasks[outcome.task_id].attempts += 1
@@ -296,10 +297,10 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         try:
             contract, merge_conflicts = _commit_actions(contract, actions, ledger)
         except KernelViolation as exc:
-            authors = sorted({author for author, _ in actions if author != AUDITOR_AUTHOR})
+            authors = sorted({author for author, _, _ in actions if author != AUDITOR_AUTHOR})
             logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layers_used, authors, exc)
             feedback.extend((author, f"document action rejected: {exc}") for author in authors)
-            actions = [(author, action) for author, action in actions if author == AUDITOR_AUTHOR]
+            actions = [item for item in actions if item[0] == AUDITOR_AUTHOR]
             contract, merge_conflicts = _commit_actions(contract, actions, ledger)
 
         commits = []

@@ -233,6 +233,12 @@ def test_synthesize_fails_on_unknown_section_name():
         synthesize_contract(IntentSpec("anything"), backend)
 
 
+def test_synthesize_fails_on_a_prompt_over_the_context_limit(gomoku_transcript):
+    backend = ScriptedBackend.from_file(gomoku_transcript)
+    with pytest.raises(SynthesisFailure, match="proposal prompt does not fit: prompt needs"):
+        synthesize_contract(IntentSpec("Write a Gomoku program with AI."), backend, context_limit=50)
+
+
 def test_synthesis_is_exactly_two_role_phases(gomoku_transcript):
     calls = []
 

@@ -20,7 +20,7 @@ from charter.auditor import (
     sync_statuses,
 )
 from charter.contract import SectionKey
-from charter.kernel import project
+from charter.kernel import full_view, project
 from charter.tasks import Task, TaskStatus
 from charter.workspace import FileUnit
 
@@ -223,11 +223,13 @@ def test_sync_statuses_critic_outcomes():
         DispatchOutcome(
             task_id="entities/player.py",
             role=RoleKind.CRITIC,
+            view={},
             response=AgentResponse(thinking="t", output="VERDICT: PASS", verdict=Verdict(True)),
         ),
         DispatchOutcome(
             task_id="systems/collision.py",
             role=RoleKind.CRITIC,
+            view={},
             response=AgentResponse(
                 thinking="t",
                 output="VERDICT: FAIL collision uses undeclared width",
@@ -249,6 +251,7 @@ def test_sync_statuses_missing_verdict_warns():
         DispatchOutcome(
             task_id="entities/player.py",
             role=RoleKind.CRITIC,
+            view={},
             response=AgentResponse(thinking="t", output="no verdict here"),
         )
     ]
@@ -261,6 +264,7 @@ def _worker_outcome(task_id: str, path: str, body: str) -> DispatchOutcome:
     return DispatchOutcome(
         task_id=task_id,
         role=RoleKind.WORKER,
+        view={},
         response=AgentResponse(thinking="t", output="built", artifacts=((path, body),)),
     )
 
@@ -281,7 +285,7 @@ def test_audit_layer_schema_divergence_scenario():
     amendments = [i for i in report.interventions if isinstance(i, ContractAmendment)]
     assert len(amendments) == 1
     assert amendments[0].added_symbols == ("Player.height", "Player.width")
-    assert amendments[0].action.section is SectionKey.API_SPECIFICATIONS
+    assert amendments[0].to_dict()["section"] == SectionKey.API_SPECIFICATIONS.value
 
     syncs = [i for i in report.interventions if isinstance(i, SyncTask)]
     assert len(syncs) == 1
@@ -413,6 +417,7 @@ def test_audit_layer_drops_an_artifact_written_to_a_peer_tasks_file():
     squatter = DispatchOutcome(
         task_id="systems/collision.py",
         role=RoleKind.WORKER,
+        view={},
         response=AgentResponse(
             thinking="t",
             output="built",
@@ -470,8 +475,8 @@ def test_audit_layer_amendment_records_members_from_the_audited_body():
 
     amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
     assert amendment.added_symbols == ("Inventory", "Player.heal", "Player.speed", "Player.width")
-    [(author, write_back)] = report.contract_actions
-    assert author == "auditor"
+    [(author, write_back, view)] = report.contract_actions
+    assert author == "auditor" and view == full_view(contract)
     assert write_back.content == """\
 - File: entities/player.py
   Owner: backend

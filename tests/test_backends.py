@@ -17,7 +17,7 @@ from charter.backends import (
 
 
 def _request(layer=1, role="worker", task="a.py", text="hello"):
-    bundle = PromptBundle(text=text, token_count=1)
+    bundle = PromptBundle(text=text, token_count=1, view={})
     return CompletionRequest(layer=layer, role=role, task_id=task, bundle=bundle)
 
 

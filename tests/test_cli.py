@@ -57,6 +57,26 @@ def test_generate_requires_transcript_for_scripted(tmp_path):
     assert excinfo.value.code == 2
 
 
+def test_generate_fails_cleanly_on_an_oversized_synthesis_prompt(tmp_path, capsys):
+    argv = [
+        "generate",
+        "--intent",
+        str(fixture_path("intents", "gomoku.txt")),
+        "--backend",
+        "scripted",
+        "--transcript",
+        str(fixture_path("transcripts", "gomoku.jsonl")),
+        "--out",
+        str(tmp_path / "build"),
+        "--context-limit",
+        "50",
+    ]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error["error"] == "SynthesisFailure"
+    assert error["message"].startswith("proposal prompt does not fit")
+
+
 def test_bad_flags_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["generate", "--nope"])

@@ -4,7 +4,6 @@ import pytest
 
 from charter.contract import ActionOp, ContractAction, SectionKey, apply_action, new_contract, render, DEFAULT_TEMPLATE
 from charter.evaluation import (
-    RatioUndefined,
     ScoreRangeError,
     architecture_score,
     evaluate,
@@ -142,13 +141,6 @@ def test_token_report_invariant_under_commit_order():
     ws2.commit(FileUnit("b.py", "beta " * 99))
     ws2.commit(FileUnit("a.py", "alpha " * 50))
     assert token_report(contract, ws1) == token_report(contract, ws2)
-
-
-def test_token_report_zero_contract_tokens():
-    contract = _contract_with_text("anything")
-    ws = Workspace()
-    with pytest.raises(RatioUndefined):
-        token_report(contract, ws, estimator=lambda text: 0)
 
 
 def test_load_scores_and_manifest(tmp_path):

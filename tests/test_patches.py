@@ -162,20 +162,23 @@ def test_stale_patch_detected():
 def test_patches_for_action_add_and_update():
     contract = new_contract(DEFAULT_TEMPLATE)
     contract = contract.with_section(SectionKey.CONSTRAINTS, ("old",))
+    view = full_view(contract)
     add = ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, "extra")
-    patches = patches_for_action(contract, add, author="x")
+    patches = patches_for_action(contract, add, "x", view)
+    assert patches == [AtomicPatch(SectionKey.CONSTRAINTS, 1, 1, ("extra",), "x")]
     assert apply_patches(list(contract.body(SectionKey.CONSTRAINTS)), [
         (p.start, p.end, p.replacement) for p in patches
     ]) == ["old", "extra"]
+    assert patches_for_action(contract, ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, ""), "x", view) == []
     update = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "new only")
-    patches = patches_for_action(contract, update, author="x")
+    patches = patches_for_action(contract, update, "x", view)
     assert apply_patches(["old"], [(p.start, p.end, p.replacement) for p in patches]) == ["new only"]
 
 
 def test_commit_merge_refreshes_base_and_bumps_revision():
     contract = _contract_with_attr_block()
     action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- constrained")
-    patches = patches_for_action(contract, action, author="a")
+    patches = patches_for_action(contract, action, "a", full_view(contract))
     committed = commit_merge(contract, merge_layer(contract, patches))
     assert committed.revision == contract.revision + 1
     assert committed.body(SectionKey.CONSTRAINTS) == ("- constrained",)
@@ -195,7 +198,7 @@ def test_commit_merge_rejects_cycle_and_names_it():
         SectionKey.DEPENDENCY_RELATIONSHIPS,
         "a.py --> b.py\nb.py --> a.py",
     )
-    patches = patches_for_action(contract, action, author="agent")
+    patches = patches_for_action(contract, action, "agent", full_view(contract))
     before = render(contract)
     with pytest.raises(KernelViolation) as excinfo:
         commit_merge(contract, merge_layer(contract, patches))
@@ -254,5 +257,4 @@ def test_the_whole_contract_view_patches_the_plain_diff(case):
         AtomicPatch(action.section, start, end, replacement, "w")
         for start, end, replacement in diff_against_base(list(base), proposed)
     ]
-    assert patches_for_action(contract, action, "w") == expected
     assert patches_for_action(contract, action, "w", full_view(contract)) == expected

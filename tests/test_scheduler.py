@@ -10,9 +10,9 @@ import charter.kernel
 import charter.scheduler
 import charter.workspace
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
-from charter.backends import BackendError, ScriptedBackend
+from charter.backends import BackendError, RequestRejected, ScriptedBackend
 from charter.contract import ActionOp, ContractAction, SectionKey, render
-from charter.kernel import print_api_section, project, task_view
+from charter.kernel import full_view, print_api_section, project, task_view
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
@@ -89,7 +89,7 @@ def _critic_record(layer, task, passed=True, reason=""):
     return {"layer": layer, "role": "critic", "task": task, "response": format_response(response)}
 
 
-def _synthesis_records(entries, deps=None):
+def _synthesis_records(entries, deps=None, extra=()):
     actions = [
         ContractAction(
             ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section(entries))
@@ -97,6 +97,7 @@ def _synthesis_records(entries, deps=None):
     ]
     if deps:
         actions.append(ContractAction(ActionOp.UPDATE, SectionKey.DEPENDENCY_RELATIONSHIPS, "\n".join(deps)))
+    actions.extend(extra)
     pm = AgentResponse(thinking="plan", output="planned", actions=tuple(actions))
     disc = AgentResponse(thinking="check", output="fine")
     return [
@@ -488,3 +489,86 @@ def test_transport_failures_do_not_consume_attempts():
     assert result.converged
     assert result.layers_used == 4
     assert result.tasks["mod.py"].attempts == 1
+
+
+def test_a_refused_request_costs_an_attempt():
+    # The endpoint refuses every worker request outright: each refusal is an
+    # attempt, so the cap parks the task instead of re-sending until t_max.
+    sent = []
+
+    class Refusing(ScriptedBackend):
+        def complete(self, request):
+            if request.role == "worker":
+                sent.append(request.layer)
+                raise RequestRejected("request failed with 400: prompt too large")
+            return super().complete(request)
+
+    records = _synthesis_records(_single_module_entries())
+    result = run(IntentSpec("one module"), RunConfig(t_max=8, attempt_cap=3), Refusing(records))
+    assert sent == [1, 2, 3]
+    assert result.layers_used == 3
+    assert result.tasks["mod.py"].attempts == 3
+
+
+def test_a_contractless_workers_update_keeps_the_lines_it_was_never_shown():
+    # Shown no document, the worker's UPDATE is an insertion: the three lines
+    # of shared knowledge it never saw are kept.
+    knowledge = ContractAction(ActionOp.UPDATE, SectionKey.GLOBAL_SHARED_KNOWLEDGE, "- one\n- two\n- three")
+    update = ContractAction(ActionOp.UPDATE, SectionKey.GLOBAL_SHARED_KNOWLEDGE, "- learned")
+    response = AgentResponse(thinking="t", output="built", artifacts=(("mod.py", MOD_BODY),), actions=(update,))
+    records = _synthesis_records(_single_module_entries(), extra=(knowledge,)) + [
+        {"layer": 1, "role": "worker", "task": "mod.py", "response": format_response(response)}
+    ]
+    result = run(IntentSpec("one module"), RunConfig(t_max=1, mode=RunMode.NO_CONTRACT), ScriptedBackend(records))
+    assert result.contract.body(SectionKey.GLOBAL_SHARED_KNOWLEDGE) == ("- learned", "- one", "- two", "- three")
+
+
+def test_each_document_action_is_reanchored_through_its_authors_prompt_view(monkeypatch):
+    # Both workers answer with a document action, and a.py's extra method is
+    # amended into the contract by the auditor's write-back.
+    entries = [
+        make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> None")]),)),
+        make_entry("b.py", classes=(simple_class("B", [], [method("def g() -> None")]),)),
+    ]
+    a_body = (
+        "class A:\n"
+        "    def f(self) -> None:\n        \"\"\"documented\"\"\"\n\n"
+        "    def extra(self) -> int:\n        \"\"\"documented\"\"\"\n        return 1\n"
+    )
+    b_body = "class B:\n    def g(self) -> None:\n        \"\"\"documented\"\"\"\n"
+    a_action = ContractAction(ActionOp.ADD, SectionKey.GLOBAL_SHARED_KNOWLEDGE, "- A.extra returns 1")
+    b_action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- B.g returns nothing")
+    records = _synthesis_records(entries, deps=["a.py --> b.py"]) + [
+        {
+            "layer": 1,
+            "role": "worker",
+            "task": path,
+            "response": format_response(
+                AgentResponse(thinking="t", output="built", artifacts=((path, body),), actions=(action,))
+            ),
+        }
+        for path, body, action in (("a.py", a_body, a_action), ("b.py", b_body, b_action))
+    ]
+    shown = {}
+
+    class Capture(ScriptedBackend):
+        def complete(self, request):
+            shown[request.task_id] = request.bundle.view
+            return super().complete(request)
+
+    calls = []
+    reanchor = charter.scheduler.patches_for_action
+
+    def recording(contract, action, author, view):
+        calls.append((contract, author, view))
+        return reanchor(contract, action, author, view)
+
+    monkeypatch.setattr(charter.scheduler, "patches_for_action", recording)
+    result = run(IntentSpec("two modules"), RunConfig(t_max=1), Capture(records))
+    assert [m.name for m in project(result.contract).classes["A"][1].methods] == ["f", "extra"]
+    assert sorted(author for _, author, _ in calls) == ["a.py", "auditor", "b.py"]
+    for contract, author, view in calls:
+        if author == "auditor":
+            assert view == full_view(contract)
+        else:
+            assert view is shown[author]
