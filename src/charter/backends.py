@@ -95,7 +95,8 @@ class RemoteBackend:
     """Chat-completion client with bounded retries. Connection errors, 5xx and
     429 (rate limited) are retried; any other 4xx raises ``RequestRejected``.
     Retry ``n`` (from 0) waits ``backoff * 2**n`` seconds, or the seconds a
-    numeric ``Retry-After`` header of a 429 or 503 asks for.
+    numeric ``Retry-After`` header of a 429 or 503 asks for; no wait is longer
+    than ``timeout``, the longest a request itself may take.
 
     The endpoint key comes from the environment only; it is never accepted as
     a flag or stored in config files.
@@ -161,7 +162,7 @@ class RemoteBackend:
             except Exception as exc:  # connection errors, malformed payloads
                 last_error = exc
             if attempt < self.retries:
-                time.sleep(delay)
+                time.sleep(min(delay, self.timeout))
         raise BackendError(f"backend failed after {self.retries} retries: {last_error}")
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -150,8 +150,12 @@ class LanguageContract:
     sections: dict[SectionKey, tuple[str, ...]]
     revision: int
     # The value's projection, filled by ``kernel.project`` on first use; a
-    # derived value (``with_section``, ``replace``) starts without one.
+    # derived value starts without one.
     _kernel: object = field(default=None, init=False, repr=False, compare=False)
+    # The projected value this one was derived from, which ``kernel.project``
+    # reads unchanged API entries off and then clears: at most one level of
+    # history is ever held.
+    _basis: "LanguageContract | None" = field(default=None, init=False, repr=False, compare=False)
 
     def body(self, key: SectionKey) -> tuple[str, ...]:
         return self.sections[key]
@@ -159,7 +163,15 @@ class LanguageContract:
     def with_section(self, key: SectionKey, lines: Sequence[str]) -> "LanguageContract":
         sections = dict(self.sections)
         sections[key] = _normalize_body(lines)
-        return replace(self, sections=sections, revision=self.revision + 1)
+        return self.with_sections(sections)
+
+    def with_sections(self, sections: Mapping[SectionKey, tuple[str, ...]]) -> "LanguageContract":
+        """The next revision with these section bodies. When this value has
+        been projected, the new one records it as its projection basis."""
+        derived = LanguageContract(sections=dict(sections), revision=self.revision + 1)
+        if self._kernel is not None:
+            object.__setattr__(derived, "_basis", self)
+        return derived
 
     def fingerprint(self) -> str:
         return hashlib.sha256(render(self).encode("utf-8")).hexdigest()
@@ -246,13 +258,16 @@ def new_contract(template: str) -> LanguageContract:
 DEFAULT_TEMPLATE = render(LanguageContract.empty())
 
 
+_BULLET_RE = re.compile(r"^[-*]\s+")
+_FIELD_RE = re.compile(r"^([A-Za-z][A-Za-z ]*?)\s*:\s*(.*)$")
+
+
 # A field line is e.g. "- Status: DONE" or "* **Status:** DONE"; bullets and
 # bold markers are stripped before matching.
 def parse_field_line(line: str) -> tuple[str, str] | None:
-    stripped = line.strip()
-    stripped = re.sub(r"^[-*]\s+", "", stripped)
+    stripped = _BULLET_RE.sub("", line.strip())
     stripped = stripped.replace("*", "")
-    m = re.match(r"^([A-Za-z][A-Za-z ]*?)\s*:\s*(.*)$", stripped)
+    m = _FIELD_RE.match(stripped)
     if m is None:
         return None
     return m.group(1).strip().lower(), m.group(2).strip()

@@ -4,11 +4,14 @@ The kernel is what the orchestrator actually executes against: the API
 entries keyed by module path, the classes they declare, and the inter-module
 dependency digraph. A module is named by its ``File:`` path, normalized once
 here by ``normalize_path``, the same function the workspace keys files by, so
-a task id, a kernel key and a workspace path are one string. Any contract
-mutation re-projects the kernel; a projection or validation failure is what
-lets the store refuse an action before it pollutes shared state. A contract
-value is immutable, so ``project`` computes its kernel once and keeps it on
-the value.
+a task id, a kernel key and a workspace path are one string. Every contract
+mutation is projected before it is accepted; a projection or validation
+failure is what lets the store refuse an action before it pollutes shared
+state. A contract value is immutable, so ``project`` computes its kernel once
+and keeps it on the value. A value derived from a projected parent re-reads
+only the API entries whose lines changed and reuses the parent's for the rest
+(``parse_api_section``'s basis), so a mutation's projection costs what it
+changed rather than the section's size.
 
 Contract method signatures are Python ``def`` headers. They are read by the
 same ``ast`` reader (``read_signature``) that reads the generated code's
@@ -94,6 +97,8 @@ class ApiSpecEntry:
     # from its File line up to the next entry's File line (or the section
     # end); None for an entry that was not parsed.
     span: tuple[int, int] | None = field(default=None, compare=False)
+    # Offset of the Status line from the span's start; None without one.
+    status_line: int | None = field(default=None, compare=False)
 
 
 class ViolationKind(Enum):
@@ -259,18 +264,21 @@ _ATTR_LINE_RE = re.compile(r"^\s*-\s*([A-Za-z_]\w*)\s*:\s*([^|]+?)\s*(?:\|\s*(.*
 _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.+?)\s*(?:\|\s*(.*))?$")
 
 
+_FILE_KEYS = ("file", "file path")
+
+
 class _EntryBuilder:
     def __init__(self, path: str, start: int):
         self.path = path
         self.start = start
-        self.end = start
         self.owner = ""
         self.version = 0
         self.status = TaskStatus.TODO
+        self.status_line: int | None = None
         self.classes: list[dict] = []
         self.seen_fields: set[str] = set()
 
-    def build(self) -> ApiSpecEntry:
+    def build(self, end: int) -> ApiSpecEntry:
         classes = tuple(
             ClassSpec(
                 name=c["name"],
@@ -285,39 +293,108 @@ class _EntryBuilder:
             version=self.version,
             status=self.status,
             classes=classes,
-            span=(self.start, self.end),
+            span=(self.start, end),
+            status_line=self.status_line,
         )
 
 
-def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
-    entries: list[_EntryBuilder] = []
-    paths: set[str] = set()
-    entry: _EntryBuilder | None = None
-    block: str | None = None  # None | "attrs" | "methods"
+def parse_api_section(
+    body: tuple[str, ...] | list[str], basis: LanguageContract | None = None
+) -> list[ApiSpecEntry]:
+    """The entries of a Symbolic API Specifications body, in section order.
 
-    for lineno, line in enumerate(body, start=1):
+    The body is read in chunks, each from a ``File:`` line up to the next
+    ``File:`` line or the end. ``basis`` is a projected contract (one whose
+    kernel ``project`` keeps) that this body was derived from. A chunk equal
+    line for line to the span of the basis entry of the same path reuses that
+    entry; the one line allowed to differ is the entry's Status line, which
+    is re-read. Every other chunk goes through the parser, so a body gives
+    the same entries, spans and ``ProjectionError`` with a basis as without
+    one, and a derived value re-parses only the entries that changed.
+    """
+    fields = [parse_field_line(line) if line.strip() else None for line in body]
+    starts = [i for i, parsed in enumerate(fields) if parsed is not None and parsed[0] in _FILE_KEYS]
+    reusable: dict[str, ApiSpecEntry] = {}
+    old_body: tuple[str, ...] = ()
+    if basis is not None:
+        reusable = basis._kernel.entries
+        old_body = basis.body(SectionKey.API_SPECIFICATIONS)
+
+    # Before the first entry any line but a blank one is an error.
+    _parse_chunk(body, fields, 0, starts[0] if starts else len(body), None)
+    entries: list[ApiSpecEntry] = []
+    paths: set[str] = set()
+    for start, end in zip(starts, [*starts[1:], len(body)]):
+        value = fields[start][1]
+        if not value:
+            raise ProjectionError("File field without a path", start + 1)
+        try:
+            path = normalize_path(value.strip('"'))
+        except PathViolation as exc:
+            raise ProjectionError(str(exc), start + 1) from None
+        if path in paths:
+            raise ProjectionError(f"duplicate File entry: {path}", start + 1)
+        paths.add(path)
+        old = reusable.get(path)
+        entry = None if old is None else _reused(old, old_body, body, fields, start, end)
+        if entry is None:
+            builder = _EntryBuilder(path, start)
+            _parse_chunk(body, fields, start + 1, end, builder)
+            entry = builder.build(end)
+        entries.append(entry)
+    return entries
+
+
+def _reused(
+    old: ApiSpecEntry,
+    old_body: tuple[str, ...],
+    body: tuple[str, ...] | list[str],
+    fields: list[tuple[str, str] | None],
+    start: int,
+    end: int,
+) -> ApiSpecEntry | None:
+    """``old`` moved to ``[start, end)`` with the status read there, when the
+    chunk equals its span but for the Status line; otherwise None."""
+    old_lines = old_body[slice(*old.span)]
+    lines = tuple(body[start:end])
+    at = old.status_line
+    if at is not None:
+        lines = lines[:at] + old_lines[at : at + 1] + lines[at + 1 :]
+    if lines != old_lines:
+        return None
+    status = old.status
+    if at is not None:
+        parsed = fields[start + at]
+        if parsed is None or parsed[0] != "status":
+            return None
+        try:
+            status = TaskStatus(parsed[1].strip('"').upper())
+        except ValueError:
+            return None  # the parser raises the error
+    if status is old.status and old.span == (start, end):
+        return old
+    return replace(old, status=status, span=(start, end))
+
+
+def _parse_chunk(
+    body: tuple[str, ...] | list[str],
+    fields: list[tuple[str, str] | None],
+    first: int,
+    end: int,
+    entry: _EntryBuilder | None,
+) -> None:
+    """Read lines ``[first, end)``, none of them a ``File:`` line, into
+    ``entry``, the entry whose ``File:`` line precedes them (None before the
+    first one). Line numbers in errors are 1-based in the whole body."""
+    block: str | None = None  # None | "attrs" | "methods"
+    for index in range(first, end):
+        line = body[index]
         if not line.strip():
             continue
-        parsed = parse_field_line(line)
+        lineno = index + 1
+        parsed = fields[index]
         key = parsed[0] if parsed else None
 
-        if key in ("file", "file path"):
-            if not parsed[1]:
-                raise ProjectionError("File field without a path", lineno)
-            try:
-                path = normalize_path(parsed[1].strip('"'))
-            except PathViolation as exc:
-                raise ProjectionError(str(exc), lineno) from None
-            if path in paths:
-                raise ProjectionError(f"duplicate File entry: {path}", lineno)
-            paths.add(path)
-            if entry is not None:
-                entry.end = lineno - 1
-            entry = _EntryBuilder(path, lineno - 1)
-            entry.seen_fields.add("file")
-            entries.append(entry)
-            block = None
-            continue
         if key in ("owner", "version", "status"):
             if entry is None:
                 raise ProjectionError(f"{key} field before any File field", lineno)
@@ -339,6 +416,7 @@ def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
                     entry.status = TaskStatus(value.upper())
                 except ValueError:
                     raise ProjectionError(f"unknown Status value: {value!r}", lineno) from None
+                entry.status_line = index - entry.start
             block = None
             continue
         if key == "classes":
@@ -394,10 +472,6 @@ def parse_api_section(body: tuple[str, ...] | list[str]) -> list[ApiSpecEntry]:
             continue
 
         raise ProjectionError(f"unparseable specification line: {line.strip()!r}", lineno)
-
-    if entry is not None:
-        entry.end = len(body)
-    return [e.build() for e in entries]
 
 
 def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) -> list[str]:
@@ -509,15 +583,20 @@ def project(contract: LanguageContract) -> SymbolicKernel:
     """Project the API and dependency sections into the kernel.
 
     A contract value never changes, so its kernel is computed once and kept
-    on the value; a projection that raises is not kept.
+    on the value; a projection that raises is not kept. A value derived from
+    a projected one (``with_section``, ``patches.commit_merge``) reuses its
+    basis's API entries for the chunks that did not change, and drops the
+    basis once its own kernel is kept, so no value holds more than its
+    parent and no revision history accumulates.
     """
     if contract._kernel is None:
         object.__setattr__(contract, "_kernel", _project(contract))
+        object.__setattr__(contract, "_basis", None)
     return contract._kernel
 
 
 def _project(contract: LanguageContract) -> SymbolicKernel:
-    parsed = parse_api_section(list(contract.body(SectionKey.API_SPECIFICATIONS)))
+    parsed = parse_api_section(contract.body(SectionKey.API_SPECIFICATIONS), contract._basis)
     entries = {e.file_path: e for e in parsed}
     classes: dict[str, tuple[str, ClassSpec]] = {}
     for path, entry in entries.items():

@@ -12,7 +12,9 @@ guard; ``commit_merge`` raises ``KernelViolation`` otherwise.
 
 from __future__ import annotations
 
+import bisect
 import difflib
+from collections import Counter
 from dataclasses import dataclass
 
 from .contract import ActionOp, ContractAction, LanguageContract, SectionKey, body_from_text
@@ -64,16 +66,63 @@ class MergeResult:
 def diff_against_base(base: list[str] | tuple[str, ...], proposed: list[str] | tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...]]]:
     """Line diff as interval replacements; applying them rebuilds ``proposed``.
 
-    difflib's default popular-line heuristic is used: an API section repeats
-    lines such as ``Version: 1`` and ``Methods:`` once per entry, and with the
-    heuristic off the diff of a long section is quadratic."""
-    matcher = difflib.SequenceMatcher(a=list(base), b=list(proposed))
+    The diff is anchored on the lines that occur exactly once in ``base`` and
+    exactly once in ``proposed``, keeping the longest run of them that is in
+    the same order on both sides (``_anchors``). Anchors are matched lines,
+    and difflib runs only on the stretches between consecutive anchors. The
+    ``File:`` lines of an API section are such anchors, so a write-back that
+    flips N Status lines costs N small diffs, not one diff of the whole
+    section, whose repeated lines (``Version: 1``, ``Methods:``) make it
+    quadratic. Without an anchor this is one ``SequenceMatcher`` over both."""
+    base, proposed = list(base), list(proposed)
     out: list[tuple[int, int, tuple[str, ...]]] = []
-    for tag, a0, a1, b0, b1 in matcher.get_opcodes():
-        if tag == "equal":
-            continue
-        out.append((a0, a1, tuple(proposed[b0:b1])))
+    a0 = b0 = 0
+    for a1, b1 in [*_anchors(base, proposed), (len(base), len(proposed))]:
+        if base[a0:a1] != proposed[b0:b1]:
+            matcher = difflib.SequenceMatcher(a=base[a0:a1], b=proposed[b0:b1])
+            for tag, i0, i1, j0, j1 in matcher.get_opcodes():
+                if tag != "equal":
+                    out.append((a0 + i0, a0 + i1, tuple(proposed[b0 + j0 : b0 + j1])))
+        a0, b0 = a1 + 1, b1 + 1
     return out
+
+
+def _anchors(base: list[str], proposed: list[str]) -> list[tuple[int, int]]:
+    """Index pairs ``(i, j)`` with ``base[i] == proposed[j]`` a line unique on
+    both sides: the longest run of them ascending in ``i`` and in ``j``."""
+    once_in_proposed = _unique_lines(proposed)
+    pairs = [
+        (i, once_in_proposed[line])
+        for line, i in _unique_lines(base).items()
+        if line in once_in_proposed
+    ]
+    # Longest increasing subsequence of the j's (pairs ascend in i), by
+    # patience sorting: tails[k] is the smallest j ending a run of length
+    # k + 1, ends[k] the pair it came from, back[n] the pair before pair n.
+    tails: list[int] = []
+    ends: list[int] = []
+    back: list[int] = []
+    for n, (_, j) in enumerate(pairs):
+        k = bisect.bisect_left(tails, j)
+        back.append(ends[k - 1] if k else -1)
+        if k == len(tails):
+            tails.append(j)
+            ends.append(n)
+        else:
+            tails[k] = j
+            ends[k] = n
+    run: list[tuple[int, int]] = []
+    n = ends[-1] if ends else -1
+    while n >= 0:
+        run.append(pairs[n])
+        n = back[n]
+    return run[::-1]
+
+
+def _unique_lines(lines: list[str]) -> dict[str, int]:
+    """Line -> its index, for the lines that occur exactly once, in order."""
+    counts = Counter(lines)
+    return {line: i for i, line in enumerate(lines) if counts[line] == 1}
 
 
 def apply_patches(base: list[str] | tuple[str, ...], patches: list[tuple[int, int, tuple[str, ...]]]) -> list[str]:
@@ -227,11 +276,13 @@ def commit_merge(contract: LanguageContract, result: MergeResult) -> LanguageCon
     """Commit a merge at the layer barrier: new sections, revision +1.
 
     The committed contract must re-project to a valid kernel; otherwise the
-    whole merge is rejected and the caller's contract is unchanged.
+    whole merge is rejected and the caller's contract is unchanged. It is
+    derived from ``contract`` (``LanguageContract.with_sections``), so its
+    projection re-reads only the API entries the merge changed.
     """
     if result.patch_count == 0:
         return contract
-    candidate = LanguageContract(sections=dict(result.sections), revision=contract.revision + 1)
+    candidate = contract.with_sections(result.sections)
     violations = guard_violations(candidate)
     if violations:
         raise KernelViolation(violations)

@@ -127,6 +127,15 @@ def test_remote_backend_honours_a_numeric_retry_after(monkeypatch):
     assert sleeps == [7.0, 1.0, 0.25, 4.0]
 
 
+def test_remote_backend_caps_a_long_retry_after_at_its_timeout(monkeypatch):
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    sleeps = _recorded_sleeps(monkeypatch)
+    session = _FakeSession([429, 200], headers=[{"Retry-After": "3600"}])
+    backend = RemoteBackend(retries=1, timeout=5, session=session)
+    assert backend.complete(_request()) == "ok"
+    assert sleeps == [5]
+
+
 def test_remote_backend_requires_env_key(monkeypatch):
     monkeypatch.delenv("CHARTER_API_KEY", raising=False)
     monkeypatch.delenv("OPENAI_API_KEY", raising=False)

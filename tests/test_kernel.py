@@ -6,11 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import charter.kernel
 from charter.agents import IntentSpec, synthesize_contract
 from charter.backends import ScriptedBackend
-from charter.contract import SectionKey, new_contract, DEFAULT_TEMPLATE
+from charter.contract import LanguageContract, SectionKey, new_contract, DEFAULT_TEMPLATE
 from charter.kernel import (
     MethodSig,
     ProjectionError,
@@ -29,6 +30,7 @@ from charter.kernel import (
     type_head,
     validate,
 )
+from charter.scheduler import RunConfig, RunMode, run
 from charter.tasks import TaskStatus
 from charter.workspace import FileUnit, extract_symbols
 
@@ -268,6 +270,124 @@ def test_file_paths_are_projected_normalized():
 def test_one_module_spelled_twice_is_a_duplicate_entry():
     with pytest.raises(ProjectionError, match="line 6: duplicate File entry: a.py"):
         parse_api_section(print_api_section([make_entry("a.py"), make_entry("./a.py")]))
+
+
+def _basis_entries(statuses):
+    return [
+        make_entry(
+            f"m{i}.py",
+            status=status,
+            classes=(simple_class(f"C{i}", [("n", "int")] if i % 2 else [], [method(f"def run{i}(k: int) -> None")]),),
+        )
+        for i, status in enumerate(statuses)
+    ]
+
+
+_EDIT_LINES = (
+    "  Version: 2",
+    "  Owner: someone",
+    "  Owner: DONE",
+    "        - extra: int | added",
+    "        - def extra() -> None | added",
+    "      Methods:",
+    "  what is this line",
+    "",
+)
+
+
+@st.composite
+def _derived_api_sections(draw):
+    """A printed API section, some entries without a Status line, and the
+    lines of a child derived from it by flipping Status lines (to a known or
+    unknown value, or to a File line), editing lines (any line, a Status line
+    or an entry's last line), and inserting (possibly duplicate) or deleting
+    entries."""
+    entries = _basis_entries(draw(st.lists(st.sampled_from(TaskStatus), min_size=1, max_size=6)))
+    n = len(entries)
+    base = [
+        line
+        for line in print_api_section(entries)
+        if not (line.strip().startswith("Status:") and draw(st.booleans()))
+    ]
+    lines = list(base)
+    for _ in range(draw(st.integers(0, 6))):
+        status_lines = [i for i, line in enumerate(lines) if line.strip().startswith("Status:")]
+        file_lines = [i for i, line in enumerate(lines) if line.startswith("- File:")]
+        op = draw(st.sampled_from(("flip", "unknown", "to_file", "edit", "insert", "delete")))
+        if op in ("flip", "unknown", "to_file") and status_lines:
+            at = draw(st.sampled_from(status_lines))
+            if op == "flip":
+                lines[at] = f"  Status: {draw(st.sampled_from(TaskStatus)).value}"
+            elif op == "unknown":
+                lines[at] = "  Status: SHIPPED"
+            else:
+                lines[at] = f"- File: m{draw(st.integers(0, n))}.py"
+        elif op == "edit" and lines:
+            last_lines = [i - 1 for i in file_lines[1:]] + [len(lines) - 1]
+            at = draw(st.sampled_from(sorted({*status_lines, *last_lines})) | st.integers(0, len(lines) - 1))
+            lines[at] = draw(st.sampled_from(_EDIT_LINES))
+        elif op == "insert":
+            at = draw(st.sampled_from([*file_lines, len(lines)]))
+            path, name = f"m{draw(st.integers(0, n + 1))}.py", f"C{draw(st.integers(0, n + 1))}"
+            added = make_entry(path, classes=(simple_class(name, [], [method("def go() -> None")]),))
+            lines[at:at] = [*print_api_section([added]), ""]
+        elif op == "delete" and file_lines:
+            k = draw(st.integers(0, len(file_lines) - 1))
+            del lines[file_lines[k] : file_lines[k + 1] if k + 1 < len(file_lines) else len(lines)]
+    return base, lines
+
+
+def _edited(entries, edits):
+    base = print_api_section(entries)
+    lines = list(base)
+    for at, line in edits:
+        lines[at] = line
+    return base, lines
+
+
+_TWO = _basis_entries([TaskStatus.TODO, TaskStatus.DONE])
+
+
+@given(_derived_api_sections())
+@example(_edited(_TWO, [(3, "- File: m2.py")]))  # a Status line replaced by a File line
+@example(_edited(_TWO, [(3, "  Status: SHIPPED")]))  # an unknown status value
+@example(_edited(_TWO, [(len(print_api_section(_TWO[:1])) + 1, "- File: m0.py")]))  # a duplicated path
+@settings(max_examples=200, deadline=None)
+def test_a_projection_through_its_basis_equals_a_fresh_one(case):
+    base, lines = case
+    parent = new_contract(DEFAULT_TEMPLATE).with_section(SectionKey.API_SPECIFICATIONS, base)
+    project(parent)
+    child = parent.with_section(SectionKey.API_SPECIFICATIONS, lines)
+    assert child._basis is parent
+    fresh = LanguageContract(sections=child.sections, revision=child.revision)
+    outcomes = []
+    for contract in (child, fresh):
+        try:
+            kernel = project(contract)
+        except ProjectionError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append((kernel, [(e.span, e.status_line) for e in kernel.entries.values()]))
+    assert outcomes[0] == outcomes[1]
+    if not isinstance(outcomes[0], str):
+        assert child._basis is None  # dropped once the kernel is kept
+
+
+def test_each_method_line_is_parsed_once(monkeypatch):
+    plan = synth.chain_plan(1, 20)
+    calls = []
+    parse = charter.kernel.parse_signature
+
+    def recording_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(charter.kernel, "parse_signature", recording_parse)
+    result = run(IntentSpec(plan.intent), RunConfig(mode=RunMode.SEQUENTIAL), synth.SyntheticBackend(plan))
+    api = result.contract.body(SectionKey.API_SPECIFICATIONS)
+    method_lines = [line for line in api if line.strip().startswith("- def")]
+    assert len(method_lines) == 80
+    assert len(calls) == len(method_lines)
 
 
 @pytest.mark.parametrize("path", ["../a.py", "/a.py"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import difflib
 import itertools
 import random
 from dataclasses import replace
@@ -47,28 +48,41 @@ def test_diff_single_replacement():
 
 def test_diff_apply_round_trip_randomized():
     rng = random.Random(7)
-    alphabet = [f"line{i}" for i in range(12)]
-    for _ in range(500):
-        base = [rng.choice(alphabet) for _ in range(rng.randrange(0, 14))]
-        proposed = [rng.choice(alphabet) for _ in range(rng.randrange(0, 14))]
-        patches = diff_against_base(base, proposed)
-        assert apply_patches(base, patches) == proposed
+    for vocabulary in (12, 60):  # few lines unique on both sides; many, so anchored
+        alphabet = [f"line{i}" for i in range(vocabulary)]
+        for _ in range(500):
+            base = [rng.choice(alphabet) for _ in range(rng.randrange(0, 14))]
+            proposed = [rng.choice(alphabet) for _ in range(rng.randrange(0, 14))]
+            patches = diff_against_base(base, proposed)
+            assert apply_patches(base, patches) == proposed
 
 
 def test_status_write_back_diffs_to_one_line_per_flip():
-    entries = [
-        make_entry(f"mod{i}.py", classes=(simple_class(f"C{i}", [("n", "int")], [method("def run() -> None")]),))
-        for i in range(100)
+    for count, every in ((100, 7), (300, 1)):  # every seventh Status flipped; every one
+        entries = [
+            make_entry(f"mod{i}.py", classes=(simple_class(f"C{i}", [("n", "int")], [method("def run() -> None")]),))
+            for i in range(count)
+        ]
+        base = print_api_section(entries)
+        assert len(base) >= 2 * count
+        flipped = {i: random.Random(i).choice([TaskStatus.DONE, TaskStatus.ERROR]) for i in range(0, count, every)}
+        proposed = print_api_section(
+            [replace(e, status=flipped[i]) if i in flipped else e for i, e in enumerate(entries)]
+        )
+        changed = [i for i, (old, new) in enumerate(zip(base, proposed)) if old != new]
+        assert len(changed) == len(flipped)
+        assert diff_against_base(base, proposed) == [(i, i + 1, (proposed[i],)) for i in changed]
+
+
+@given(st.lists(st.sampled_from("abcd"), max_size=10), st.lists(st.sampled_from("abcde"), max_size=20))
+def test_without_an_anchor_the_diff_is_one_sequence_matcher(halves, proposed):
+    base = [line for line in halves for _ in range(2)]  # no line occurs once in base
+    expected = [
+        (a0, a1, tuple(proposed[b0:b1]))
+        for tag, a0, a1, b0, b1 in difflib.SequenceMatcher(a=base, b=proposed).get_opcodes()
+        if tag != "equal"
     ]
-    base = print_api_section(entries)
-    assert len(base) >= 200
-    flipped = {i: random.Random(i).choice([TaskStatus.DONE, TaskStatus.ERROR]) for i in range(0, 100, 7)}
-    proposed = print_api_section(
-        [replace(e, status=flipped[i]) if i in flipped else e for i, e in enumerate(entries)]
-    )
-    changed = [i for i, (old, new) in enumerate(zip(base, proposed)) if old != new]
-    assert len(changed) == len(flipped)
-    assert diff_against_base(base, proposed) == [(i, i + 1, (proposed[i],)) for i in changed]
+    assert diff_against_base(base, proposed) == expected
 
 
 def test_union_keeps_both_authors_lines():

@@ -350,9 +350,9 @@ def test_each_contract_value_is_parsed_once(monkeypatch, gomoku_intent, gomoku_t
         projected.append(contract)
         return project_(contract)
 
-    def recording_parse(body):
+    def recording_parse(body, basis):
         parsed.append(body)
-        return parse_(body)
+        return parse_(body, basis)
 
     for module in (charter.kernel, charter.auditor, charter.scheduler):
         monkeypatch.setattr(module, "project", recording_project)
