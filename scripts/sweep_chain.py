@@ -5,7 +5,9 @@
 
 Each size runs ``perfbench.workloads.chain_large(seed, n)`` once in this
 process and reports the run's CPU time (every thread), the prompt tokens of
-all its dispatches and its largest prompt, as a markdown table. The exit code
+all its dispatches, its largest prompt, and the largest prompt of each role
+(planner, reviewer, worker or critic), as a markdown table; the role whose
+prompt grows with N is the next wall of a default context limit. The exit code
 is non-zero when any run fails its oracle check (every task VERIFIED, the
 workspace equal to the generator's), and the failures go to standard error.
 """
@@ -21,6 +23,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
 
+# The roles behind each largest-prompt column, as ``CompletionRequest.role``
+# names them.
+ROLE_COLUMNS = (("project_manager",), ("discriminator",), ("worker", "critic"))
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -28,14 +34,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200, 400, 800])
     args = parser.parse_args(argv)
 
-    print("| N files | CPU s | prompt tokens | largest prompt |")
-    print("| --- | --- | --- | --- |")
+    print("| N files | CPU s | prompt tokens | largest prompt | planner | reviewer | worker/critic |")
+    print("| --- | --- | --- | --- | --- | --- | --- |")
     failed = 0
     for n in args.sizes:
         (case,) = workloads.chain_large(args.seed, n)
         record = workloads.run_case(case)
         tokens = [call.tokens for call in record.calls]
-        print(f"| {n} | {record.cpu_s:.2f} | {sum(tokens):,} | {max(tokens, default=0):,} |", flush=True)
+        largest = [
+            max((call.tokens for call in record.calls if call.role in roles), default=0)
+            for roles in ROLE_COLUMNS
+        ]
+        row = [f"{n}", f"{record.cpu_s:.2f}", f"{sum(tokens):,}", f"{max(tokens, default=0):,}"]
+        print("| " + " | ".join(row + [f"{size:,}" for size in largest]) + " |", flush=True)
         for problem in record.problems:
             print(f"chain_large(seed={args.seed}, n={n}): {problem}", file=sys.stderr)
         failed += bool(record.problems)

@@ -4,11 +4,14 @@ two-stage contract synthesis.
 A worker or critic reads its task's view of the contract, not the whole
 document: the task's own API entry and those of its direct dependencies, with
 the directory and dependency lines of every other module left out. A prompt
-therefore stays the same size however many modules the contract holds.
+therefore stays the same size however many modules the contract holds. The
+plan reviewer reads the review view: every entry's ``File:`` line and only
+the entries validation flags, with their neighbourhoods, in full.
 ``build_prompt`` decides the view once and records it on the bundle; the
 scheduler carries it with the dispatch's document actions to the barrier,
-where ``patches.patches_for_action`` re-anchors each action through it, so
-lines an author was not shown are kept.
+where ``patches.patches_for_action`` re-anchors each action through it, and
+synthesis places each stage's actions through its bundle's view the same
+way, so lines an author was not shown are kept.
 
 Every agent answers in the same tagged format: a ``<thinking>`` block, an
 ``<output>`` block, and an optional ``<document_action>`` block carrying a
@@ -34,14 +37,14 @@ from .contract import (
     Rejection,
     SectionKey,
     UnknownSection,
-    apply_action,
     is_partial_api_patch,
     new_contract,
     render,
     section_key_from_name,
     DEFAULT_TEMPLATE,
 )
-from .kernel import ContractView, full_view, guard_violations, task_view
+from .kernel import ContractView, full_view, guard_violations, review_view, task_view
+from .patches import apply_through_view
 from .tasks import Task
 
 logger = logging.getLogger(__name__)
@@ -135,8 +138,9 @@ ROLE_PROMPTS: dict[RoleKind, str] = {
     RoleKind.DISCRIMINATOR: (
         "Role: plan reviewer. Perform exactly one rectification pass over the\n"
         "drafted document: break dependency cycles, replace undefined types,\n"
-        "and tighten underspecified interfaces. Emit corrective document\n"
-        "actions only; do not write code."
+        "and tighten underspecified interfaces. An API entry shown by its File\n"
+        "line alone passed validation and is kept as drafted. Emit corrective\n"
+        "document actions only; do not write code."
     ),
     RoleKind.WORKER: (
         "Role: implementation engineer. Implement exactly the file assigned\n"
@@ -174,8 +178,11 @@ def build_prompt(
     """Assemble the prompt for one dispatch.
 
     The bundle records the view its text shows, and a document action
-    answering it is re-anchored through that view. Synthesis bundles show the
-    whole document (``kernel.full_view``). Worker and critic bundles show the
+    answering it is re-anchored through that view. The planner's bundle shows
+    the whole document (``kernel.full_view``), the reviewer's its review view
+    (``kernel.review_view``): every section whole, but of the Symbolic API
+    Specifications only each entry's ``File:`` line and the entries
+    validation flags, with their neighbourhoods. Worker and critic bundles show the
     task's view of it (``kernel.task_view``): every section whole except the
     Symbolic API Specifications, which hold only the entries of the task and
     of its direct dependencies, and the Directory Structure and Dependency
@@ -194,7 +201,12 @@ def build_prompt(
         if task_paths:
             parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
     else:
-        view = task_view(contract, task.id) if role in (RoleKind.WORKER, RoleKind.CRITIC) else full_view(contract)
+        if role in (RoleKind.WORKER, RoleKind.CRITIC):
+            view = task_view(contract, task.id)
+        elif role is RoleKind.DISCRIMINATOR:
+            view = review_view(contract)
+        else:
+            view = full_view(contract)
         parts.append("Shared document:\n\n" + render(contract, view))
     if task is not None:
         directive = [f"Assigned file: {task.id}", f"Owner: {task.owner}"]
@@ -308,19 +320,22 @@ def format_response(response: AgentResponse) -> str:
 def apply_actions(
     contract: LanguageContract,
     actions: tuple[ContractAction, ...] | list[ContractAction],
+    view: ContractView,
     *,
     stage: str,
     on_accept: Callable[[ContractAction, int], None] | None = None,
 ) -> tuple[LanguageContract, list[tuple[ContractAction, Rejection]]]:
-    """Apply a batch of actions transactionally, collecting rejections."""
+    """Apply one author's batch of actions transactionally, each placed
+    through the view the author was shown (``patches.apply_through_view``),
+    collecting rejections."""
     rejected: list[tuple[ContractAction, Rejection]] = []
     for action in actions:
-        outcome = apply_action(contract, action, guard=guard_violations)
+        outcome = apply_through_view(contract, action, stage, view, guard_violations)
         if isinstance(outcome, Rejection):
             logger.warning("%s action on %s rejected: %s", stage, action.section.value, outcome)
             rejected.append((action, outcome))
         else:
-            contract = outcome
+            contract, view = outcome
             if on_accept is not None:
                 on_accept(action, contract.revision)
     return contract, rejected
@@ -336,7 +351,11 @@ def synthesize_contract(
     """Build the initial contract: a proposal pass, then one rectification pass.
 
     The proposal agent drafts the whole document through actions; the reviewer
-    agent gets exactly one corrective pass. Every action runs through the
+    agent gets exactly one corrective pass. Each stage's actions are placed
+    through the view its prompt showed (``apply_actions``): the planner's
+    replace and append as written, and a reviewer's update keeps every entry
+    it was shown only the ``File:`` line of, unless it deletes or replaces
+    that line (``kernel.entry_extents``). Every action runs through the
     kernel guard, so the returned contract projects to an acyclic, type-safe
     kernel by construction. Interfaces that survive with too little detail are
     left for downstream feedback, not rejected here. A stage whose prompt
@@ -358,7 +377,7 @@ def synthesize_contract(
             raise SynthesisFailure(f"{stage} response unparseable: {exc}") from exc
         if stage == "proposal" and not response.actions:
             raise SynthesisFailure("proposal stage emitted no document actions")
-        contract, _ = apply_actions(contract, response.actions, stage=stage, on_accept=on_accept)
+        contract, _ = apply_actions(contract, response.actions, bundle.view, stage=stage, on_accept=on_accept)
         if stage == "proposal" and not contract.body(SectionKey.API_SPECIFICATIONS):
             raise SynthesisFailure("proposal stage produced no Symbolic API Specifications content")
     return contract

@@ -355,7 +355,7 @@ def demand_details(kernel: SymbolicKernel, unit: FileUnit) -> list[MismatchDetai
     symbols = analyze(unit)
     if symbols.unanalyzable:
         return []
-    by_lower = {name.lower(): name for name in kernel.classes}
+    by_lower = kernel.classes_by_lower
 
     receiver_types: dict[str, set[str]] = {}
     for method in [m for c in symbols.classes for m in c.methods] + list(symbols.functions):

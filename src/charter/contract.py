@@ -303,22 +303,24 @@ def apply_action(
     contract: LanguageContract,
     action: ContractAction,
     guard: GuardFn | None = None,
+    *,
+    body: Sequence[str] | None = None,
 ) -> LanguageContract | Rejection:
     """Apply one mutation transactionally.
 
     The candidate contract is validated by ``guard`` (typically the kernel
     validator); any reported violation rejects the action and the caller's
     contract is untouched. ADD appends the content lines to the section body,
-    UPDATE replaces the body outright.
+    UPDATE replaces the body outright. ``body``, when given, is the section
+    body the action leaves as its author's view placed it
+    (``patches.apply_through_view``).
     """
     if action.section is SectionKey.API_SPECIFICATIONS and is_partial_api_patch(action.content):
         return Rejection("partial API-spec patch (Status without File) refused to prevent clobbering")
-    new_lines = body_from_text(action.content)
-    if action.op is ActionOp.ADD:
-        candidate_body = contract.body(action.section) + new_lines
-    else:
-        candidate_body = new_lines
-    candidate = contract.with_section(action.section, candidate_body)
+    if body is None:
+        new_lines = body_from_text(action.content)
+        body = contract.body(action.section) + new_lines if action.op is ActionOp.ADD else new_lines
+    candidate = contract.with_section(action.section, body)
     if guard is not None:
         violations = tuple(guard(candidate))
         if violations:

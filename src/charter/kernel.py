@@ -11,7 +11,10 @@ state. A contract value is immutable, so ``project`` computes its kernel once
 and keeps it on the value. A value derived from a projected parent re-reads
 only the API entries whose lines changed and reuses the parent's for the rest
 (``parse_api_section``'s basis), so a mutation's projection costs what it
-changed rather than the section's size.
+changed rather than the section's size. The views that slice a contract for
+one reader (``task_view``, ``review_view``) read an index of module paths to
+lines that the value's first view builds and its kernel keeps, so a view
+costs the size of its neighbourhood.
 
 Contract method signatures are Python ``def`` headers. They are read by the
 same ``ast`` reader (``read_signature``) that reads the generated code's
@@ -30,6 +33,7 @@ import re
 import tokenize
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 
 from .contract import LanguageContract, SectionKey, parse_field_line
 from .tasks import Task, TaskStatus
@@ -127,6 +131,14 @@ class SymbolicKernel:
     # line index -> kernel paths named by a Directory Structure line.
     edge_lines: dict[int, tuple[str, str]] = field(default_factory=dict)
     directory_lines: dict[int, frozenset[str]] = field(default_factory=dict)
+    # The inverted index views read, filled by a view of the contract value
+    # this kernel was projected from (``_view_index``).
+    _views: "_ViewIndex | None" = field(default=None, init=False, repr=False, compare=False)
+
+    @cached_property
+    def classes_by_lower(self) -> dict[str, str]:
+        """Lower-cased class name -> class name, built on first use."""
+        return {name.lower(): name for name in self.classes}
 
 
 class PathViolation(ValueError):
@@ -643,6 +655,58 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
 # Section -> the ascending base line indices a reader is shown.
 ContractView = dict[SectionKey, tuple[int, ...]]
 
+# The sections a view may cut; every other section is shown whole.
+_SLICED = (SectionKey.API_SPECIFICATIONS, SectionKey.DIRECTORY_STRUCTURE, SectionKey.DEPENDENCY_RELATIONSHIPS)
+
+
+@dataclass(frozen=True)
+class _ViewIndex:
+    """A contract value's kernel, inverted for views: each lookup a view makes
+    costs the size of the neighbourhood it reads, not of the contract."""
+
+    whole: dict[SectionKey, tuple[int, ...]]  # every line of each section no view cuts
+    neighbourhood: dict[str, frozenset[str]]  # path -> itself and its direct dependencies
+    directory: dict[str, tuple[int, ...]]  # path -> the Directory Structure lines naming it
+    directory_free: tuple[int, ...]  # the Directory Structure lines naming no kernel path
+    diagram: dict[str, tuple[int, ...]]  # path -> the edge lines it is an endpoint of
+    diagram_free: tuple[int, ...]  # the diagram lines that are not edges
+    entry_end: dict[int, int]  # an API entry's File line -> the end of its span
+
+
+def _view_index(contract: LanguageContract) -> tuple[SymbolicKernel, _ViewIndex]:
+    """The value's kernel and its view index. The index is built on the
+    kernel's first view and kept on the kernel, as ``project`` keeps the
+    kernel on the value; a projection that never serves a view builds none."""
+    kernel = project(contract)
+    if kernel._views is None:
+        object.__setattr__(kernel, "_views", _build_view_index(contract, kernel))
+    return kernel, kernel._views
+
+
+def _build_view_index(contract: LanguageContract, kernel: SymbolicKernel) -> _ViewIndex:
+    neighbourhood = {path: {path, *successors} for path, successors in kernel.dependencies.items()}
+    for src, dst in kernel.derived_edges:
+        neighbourhood[src].add(dst)
+    directory_lines, edge_lines = kernel.directory_lines, kernel.edge_lines
+    directory: dict[str, list[int]] = {}
+    for index, paths in directory_lines.items():
+        for path in paths:
+            directory.setdefault(path, []).append(index)
+    diagram: dict[str, list[int]] = {}
+    for index, endpoints in edge_lines.items():
+        for path in set(endpoints):
+            diagram.setdefault(path, []).append(index)
+    sizes = {key: len(body) for key, body in contract.sections.items()}
+    return _ViewIndex(
+        whole={key: tuple(range(size)) for key, size in sizes.items() if key not in _SLICED},
+        neighbourhood={path: frozenset(paths) for path, paths in neighbourhood.items()},
+        directory={path: tuple(lines) for path, lines in directory.items()},
+        directory_free=tuple(i for i in range(sizes[SectionKey.DIRECTORY_STRUCTURE]) if i not in directory_lines),
+        diagram={path: tuple(lines) for path, lines in diagram.items()},
+        diagram_free=tuple(i for i in range(sizes[SectionKey.DEPENDENCY_RELATIONSHIPS]) if i not in edge_lines),
+        entry_end=dict(entry.span for entry in kernel.entries.values()),
+    )
+
 
 def full_view(contract: LanguageContract) -> ContractView:
     """Every line of every section: what the auditor's write-back addresses."""
@@ -660,29 +724,88 @@ def task_view(contract: LanguageContract, task_id: str) -> ContractView:
     Directory Structure drops the lines that name a kernel path outside the
     neighbourhood; Dependency Relationships drops the edge lines with an
     endpoint outside it. Blank lines left at either end of a section's view
-    are trimmed, as they are from an action's content.
+    are trimmed, as they are from an action's content. The lines are looked
+    up through the value's view index, so a view costs the size of its
+    neighbourhood (and of the lines that name no module).
     """
-    kernel = project(contract)
-    shown = {task_id, *kernel.dependencies.get(task_id, ())}
-    shown.update(dst for src, dst in kernel.derived_edges if src == task_id)
+    kernel, index = _view_index(contract)
+    shown = index.neighbourhood.get(task_id, frozenset({task_id}))
+    view = dict(index.whole)
+
+    api = contract.body(SectionKey.API_SPECIFICATIONS)
+    lines = list(range(_first_entry_line(kernel, api)))
+    for span in sorted(kernel.entries[path].span for path in shown if path in kernel.entries):
+        lines.extend(range(*span))
+    view[SectionKey.API_SPECIFICATIONS] = _trimmed(api, lines)
+
+    named = {i for path in shown for i in index.directory.get(path, ()) if kernel.directory_lines[i] <= shown}
+    view[SectionKey.DIRECTORY_STRUCTURE] = _trimmed(
+        contract.body(SectionKey.DIRECTORY_STRUCTURE), sorted(named.union(index.directory_free))
+    )
+
+    named = {i for path in shown for i in index.diagram.get(path, ()) if shown.issuperset(kernel.edge_lines[i])}
+    view[SectionKey.DEPENDENCY_RELATIONSHIPS] = _trimmed(
+        contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS), sorted(named.union(index.diagram_free))
+    )
+    return view
+
+
+def review_view(contract: LanguageContract) -> ContractView:
+    """The lines the plan reviewer reads and writes back through.
+
+    Every section is shown whole except Symbolic API Specifications, which
+    keeps the lines before its first entry, every entry's ``File:`` line, and
+    the whole entries that ``validate`` names (INCOMPLETE, TYPE_UNDEFINED)
+    together with their direct neighbourhoods, the ones ``task_view`` shows.
+    The reviewer sees every module of the plan and the detail of the ones it
+    has to rectify, so its prompt grows by a line per module rather than by
+    an entry per module.
+    """
+    kernel, index = _view_index(contract)
+    flagged = set()
+    for violation in validate(kernel):
+        if violation.kind is ViolationKind.INCOMPLETE:
+            flagged.add(violation.subject)
+        elif violation.kind is ViolationKind.TYPE_UNDEFINED:
+            flagged.add(violation.subject.rsplit("::", 1)[0])
+    whole = frozenset().union(*(index.neighbourhood[path] for path in flagged if path in index.neighbourhood))
     view = full_view(contract)
 
     api = contract.body(SectionKey.API_SPECIFICATIONS)
-    first = next((entry.span[0] for entry in kernel.entries.values()), len(api))
-    lines = list(range(first))
+    lines = list(range(_first_entry_line(kernel, api)))
     for path, entry in kernel.entries.items():  # in section order
-        if path in shown:
+        if path in whole:
             lines.extend(range(*entry.span))
+        else:
+            lines.append(entry.span[0])
     view[SectionKey.API_SPECIFICATIONS] = _trimmed(api, lines)
-
-    directory = contract.body(SectionKey.DIRECTORY_STRUCTURE)
-    lines = [i for i in range(len(directory)) if kernel.directory_lines.get(i, frozenset()) <= shown]
-    view[SectionKey.DIRECTORY_STRUCTURE] = _trimmed(directory, lines)
-
-    diagram = contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS)
-    lines = [i for i in range(len(diagram)) if shown.issuperset(kernel.edge_lines.get(i, ()))]
-    view[SectionKey.DEPENDENCY_RELATIONSHIPS] = _trimmed(diagram, lines)
     return view
+
+
+def entry_extents(contract: LanguageContract, shown: tuple[int, ...]) -> dict[int, int]:
+    """The API entries ``shown`` (a view of the Symbolic API Specifications)
+    shows by their ``File:`` line alone, as that line -> the end of the entry.
+
+    ``review_view`` shows every entry it does not flag this way. An edit
+    placed through the view treats such a line as the whole entry
+    (``patches.patches_for_action``): a module added after it lands after
+    the entry, and deleting or replacing it deletes or replaces the entry.
+    """
+    size = len(contract.body(SectionKey.API_SPECIFICATIONS))
+    if len(shown) == size:
+        return {}
+    _, index = _view_index(contract)
+    extents = {}
+    for line, following in zip(shown, [*shown[1:], size]):
+        end = index.entry_end.get(line)
+        if end is not None and following > line + 1:
+            extents[line] = min(end, following)
+    return extents
+
+
+def _first_entry_line(kernel: SymbolicKernel, api: tuple[str, ...]) -> int:
+    first = next(iter(kernel.entries.values()), None)
+    return len(api) if first is None else first.span[0]
 
 
 def _trimmed(body: tuple[str, ...], lines: list[int]) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ intermediate state. One coordinate system is what makes concurrent edits
 mergeable without index-shift corruption. Overlapping edits are resolved by
 union: every author's proposed lines survive (exact duplicates collapse),
 nothing is silently dropped. The merged value must still pass the kernel
-guard; ``commit_merge`` raises ``KernelViolation`` otherwise.
+guard; ``commit_merge`` raises ``KernelViolation`` otherwise. One author's
+sequence of actions outside a layer (the synthesis stages) is placed by the
+same re-anchoring, one action at a time (``apply_through_view``).
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ import difflib
 from collections import Counter
 from dataclasses import dataclass
 
-from .contract import ActionOp, ContractAction, LanguageContract, SectionKey, body_from_text
-from .kernel import ContractView, Violation, guard_violations
+from .contract import (
+    ActionOp,
+    ContractAction,
+    GuardFn,
+    LanguageContract,
+    Rejection,
+    SectionKey,
+    apply_action,
+    body_from_text,
+)
+from .kernel import ContractView, Violation, entry_extents, guard_violations
 
 
 class MergeError(Exception):
@@ -149,14 +160,18 @@ def patches_for_action(
     """Express one section action as atomic patches against ``contract``.
 
     ``view`` holds the lines the author was shown: the view its prompt bundle
-    recorded (``kernel.task_view`` for a worker or critic, empty for the
-    contract-less ablation), or ``kernel.full_view`` for the auditor's
-    write-back. An UPDATE replaces what the author saw, so it is diffed
-    against the view and each hunk is re-anchored in the snapshot: a pure
-    insertion lands right after the preceding shown line; a replaced or
-    deleted range of the view is split into runs contiguous in the snapshot,
-    the first run taking the replacement and the later ones deleted. A line
-    the author was not shown is therefore never touched. An ADD is one
+    recorded (``kernel.task_view`` for a worker or critic,
+    ``kernel.review_view`` for the plan reviewer, empty for the contract-less
+    ablation), or ``kernel.full_view`` for the auditor's write-back. An
+    UPDATE replaces what the author saw, so it is diffed against the view and
+    each hunk is re-anchored in the snapshot: a pure insertion lands right
+    after the preceding shown line; a replaced or deleted range of the view
+    is split into runs contiguous in the snapshot, the first run taking the
+    replacement and the later ones deleted. A line the author was not shown
+    is therefore never touched, with one exception: an API entry the view
+    shows by its ``File:`` line alone (``kernel.entry_extents``) is one unit,
+    so a line added after it lands after the whole entry, and deleting or
+    replacing that line deletes or replaces the entry. An ADD is one
     insertion at the end of the section (none when it adds no line). Under
     the whole-contract view the hunks are the plain diff against the
     snapshot.
@@ -168,10 +183,11 @@ def patches_for_action(
     else:
         shown = view[action.section]
         seen = [base[i] for i in shown]
+        extents = entry_extents(contract, shown) if action.section is SectionKey.API_SPECIFICATIONS else {}
         hunks = [
             hunk
             for start, end, replacement in diff_against_base(seen, list(new_lines))
-            for hunk in _reanchored(shown, start, end, replacement)
+            for hunk in _reanchored(shown, extents, start, end, replacement)
         ]
     return [
         AtomicPatch(section=action.section, start=start, end=end, replacement=replacement, author=author)
@@ -179,19 +195,63 @@ def patches_for_action(
     ]
 
 
+def apply_through_view(
+    contract: LanguageContract, action: ContractAction, author: str, view: ContractView, guard: GuardFn
+) -> tuple[LanguageContract, ContractView] | Rejection:
+    """Apply one action on its own, placed through ``view`` as
+    ``patches_for_action`` places it, and move the view onto the result.
+
+    This is the transactional path of one author's sequence of actions (the
+    synthesis stages): the candidate passes ``contract.apply_action``'s guard
+    or is rejected, and the author's next action is placed through the moved
+    view. There a line the view hid is still hidden, at its new index, unless
+    the action removed the entry it belongs to, and every other line of the
+    section is shown: the author saw it or wrote it.
+    Under the whole-contract view an UPDATE replaces the section and an ADD
+    appends to it, as ``apply_action`` alone does.
+    """
+    base = contract.body(action.section)
+    patches = sorted(patches_for_action(contract, action, author, view), key=lambda p: (p.start, p.end))
+    placed = apply_patches(base, [(p.start, p.end, p.replacement) for p in patches])
+    outcome = apply_action(contract, action, guard, body=placed)
+    if isinstance(outcome, Rejection):
+        return outcome
+    # A hidden line moves by the lines the patches before it insert or
+    # remove, and by the leading blank lines ``with_section`` trims.
+    shown = view[action.section]
+    size = len(outcome.body(action.section))
+    moved = dict(view)
+    moved[action.section] = tuple(range(size))
+    if len(shown) < len(base):
+        shift = -next((i for i, line in enumerate(placed) if line.strip()), len(placed))
+        hidden: set[int] = set()
+        k = 0
+        for i in sorted(set(range(len(base))).difference(shown)):
+            while k < len(patches) and patches[k].end <= i:
+                shift += len(patches[k].replacement) - (patches[k].end - patches[k].start)
+                k += 1
+            if k == len(patches) or i < patches[k].start:  # else an entry's edit removed it
+                hidden.add(i + shift)
+        moved[action.section] = tuple(j for j in moved[action.section] if j not in hidden)
+    return outcome, moved
+
+
 def _reanchored(
-    shown: tuple[int, ...], start: int, end: int, replacement: tuple[str, ...]
+    shown: tuple[int, ...], extents: dict[int, int], start: int, end: int, replacement: tuple[str, ...]
 ) -> list[tuple[int, int, tuple[str, ...]]]:
-    """One hunk in view coordinates as hunks in snapshot coordinates."""
+    """One hunk in view coordinates as hunks in snapshot coordinates. A shown
+    line stands for itself, or for ``[line, extents[line])`` when it is the
+    ``File:`` line of an entry shown by that line alone."""
     if start == end:
-        at = shown[start - 1] + 1 if start else 0
+        at = extents.get(shown[start - 1], shown[start - 1] + 1) if start else 0
         return [(at, at, replacement)]
     runs: list[list[int]] = []
     for index in shown[start:end]:
+        stop = extents.get(index, index + 1)
         if runs and runs[-1][1] == index:
-            runs[-1][1] = index + 1
+            runs[-1][1] = stop
         else:
-            runs.append([index, index + 1])
+            runs.append([index, stop])
     return [(s, e, replacement if k == 0 else ()) for k, (s, e) in enumerate(runs)]
 
 

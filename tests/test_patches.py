@@ -12,7 +12,9 @@ from charter.contract import (
     ActionOp,
     ContractAction,
     LanguageContract,
+    Rejection,
     SectionKey,
+    apply_action,
     new_contract,
     render,
     DEFAULT_TEMPLATE,
@@ -22,12 +24,13 @@ from charter.patches import (
     KernelViolation,
     StalePatch,
     apply_patches,
+    apply_through_view,
     commit_merge,
     diff_against_base,
     merge_layer,
     patches_for_action,
 )
-from charter.kernel import full_view, print_api_section
+from charter.kernel import full_view, guard_violations, print_api_section, project
 from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
@@ -272,3 +275,80 @@ def test_the_whole_contract_view_patches_the_plain_diff(case):
         for start, end, replacement in diff_against_base(list(base), proposed)
     ]
     assert patches_for_action(contract, action, "w", full_view(contract)) == expected
+
+
+def _no_guard(contract):
+    return ()
+
+
+def _split(contract, view, section):
+    """The section's lines the view shows, and the ones it hides."""
+    body = contract.body(section)
+    shown = set(view[section])
+    return [body[i] for i in sorted(shown)], [line for i, line in enumerate(body) if i not in shown]
+
+
+@given(_view_edits(), st.data())
+def test_a_second_edit_is_placed_through_the_moved_view(case, data):
+    base, shown, proposed = case
+    contract, first = _update(base, proposed)
+    second = list(proposed)
+    at = data.draw(st.integers(0, len(second)))
+    second[at:at + data.draw(st.integers(0, 2))] = data.draw(st.lists(st.sampled_from(_VIEW_LINES), max_size=2))
+    view = full_view(contract)
+    view[first.section] = shown
+    unseen = [base[i] for i in range(len(base)) if i not in shown]
+
+    contract, view = apply_through_view(contract, first, "w", view, _no_guard)
+    assert _split(contract, view, first.section) == (proposed, unseen)
+    for action in (
+        ContractAction(ActionOp.UPDATE, first.section, "\n".join(second)),
+        ContractAction(ActionOp.ADD, first.section, "- added"),
+    ):
+        contract, view = apply_through_view(contract, action, "w", view, _no_guard)
+    assert _split(contract, view, first.section) == ([*second, "- added"], unseen)
+
+
+@given(_view_edits(), st.sampled_from(ActionOp))
+def test_through_the_whole_view_an_action_applies_as_apply_action_does(case, op):
+    base, _, proposed = case
+    contract, action = _update(base, proposed)
+    action = ContractAction(op, action.section, action.content)
+    placed, view = apply_through_view(contract, action, "w", full_view(contract), _no_guard)
+    assert placed.sections == apply_action(contract, action).sections
+    assert view == full_view(placed)
+
+
+def test_the_moved_view_follows_the_blank_lines_the_section_trims():
+    contract = LanguageContract.empty().with_section(SectionKey.CONSTRAINTS, ("- x", "", "- y", "- z"))
+    view = {**full_view(contract), SectionKey.CONSTRAINTS: (0, 3)}
+    action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- z")
+    placed, view = apply_through_view(contract, action, "w", view, _no_guard)
+    assert placed.body(SectionKey.CONSTRAINTS) == ("- y", "- z")  # the hidden blank line is trimmed
+    assert view[SectionKey.CONSTRAINTS] == (1,)
+
+
+def test_a_guarded_action_placed_through_a_view_is_rejected_whole():
+    contract = contract_with([make_entry("a.py"), make_entry("b.py")])
+    cyclic = ContractAction(ActionOp.UPDATE, SectionKey.DEPENDENCY_RELATIONSHIPS, "a.py --> b.py\nb.py --> a.py")
+    outcome = apply_through_view(contract, cyclic, "w", full_view(contract), guard_violations)
+    assert isinstance(outcome, Rejection) and outcome.violations
+
+
+def test_a_deleted_file_line_takes_its_hidden_entry_out_of_the_moved_view():
+    long = simple_class("B", [("x", "int")], [method("def f() -> None"), method("def g() -> None")])
+    entries = [make_entry("a.py"), make_entry("b.py", classes=(long,)), make_entry("c.py"), make_entry("d.py")]
+    contract = contract_with(entries)
+    api = SectionKey.API_SPECIFICATIONS
+    body = contract.body(api)
+    files = tuple(i for i, line in enumerate(body) if line.startswith("- File:"))
+    view = {**full_view(contract), api: files}  # each entry shown by its File line alone
+    action = ContractAction(ActionOp.UPDATE, api, "- File: a.py\n- File: c.py\n- File: d.py")
+    placed, view = apply_through_view(contract, action, "w", view, guard_violations)
+
+    assert list(project(placed).entries) == ["a.py", "c.py", "d.py"]
+    a, b, c, d = (body[start:end] for start, end in zip(files, [*files[1:], len(body)]))
+    assert len(b) > len(c) + 1
+    assert placed.body(api) == (*a, *c, *d)
+    shown = ["- File: a.py", "- File: c.py", "- File: d.py"]
+    assert _split(placed, view, api) == (shown, [*a[1:], *c[1:], *d[1:]])
