@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep the synthetic chain workload over its size and print one table row per N.
 
-    python3 scripts/sweep_chain.py --seed 1 --sizes 50 100 200 400 800
+    python3 scripts/sweep_chain.py --seed 1 --sizes 50 100 200 400 800 1600
 
 Each size runs ``perfbench.workloads.chain_large(seed, n)`` once in this
 process and reports the run's CPU time (every thread), the prompt tokens of
@@ -31,7 +31,7 @@ ROLE_COLUMNS = (("project_manager",), ("discriminator",), ("worker", "critic"))
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200, 400, 800])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[50, 100, 200, 400, 800, 1600])
     args = parser.parse_args(argv)
 
     print("| N files | CPU s | prompt tokens | largest prompt | planner | reviewer | worker/critic |")

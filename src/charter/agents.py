@@ -3,10 +3,10 @@ two-stage contract synthesis.
 
 A worker or critic reads its task's view of the contract, not the whole
 document: the task's own API entry and those of its direct dependencies, with
-the directory and dependency lines of every other module left out. A prompt
-therefore stays the same size however many modules the contract holds. The
-plan reviewer reads the review view: every entry's ``File:`` line and only
-the entries validation flags, with their neighbourhoods, in full.
+the directory and dependency lines of every other module left out. The plan
+reviewer reads the same kind of view over the modules validation flags; the
+modules that passed are not shown and are kept as drafted. A prompt
+therefore stays the same size however many modules the contract holds.
 ``build_prompt`` decides the view once and records it on the bundle; the
 scheduler carries it with the dispatch's document actions to the barrier,
 where ``patches.patches_for_action`` re-anchors each action through it, and
@@ -136,11 +136,11 @@ ROLE_PROMPTS: dict[RoleKind, str] = {
         "documented method signatures. Interfaces must be acyclic and typed."
     ),
     RoleKind.DISCRIMINATOR: (
-        "Role: plan reviewer. Perform exactly one rectification pass over the\n"
-        "drafted document: break dependency cycles, replace undefined types,\n"
-        "and tighten underspecified interfaces. An API entry shown by its File\n"
-        "line alone passed validation and is kept as drafted. Emit corrective\n"
-        "document actions only; do not write code."
+        "Role: plan reviewer. Perform exactly one rectification pass to tighten\n"
+        "the underspecified interfaces. You are shown the underspecified API\n"
+        "entries with their direct dependencies; modules not shown passed\n"
+        "validation and are kept. Emit corrective document actions only; do not\n"
+        "write code."
     ),
     RoleKind.WORKER: (
         "Role: implementation engineer. Implement exactly the file assigned\n"
@@ -179,18 +179,16 @@ def build_prompt(
 
     The bundle records the view its text shows, and a document action
     answering it is re-anchored through that view. The planner's bundle shows
-    the whole document (``kernel.full_view``), the reviewer's its review view
-    (``kernel.review_view``): every section whole, but of the Symbolic API
-    Specifications only each entry's ``File:`` line and the entries
-    validation flags, with their neighbourhoods. Worker and critic bundles show the
-    task's view of it (``kernel.task_view``): every section whole except the
-    Symbolic API Specifications, which hold only the entries of the task and
-    of its direct dependencies, and the Directory Structure and Dependency
-    Relationships lines of other modules, which are left out. They never
-    carry a peer file body; critic bundles additionally carry the body of the
-    file under review. Given ``task_paths`` (the contract-less ablation), the
-    document is replaced by the raw intent plus the task path list, and the
-    view is empty.
+    the whole document (``kernel.full_view``). Worker and critic bundles show
+    the task's view of it (``kernel.task_view``): every section whole except
+    the Symbolic API Specifications, which hold only the entries of the task
+    and of its direct dependencies, and the Directory Structure and
+    Dependency Relationships lines of other modules, which are left out. The
+    reviewer's bundle shows the same view over the modules validation flags
+    (``kernel.review_view``). No bundle carries a peer file body; critic
+    bundles additionally carry the body of the file under review. Given
+    ``task_paths`` (the contract-less ablation), the document is replaced by
+    the raw intent plus the task path list, and the view is empty.
     """
     if role in (RoleKind.WORKER, RoleKind.CRITIC) and task is None:
         raise ValueError(f"{role.value} dispatch requires a task")
@@ -353,13 +351,12 @@ def synthesize_contract(
     The proposal agent drafts the whole document through actions; the reviewer
     agent gets exactly one corrective pass. Each stage's actions are placed
     through the view its prompt showed (``apply_actions``): the planner's
-    replace and append as written, and a reviewer's update keeps every entry
-    it was shown only the ``File:`` line of, unless it deletes or replaces
-    that line (``kernel.entry_extents``). Every action runs through the
-    kernel guard, so the returned contract projects to an acyclic, type-safe
-    kernel by construction. Interfaces that survive with too little detail are
-    left for downstream feedback, not rejected here. A stage whose prompt
-    exceeds ``context_limit`` fails the synthesis.
+    replace and append as written, and a reviewer's update keeps every line
+    it was not shown, the modules that passed validation among them. Every
+    action runs through the kernel guard, so the returned contract projects
+    to an acyclic, type-safe kernel by construction. Interfaces that survive
+    with too little detail are left for downstream feedback, not rejected
+    here. A stage whose prompt exceeds ``context_limit`` fails the synthesis.
     """
     from .backends import CompletionRequest  # local import: backends never import agents
 

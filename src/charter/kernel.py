@@ -11,10 +11,13 @@ state. A contract value is immutable, so ``project`` computes its kernel once
 and keeps it on the value. A value derived from a projected parent re-reads
 only the API entries whose lines changed and reuses the parent's for the rest
 (``parse_api_section``'s basis), so a mutation's projection costs what it
-changed rather than the section's size. The views that slice a contract for
-one reader (``task_view``, ``review_view``) read an index of module paths to
-lines that the value's first view builds and its kernel keeps, so a view
-costs the size of its neighbourhood.
+changed rather than the section's size. Every reader but the planner and
+the auditor reads one kind of view (``task_view``): the entries of a set of
+modules and of their direct dependencies, with the Directory Structure and
+diagram lines inside that neighbourhood. A worker or critic reads its task's;
+the plan reviewer reads the modules validation flags (``review_view``). A
+view reads an index of module paths to lines that the value's first view
+builds and its kernel keeps, so it costs the size of its neighbourhood.
 
 Contract method signatures are Python ``def`` headers. They are read by the
 same ``ast`` reader (``read_signature``) that reads the generated code's
@@ -139,6 +142,11 @@ class SymbolicKernel:
     def classes_by_lower(self) -> dict[str, str]:
         """Lower-cased class name -> class name, built on first use."""
         return {name.lower(): name for name in self.classes}
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What ``validate`` finds in this kernel, computed on first use."""
+        return tuple(validate(self))
 
 
 class PathViolation(ValueError):
@@ -670,7 +678,6 @@ class _ViewIndex:
     directory_free: tuple[int, ...]  # the Directory Structure lines naming no kernel path
     diagram: dict[str, tuple[int, ...]]  # path -> the edge lines it is an endpoint of
     diagram_free: tuple[int, ...]  # the diagram lines that are not edges
-    entry_end: dict[int, int]  # an API entry's File line -> the end of its span
 
 
 def _view_index(contract: LanguageContract) -> tuple[SymbolicKernel, _ViewIndex]:
@@ -704,7 +711,6 @@ def _build_view_index(contract: LanguageContract, kernel: SymbolicKernel) -> _Vi
         directory_free=tuple(i for i in range(sizes[SectionKey.DIRECTORY_STRUCTURE]) if i not in directory_lines),
         diagram={path: tuple(lines) for path, lines in diagram.items()},
         diagram_free=tuple(i for i in range(sizes[SectionKey.DEPENDENCY_RELATIONSHIPS]) if i not in edge_lines),
-        entry_end=dict(entry.span for entry in kernel.entries.values()),
     )
 
 
@@ -713,23 +719,24 @@ def full_view(contract: LanguageContract) -> ContractView:
     return {key: tuple(range(len(body))) for key, body in contract.sections.items()}
 
 
-def task_view(contract: LanguageContract, task_id: str) -> ContractView:
-    """The lines a worker or critic of ``task_id`` reads and writes back through.
+def task_view(contract: LanguageContract, *task_ids: str) -> ContractView:
+    """The lines a reader of the modules ``task_ids`` reads and writes back through.
 
-    The neighbourhood is the task's module and its direct dependencies: the
-    declared edges and the derived edges out of it, never the transitive
-    closure, so a view stays the same size however long the chain behind it.
-    Every section is shown whole except three. Symbolic API Specifications
-    keeps the lines before its first entry and the neighbourhood's entries;
-    Directory Structure drops the lines that name a kernel path outside the
-    neighbourhood; Dependency Relationships drops the edge lines with an
-    endpoint outside it. Blank lines left at either end of a section's view
-    are trimmed, as they are from an action's content. The lines are looked
-    up through the value's view index, so a view costs the size of its
-    neighbourhood (and of the lines that name no module).
+    The neighbourhood is the union, over those modules, of the module and its
+    direct dependencies: the declared edges and the derived edges out of it,
+    never the transitive closure, so a view stays the same size however long
+    the chain behind it. Every section is shown whole except three. Symbolic
+    API Specifications keeps the lines before its first entry and the
+    neighbourhood's entries, each whole; Directory Structure drops the lines
+    that name a kernel path outside the neighbourhood; Dependency
+    Relationships drops the edge lines with an endpoint outside it. Blank
+    lines left at either end of a section's view are trimmed, as they are
+    from an action's content. The lines are looked up through the value's
+    view index, so a view costs the size of its neighbourhood (and of the
+    lines that name no module).
     """
     kernel, index = _view_index(contract)
-    shown = index.neighbourhood.get(task_id, frozenset({task_id}))
+    shown = frozenset().union(*(index.neighbourhood.get(path, {path}) for path in task_ids))
     view = dict(index.whole)
 
     api = contract.body(SectionKey.API_SPECIFICATIONS)
@@ -751,56 +758,13 @@ def task_view(contract: LanguageContract, task_id: str) -> ContractView:
 
 
 def review_view(contract: LanguageContract) -> ContractView:
-    """The lines the plan reviewer reads and writes back through.
-
-    Every section is shown whole except Symbolic API Specifications, which
-    keeps the lines before its first entry, every entry's ``File:`` line, and
-    the whole entries that ``validate`` names (INCOMPLETE, TYPE_UNDEFINED)
-    together with their direct neighbourhoods, the ones ``task_view`` shows.
-    The reviewer sees every module of the plan and the detail of the ones it
-    has to rectify, so its prompt grows by a line per module rather than by
-    an entry per module.
-    """
-    kernel, index = _view_index(contract)
-    flagged = set()
-    for violation in validate(kernel):
-        if violation.kind is ViolationKind.INCOMPLETE:
-            flagged.add(violation.subject)
-        elif violation.kind is ViolationKind.TYPE_UNDEFINED:
-            flagged.add(violation.subject.rsplit("::", 1)[0])
-    whole = frozenset().union(*(index.neighbourhood[path] for path in flagged if path in index.neighbourhood))
-    view = full_view(contract)
-
-    api = contract.body(SectionKey.API_SPECIFICATIONS)
-    lines = list(range(_first_entry_line(kernel, api)))
-    for path, entry in kernel.entries.items():  # in section order
-        if path in whole:
-            lines.extend(range(*entry.span))
-        else:
-            lines.append(entry.span[0])
-    view[SectionKey.API_SPECIFICATIONS] = _trimmed(api, lines)
-    return view
-
-
-def entry_extents(contract: LanguageContract, shown: tuple[int, ...]) -> dict[int, int]:
-    """The API entries ``shown`` (a view of the Symbolic API Specifications)
-    shows by their ``File:`` line alone, as that line -> the end of the entry.
-
-    ``review_view`` shows every entry it does not flag this way. An edit
-    placed through the view treats such a line as the whole entry
-    (``patches.patches_for_action``): a module added after it lands after
-    the entry, and deleting or replacing it deletes or replaces the entry.
-    """
-    size = len(contract.body(SectionKey.API_SPECIFICATIONS))
-    if len(shown) == size:
-        return {}
-    _, index = _view_index(contract)
-    extents = {}
-    for line, following in zip(shown, [*shown[1:], size]):
-        end = index.entry_end.get(line)
-        if end is not None and following > line + 1:
-            extents[line] = min(end, following)
-    return extents
+    """The lines the plan reviewer reads and writes back through: the task
+    view of the modules ``validate`` flags INCOMPLETE. Every other module
+    passed validation and is kept as drafted; the guard refuses a cycle or an
+    undefined type before a reviewer is dispatched, so INCOMPLETE is the only
+    finding a reviewer meets."""
+    flagged = [v.subject for v in project(contract).violations if v.kind is ViolationKind.INCOMPLETE]
+    return task_view(contract, *flagged)
 
 
 def _first_entry_line(kernel: SymbolicKernel, api: tuple[str, ...]) -> int:
@@ -910,7 +874,7 @@ def guard_violations(contract: LanguageContract) -> list[Violation]:
         kernel = project(contract)
     except KernelError as exc:
         return [Violation(ViolationKind.TYPE_UNDEFINED, "projection", str(exc))]
-    return [v for v in validate(kernel) if v.kind is not ViolationKind.INCOMPLETE]
+    return [v for v in kernel.violations if v.kind is not ViolationKind.INCOMPLETE]
 
 
 def tasks_of(kernel: SymbolicKernel) -> list[Task]:

@@ -29,7 +29,7 @@ from .contract import (
     apply_action,
     body_from_text,
 )
-from .kernel import ContractView, Violation, entry_extents, guard_violations
+from .kernel import ContractView, Violation, guard_violations
 
 
 class MergeError(Exception):
@@ -160,18 +160,14 @@ def patches_for_action(
     """Express one section action as atomic patches against ``contract``.
 
     ``view`` holds the lines the author was shown: the view its prompt bundle
-    recorded (``kernel.task_view`` for a worker or critic,
-    ``kernel.review_view`` for the plan reviewer, empty for the contract-less
-    ablation), or ``kernel.full_view`` for the auditor's write-back. An
-    UPDATE replaces what the author saw, so it is diffed against the view and
-    each hunk is re-anchored in the snapshot: a pure insertion lands right
-    after the preceding shown line; a replaced or deleted range of the view
-    is split into runs contiguous in the snapshot, the first run taking the
-    replacement and the later ones deleted. A line the author was not shown
-    is therefore never touched, with one exception: an API entry the view
-    shows by its ``File:`` line alone (``kernel.entry_extents``) is one unit,
-    so a line added after it lands after the whole entry, and deleting or
-    replacing that line deletes or replaces the entry. An ADD is one
+    recorded (``kernel.task_view`` for a worker, critic or the plan reviewer,
+    empty for the contract-less ablation), or ``kernel.full_view`` for the
+    auditor's write-back. An UPDATE replaces what the author saw, so it is
+    diffed against the view and each hunk is re-anchored in the snapshot: a
+    pure insertion lands right after the preceding shown line; a replaced or
+    deleted range of the view is split into runs contiguous in the snapshot,
+    the first run taking the replacement and the later ones deleted. A line
+    the author was not shown is therefore never touched. An ADD is one
     insertion at the end of the section (none when it adds no line). Under
     the whole-contract view the hunks are the plain diff against the
     snapshot.
@@ -183,11 +179,10 @@ def patches_for_action(
     else:
         shown = view[action.section]
         seen = [base[i] for i in shown]
-        extents = entry_extents(contract, shown) if action.section is SectionKey.API_SPECIFICATIONS else {}
         hunks = [
             hunk
             for start, end, replacement in diff_against_base(seen, list(new_lines))
-            for hunk in _reanchored(shown, extents, start, end, replacement)
+            for hunk in _reanchored(shown, start, end, replacement)
         ]
     return [
         AtomicPatch(section=action.section, start=start, end=end, replacement=replacement, author=author)
@@ -204,9 +199,9 @@ def apply_through_view(
     This is the transactional path of one author's sequence of actions (the
     synthesis stages): the candidate passes ``contract.apply_action``'s guard
     or is rejected, and the author's next action is placed through the moved
-    view. There a line the view hid is still hidden, at its new index, unless
-    the action removed the entry it belongs to, and every other line of the
-    section is shown: the author saw it or wrote it.
+    view. There a line the view hid is still hidden, at its new index (a
+    patch covers shown lines only, so every hidden line survives it), and
+    every other line of the section is shown: the author saw it or wrote it.
     Under the whole-contract view an UPDATE replaces the section and an ADD
     appends to it, as ``apply_action`` alone does.
     """
@@ -230,28 +225,24 @@ def apply_through_view(
             while k < len(patches) and patches[k].end <= i:
                 shift += len(patches[k].replacement) - (patches[k].end - patches[k].start)
                 k += 1
-            if k == len(patches) or i < patches[k].start:  # else an entry's edit removed it
-                hidden.add(i + shift)
+            hidden.add(i + shift)
         moved[action.section] = tuple(j for j in moved[action.section] if j not in hidden)
     return outcome, moved
 
 
 def _reanchored(
-    shown: tuple[int, ...], extents: dict[int, int], start: int, end: int, replacement: tuple[str, ...]
+    shown: tuple[int, ...], start: int, end: int, replacement: tuple[str, ...]
 ) -> list[tuple[int, int, tuple[str, ...]]]:
-    """One hunk in view coordinates as hunks in snapshot coordinates. A shown
-    line stands for itself, or for ``[line, extents[line])`` when it is the
-    ``File:`` line of an entry shown by that line alone."""
+    """One hunk in view coordinates as hunks in snapshot coordinates."""
     if start == end:
-        at = extents.get(shown[start - 1], shown[start - 1] + 1) if start else 0
+        at = shown[start - 1] + 1 if start else 0
         return [(at, at, replacement)]
     runs: list[list[int]] = []
     for index in shown[start:end]:
-        stop = extents.get(index, index + 1)
         if runs and runs[-1][1] == index:
-            runs[-1][1] = stop
+            runs[-1][1] = index + 1
         else:
-            runs.append([index, stop])
+            runs.append([index, index + 1])
     return [(s, e, replacement if k == 0 else ()) for k, (s, e) in enumerate(runs)]
 
 

@@ -30,7 +30,7 @@ from .agents import (
 from .auditor import AUDITOR_AUTHOR, DispatchOutcome, audit_layer
 from .backends import CompletionRequest, RequestRejected
 from .contract import ContractAction, LanguageContract, journal_record
-from .kernel import ContractView, ViolationKind, project, tasks_of, validate
+from .kernel import ContractView, ViolationKind, project, tasks_of
 from .ledger import RunLedger, file_sha256
 from .patches import KernelViolation, commit_merge, merge_layer, patches_for_action
 from .tasks import Task, TaskStatus
@@ -249,7 +249,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
     tasks = {t.id: t for t in tasks_of(kernel)}
 
     # Interfaces that survived rectification underspecified become feedback.
-    for violation in validate(kernel):
+    for violation in kernel.violations:
         if violation.kind is ViolationKind.INCOMPLETE and violation.subject in tasks:
             tasks[violation.subject].feedback.append(violation.message)
 

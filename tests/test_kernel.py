@@ -390,6 +390,27 @@ def test_each_method_line_is_parsed_once(monkeypatch):
     assert len(calls) == len(method_lines)
 
 
+def test_a_kernel_keeps_its_findings_in_validation_order():
+    undocumented = make_entry("b.py", classes=(simple_class("B", [("ref", "Ghost")], [method("def f() -> None", "")]),))
+    contract = contract_with([make_entry("a.py"), undocumented], dependency_lines=["a.py --> b.py", "b.py --> a.py"])
+    kernel = project(contract)
+    assert [v.kind for v in kernel.violations] == [
+        ViolationKind.CYCLE, ViolationKind.INCOMPLETE, ViolationKind.INCOMPLETE, ViolationKind.TYPE_UNDEFINED
+    ]
+    assert kernel.violations == tuple(validate(kernel))
+    assert guard_violations(contract) == [v for v in validate(kernel) if v.kind is not ViolationKind.INCOMPLETE]
+
+
+def test_each_kernel_is_validated_once_per_run(monkeypatch):
+    plan = synth.chain_plan(1, 20)
+    validated = []
+    check = charter.kernel.validate
+    monkeypatch.setattr(charter.kernel, "validate", lambda kernel: validated.append(kernel) or check(kernel))
+    run(IntentSpec(plan.intent), RunConfig(mode=RunMode.SEQUENTIAL), synth.SyntheticBackend(plan))
+    assert validated
+    assert len({id(kernel) for kernel in validated}) == len(validated)  # the list keeps every kernel alive
+
+
 @pytest.mark.parametrize("path", ["../a.py", "/a.py"])
 def test_guard_reports_a_file_path_outside_the_root(path):
     violations = guard_violations(contract_with([make_entry(path)]))

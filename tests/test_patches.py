@@ -30,7 +30,7 @@ from charter.patches import (
     merge_layer,
     patches_for_action,
 )
-from charter.kernel import full_view, guard_violations, print_api_section, project
+from charter.kernel import full_view, guard_violations, print_api_section
 from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
@@ -334,21 +334,3 @@ def test_a_guarded_action_placed_through_a_view_is_rejected_whole():
     outcome = apply_through_view(contract, cyclic, "w", full_view(contract), guard_violations)
     assert isinstance(outcome, Rejection) and outcome.violations
 
-
-def test_a_deleted_file_line_takes_its_hidden_entry_out_of_the_moved_view():
-    long = simple_class("B", [("x", "int")], [method("def f() -> None"), method("def g() -> None")])
-    entries = [make_entry("a.py"), make_entry("b.py", classes=(long,)), make_entry("c.py"), make_entry("d.py")]
-    contract = contract_with(entries)
-    api = SectionKey.API_SPECIFICATIONS
-    body = contract.body(api)
-    files = tuple(i for i, line in enumerate(body) if line.startswith("- File:"))
-    view = {**full_view(contract), api: files}  # each entry shown by its File line alone
-    action = ContractAction(ActionOp.UPDATE, api, "- File: a.py\n- File: c.py\n- File: d.py")
-    placed, view = apply_through_view(contract, action, "w", view, guard_violations)
-
-    assert list(project(placed).entries) == ["a.py", "c.py", "d.py"]
-    a, b, c, d = (body[start:end] for start, end in zip(files, [*files[1:], len(body)]))
-    assert len(b) > len(c) + 1
-    assert placed.body(api) == (*a, *c, *d)
-    shown = ["- File: a.py", "- File: c.py", "- File: d.py"]
-    assert _split(placed, view, api) == (shown, [*a[1:], *c[1:], *d[1:]])

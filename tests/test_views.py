@@ -38,12 +38,12 @@ DIAGRAM = SectionKey.DEPENDENCY_RELATIONSHIPS
 # --- the indexed task view equals a scan of every line ------------------------------
 
 
-def scanned_task_view(contract: LanguageContract, task_id: str) -> dict:
+def scanned_task_view(contract: LanguageContract, *task_ids: str) -> dict:
     """Reference: the task view read by scanning every Directory Structure and
     diagram line, as it was before views were indexed."""
     kernel = project(contract)
-    shown = {task_id, *kernel.dependencies.get(task_id, ())}
-    shown.update(dst for src, dst in kernel.derived_edges if src == task_id)
+    shown = {path for task_id in task_ids for path in (task_id, *kernel.dependencies.get(task_id, ()))}
+    shown.update(dst for src, dst in kernel.derived_edges if src in task_ids)
     view = full_view(contract)
 
     api = contract.body(API)
@@ -151,8 +151,9 @@ def layouts(draw):
 )
 def test_indexed_task_view_equals_the_scan_on_any_layout(layout):
     contract = _layout_contract(*layout)
-    for task_id in (*project(contract).entries, OUTSIDE):
-        assert task_view(contract, task_id) == scanned_task_view(contract, task_id), task_id
+    paths = (*project(contract).entries, OUTSIDE)
+    for task_ids in ((), *((path,) for path in paths), paths[::2], paths):
+        assert task_view(contract, *task_ids) == scanned_task_view(contract, *task_ids), task_ids
 
 
 def test_the_view_index_is_built_once_per_kernel(monkeypatch):
@@ -192,34 +193,39 @@ def _span_lines(contract, path):
     return contract.body(API)[slice(*entry.span)]
 
 
-def test_review_view_holds_every_file_line_and_the_flagged_neighbourhood():
+def test_the_review_view_is_the_task_view_of_the_flagged_modules():
     contract = contract_with(*_flagged_plan())
     assert [v.subject for v in validate(project(contract)) if v.kind is ViolationKind.INCOMPLETE] == ["m2.py"]
     view = review_view(contract)
-    api = contract.body(API)
-    kernel = project(contract)
-    expected = []
-    for path, entry in kernel.entries.items():
-        expected.extend(range(*entry.span) if path in ("m1.py", "m2.py", "m3.py") else [entry.span[0]])
-    assert view[API] == tuple(expected)
-    assert [api[i] for i in view[API] if api[i].startswith("- File:")] == [f"- File: m{i}.py" for i in range(6)]
-    for key in SectionKey:
-        if key is not API:
-            assert view[key] == tuple(range(len(contract.body(key))))
+    assert view == task_view(contract, "m2.py")
+    api, diagram = contract.body(API), contract.body(DIAGRAM)
+    shown_files = [api[i] for i in view[API] if api[i].startswith("- File:")]
+    assert shown_files == ["- File: m1.py", "- File: m2.py", "- File: m3.py"]
+    assert [diagram[i] for i in view[DIAGRAM]] == ["m2.py --> m1.py"]
 
 
-def test_review_view_of_a_complete_plan_shows_only_file_lines():
-    contract = contract_with([_entry(i) for i in range(3)])
-    api = contract.body(API)
-    assert [api[i] for i in review_view(contract)[API]] == ["- File: m0.py", "- File: m1.py", "- File: m2.py"]
+def test_the_review_view_of_a_complete_plan_shows_no_api_entry():
+    contract = contract_with([_entry(i) for i in range(3)], dependency_lines=["m1.py --> m0.py"])
+    assert project(contract).violations == ()
+    view = review_view(contract)
+    assert view[API] == () and view[DIAGRAM] == ()
 
 
-def test_a_default_config_synthesizes_a_100_file_chain():
-    plan = synth.chain_plan(1, 100)
+def _synthesizes_a_chain_under_the_default_limit(n):
+    plan = synth.chain_plan(1, n)
     contract = synthesize_contract(
         IntentSpec(plan.intent), synth.SyntheticBackend(plan), context_limit=RunConfig().context_limit
     )
-    assert len(project(contract).entries) == 100
+    assert len(project(contract).entries) == n
+
+
+def test_a_default_config_synthesizes_a_100_file_chain():
+    _synthesizes_a_chain_under_the_default_limit(100)
+
+
+def test_a_default_config_synthesizes_a_1000_file_chain():
+    # Holds only while no synthesis prompt grows with the number of modules.
+    _synthesizes_a_chain_under_the_default_limit(1000)
 
 
 def _synthesis(proposal, review):
@@ -252,7 +258,7 @@ def test_a_reviewer_update_rewrites_only_the_entries_it_was_shown():
     drafted, proposal = _proposal(*_flagged_plan())
     bare = "        - def f() -> None"
     fix = ContractAction(ActionOp.UPDATE, API, _rewritten(drafted, bare, bare + " | Step the module."))
-    assert fix.content.count("- def f()") == 3  # m1, m2 and m3; the others are File lines only
+    assert fix.content.count("- def f()") == 3  # m1, m2 and m3; the others are not shown
     contract, journal = _synthesis(proposal, [fix])
 
     for path in UNSEEN:
@@ -291,41 +297,58 @@ def test_a_reviewer_add_appends_as_a_replace_free_apply_does():
 NEW_ENTRY = ("- File: m6.py", "  Owner: dev", "  Version: 1")
 
 
-def _reviewed_api(drafted, edit):
-    """The API lines the reviewer was shown, edited by ``edit`` (a list -> None)."""
-    api = drafted.body(API)
-    lines = [api[i] for i in review_view(drafted)[API]]
+def _reviewed(drafted, section, edit):
+    """The lines of ``section`` the reviewer was shown, edited by ``edit`` (a list -> None)."""
+    body = drafted.body(section)
+    lines = [body[i] for i in review_view(drafted)[section]]
     edit(lines)
-    return ContractAction(ActionOp.UPDATE, API, "\n".join(lines))
+    return ContractAction(ActionOp.UPDATE, section, "\n".join(lines))
 
 
-def _after(lines, file_line, added):
-    at = lines.index(file_line) + 1
-    lines[at:at] = added
+def _assert_unseen_kept(contract, drafted, order):
+    assert list(project(contract).entries) == [f"{name}.py" for name in order]
+    for path in UNSEEN:
+        assert _span_lines(contract, path) == _span_lines(drafted, path)
 
 
-@pytest.mark.parametrize(
-    "edit, order",
-    [
-        # A module added between two entries shown by their File lines alone.
-        (lambda lines: _after(lines, "- File: m4.py", NEW_ENTRY), ["m0", "m1", "m2", "m3", "m4", "m6", "m5"]),
-        # A module added after the last entry, shown by its File line alone.
-        (lambda lines: _after(lines, "- File: m5.py", NEW_ENTRY), ["m0", "m1", "m2", "m3", "m4", "m5", "m6"]),
-        # A module removed by deleting the File line it was shown by.
-        (lambda lines: lines.remove("- File: m4.py"), ["m0", "m1", "m2", "m3", "m5"]),
-    ],
-    ids=["insert-between", "append-after-last", "delete"],
-)
-def test_a_file_line_shown_alone_stands_for_its_whole_entry(edit, order):
+def test_a_reviewer_update_appending_a_module_after_the_last_shown_entry_keeps_the_unseen_ones():
     drafted, proposal = _proposal(*_flagged_plan())
-    update = _reviewed_api(drafted, edit)
+    update = _reviewed(drafted, API, lambda lines: lines.extend(["", *NEW_ENTRY]))
     contract, journal = _synthesis(proposal, [update])
 
     assert journal[-1] == journal_record(update, contract.revision)  # accepted
-    entries = project(contract).entries
-    assert list(entries) == [f"{name}.py" for name in order]
-    for path in entries:
-        if path != "m6.py":
-            assert _span_lines(contract, path) == _span_lines(drafted, path)
-    if "m6" in order:
-        assert _span_lines(contract, "m6.py") == NEW_ENTRY
+    _assert_unseen_kept(contract, drafted, ["m0", "m1", "m2", "m3", "m6", "m4", "m5"])
+    assert [line for line in _span_lines(contract, "m6.py") if line.strip()] == list(NEW_ENTRY)
+
+
+def _without(lines, file_line):
+    """Delete the lines from ``file_line`` up to the next entry's File line."""
+    at = lines.index(file_line)
+    end = next((i for i in range(at + 1, len(lines)) if lines[i].startswith("- File:")), len(lines))
+    del lines[at:end]
+
+
+def test_a_reviewer_update_deleting_a_shown_neighbour_keeps_the_unseen_entries():
+    entries, edges = _flagged_plan()
+    edges = [edge for edge in edges if edge != "m1.py --> m0.py"]  # m1's only edge is shown
+    drafted, proposal = _proposal(entries, edges)
+    unlinked = _reviewed(drafted, DIAGRAM, lambda lines: lines.remove("m2.py --> m1.py"))
+    deleted = _reviewed(drafted, API, lambda lines: _without(lines, "- File: m1.py"))
+    contract, journal = _synthesis(proposal, [unlinked, deleted])
+
+    assert journal[-2:] == [journal_record(unlinked, contract.revision - 1), journal_record(deleted, contract.revision)]
+    _assert_unseen_kept(contract, drafted, ["m0", "m2", "m3", "m4", "m5"])
+    assert contract.body(DIAGRAM) == ("m5.py --> m3.py",)
+
+
+def test_a_shown_neighbour_with_an_unseen_edge_cannot_be_deleted():
+    """The reviewer is not shown the edge ``m1.py --> m0.py`` and cannot remove
+    it, so deleting m1 would leave the diagram naming an unknown module: the
+    guard refuses that update whole."""
+    drafted, proposal = _proposal(*_flagged_plan())
+    unlinked = _reviewed(drafted, DIAGRAM, lambda lines: lines.remove("m2.py --> m1.py"))
+    deleted = _reviewed(drafted, API, lambda lines: _without(lines, "- File: m1.py"))
+    contract, journal = _synthesis(proposal, [unlinked, deleted])
+
+    assert journal[-1] == journal_record(unlinked, contract.revision)  # the API update was refused
+    assert contract.body(API) == drafted.body(API)
