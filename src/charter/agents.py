@@ -42,6 +42,8 @@ from .contract import (
     render,
     section_key_from_name,
     DEFAULT_TEMPLATE,
+    journal_record,
+    rejection_record,
 )
 from .kernel import ContractView, full_view, guard_violations, review_view, task_view
 from .patches import apply_through_view
@@ -321,22 +323,21 @@ def apply_actions(
     view: ContractView,
     *,
     stage: str,
-    on_accept: Callable[[ContractAction, int], None] | None = None,
-) -> tuple[LanguageContract, list[tuple[ContractAction, Rejection]]]:
+    journal: Callable[[dict], None] = lambda record: None,
+) -> LanguageContract:
     """Apply one author's batch of actions transactionally, each placed
-    through the view the author was shown (``patches.apply_through_view``),
-    collecting rejections."""
-    rejected: list[tuple[ContractAction, Rejection]] = []
+    through the view the author was shown (``patches.apply_through_view``).
+    Each action leaves one ``journal`` record: ``journal_record`` for an
+    accepted one, ``rejection_record`` for a refused one."""
     for action in actions:
         outcome = apply_through_view(contract, action, stage, view, guard_violations)
         if isinstance(outcome, Rejection):
             logger.warning("%s action on %s rejected: %s", stage, action.section.value, outcome)
-            rejected.append((action, outcome))
+            journal(rejection_record(action, stage, outcome))
         else:
             contract, view = outcome
-            if on_accept is not None:
-                on_accept(action, contract.revision)
-    return contract, rejected
+            journal(journal_record(action, contract.revision))
+    return contract
 
 
 def synthesize_contract(
@@ -344,7 +345,7 @@ def synthesize_contract(
     backend,
     *,
     context_limit: int = 16384,
-    on_accept: Callable[[ContractAction, int], None] | None = None,
+    journal: Callable[[dict], None] = lambda record: None,
 ) -> LanguageContract:
     """Build the initial contract: a proposal pass, then one rectification pass.
 
@@ -374,7 +375,7 @@ def synthesize_contract(
             raise SynthesisFailure(f"{stage} response unparseable: {exc}") from exc
         if stage == "proposal" and not response.actions:
             raise SynthesisFailure("proposal stage emitted no document actions")
-        contract, _ = apply_actions(contract, response.actions, bundle.view, stage=stage, on_accept=on_accept)
+        contract = apply_actions(contract, response.actions, bundle.view, stage=stage, journal=journal)
         if stage == "proposal" and not contract.body(SectionKey.API_SPECIFICATIONS):
             raise SynthesisFailure("proposal stage produced no Symbolic API Specifications content")
     return contract

@@ -60,9 +60,9 @@ from .kernel import (
     guard_violations,
     normalize_path,
     print_api_section,
-    print_signature,
     project,
     tasks_of,
+    type_head,
 )
 from .tasks import Task, TaskStatus
 from .workspace import ExtractedSymbols, FileUnit, analyze
@@ -283,62 +283,7 @@ def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
         if extracted is None:
             details.append(MismatchDetail(DetailKind.MISSING, cls.name, expected="class"))
             continue
-        declared_attrs = {a.name: a for a in cls.attributes}
-        extracted_attrs = {a.name: a.type_name for a in extracted.attributes}
-        for name, attr in declared_attrs.items():
-            if name not in extracted_attrs:
-                details.append(
-                    MismatchDetail(
-                        DetailKind.MISSING, f"{cls.name}.{name}", expected=attr.type_name
-                    )
-                )
-            else:
-                actual_type = extracted_attrs[name]
-                # Unannotated assignments only prove presence, and a declared
-                # "any" accepts every annotation.
-                if actual_type != "any" and attr.type_name != "any" and actual_type != attr.type_name:
-                    details.append(
-                        MismatchDetail(
-                            DetailKind.MISMATCH,
-                            f"{cls.name}.{name}",
-                            expected=attr.type_name,
-                            actual=actual_type,
-                        )
-                    )
-        for name, actual_type in extracted_attrs.items():
-            if name not in declared_attrs and not _is_internal_name(name):
-                details.append(
-                    MismatchDetail(DetailKind.EXTRA, f"{cls.name}.{name}", actual=actual_type)
-                )
-
-        declared_methods = {m.name: m for m in cls.methods}
-        extracted_methods = {m.name: m for m in extracted.methods}
-        for name, sig in declared_methods.items():
-            got = extracted_methods.get(name)
-            if got is None:
-                details.append(
-                    MismatchDetail(
-                        DetailKind.MISSING, f"{cls.name}.{name}", expected=print_signature(sig)
-                    )
-                )
-            elif (got.params, got.return_type) != (sig.params, sig.return_type):
-                details.append(
-                    MismatchDetail(
-                        DetailKind.MISMATCH,
-                        f"{cls.name}.{name}",
-                        expected=print_signature(sig),
-                        actual=print_signature(got),
-                    )
-                )
-        for name in extracted_methods:
-            if name not in declared_methods and not _is_internal_name(name):
-                details.append(
-                    MismatchDetail(
-                        DetailKind.EXTRA,
-                        f"{cls.name}.{name}",
-                        actual=print_signature(extracted_methods[name]),
-                    )
-                )
+        details += _member_details(cls, extracted)
 
     declared_class_names = {c.name for c in entry.classes}
     for name, extracted in extracted_by_name.items():
@@ -349,34 +294,48 @@ def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
     return details
 
 
+def _member_details(declared: ClassSpec, found: ClassSpec) -> list[MismatchDetail]:
+    """MISSING, MISMATCH and EXTRA details of a class's members, each read as
+    its canonical text: an attribute's type, a method's signature. An
+    unannotated attribute ("any") only proves presence, and a declared "any"
+    accepts every annotation."""
+    details = []
+    for texts in (
+        lambda cls: {a.name: a.type_name for a in cls.attributes},
+        lambda cls: {m.name: m.text for m in cls.methods},
+    ):
+        expected_texts, found_texts = texts(declared), texts(found)
+        for name, expected in expected_texts.items():
+            actual = found_texts.get(name)
+            if actual is None:
+                details.append(MismatchDetail(DetailKind.MISSING, f"{declared.name}.{name}", expected=expected))
+            elif "any" not in (expected, actual) and actual != expected:
+                details.append(MismatchDetail(DetailKind.MISMATCH, f"{declared.name}.{name}", expected, actual))
+        for name, actual in found_texts.items():
+            if name not in expected_texts and not _is_internal_name(name):
+                details.append(MismatchDetail(DetailKind.EXTRA, f"{declared.name}.{name}", actual=actual))
+    return details
+
+
 def demand_details(kernel: SymbolicKernel, unit: FileUnit) -> list[MismatchDetail]:
     """Attributes a file reads off a contracted peer class that the contract
-    does not declare: the demand side of a schema divergence."""
+    does not declare: the demand side of a schema divergence. A receiver's
+    type is that of the parameter it names in the def whose body reads it."""
     symbols = analyze(unit)
     if symbols.unanalyzable:
         return []
-    by_lower = kernel.classes_by_lower
-
-    receiver_types: dict[str, set[str]] = {}
-    for method in [m for c in symbols.classes for m in c.methods] + list(symbols.functions):
-        for pname, ptype in method.params:
-            head = ptype.split("[")[0].strip()
-            if head in kernel.classes:
-                receiver_types.setdefault(pname, set()).add(head)
-
     details: list[MismatchDetail] = []
     seen: set[str] = set()
-    for receiver, attr in symbols.attribute_uses:
+    for receiver, receiver_type, attr in symbols.attribute_uses:
         if _is_internal_name(attr):
             continue
-        candidates = receiver_types.get(receiver, set())
-        if not candidates and receiver.lower() in by_lower:
-            candidates = {by_lower[receiver.lower()]}
-        if not candidates:
+        # A parameter typed with a contracted class is that class; any other
+        # receiver named like one (``player`` for ``Player``) is taken for it.
+        target = type_head(receiver_type)
+        if target not in kernel.classes:
+            target = kernel.classes_by_lower.get(receiver.lower())
+        if target is None or _class_declares(kernel.classes[target][1], attr):
             continue
-        if any(_class_declares(kernel.classes[c][1], attr) for c in candidates):
-            continue
-        target = sorted(candidates)[0]
         symbol = f"{target}.{attr}"
         if symbol in seen:
             continue
@@ -387,9 +346,7 @@ def demand_details(kernel: SymbolicKernel, unit: FileUnit) -> list[MismatchDetai
 
 
 def _class_declares(cls: ClassSpec, name: str) -> bool:
-    return any(a.name == name for a in cls.attributes) or any(
-        m.name == name for m in cls.methods
-    )
+    return any(member.name == name for member in (*cls.attributes, *cls.methods))
 
 
 def classify(details: list[MismatchDetail]) -> DeltaKind:

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--mode", choices=[m.value for m in RunMode], default=None)
     gen.add_argument("--base-url", default=None, help="remote endpoint base URL")
 
-    aud = sub.add_parser("audit", help="audit a contract against a workspace")
+    aud = sub.add_parser("audit", help="audit a contract against a workspace; exits 1 unless it conforms")
     aud.add_argument("--contract", required=True)
     aud.add_argument("--workspace", required=True)
 
@@ -154,7 +154,7 @@ def _cmd_audit(args) -> int:
         "deltas": [d.to_dict() for d in deltas],
     }
     print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
+    return 0 if existence == 1.0 and consistent else 1
 
 
 def _cmd_eval(args) -> int:

@@ -330,10 +330,14 @@ def apply_action(
 
 def journal_record(action: ContractAction, revision: int) -> dict:
     """One append-only sidecar record per accepted action."""
+    return {"revision": revision, **_action_fields(action)}
+
+
+def rejection_record(action: ContractAction, stage: str, rejection: Rejection) -> dict:
+    """The sidecar record of an action refused at ``stage``."""
+    return {"kind": "rejected", "stage": stage, **_action_fields(action), "reason": str(rejection)}
+
+
+def _action_fields(action: ContractAction) -> dict:
     digest = hashlib.sha256(action.content.encode("utf-8")).hexdigest()
-    return {
-        "revision": revision,
-        "op": action.op.value,
-        "section": action.section.value,
-        "content_sha256": digest,
-    }
+    return {"op": action.op.value, "section": action.section.value, "content_sha256": digest}

@@ -19,24 +19,25 @@ the plan reviewer reads the modules validation flags (``review_view``). A
 view reads an index of module paths to lines that the value's first view
 builds and its kernel keeps, so it costs the size of its neighbourhood.
 
-Contract method signatures are Python ``def`` headers. They are read by the
-same ``ast`` reader (``read_signature``) that reads the generated code's
-definitions, so contract and code agree on defaults (not part of a
-signature), a leading ``self``/``cls`` (dropped), ``*args``/``**kw`` and the
-``/``/``*`` markers (not recorded).
+Contract and code share one type model. Every type, of a contract attribute
+or header or of a code annotation, is read by ``read_type`` into one canonical
+text, the one that is compared, printed and cut to a head, so a spelling or
+layout (``'Player'``, ``Optional[int]``, a wrapped ``List[...]``) is never a
+mismatch. Contract method signatures are Python ``def`` headers, read by the
+reader of the code's definitions (``read_signature``), so contract and code
+agree on defaults (not part of a signature), a leading ``self``/``cls``
+(dropped), ``*args``/``**kw`` and the ``/``/``*`` markers (not recorded).
 """
 
 from __future__ import annotations
 
 import ast
-import io
 import logging
 import posixpath
 import re
-import tokenize
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .contract import LanguageContract, SectionKey, parse_field_line
 from .tasks import Task, TaskStatus
@@ -78,6 +79,11 @@ class MethodSig:
     return_type: str
     docstring: str = ""
 
+    @cached_property
+    def text(self) -> str:
+        """``print_signature`` of this signature, computed on first use."""
+        return print_signature(self)
+
 
 @dataclass(frozen=True)
 class AttributeSpec:
@@ -91,6 +97,17 @@ class ClassSpec:
     name: str
     attributes: tuple[AttributeSpec, ...] = ()
     methods: tuple[MethodSig, ...] = ()
+
+    @cached_property
+    def member_heads(self) -> tuple[tuple[str, str], ...]:
+        """``(where, head)`` for each union alternative of each member type,
+        attributes first (``list[Game]`` has the head ``list``). Computed on
+        first use, so every projection that keeps the class reuses it."""
+        typed = [(f"{self.name}.{a.name}", a.type_name) for a in self.attributes]
+        for sig in self.methods:
+            typed.append((f"{self.name}.{sig.name} return", sig.return_type))
+            typed.extend((f"{self.name}.{sig.name}({n})", t) for n, t in sig.params)
+        return tuple((where, type_head(alternative)) for where, t in typed for alternative in _outer_bars(t))
 
 
 @dataclass(frozen=True)
@@ -167,52 +184,51 @@ def normalize_path(path: str) -> str:
     return normalized
 
 
-# --- signature reader: one for contract headers and generated code -------------
+# --- type and signature readers: one for contract and generated code ----------
 
-_OPENERS = "([{"
-_CLOSERS = ")]}"
-
-
-def without_comments(pieces: list[str]) -> list[str]:
-    """The lines of a wrapped node's source, each cut where a ``#`` comment
-    starts. The lines are tokenized inside parentheses, so every line break is
-    a continuation; a ``#`` inside a string literal is no comment and stays."""
-    cuts: dict[int, int] = {}
-    source = "(" + "\n".join(pieces) + ")"
-    for token in tokenize.generate_tokens(io.StringIO(source).readline):
-        if token.type == tokenize.COMMENT:
-            row, col = token.start
-            cuts[row - 1] = col - 1 if row == 1 else col
-    return [piece[: cuts[i]] if i in cuts else piece for i, piece in enumerate(pieces)]
+_TYPING_ALIASES = {"List": "list", "Dict": "dict", "Tuple": "tuple", "Set": "set", "Any": "any"}
 
 
-def source_text(node: ast.expr, lines: list[bytes]) -> str:
-    """A node's source text with whitespace collapsed.
+def read_type(node: ast.expr) -> str:
+    """The canonical text of a type, which contract and code both compare,
+    print and take heads from: a forward reference unquoted (not inside
+    ``Literal[...]``), no ``typing.`` prefix, ``Optional[X]`` as ``X | None``,
+    ``Union[A, B]`` as ``A | B``, ``List``/``Dict``/``Tuple``/``Set`` as the
+    builtins, ``Any`` as ``any`` and a one-element subscript tuple (black's
+    trailing comma) as its element; the rest is unparsed, without layout or
+    comments. A node nested too deep for the reader raises RecursionError."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "typing":
+        node = ast.Name(node.attr)
+    if isinstance(node, ast.Name):
+        return _TYPING_ALIASES.get(node.id, node.id)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):  # a forward reference
+        try:
+            return read_type(ast.parse(node.value.strip(), mode="eval").body)
+        except (SyntaxError, ValueError):
+            return ast.unparse(node)  # not an expression: kept as written
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return f"{read_type(node.left)} | {read_type(node.right)}"
+    if isinstance(node, ast.List):  # the parameter list of a Callable
+        return f"[{', '.join(map(read_type, node.elts))}]"
+    if not isinstance(node, ast.Subscript):
+        return ast.unparse(node)
+    head = read_type(node.value)
+    items = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    if head == "Literal":  # its strings are values, not references
+        return f"Literal[{', '.join(map(ast.unparse, items))}]"
+    texts = [read_type(item) for item in items]
+    if head == "Optional" and len(texts) == 1:
+        return f"{texts[0]} | None"
+    if head == "Union" and texts:
+        return " | ".join(texts)
+    return f"{head}[{', '.join(texts) or '()'}]"
 
-    Annotations are compared as written (``Tuple[int,int]`` stays as is), so
-    the text is sliced from the source rather than unparsed. A wrapped
-    annotation is joined back onto one line without its comments: no space
-    after an opening or before a closing bracket, and a trailing comma before
-    a closing bracket dropped, so black's three-line ``list[`` /
-    ``list[int],`` / ``]`` reads ``list[list[int]]``. Offsets are UTF-8 byte
-    columns, hence the byte lines.
-    """
-    first, last = node.lineno - 1, node.end_lineno - 1
-    if first == last:
-        return " ".join(lines[first][node.col_offset : node.end_col_offset].decode().split())
-    pieces = [lines[first][node.col_offset :], *lines[first + 1 : last], lines[last][: node.end_col_offset]]
-    text = ""
-    for raw in without_comments([piece.decode() for piece in pieces]):
-        piece = " ".join(raw.split())
-        if not piece:
-            continue
-        if text.endswith(",") and piece[0] in _CLOSERS:
-            text = text[:-1] + piece
-        elif not text or text[-1] in _OPENERS or piece[0] in _CLOSERS:
-            text += piece
-        else:
-            text += " " + piece
-    return text
+
+@lru_cache(maxsize=4096)
+def _read_type_text(text: str) -> str:
+    """``read_type`` of a type written as text (SyntaxError or ValueError if it
+    is no Python expression), read once: contract revisions repeat types."""
+    return read_type(ast.parse(text, mode="eval").body)
 
 
 def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.arg]:
@@ -222,12 +238,10 @@ def _parameters(node: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.arg]:
     return params[1:] if params and params[0].arg in ("self", "cls") else params
 
 
-def read_signature(node: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> MethodSig:
+def read_signature(node: ast.FunctionDef | ast.AsyncFunctionDef) -> MethodSig:
     """Untyped parameters read "any" and a missing return annotation "None"."""
-    params = tuple(
-        (a.arg, "any" if a.annotation is None else source_text(a.annotation, lines)) for a in _parameters(node)
-    )
-    returns = "None" if node.returns is None else source_text(node.returns, lines)
+    params = tuple((a.arg, "any" if a.annotation is None else read_type(a.annotation)) for a in _parameters(node))
+    returns = "None" if node.returns is None else read_type(node.returns)
     return MethodSig(name=node.name, params=params, return_type=returns)
 
 
@@ -252,16 +266,35 @@ def parse_signature(text: str) -> MethodSig:
     for a in _parameters(node):
         if a.annotation is None:
             raise SignatureError(f"missing type for parameter {a.arg!r}", indent + a.col_offset + 1)
-    return read_signature(node, [source.encode()])
+    return read_signature(node)
 
 
 def print_signature(sig: MethodSig) -> str:
     params = ", ".join(f"{n}: {t}" for n, t in sig.params)
-    return f"def {sig.name}({params}) -> {sig.return_type}"
+    return f"def {sig.name}({params}) -> {_printed_type(sig.return_type)}"
+
+
+def _outer_bars(text: str) -> list[str]:
+    """``text`` cut at each ``|`` outside brackets: a contract line's
+    description follows the first, and a union's alternatives are cut apart."""
+    pieces, start, at = [], 0, text.find("|")
+    while at >= 0:
+        piece = text[start:at]
+        if sum(map(piece.count, "([{")) == sum(map(piece.count, ")]}")):
+            pieces.append(piece)
+            start = at + 1
+        at = text.find("|", at + 1)
+    return [*pieces, text[start:]]
+
+
+def _printed_type(type_name: str) -> str:
+    """A type as a contract line prints it, a union in parentheses."""
+    return f"({type_name})" if "|" in type_name and len(_outer_bars(type_name)) > 1 else type_name
 
 
 def type_head(type_name: str) -> str:
-    return re.split(r"[\[\s]", type_name.strip(), maxsplit=1)[0]
+    """The head symbol of a canonical type: ``list`` of ``list[int]``."""
+    return type_name.strip().partition("[")[0].partition(" ")[0]
 
 
 # --- API specification section grammar --------------------------------------
@@ -274,14 +307,17 @@ def type_head(type_name: str) -> str:
 #       - Class: Player
 #         Attributes:
 #           - x: int | Horizontal position.
+#           - target: (Player | None) | Who is chased, if anyone.
 #         Methods:
 #           - def move(dx: int) -> None | Shift the player.
 #
 # Bullets, indentation and bold markers are not significant; the field names
-# are. Attribute and method lines are only meaningful inside their blocks.
+# are. Attribute and method lines are only meaningful inside their blocks. A
+# description follows the first ``|`` outside brackets, so a union type is
+# printed in parentheses. An attribute type is a Python expression.
 
-_ATTR_LINE_RE = re.compile(r"^\s*-\s*([A-Za-z_]\w*)\s*:\s*([^|]+?)\s*(?:\|\s*(.*))?$")
-_METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.+?)\s*(?:\|\s*(.*))?$")
+_ATTR_LINE_RE = re.compile(r"^\s*-\s*([A-Za-z_]\w*)\s*:(.*)$")
+_METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.*)$")
 
 
 _FILE_KEYS = ("file", "file path")
@@ -470,21 +506,26 @@ def _parse_chunk(
             m = _ATTR_LINE_RE.match(line.replace("*", ""))
             if m is None:
                 raise ProjectionError(f"unparseable attribute line: {line.strip()!r}", lineno)
-            name, type_name, desc = m.group(1), " ".join(m.group(2).split()), m.group(3) or ""
+            name, (text, *desc) = m.group(1), _outer_bars(m.group(2))
+            try:
+                type_name = _read_type_text(text.strip())
+            except (SyntaxError, ValueError, RecursionError, MemoryError):
+                raise ProjectionError(f"attribute type is not a Python expression: {text.strip()!r}", lineno) from None
             cls = entry.classes[-1]  # type: ignore[union-attr]
             if any(a.name == name for a in cls["attributes"]):
                 raise ProjectionError(f"duplicate attribute {name} in class {cls['name']}", lineno)
-            cls["attributes"].append(AttributeSpec(name=name, type_name=type_name, description=desc))
+            cls["attributes"].append(AttributeSpec(name=name, type_name=type_name, description="|".join(desc).strip()))
             continue
         if block == "methods":
             m = _METHOD_LINE_RE.match(line.replace("*", ""))
             if m is None:
                 raise ProjectionError(f"unparseable method line: {line.strip()!r}", lineno)
+            header, *doc = _outer_bars(m.group(1))
             try:
-                sig = parse_signature(m.group(1))
-            except SignatureError as exc:
+                sig = parse_signature(header)
+            except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
                 raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
-            sig = replace(sig, docstring=(m.group(2) or "").strip())
+            sig = replace(sig, docstring="|".join(doc).strip())
             cls = entry.classes[-1]  # type: ignore[union-attr]
             if any(existing.name == sig.name for existing in cls["methods"]):
                 raise ProjectionError(f"duplicate method {sig.name} in class {cls['name']}", lineno)
@@ -495,10 +536,7 @@ def _parse_chunk(
 
 
 def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) -> list[str]:
-    """Canonical re-rendering. ``parse_api_section`` inverts it, except for a
-    type spelled with ``|``: the attribute line ``x: int | None | doc`` reads
-    back as type ``int``, and the method line ``def f(y: int | None) -> int``
-    does not parse, since ``|`` also separates the description."""
+    """Canonical re-rendering; ``parse_api_section`` inverts it."""
     lines: list[str] = []
     for i, entry in enumerate(entries):
         if i:
@@ -515,7 +553,7 @@ def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) ->
                 lines.append("      Attributes:")
                 for attr in cls.attributes:
                     desc = f" | {attr.description}" if attr.description else ""
-                    lines.append(f"        - {attr.name}: {attr.type_name}{desc}")
+                    lines.append(f"        - {attr.name}: {_printed_type(attr.type_name)}{desc}")
             if cls.methods:
                 lines.append("      Methods:")
                 for sig in cls.methods:
@@ -637,14 +675,8 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
     derived: set[tuple[str, str]] = set()
     for path, entry in entries.items():
         for cls in entry.classes:
-            referenced: set[str] = set()
-            for attr in cls.attributes:
-                referenced.add(type_head(attr.type_name))
-            for sig in cls.methods:
-                referenced.add(type_head(sig.return_type))
-                referenced.update(type_head(t) for _, t in sig.params)
-            for ref in referenced & classes.keys():
-                owner = classes[ref][0]
+            for _, head in cls.member_heads:
+                owner = classes[head][0] if head in classes else path
                 if owner != path and owner not in declared[path]:
                     derived.add((path, owner))
 
@@ -821,8 +853,8 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
     """All violations in the kernel; an empty list means valid.
 
     CYCLE: the declared dependency graph is not a DAG.
-    TYPE_UNDEFINED: a signature names a type that is neither primitive nor a
-    declared class (head symbol only for generics).
+    TYPE_UNDEFINED: a member type has a head (``ClassSpec.member_heads``)
+    that is neither primitive nor a declared class.
     INCOMPLETE: an entry none of whose methods carries a docstring, the proxy
     for an interface described in too little detail to implement against.
     """
@@ -835,22 +867,10 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
 
     for path, entry in kernel.entries.items():
         for cls in entry.classes:
-            referenced: list[tuple[str, str]] = []
-            for attr in cls.attributes:
-                referenced.append((f"{cls.name}.{attr.name}", attr.type_name))
-            for sig in cls.methods:
-                referenced.append((f"{cls.name}.{sig.name} return", sig.return_type))
-                referenced.extend((f"{cls.name}.{sig.name}({n})", t) for n, t in sig.params)
-            for where, type_name in referenced:
-                head = type_head(type_name)
+            for where, head in cls.member_heads:
                 if head not in PRIMITIVE_TYPES and head not in kernel.classes:
-                    violations.append(
-                        Violation(
-                            ViolationKind.TYPE_UNDEFINED,
-                            f"{path}::{where}",
-                            f"type {head!r} is neither primitive nor a declared class",
-                        )
-                    )
+                    message = f"type {head!r} is neither primitive nor a declared class"
+                    violations.append(Violation(ViolationKind.TYPE_UNDEFINED, f"{path}::{where}", message))
         methods = [sig for cls in entry.classes for sig in cls.methods]
         if not any(sig.docstring for sig in methods):
             violations.append(

@@ -243,7 +243,7 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         intent,
         backend,
         context_limit=config.context_limit,
-        on_accept=lambda action, revision: ledger.add_journal(journal_record(action, revision)),
+        journal=ledger.add_journal,
     )
     kernel = project(contract)
     tasks = {t.id: t for t in tasks_of(kernel)}

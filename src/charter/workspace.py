@@ -6,8 +6,11 @@ assignments and class-body annotations), method signatures, imports and
 attribute uses, and a real parser reads them regardless of layout (multi-line
 signatures, decorators, docstrings, nested defs). Code is read into the
 contract's own model: classes are ``kernel.ClassSpec`` values with
-``AttributeSpec`` attributes, and signatures go through
-``kernel.read_signature``, the reader that also reads the contract's headers.
+``AttributeSpec`` attributes, and annotations and signatures go through
+``kernel.read_type`` and ``read_signature``, the readers of the contract's
+types, so a type reads the same on both sides however it is spelled. An
+attribute use carries its receiver's type where the receiver is a parameter
+of the def whose body reads it.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
 unit, and files of any other type yield no symbols. The workspace stores the
@@ -30,7 +33,7 @@ from .kernel import (
     PathViolation,
     normalize_path,
     read_signature,
-    source_text,
+    read_type,
 )
 
 logger = logging.getLogger(__name__)
@@ -49,9 +52,9 @@ class FileUnit:
 @dataclass(frozen=True)
 class ExtractedSymbols:
     classes: tuple[ClassSpec, ...] = ()
-    functions: tuple[MethodSig, ...] = ()
     imports: tuple[tuple[str, str], ...] = ()  # (module path, symbol or WHOLE_MODULE)
-    attribute_uses: tuple[tuple[str, str], ...] = ()  # (receiver name, attribute)
+    # (receiver name, its type where it is a parameter of an enclosing def or "", attribute)
+    attribute_uses: tuple[tuple[str, str, str], ...] = ()
     toplevel_names: tuple[str, ...] = ()
     unanalyzable: bool = False
 
@@ -60,7 +63,19 @@ _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _KEYWORD_RECEIVERS = {"self", "cls", "super"}
 
 
-def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[bytes]) -> list[tuple[str, str]]:
+def _parameter_type(use: ast.Attribute, defs: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, dict]]) -> str:
+    """The type of the parameter ``use`` reads, from the innermost of ``defs``
+    (outer first, each with its parameter types) whose body (not decorators
+    or annotations) holds it, or ""."""
+    at = (use.lineno, use.col_offset)
+    for node, params in reversed(defs):
+        start = (node.body[0].lineno, node.body[0].col_offset)
+        if use.value.id in params and start <= at <= (node.end_lineno, node.end_col_offset):
+            return params[use.value.id]
+    return ""
+
+
+def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple[str, str]]:
     """``self.NAME [: TYPE] = ...`` targets anywhere in a constructor, in source order."""
     params = init.args.posonlyargs + init.args.args
     if not params:
@@ -71,7 +86,7 @@ def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[b
         if isinstance(node, ast.Assign):
             targets, type_name = node.targets, "any"
         elif isinstance(node, ast.AnnAssign):
-            targets, type_name = [node.target], source_text(node.annotation, lines)
+            targets, type_name = [node.target], read_type(node.annotation)
         else:
             continue
         for target in targets:
@@ -81,7 +96,7 @@ def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef, lines: list[b
     return [(name, type_name) for _, _, name, type_name in sorted(found)]
 
 
-def _class(node: ast.ClassDef, lines: list[bytes]) -> ClassSpec:
+def _class(node: ast.ClassDef) -> ClassSpec:
     """Class-body annotations (dataclass fields) and constructor assignments
     are attributes, typed ``"any"`` when unannotated; the class body's own
     defs are methods. The first definition of a name wins, so a property's
@@ -90,11 +105,11 @@ def _class(node: ast.ClassDef, lines: list[bytes]) -> ClassSpec:
     methods: dict[str, MethodSig] = {}
     for item in node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            attributes.setdefault(item.target.id, source_text(item.annotation, lines))
+            attributes.setdefault(item.target.id, read_type(item.annotation))
         elif isinstance(item, _DEFS):
-            methods.setdefault(item.name, read_signature(item, lines))
+            methods.setdefault(item.name, read_signature(item))
             if item.name == "__init__":
-                for name, type_name in _self_attributes(item, lines):
+                for name, type_name in _self_attributes(item):
                     attributes.setdefault(name, type_name)
     return ClassSpec(
         name=node.name,
@@ -104,42 +119,51 @@ def _class(node: ast.ClassDef, lines: list[bytes]) -> ClassSpec:
 
 
 def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
-    """Classes, signatures, imports and attribute uses of one Python module.
+    """Classes, imports, attribute uses and top-level names of one Python module.
 
-    Classes are found at any depth; functions and top-level names are the
-    module's own statements (defs, classes, assigned and imported names; a
-    package's ``__init__.py`` re-exports what it imports). A body that does
-    not parse is unanalyzable; so is one nested too deep for the parser,
-    which reports that as RecursionError or MemoryError.
+    Classes are found at any depth; top-level names are the module's own
+    statements (defs, classes, assigned and imported names; a package's
+    ``__init__.py`` re-exports what it imports). A body that does not parse
+    is unanalyzable; so is one nested too deep for the parser or for
+    ``read_type``, which report that as RecursionError or MemoryError.
     """
     try:
         tree = ast.parse(unit.body)
-        lines = unit.body.encode("utf-8").splitlines()
     except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
+    try:
+        return _read_module(tree)
+    except (RecursionError, MemoryError):
+        return ExtractedSymbols(unanalyzable=True)
 
+
+def _read_module(tree: ast.Module) -> ExtractedSymbols:
     classes: list[ClassSpec] = []
     imports: list[tuple[str, str]] = []
-    uses: list[tuple[int, int, str, str]] = []  # source position first: the walk is breadth-first
+    uses: list[tuple[int, int, str, str, str]] = []  # source position first: the walk is breadth-first
+    accessors: set[int] = set()  # ``@x.setter`` on ``def x`` names the property itself, not a peer
+    defs: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, dict]] = []  # visited before the nodes they hold
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id not in _KEYWORD_RECEIVERS:
-                uses.append((node.lineno, node.col_offset, node.value.id, node.attr))
+            receiver = getattr(node.value, "id", None)  # set for a plain name only
+            if receiver is not None and receiver not in _KEYWORD_RECEIVERS and id(node) not in accessors:
+                uses.append((node.lineno, node.col_offset, receiver, _parameter_type(node, defs), node.attr))
+        elif isinstance(node, _DEFS):
+            accessors.update(
+                id(d) for d in node.decorator_list if isinstance(d, ast.Attribute) and getattr(d.value, "id", None) == node.name
+            )
+            defs.append((node, dict(read_signature(node).params)))
         elif isinstance(node, ast.ClassDef):
-            classes.append(_class(node, lines))
+            classes.append(_class(node))
         elif isinstance(node, ast.Import):
             imports.extend((alias.name, WHOLE_MODULE) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
             imports.extend((module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names)
 
-    functions: list[MethodSig] = []
     toplevel: list[str] = []
     for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            toplevel.append(node.name)
-        elif isinstance(node, _DEFS):
-            functions.append(read_signature(node, lines))
+        if isinstance(node, (ast.ClassDef, *_DEFS)):
             toplevel.append(node.name)
         elif isinstance(node, ast.Assign):
             toplevel.extend(t.id for t in node.targets if isinstance(t, ast.Name))
@@ -151,9 +175,8 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
 
     return ExtractedSymbols(
         classes=tuple(classes),
-        functions=tuple(functions),
         imports=tuple(imports),
-        attribute_uses=tuple(dict.fromkeys((receiver, attr) for _, _, receiver, attr in sorted(uses))),
+        attribute_uses=tuple(dict.fromkeys(use[2:] for use in sorted(uses))),
         toplevel_names=tuple(dict.fromkeys(toplevel)),
     )
 

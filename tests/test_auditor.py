@@ -506,3 +506,92 @@ def test_audit_layer_amendment_records_members_from_the_audited_body():
         - hits: int | hits value
       Methods:
         - def hit_test(player: Player, px: int, py: int) -> bool | documented"""
+
+
+def test_types_are_compared_in_one_canonical_form():
+    # Quoted forward references, `X | None` against `Optional[X]` and a
+    # wrapped annotation read as the contract's types: nothing differs.
+    contract = contract_with(
+        [
+            make_entry(
+                "game/player.py",
+                classes=(
+                    simple_class(
+                        "Player",
+                        [("hp", "int"), ("score", "Optional[int]"), ("moves", "List[Tuple[int, int]]")],
+                        [method("def beats(other: Player) -> bool")],
+                    ),
+                ),
+            )
+        ]
+    )
+    body = (
+        "class Player:\n"
+        "    def __init__(self):\n"
+        "        self.hp: 'int' = 10\n"
+        "        self.score: int | None = None\n"
+        "        self.moves: list[\n"
+        "            tuple[int, int],  # (row, col)\n"
+        "        ] = []\n"
+        "\n"
+        '    def beats(self, other: "Player") -> bool:\n'
+        "        return self.hp > other.hp\n"
+    )
+    kernel = project(contract)
+    unit = FileUnit("game/player.py", body)
+    assert compare_unit(kernel.entries["game/player.py"], unit) == []
+    assert demand_details(kernel, unit) == []
+
+
+def test_a_method_with_a_union_parameter_is_amended_into_the_contract():
+    # A layer in which one worker adds a method typed with `|` and another an
+    # unrelated method: both supersets are legitimized by one amendment.
+    contract = contract_with(
+        [
+            make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> int")]),)),
+            make_entry("b.py", classes=(simple_class("B", [], [method("def g() -> int")]),)),
+        ]
+    )
+    outcomes = [
+        _worker_outcome(
+            "a.py",
+            "a.py",
+            "class A:\n    def f(self) -> int:\n        return 1\n\n"
+            "    def h(self, y: int | None) -> int:\n        return 0\n",
+        ),
+        _worker_outcome(
+            "b.py",
+            "b.py",
+            "class B:\n    def g(self) -> int:\n        return 1\n\n    def k(self) -> int:\n        return 2\n",
+        ),
+    ]
+    report = audit_layer(contract, {}, _tasks(contract), outcomes)
+    assert [(d.task_id, d.kind) for d in report.deltas] == [("a.py", DeltaKind.PATCHABLE), ("b.py", DeltaKind.PATCHABLE)]
+    amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
+    assert amendment.added_symbols == ("A.h", "B.k")
+    assert report.warnings == ()
+    [(_, write_back, _)] = report.contract_actions
+    assert "        - def h(y: int | None) -> int | recorded from a.py" in write_back.content.splitlines()
+
+
+def test_a_receiver_is_a_peer_only_where_it_is_a_typed_parameter():
+    # `other` is a Player in `beats` alone: the dict of the same name in
+    # `tally` demands nothing of Player.
+    contract = contract_with(
+        [make_entry("p.py", classes=(simple_class("Player", [("hp", "int")], [method("def beats(other: Player) -> bool"), method("def tally() -> int")]),))]
+    )
+    body = (
+        "class Player:\n"
+        "    def __init__(self):\n"
+        "        self.hp: int = 0\n"
+        "\n"
+        "    def beats(self, other: 'Player') -> bool:\n"
+        "        return self.hp > other.hp\n"
+        "\n"
+        "    def tally(self) -> int:\n"
+        "        other = {}\n"
+        "        return other.get(1, 0)\n"
+    )
+    kernel = project(contract)
+    assert demand_details(kernel, FileUnit("p.py", body)) == []
+    assert [d.symbol for d in demand_details(kernel, FileUnit("p.py", body.replace("other.hp", "other.mp")))] == ["Player.mp"]

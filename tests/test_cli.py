@@ -123,6 +123,24 @@ def test_audit_command(tmp_path, capsys):
     assert report["unmatched"] == []
 
 
+@pytest.mark.parametrize(
+    "tamper, failure",
+    [
+        (lambda ws: (ws / "board.py").unlink(), "existence"),
+        (lambda ws: (ws / "board.py").write_text((ws / "board.py").read_text().replace("def place(", "def put(")), "consistency"),
+    ],
+)
+def test_audit_command_fails_on_a_tampered_workspace(tmp_path, capsys, tamper, failure):
+    code, out, _ = _generate(tmp_path, capsys)
+    assert code == 0
+    tamper(out / "workspace")
+    argv = ["audit", "--contract", str(out / "project.contract.md"), "--workspace", str(out / "workspace")]
+    code = main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["existence"] < 1.0 if failure == "existence" else report["consistency"] is False
+
+
 def test_replay_matches_and_detects_tamper(tmp_path, capsys):
     code, out, _ = _generate(tmp_path, capsys)
     assert code == 0

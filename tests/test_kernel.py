@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import keyword
 import random
 import sys
@@ -13,6 +14,7 @@ from charter.agents import IntentSpec, synthesize_contract
 from charter.backends import ScriptedBackend
 from charter.contract import LanguageContract, SectionKey, new_contract, DEFAULT_TEMPLATE
 from charter.kernel import (
+    AttributeSpec,
     MethodSig,
     ProjectionError,
     SignatureError,
@@ -25,9 +27,9 @@ from charter.kernel import (
     print_api_section,
     print_signature,
     project,
+    read_type,
     task_view,
     tasks_of,
-    type_head,
     validate,
 )
 from charter.scheduler import RunConfig, RunMode, run
@@ -96,11 +98,13 @@ def test_parse_signature_rejects(header):
     ],
 )
 def test_contract_and_code_read_a_header_alike(header):
-    symbols = extract_symbols(FileUnit(path="m.py", body=header + ":\n    ...\n"))
-    assert symbols.functions == (parse_signature(header),)
+    symbols = extract_symbols(FileUnit(path="m.py", body=f"class C:\n    {header}:\n        ...\n"))
+    assert symbols.classes[0].methods == (parse_signature(header),)
 
 
-_type_names = st.sampled_from(["int", "float", "str", "bool", "None", "list[int]", "dict[str, int]", "Game"])
+_type_names = st.sampled_from(
+    ["int", "float", "str", "bool", "None", "list[int]", "dict[str, int]", "Game", "int | None", "Optional[Game]", "list[int | None]"]
+)
 # A keyword cannot name a function or parameter, and a leading self/cls is the
 # receiver, not a parameter.
 _identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
@@ -115,8 +119,63 @@ _identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True).filter(
 )
 @settings(max_examples=200, deadline=None)
 def test_signature_round_trip(name, params, ret):
-    sig = MethodSig(name=name, params=tuple(params), return_type=ret)
+    sig = MethodSig(name=name, params=tuple((n, _read(t)) for n, t in params), return_type=_read(ret))
     assert parse_signature(print_signature(sig)) == sig
+    # A header as written reads into the same canonical types.
+    header = f"def {name}({', '.join(f'{n}: {t}' for n, t in params)}) -> {ret}"
+    assert parse_signature(header) == sig
+
+
+def _read(text: str) -> str:
+    return read_type(ast.parse(text, mode="eval").body)
+
+
+_names = st.sampled_from(["int", "str", "None", "Game", "Any", "List", "typing.Dict", "Optional", "Union", "Literal"])
+_type_texts = st.recursive(
+    _names,
+    lambda inner: st.one_of(
+        st.builds("{}[{}]".format, _names, inner),
+        st.builds("{}[{}, {}]".format, _names, inner, inner),
+        st.builds("{}[{},]".format, _names, inner),
+        st.builds("{} | {}".format, inner, inner),
+        st.builds(repr, inner),
+    ),
+    max_leaves=6,
+)
+
+
+@given(_type_texts)
+@settings(max_examples=300, deadline=None)
+@example("Literal['int', \"'Game'\"]")
+@example("'not a type!'")
+def test_reading_a_canonical_type_again_changes_nothing(text):
+    canonical = _read(text)
+    assert _read(canonical) == canonical
+
+
+@pytest.mark.parametrize(
+    "written, canonical",
+    [
+        ("'Player'", "Player"),
+        ("typing.Optional['Player']", "Player | None"),
+        ("Union[int, str, None]", "int | str | None"),
+        ("List[Tuple[int,int],]", "list[tuple[int, int]]"),
+        ("Dict[str, typing.Any]", "dict[str, any]"),
+        ("Literal['Game', 'a b',]", "Literal['Game', 'a b']"),
+        ("'not a type!'", "'not a type!'"),
+    ],
+)
+def test_a_type_is_read_in_its_canonical_form(written, canonical):
+    assert _read(written) == canonical
+
+
+def test_an_attribute_type_that_is_no_python_expression_is_refused():
+    lines = ["- File: a.py", "  Classes:", "    - Class: A", "      Attributes:", "        - x: list of int | cells"]
+    with pytest.raises(ProjectionError, match="line 5: attribute type is not a Python expression: 'list of int'"):
+        parse_api_section(lines)
+    lines[-1] = "        - x: int | None | cells"  # unparenthesised: the type ends at the first `|`
+    [entry] = parse_api_section(lines)
+    assert entry.classes[0].attributes[0] == AttributeSpec("x", "int", "None | cells")
 
 
 def test_project_player_entry():
@@ -198,6 +257,18 @@ def test_validate_flags_undeclared_type():
     assert any(v.kind is ViolationKind.TYPE_UNDEFINED and "Inventory" in v.message for v in violations)
 
 
+def test_every_alternative_of_a_union_is_a_head():
+    entries = [
+        make_entry("a.py", classes=(simple_class("A", [("b", "None | B"), ("c", "Optional['Cart']")], [method("def f() -> int")]),)),
+        make_entry("b.py", classes=(simple_class("B", [], [method("def g() -> int")]),)),
+    ]
+    kernel = project(contract_with(entries))
+    assert [(v.subject, v.message) for v in kernel.violations if v.kind is ViolationKind.TYPE_UNDEFINED] == [
+        ("a.py::A.c", "type 'Cart' is neither primitive nor a declared class")
+    ]
+    assert kernel.derived_edges == (("a.py", "b.py"),)
+
+
 def test_validate_clean_kernel():
     violations = validate(project(_three_module_contract()))
     assert violations == []
@@ -246,14 +317,20 @@ def test_api_section_print_parse_round_trip():
             classes=(
                 simple_class(
                     "Thing",
-                    [("a", "int"), ("b", "list[str]")],
-                    [method("def f(q: int) -> bool", doc="checks q"), method("def g() -> None", doc="")],
+                    [("a", "int"), ("b", "list[str]"), ("c", "int | None"), ("d", "dict[str, int | None]")],
+                    [
+                        method("def f(q: int) -> bool", doc="checks q"),
+                        method("def g() -> None", doc=""),
+                        method("def h(y: int | None) -> Optional[Thing]", doc="maybe | maybe not"),
+                    ],
                 ),
             ),
         ),
         make_entry("z.py", owner="app"),
     ]
     printed = print_api_section(entries)
+    assert "        - c: (int | None) | c value" in printed
+    assert "        - def h(y: int | None) -> (Thing | None) | maybe | maybe not" in printed
     assert parse_api_section(printed) == entries
 
 
@@ -498,15 +575,7 @@ def test_every_class_an_entry_references_is_declared_in_its_view(name):
     kernel = project(contract)
     assert len(kernel.entries) > 1
     for task_id, entry in kernel.entries.items():
-        referenced = {
-            type_head(t)
-            for cls in entry.classes
-            for t in (
-                *(a.type_name for a in cls.attributes),
-                *(sig.return_type for sig in cls.methods),
-                *(t for sig in cls.methods for _, t in sig.params),
-            )
-        }
+        referenced = {head for cls in entry.classes for _, head in cls.member_heads}
         declared = {cls.name for e in _viewed_entries(contract, task_id) for cls in e.classes}
         assert referenced & kernel.classes.keys() <= declared, task_id
 

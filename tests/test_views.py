@@ -17,9 +17,11 @@ from charter.contract import (
     ActionOp,
     ContractAction,
     LanguageContract,
+    Rejection,
     SectionKey,
     apply_action,
     journal_record,
+    rejection_record,
 )
 from charter.kernel import ViolationKind, full_view, project, review_view, task_view, validate
 from charter.scheduler import RunConfig
@@ -237,7 +239,7 @@ def _synthesis(proposal, review):
     contract = synthesize_contract(
         IntentSpec("five modules"),
         ScriptedBackend([record("project_manager", proposal), record("discriminator", review)]),
-        on_accept=lambda action, revision: journal.append(journal_record(action, revision)),
+        journal=journal.append,
     )
     return contract, journal
 
@@ -350,5 +352,8 @@ def test_a_shown_neighbour_with_an_unseen_edge_cannot_be_deleted():
     deleted = _reviewed(drafted, API, lambda lines: _without(lines, "- File: m1.py"))
     contract, journal = _synthesis(proposal, [unlinked, deleted])
 
-    assert journal[-1] == journal_record(unlinked, contract.revision)  # the API update was refused
+    assert journal[-2] == journal_record(unlinked, contract.revision)
+    refusal = journal[-1]  # the API update was refused, and the journal says so
+    assert refusal == rejection_record(deleted, "rectification", Rejection(refusal["reason"]))
+    assert refusal["reason"].startswith("kernel validation failed") and "m1.py" in refusal["reason"]
     assert contract.body(API) == drafted.body(API)

@@ -95,14 +95,13 @@ def test_extract_symbols_player():
     assert move.return_type == "None"
     assert ("core.game", "Game") in symbols.imports
     assert ("os", WHOLE_MODULE) in symbols.imports
-    assert [f.name for f in symbols.functions] == ["spawn"]
-    assert "Player" in symbols.toplevel_names and "spawn" in symbols.toplevel_names
+    assert symbols.toplevel_names == ("Game", "os", "Player", "spawn")
 
 
 def test_extract_symbols_empty_file():
     symbols = extract_symbols(FileUnit(path="x.py", body=""))
     assert symbols.classes == ()
-    assert symbols.functions == ()
+    assert symbols.toplevel_names == ()
     assert symbols.imports == ()
 
 
@@ -162,8 +161,8 @@ LAYOUT_CASES = {
         "\n"
         "async def main() -> None:\n"
         "    pass\n",
-        lambda s: (s.classes[0].methods, s.functions),
-        ((MethodSig("fetch", (("url", "str"),), "bytes"),), (MethodSig("main", (), "None"),)),
+        lambda s: (s.classes[0].methods, s.toplevel_names),
+        ((MethodSig("fetch", (("url", "str"),), "bytes"),), ("Client", "main")),
     ),
     "def nested in a method": (
         "grid.py",
@@ -172,8 +171,8 @@ LAYOUT_CASES = {
         "        def key(cell: tuple) -> int:\n"
         "            return cell[0]\n"
         "        return []\n",
-        lambda s: (_members(s), s.functions),
-        ([("Grid", {}, ["cells"])], ()),
+        lambda s: (_members(s), s.toplevel_names),
+        ([("Grid", {}, ["cells"])], ("Grid",)),
     ),
     "parenthesised multi-line import": (
         "main.py",
@@ -190,20 +189,22 @@ LAYOUT_CASES = {
         "        ] = []\n"
         "        self.pair: Tuple[int,int] = (0, 0)\n",
         lambda s: tuple((a.name, a.type_name) for a in s.classes[0].attributes),
-        (("cells", "list[list[int]]"), ("pair", "Tuple[int,int]")),
+        (("cells", "list[list[int]]"), ("pair", "tuple[int, int]")),
     ),
     "comments inside a wrapped annotation": (
         "grid.py",
-        "def fill(\n"
-        "    x: list[  # one row\n"
-        "        int  # cell\n"
-        "    ],\n"
-        "    mark: Literal[\n"
-        "        '#',\n"
-        "    ],\n"
-        ") -> None:\n"
-        "    pass\n",
-        lambda s: s.functions,
+        "class Grid:\n"
+        "    def fill(\n"
+        "        self,\n"
+        "        x: list[  # one row\n"
+        "            int  # cell\n"
+        "        ],\n"
+        "        mark: Literal[\n"
+        "            '#',\n"
+        "        ],\n"
+        "    ) -> None:\n"
+        "        pass\n",
+        lambda s: s.classes[0].methods,
         (MethodSig("fill", (("x", "list[int]"), ("mark", "Literal['#']")), "None"),),
     ),
     "dataclass fields": (
@@ -227,8 +228,35 @@ def test_analyze_reads_any_layout(case):
 def test_attribute_use_extraction():
     body = "def hit(player: Player, y: int) -> bool:\n    return player.x < y and player.width > 0\n"
     symbols = extract_symbols(FileUnit(path="c.py", body=body))
-    assert ("player", "x") in symbols.attribute_uses
-    assert ("player", "width") in symbols.attribute_uses
+    assert ("player", "Player", "x") in symbols.attribute_uses
+    assert ("player", "Player", "width") in symbols.attribute_uses
+
+
+def test_a_receiver_is_typed_only_in_the_body_of_the_def_it_is_a_parameter_of():
+    body = (
+        "import typing\n"
+        "class Game:\n"
+        "    @property\n"
+        "    def player(self) -> int:\n"
+        "        return 0\n"
+        "\n"
+        "    @player.setter\n"
+        "    def player(self, value: int) -> None:\n"
+        "        pass\n"
+        "\n"
+        "    def hit(self, player: 'Player', typing: Optional[Board]) -> bool:\n"
+        "        return player.x > typing.size\n"
+        "\n"
+        "    def miss(self, cells: typing.List[int]) -> int:\n"
+        "        return player.x\n"
+    )
+    symbols = extract_symbols(FileUnit(path="g.py", body=body))
+    assert symbols.attribute_uses == (
+        ("player", "Player", "x"),
+        ("typing", "Board | None", "size"),
+        ("typing", "", "List"),  # an annotation is read outside the def's body
+        ("player", "", "x"),
+    )
 
 
 def test_chained_and_self_receivers_excluded():
@@ -238,7 +266,7 @@ def test_chained_and_self_receivers_excluded():
         "        self.board.place(1, 2)\n"
     )
     symbols = extract_symbols(FileUnit(path="t.py", body=body))
-    receivers = {r for r, _ in symbols.attribute_uses}
+    receivers = {r for r, _, _ in symbols.attribute_uses}
     assert "self" not in receivers
     # chained access after self.<attr> contributes no receiver
     assert receivers == set()
