@@ -100,6 +100,8 @@ def estimate_tokens(text: str) -> int:
     return math.ceil(len(text.encode("utf-8")) / 4)
 
 
+CONTEXT_LIMIT = 16384  # prompt tokens a dispatch may need, unless a run configures another limit
+
 _SECTION_KEY_LIST = "\n".join(f'    - "{key.title}"' for key in SectionKey)
 
 SYSTEM_PROMPT = f"""You are one specialist agent inside a collaborative team that turns a user
@@ -173,7 +175,7 @@ def build_prompt(
     contract: LanguageContract,
     intent: IntentSpec,
     *,
-    context_limit: int = 16384,
+    context_limit: int = CONTEXT_LIMIT,
     implementation: str | None = None,
     task_paths: tuple[str, ...] | None = None,
 ) -> PromptBundle:
@@ -344,7 +346,7 @@ def synthesize_contract(
     intent: IntentSpec,
     backend,
     *,
-    context_limit: int = 16384,
+    context_limit: int = CONTEXT_LIMIT,
     journal: Callable[[dict], None] = lambda record: None,
 ) -> LanguageContract:
     """Build the initial contract: a proposal pass, then one rectification pass.

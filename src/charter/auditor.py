@@ -12,7 +12,11 @@ classifies the difference:
   symbols defined, or symbols demanded from a peer class that the contract
   does not declare yet); the artifact is committed and the contract is
   formally amended to legitimize the superset. Extra members and classes are
-  recorded as they were read from the audited body.
+  recorded as they were read from the audited body. A peer class is demanded
+  only through a parameter annotated with it: a local, a loop variable or an
+  untyped parameter has no class here, so an undeclared read through one
+  (``for enemy in self.enemies: enemy.mana``) is not a demand and shows only
+  when the code runs.
 
 A worker may write its own file and files no task owns; an artifact at a
 peer task's path is dropped with feedback, so each contracted file committed
@@ -319,22 +323,17 @@ def _member_details(declared: ClassSpec, found: ClassSpec) -> list[MismatchDetai
 
 def demand_details(kernel: SymbolicKernel, unit: FileUnit) -> list[MismatchDetail]:
     """Attributes a file reads off a contracted peer class that the contract
-    does not declare: the demand side of a schema divergence. A receiver's
-    type is that of the parameter it names in the def whose body reads it."""
+    does not declare: the demand side of a schema divergence. A receiver is
+    a contracted class only where it is a parameter annotated with it; a read
+    through any other name demands nothing."""
     symbols = analyze(unit)
     if symbols.unanalyzable:
         return []
     details: list[MismatchDetail] = []
     seen: set[str] = set()
-    for receiver, receiver_type, attr in symbols.attribute_uses:
-        if _is_internal_name(attr):
-            continue
-        # A parameter typed with a contracted class is that class; any other
-        # receiver named like one (``player`` for ``Player``) is taken for it.
+    for receiver_type, attr in symbols.attribute_uses:
         target = type_head(receiver_type)
-        if target not in kernel.classes:
-            target = kernel.classes_by_lower.get(receiver.lower())
-        if target is None or _class_declares(kernel.classes[target][1], attr):
+        if _is_internal_name(attr) or target not in kernel.classes or _class_declares(kernel.classes[target][1], attr):
             continue
         symbol = f"{target}.{attr}"
         if symbol in seen:

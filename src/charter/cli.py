@@ -88,11 +88,12 @@ def _setting(args, file_config: dict, key: str, default):
 
 
 def _run_config(args, file_config: dict) -> RunConfig:
+    default = RunConfig()
     return RunConfig(
-        t_max=int(_setting(args, file_config, "t_max", 8)),
-        mode=RunMode(_setting(args, file_config, "mode", "PARALLEL")),
-        context_limit=int(_setting(args, file_config, "context_limit", 16384)),
-        attempt_cap=int(file_config.get("attempt_cap", 3)),
+        t_max=int(_setting(args, file_config, "t_max", default.t_max)),
+        mode=RunMode(_setting(args, file_config, "mode", default.mode)),
+        context_limit=int(_setting(args, file_config, "context_limit", default.context_limit)),
+        attempt_cap=int(file_config.get("attempt_cap", default.attempt_cap)),
     )
 
 

@@ -273,11 +273,18 @@ def parse_field_line(line: str) -> tuple[str, str] | None:
     return m.group(1).strip().lower(), m.group(2).strip()
 
 
-_STATUS_VALUES = {s.value for s in TaskStatus}
+def read_status(value: str) -> TaskStatus | None:
+    """The status a Status field's value names, quotes stripped and case
+    folded (``done``, ``"DONE"``), or None."""
+    try:
+        return TaskStatus(value.strip('"').upper())
+    except ValueError:
+        return None
 
 
 def is_partial_api_patch(content: str) -> bool:
-    """True when an API-spec patch carries a lifecycle Status field but no File field.
+    """True when an API-spec patch carries a lifecycle Status field (one whose
+    value's first word ``read_status`` reads) but no File field.
 
     Such fragments would clobber the section under full-replacement semantics,
     so they are refused at both the parse and the apply layer.
@@ -289,7 +296,7 @@ def is_partial_api_patch(content: str) -> bool:
         if parsed is None:
             continue
         key, value = parsed
-        if key == "status" and value.split()[:1] and value.split()[0] in _STATUS_VALUES:
+        if key == "status" and read_status(value.partition(" ")[0]) is not None:
             has_status = True
         elif key in ("file", "file path"):
             has_file = True

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 
-from .contract import LanguageContract, SectionKey, parse_field_line
+from .contract import LanguageContract, SectionKey, parse_field_line, read_status
 from .tasks import Task, TaskStatus
 
 logger = logging.getLogger(__name__)
@@ -156,11 +156,6 @@ class SymbolicKernel:
     _views: "_ViewIndex | None" = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
-    def classes_by_lower(self) -> dict[str, str]:
-        """Lower-cased class name -> class name, built on first use."""
-        return {name.lower(): name for name in self.classes}
-
-    @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """What ``validate`` finds in this kernel, computed on first use."""
         return tuple(validate(self))
@@ -274,14 +269,20 @@ def print_signature(sig: MethodSig) -> str:
     return f"def {sig.name}({params}) -> {_printed_type(sig.return_type)}"
 
 
+_STRING_RE = re.compile(r"'(?:[^'\\]|\\.)*'" r'|"(?:[^"\\]|\\.)*"')
+
+
 def _outer_bars(text: str) -> list[str]:
-    """``text`` cut at each ``|`` outside brackets: a contract line's
-    description follows the first, and a union's alternatives are cut apart."""
+    """``text`` cut at each ``|`` outside brackets and string literals: a
+    contract line's description follows the first, and a union's
+    alternatives are cut apart."""
     pieces, start, at = [], 0, text.find("|")
     while at >= 0:
         piece = text[start:at]
-        if sum(map(piece.count, "([{")) == sum(map(piece.count, ")]}")):
-            pieces.append(piece)
+        if "'" in piece or '"' in piece:  # a quote left over opens the literal the bar is in
+            piece = _STRING_RE.sub("", piece)
+        if sum(map(piece.count, "([{'\"")) == sum(map(piece.count, ")]}")):
+            pieces.append(text[start:at])
             start = at + 1
         at = text.find("|", at + 1)
     return [*pieces, text[start:]]
@@ -313,8 +314,9 @@ def type_head(type_name: str) -> str:
 #
 # Bullets, indentation and bold markers are not significant; the field names
 # are. Attribute and method lines are only meaningful inside their blocks. A
-# description follows the first ``|`` outside brackets, so a union type is
-# printed in parentheses. An attribute type is a Python expression.
+# description follows the first ``|`` outside brackets and string literals,
+# so a union type is printed in parentheses. An attribute type is a Python
+# expression.
 
 _ATTR_LINE_RE = re.compile(r"^\s*-\s*([A-Za-z_]\w*)\s*:(.*)$")
 _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.*)$")
@@ -423,9 +425,8 @@ def _reused(
         parsed = fields[start + at]
         if parsed is None or parsed[0] != "status":
             return None
-        try:
-            status = TaskStatus(parsed[1].strip('"').upper())
-        except ValueError:
+        status = read_status(parsed[1])
+        if status is None:
             return None  # the parser raises the error
     if status is old.status and old.span == (start, end):
         return old
@@ -468,10 +469,10 @@ def _parse_chunk(
                 if entry.version < 0:
                     raise ProjectionError("Version must be non-negative", lineno)
             else:
-                try:
-                    entry.status = TaskStatus(value.upper())
-                except ValueError:
-                    raise ProjectionError(f"unknown Status value: {value!r}", lineno) from None
+                status = read_status(value)
+                if status is None:
+                    raise ProjectionError(f"unknown Status value: {value!r}", lineno)
+                entry.status = status
                 entry.status_line = index - entry.start
             block = None
             continue

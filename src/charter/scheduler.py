@@ -20,6 +20,7 @@ from enum import Enum
 from functools import partial
 
 from .agents import (
+    CONTEXT_LIMIT,
     ContextOverflow,
     IntentSpec,
     RoleKind,
@@ -53,7 +54,7 @@ class InternalInconsistency(RuntimeError):
 class RunConfig:
     t_max: int = 8
     mode: RunMode = RunMode.PARALLEL
-    context_limit: int = 16384
+    context_limit: int = CONTEXT_LIMIT
     attempt_cap: int = 3
 
     def __post_init__(self):

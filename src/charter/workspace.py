@@ -9,8 +9,10 @@ contract's own model: classes are ``kernel.ClassSpec`` values with
 ``AttributeSpec`` attributes, and annotations and signatures go through
 ``kernel.read_type`` and ``read_signature``, the readers of the contract's
 types, so a type reads the same on both sides however it is spelled. An
-attribute use carries its receiver's type where the receiver is a parameter
-of the def whose body reads it.
+attribute use is recorded with its receiver's type, and only where the
+receiver is a typed parameter of a def whose body reads it: a local, a
+module-level name or an untyped parameter (which shadows an outer typed one)
+has no type to read, whatever its name.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
 unit, and files of any other type yield no symbols. The workspace stores the
@@ -53,26 +55,16 @@ class FileUnit:
 class ExtractedSymbols:
     classes: tuple[ClassSpec, ...] = ()
     imports: tuple[tuple[str, str], ...] = ()  # (module path, symbol or WHOLE_MODULE)
-    # (receiver name, its type where it is a parameter of an enclosing def or "", attribute)
-    attribute_uses: tuple[tuple[str, str, str], ...] = ()
+    # (receiver type, attribute) in source order, for a receiver that is a typed
+    # parameter of a def whose body reads it
+    attribute_uses: tuple[tuple[str, str], ...] = ()
     toplevel_names: tuple[str, ...] = ()
     unanalyzable: bool = False
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-_KEYWORD_RECEIVERS = {"self", "cls", "super"}
-
-
-def _parameter_type(use: ast.Attribute, defs: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, dict]]) -> str:
-    """The type of the parameter ``use`` reads, from the innermost of ``defs``
-    (outer first, each with its parameter types) whose body (not decorators
-    or annotations) holds it, or ""."""
-    at = (use.lineno, use.col_offset)
-    for node, params in reversed(defs):
-        start = (node.body[0].lineno, node.body[0].col_offset)
-        if use.value.id in params and start <= at <= (node.end_lineno, node.end_col_offset):
-            return params[use.value.id]
-    return ""
+# What can hold a statement, and so a class, an import or a def.
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
 
 
 def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple[str, str]]:
@@ -96,18 +88,20 @@ def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple
     return [(name, type_name) for _, _, name, type_name in sorted(found)]
 
 
-def _class(node: ast.ClassDef) -> ClassSpec:
+def _class(node: ast.ClassDef, signatures: dict[ast.AST, MethodSig]) -> ClassSpec:
     """Class-body annotations (dataclass fields) and constructor assignments
     are attributes, typed ``"any"`` when unannotated; the class body's own
-    defs are methods. The first definition of a name wins, so a property's
-    setter does not replace its getter."""
+    defs are methods, and their signatures are recorded in ``signatures``.
+    The first definition of a name wins, so a property's setter does not
+    replace its getter."""
     attributes: dict[str, str] = {}
     methods: dict[str, MethodSig] = {}
     for item in node.body:
         if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
             attributes.setdefault(item.target.id, read_type(item.annotation))
         elif isinstance(item, _DEFS):
-            methods.setdefault(item.name, read_signature(item))
+            signatures[item] = read_signature(item)
+            methods.setdefault(item.name, signatures[item])
             if item.name == "__init__":
                 for name, type_name in _self_attributes(item):
                     attributes.setdefault(name, type_name)
@@ -138,28 +132,37 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
 
 
 def _read_module(tree: ast.Module) -> ExtractedSymbols:
+    """One breadth-first walk, in ``ast.walk``'s order, in which each node
+    carries the typed parameters of the defs whose bodies hold it (a def's
+    decorators, defaults and annotations are read in the enclosing scope).
+    An expression is entered only where such a parameter is in scope."""
     classes: list[ClassSpec] = []
     imports: list[tuple[str, str]] = []
-    uses: list[tuple[int, int, str, str, str]] = []  # source position first: the walk is breadth-first
-    accessors: set[int] = set()  # ``@x.setter`` on ``def x`` names the property itself, not a peer
-    defs: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, dict]] = []  # visited before the nodes they hold
-    for node in ast.walk(tree):
+    uses: list[tuple[tuple[int, int], str, str]] = []  # source position first: the walk is breadth-first
+    signatures: dict[ast.AST, MethodSig] = {}  # a class's methods, read by ``_class``
+    queue: list[tuple[ast.AST, dict[str, str]]] = [(tree, {})]
+    for node, scope in queue:  # the queue grows as it is read
+        inner = scope
         if isinstance(node, ast.Attribute):
-            receiver = getattr(node.value, "id", None)  # set for a plain name only
-            if receiver is not None and receiver not in _KEYWORD_RECEIVERS and id(node) not in accessors:
-                uses.append((node.lineno, node.col_offset, receiver, _parameter_type(node, defs), node.attr))
+            if isinstance(node.value, ast.Name) and node.value.id in scope:
+                uses.append(((node.lineno, node.col_offset), scope[node.value.id], node.attr))
         elif isinstance(node, _DEFS):
-            accessors.update(
-                id(d) for d in node.decorator_list if isinstance(d, ast.Attribute) and getattr(d.value, "id", None) == node.name
-            )
-            defs.append((node, dict(read_signature(node).params)))
+            # An untyped parameter ("any") shadows an outer typed one.
+            signature = signatures.pop(node, None) or read_signature(node)
+            inner = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
         elif isinstance(node, ast.ClassDef):
-            classes.append(_class(node))
+            classes.append(_class(node, signatures))
         elif isinstance(node, ast.Import):
             imports.extend((alias.name, WHOLE_MODULE) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
             imports.extend((module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names)
+        for name in node._fields:  # a def's body alone reads its parameters
+            held = inner if name == "body" else scope
+            value = getattr(node, name)
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, _BLOCKS) or (held and isinstance(child, ast.AST)):
+                    queue.append((child, held))
 
     toplevel: list[str] = []
     for node in tree.body:
@@ -176,7 +179,7 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
     return ExtractedSymbols(
         classes=tuple(classes),
         imports=tuple(imports),
-        attribute_uses=tuple(dict.fromkeys(use[2:] for use in sorted(uses))),
+        attribute_uses=tuple(dict.fromkeys(use[1:] for use in sorted(uses))),
         toplevel_names=tuple(dict.fromkeys(toplevel)),
     )
 

@@ -127,6 +127,14 @@ def test_parse_response_clobber_guard():
         parse_response(raw)
 
 
+@pytest.mark.parametrize("status", ["- Status: done", '- Status: "DONE"'])
+def test_the_clobber_guard_reads_a_status_as_the_kernel_does(status):
+    payload = json.dumps([{"type": "update", "section": "Symbolic API Specifications", "content": status}])
+    raw = f"<thinking>\nt\n</thinking>\n<output>\no\n</output>\n<document_action>\n{payload}\n</document_action>"
+    with pytest.raises(ParseError, match="clobber"):
+        parse_response(raw)
+
+
 def test_parse_response_artifacts_and_verdict():
     raw = (
         "<thinking>\nt\n</thinking>\n"

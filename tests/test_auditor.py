@@ -595,3 +595,30 @@ def test_a_receiver_is_a_peer_only_where_it_is_a_typed_parameter():
     kernel = project(contract)
     assert demand_details(kernel, FileUnit("p.py", body)) == []
     assert [d.symbol for d in demand_details(kernel, FileUnit("p.py", body.replace("other.hp", "other.mp")))] == ["Player.mp"]
+
+
+def test_a_receiver_named_like_a_class_is_no_peer_unless_typed():
+    # A local, an untyped parameter and a module-level name called `player`
+    # demand nothing of Player; a parameter typed Player does, and an untyped
+    # inner parameter of the same name shadows it. A loop variable has no
+    # annotation either, so an undeclared read through it is not a demand:
+    # that read is given up for the false demands a name guess made.
+    contract = contract_with([make_entry("p.py", classes=(simple_class("Player", [("hp", "int")], [method("def tally() -> int")]),))])
+    kernel = project(contract)
+    local = (
+        "class Player:\n"
+        "    def __init__(self):\n"
+        "        self.hp: int = 0\n"
+        "\n"
+        "    def tally(self) -> int:\n"
+        "        player = {}\n"
+        "        return player.get(1, 0)\n"
+    )
+    untyped = local + "\n\ndef f(player):\n    return player.mp\n"
+    module_level = local + "\n\nplayer = Player()\nplayer.mp = 1\n"
+    typed = local + "\n\ndef f(player: Player) -> int:\n    return player.mp\n"
+    shadowed = local + "\n\ndef f(player: Player) -> int:\n    def g(player):\n        return player.mp\n    return g(0)\n"
+    loop = local + "\n\ndef f(players: list[Player]) -> int:\n    for player in players:\n        player.mp\n    return 0\n"
+    for body in (local, untyped, module_level, shadowed, loop):
+        assert demand_details(kernel, FileUnit("p.py", body)) == [], body
+    assert [d.symbol for d in demand_details(kernel, FileUnit("p.py", typed))] == ["Player.mp"]

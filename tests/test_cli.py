@@ -4,7 +4,9 @@ import json
 
 import pytest
 
-from charter.cli import _build_parser, _make_backend, main
+from charter.agents import CONTEXT_LIMIT, build_prompt, synthesize_contract
+from charter.cli import _build_parser, _make_backend, _run_config, main
+from charter.scheduler import RunConfig
 
 from conftest import fixture_path
 
@@ -236,3 +238,13 @@ def test_journal_records_accepted_actions(tmp_path, capsys):
     assert actions, "journal must carry one record per accepted action"
     for record in actions:
         assert {"revision", "op", "section", "content_sha256"} <= set(record)
+
+
+@pytest.mark.parametrize("command", ["generate", "replay"])
+def test_empty_flags_and_config_give_the_default_run_config(command):
+    required = {"generate": ["--intent", "i", "--out", "o"], "replay": ["--intent", "i", "--transcript", "t", "--ledger", "l"]}
+    args = _build_parser().parse_args([command, *required[command]])
+    assert _run_config(args, {}) == RunConfig()
+    assert RunConfig().context_limit == CONTEXT_LIMIT
+    for reader in (build_prompt, synthesize_contract):
+        assert reader.__kwdefaults__["context_limit"] == CONTEXT_LIMIT

@@ -15,11 +15,13 @@ from charter.contract import (
     is_partial_api_patch,
     new_contract,
     parse,
+    read_status,
     render,
     section_key_from_name,
     DEFAULT_TEMPLATE,
 )
-from charter.kernel import guard_violations
+from charter.kernel import guard_violations, parse_api_section
+from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
 
@@ -111,6 +113,19 @@ def test_partial_patch_detector_ignores_attribute_named_status():
     body = "- File: a.py\n  Status: TODO\n  Classes:\n    - Class: A\n      Attributes:\n        - status: str | current phase"
     assert not is_partial_api_patch(body)
     assert is_partial_api_patch("  Status: DONE")
+
+
+@pytest.mark.parametrize("spelling", ["- Status: done", '- Status: "DONE"', "* **Status:** Verified"])
+def test_every_spelling_the_kernel_reads_as_a_status_is_refused_without_a_file(spelling):
+    [entry] = parse_api_section(["- File: a.py", spelling.replace("- ", "  ", 1)])
+    assert entry.status is read_status(spelling.split(":")[-1].strip(" *"))
+    assert entry.status in (TaskStatus.DONE, TaskStatus.VERIFIED)
+    contract = contract_with([make_entry("a.py")])
+    for op in ActionOp:
+        result = apply_action(contract, ContractAction(op, SectionKey.API_SPECIFICATIONS, spelling), guard_violations)
+        assert isinstance(result, Rejection) and "clobber" in result.reason
+    assert not is_partial_api_patch("- File: a.py\n" + spelling)
+    assert read_status("done extra") is None
 
 
 def test_render_of_empty_contract_is_template():

@@ -4,6 +4,7 @@ import ast
 import keyword
 import random
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -176,6 +177,22 @@ def test_an_attribute_type_that_is_no_python_expression_is_refused():
     lines[-1] = "        - x: int | None | cells"  # unparenthesised: the type ends at the first `|`
     [entry] = parse_api_section(lines)
     assert entry.classes[0].attributes[0] == AttributeSpec("x", "int", "None | cells")
+
+
+def test_a_bracket_or_bar_in_a_string_literal_does_not_end_a_type():
+    lines = ["- File: a.py", "  Classes:", "    - Class: A", "      Attributes:", "        - mark: Literal['('] | d"]
+    lines += ["      Methods:", '        - def join(sep: str = "(") -> str | Joins.']
+    [entry] = parse_api_section(lines)
+    [cls] = entry.classes
+    assert cls.attributes == (AttributeSpec("mark", "Literal['(']", "d"),)
+    assert cls.methods == (MethodSig("join", (("sep", "str"),), "str", "Joins."),)
+    # Printed and read back, also as an alternative of a union.
+    for type_name in ("Literal['(']", "Literal['|']", "Literal['('] | int", "int | Literal[')', '|']"):
+        printed = replace(entry, classes=(replace(cls, attributes=(AttributeSpec("mark", type_name, "d"),)),))
+        assert parse_api_section(print_api_section([printed])) == [printed]
+    lines[-1] = "        - def join(sep: str = \"(\") | Joins."
+    with pytest.raises(ProjectionError, match="line 7: bad method signature: col 25: expected '-> TYPE' after parameter list"):
+        parse_api_section(lines)
 
 
 def test_project_player_entry():

@@ -1,8 +1,14 @@
 from __future__ import annotations
 
-import pytest
+import ast
+import json
 
-from charter.kernel import MethodSig
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from charter import workspace
+from charter.agents import parse_response
+from charter.kernel import MethodSig, read_signature
 from charter.workspace import (
     ExtractedSymbols,
     FileUnit,
@@ -15,6 +21,9 @@ from charter.workspace import (
     normalize_path,
     resolve_imports,
 )
+
+from conftest import fixture_path
+from test_conformance import MUTATIONS, PATH, _applies, _entries, _render
 
 PLAYER_BODY = '''\
 """Player entity."""
@@ -228,8 +237,8 @@ def test_analyze_reads_any_layout(case):
 def test_attribute_use_extraction():
     body = "def hit(player: Player, y: int) -> bool:\n    return player.x < y and player.width > 0\n"
     symbols = extract_symbols(FileUnit(path="c.py", body=body))
-    assert ("player", "Player", "x") in symbols.attribute_uses
-    assert ("player", "Player", "width") in symbols.attribute_uses
+    assert ("Player", "x") in symbols.attribute_uses
+    assert ("Player", "width") in symbols.attribute_uses
 
 
 def test_a_receiver_is_typed_only_in_the_body_of_the_def_it_is_a_parameter_of():
@@ -251,12 +260,9 @@ def test_a_receiver_is_typed_only_in_the_body_of_the_def_it_is_a_parameter_of():
         "        return player.x\n"
     )
     symbols = extract_symbols(FileUnit(path="g.py", body=body))
-    assert symbols.attribute_uses == (
-        ("player", "Player", "x"),
-        ("typing", "Board | None", "size"),
-        ("typing", "", "List"),  # an annotation is read outside the def's body
-        ("player", "", "x"),
-    )
+    # The setter's decorator, the annotation `typing.List` (read outside the
+    # def's body) and `player` in `miss` (no parameter there) are no uses.
+    assert symbols.attribute_uses == (("Player", "x"), ("Board | None", "size"))
 
 
 def test_chained_and_self_receivers_excluded():
@@ -266,10 +272,142 @@ def test_chained_and_self_receivers_excluded():
         "        self.board.place(1, 2)\n"
     )
     symbols = extract_symbols(FileUnit(path="t.py", body=body))
-    receivers = {r for r, _, _ in symbols.attribute_uses}
-    assert "self" not in receivers
-    # chained access after self.<attr> contributes no receiver
-    assert receivers == set()
+    # self is no parameter a type is read from, and a chained access after
+    # self.<attr> has no name for a receiver
+    assert symbols.attribute_uses == ()
+
+
+def positional_typed_uses(body: str) -> tuple[tuple[str, str], ...]:
+    """Reference: each ``name.attr`` whose receiver the innermost def names
+    as a typed parameter, that def being the one whose body (from its first
+    statement to its end) holds the use, as ``(type, attr)`` in source order."""
+    tree = ast.parse(body)
+    defs = [
+        (node, dict(read_signature(node).params))
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    uses = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)):
+            continue
+        at = (node.lineno, node.col_offset)
+        holders = [
+            (d.body[0].lineno, d.body[0].col_offset, params)
+            for d, params in defs
+            if node.value.id in params and (d.body[0].lineno, d.body[0].col_offset) <= at <= (d.end_lineno, d.end_col_offset)
+        ]
+        if holders:
+            type_name = max(holders, key=lambda h: h[:2])[2][node.value.id]
+            if type_name != "any":
+                uses.append((at, type_name, node.attr))
+    return tuple(dict.fromkeys(use[1:] for use in sorted(uses)))
+
+
+def _fixture_bodies() -> list[str]:
+    bodies = []
+    for transcript in sorted(fixture_path("transcripts").glob("*.jsonl")):
+        for line in transcript.read_text(encoding="utf-8").splitlines():
+            artifacts = parse_response(json.loads(line)["response"]).artifacts
+            bodies += [body for path, body in artifacts if path.endswith(".py")]
+    return bodies
+
+
+SCOPE_BODIES = [
+    # an untyped inner parameter shadows an outer typed one, a typed one
+    # rebinds it, and neither is in scope in the def's own defaults
+    "def f(p: Player, q: Board) -> None:\n"
+    "    def g(p, q: Cell = q.origin) -> int:\n"
+    "        return p.x + q.y\n"
+    "    return p.hp + q.size\n",
+    # decorators, defaults and annotations of an inner def read the outer scope
+    "def f(p: Player) -> None:\n"
+    "    p.first()\n"
+    "    @p.wrap\n"
+    "    def g(x: p.Kind = p.default, *rest: Cell, **kw: Board) -> p.Out:\n"
+    "        return rest.count + kw.keys\n"
+    "    class Local:\n"
+    "        size = p.size\n"
+    "        def m(self) -> int:\n"
+    "            return p.width\n"
+    "    return [p.a for _ in p.b] or (lambda: p.c)()\n",
+    # a module-level name is no parameter; handlers and match cases hold uses
+    "player = {}\n"
+    "player.get(1)\n"
+    "def f(player: Player) -> int:\n"
+    "    try:\n"
+    "        pass\n"
+    "    except ValueError as e:\n"
+    "        return player.x\n"
+    "    match player:\n"
+    "        case {'x': 1} if player.ok:\n"
+    "            return 0\n",
+]
+
+
+def test_attribute_uses_agree_with_the_positional_reference():
+    fixtures = _fixture_bodies()
+    assert len(fixtures) >= 5
+    bodies = [body for path, body, _, _ in LAYOUT_CASES.values() if path.endswith(".py")]
+    for body in [*bodies, PLAYER_BODY, *SCOPE_BODIES, *fixtures]:
+        symbols = extract_symbols(FileUnit("m.py", body))
+        if not symbols.unanalyzable:
+            assert symbols.attribute_uses == positional_typed_uses(body), body
+    assert extract_symbols(FileUnit("m.py", SCOPE_BODIES[0])).attribute_uses == (
+        ("Board", "origin"),
+        ("Cell", "y"),
+        ("Player", "hp"),
+        ("Board", "size"),
+    )
+    assert extract_symbols(FileUnit("m.py", SCOPE_BODIES[2])).attribute_uses == (("Player", "x"), ("Player", "ok"))
+
+
+def test_a_decorator_on_the_first_statement_of_a_body_reads_the_def_scope():
+    # The reference misses this use: a decorated def's position is its `def`
+    # line, so the positional rule puts the decorator before the body.
+    body = "def f(p: Player) -> None:\n    @p.wrap\n    def g() -> None:\n        pass\n"
+    assert extract_symbols(FileUnit("m.py", body)).attribute_uses == (("Player", "wrap"),)
+    assert positional_typed_uses(body) == ()
+
+
+@given(entry=_entries(), mutation=st.sampled_from(["", *sorted(MUTATIONS)]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_attribute_uses_of_a_conformance_body_agree_with_the_positional_reference(entry, mutation, data):
+    body = _render(entry.classes[0], data.draw, mutation if _applies(mutation, entry.classes[0]) else "")
+    assert extract_symbols(FileUnit(PATH, body)).attribute_uses == positional_typed_uses(body), body
+
+
+def test_each_def_signature_is_read_once(monkeypatch):
+    body = (
+        "class Game:\n"
+        "    @property\n"
+        "    def player(self) -> int:\n"
+        "        return 0\n"
+        "\n"
+        "    @player.setter\n"
+        "    def player(self, value: int) -> None:\n"
+        "        def inner(p: Player) -> int:\n"
+        "            class Local:\n"
+        "                async def m(self, q) -> None:\n"
+        "                    return q.x\n"
+        "            return p.x\n"
+        "\n"
+        "def spawn(game: Game) -> None:\n"
+        "    return lambda: game.turn\n"
+    )
+    read = []
+    real = workspace.read_signature
+
+    def counting(node):
+        read.append(node)
+        return real(node)
+
+    monkeypatch.setattr(workspace, "read_signature", counting)
+    symbols = extract_symbols(FileUnit("g.py", body))
+    defs = [n for n in ast.walk(ast.parse(body)) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    assert sorted(n.name for n in read) == sorted(n.name for n in defs) == ["inner", "m", "player", "player", "spawn"]
+    assert len({id(n) for n in read}) == len(read)
+    assert symbols.attribute_uses == (("Player", "x"), ("Game", "turn"))
 
 
 def test_module_candidates_absolute_and_relative():
