@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import os
+import random
 import threading
 import time
 from dataclasses import dataclass
@@ -23,6 +24,8 @@ from .agents import PromptBundle
 logger = logging.getLogger(__name__)
 
 API_KEY_ENV_VARS = ("CHARTER_API_KEY", "OPENAI_API_KEY")
+# The largest share by which a retry's wait is stretched.
+JITTER = 0.5
 
 
 class BackendError(Exception):
@@ -95,8 +98,11 @@ class RemoteBackend:
     """Chat-completion client with bounded retries. Connection errors, 5xx and
     429 (rate limited) are retried; any other 4xx raises ``RequestRejected``.
     Retry ``n`` (from 0) waits ``backoff * 2**n`` seconds, or the seconds a
-    numeric ``Retry-After`` header of a 429 or 503 asks for; no wait is longer
-    than ``timeout``, the longest a request itself may take.
+    numeric ``Retry-After`` header of a 429 or 503 asks for, stretched by a
+    factor drawn from ``[1, 1 + JITTER)`` with ``rng``, so the dispatches of a
+    wide layer that one burst of 429s turned away do not retry in lockstep
+    (a ``Retry-After`` is never shortened); no wait is longer than
+    ``timeout``, the longest a request itself may take.
 
     The endpoint key comes from the environment only; it is never accepted as
     a flag or stored in config files.
@@ -111,6 +117,7 @@ class RemoteBackend:
         timeout: float = 120.0,
         backoff: float = 1.0,
         session=None,
+        rng: random.Random | None = None,
     ):
         if temperature < 0:
             raise ValueError("temperature must be >= 0")
@@ -123,6 +130,7 @@ class RemoteBackend:
         self.timeout = timeout
         self.backoff = backoff
         self.session = session or requests.Session()
+        self.rng = rng or random.Random()
 
     def _api_key(self) -> str:
         for name in API_KEY_ENV_VARS:
@@ -162,7 +170,7 @@ class RemoteBackend:
             except Exception as exc:  # connection errors, malformed payloads
                 last_error = exc
             if attempt < self.retries:
-                time.sleep(min(delay, self.timeout))
+                time.sleep(min(delay * (1 + JITTER * self.rng.random()), self.timeout))
         raise BackendError(f"backend failed after {self.retries} retries: {last_error}")
 
 

@@ -290,17 +290,16 @@ def is_partial_api_patch(content: str) -> bool:
     so they are refused at both the parse and the apply layer.
     """
     has_status = False
-    has_file = False
     for line in content.split("\n"):
         parsed = parse_field_line(line)
         if parsed is None:
             continue
         key, value = parsed
+        if key in ("file", "file path"):
+            return False  # a File field anywhere makes it whole
         if key == "status" and read_status(value.partition(" ")[0]) is not None:
             has_status = True
-        elif key in ("file", "file path"):
-            has_file = True
-    return has_status and not has_file
+    return has_status
 
 
 GuardFn = Callable[[LanguageContract], Sequence[object]]

@@ -8,16 +8,17 @@ a task id, a kernel key and a workspace path are one string. Every contract
 mutation is projected before it is accepted; a projection or validation
 failure is what lets the store refuse an action before it pollutes shared
 state. A contract value is immutable, so ``project`` computes its kernel once
-and keeps it on the value. A value derived from a projected parent re-reads
-only the API entries whose lines changed and reuses the parent's for the rest
-(``parse_api_section``'s basis), so a mutation's projection costs what it
-changed rather than the section's size. Every reader but the planner and
-the auditor reads one kind of view (``task_view``): the entries of a set of
-modules and of their direct dependencies, with the Directory Structure and
-diagram lines inside that neighbourhood. A worker or critic reads its task's;
-the plan reviewer reads the modules validation flags (``review_view``). A
-view reads an index of module paths to lines that the value's first view
-builds and its kernel keeps, so it costs the size of its neighbourhood.
+and keeps it on the value. A value derived from a projected parent reads
+field by field only the API entries whose lines changed and reuses the
+parent's for the rest (``parse_api_section``'s basis), so a mutation's
+projection of that section costs what it changed rather than the section's
+size. Every reader but the planner and the auditor reads one kind of view
+(``task_view``): the entries of a set of modules and of their direct
+dependencies, with the Directory Structure and diagram lines inside that
+neighbourhood. A worker or critic reads its task's; the plan reviewer reads
+the modules validation flags (``review_view``). A view reads an index of
+module paths to lines that the value's first view builds and its kernel
+keeps, so it costs the size of its neighbourhood.
 
 Contract and code share one type model. Every type, of a contract attribute
 or header or of a code annotation, is read by ``read_type`` into one canonical
@@ -38,6 +39,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import compress, count
 
 from .contract import LanguageContract, SectionKey, parse_field_line, read_status
 from .tasks import Task, TaskStatus
@@ -356,6 +358,23 @@ class _EntryBuilder:
         )
 
 
+# A line ``parse_field_line`` reads as a File field starts with these letters,
+# in either case, once it strips blanks, a bullet and every ``*``: a superset
+# of those lines, matched against each line without a Python-level loop.
+_FILE_HINT_RE = re.compile(r"[\s*-]*[Ff]\**[Ii]\**[Ll]\**[Ee]")
+
+
+def _file_fields(body: tuple[str, ...] | list[str]) -> list[tuple[int, str]]:
+    """``(index, value)`` of each line ``parse_field_line`` reads as a File
+    field; only the lines ``_FILE_HINT_RE`` matches are read."""
+    found: list[tuple[int, str]] = []
+    for index in compress(count(), map(_FILE_HINT_RE.match, body)):
+        parsed = parse_field_line(body[index])
+        if parsed is not None and parsed[0] in _FILE_KEYS:
+            found.append((index, parsed[1]))
+    return found
+
+
 def parse_api_section(
     body: tuple[str, ...] | list[str], basis: LanguageContract | None = None
 ) -> list[ApiSpecEntry]:
@@ -363,27 +382,30 @@ def parse_api_section(
 
     The body is read in chunks, each from a ``File:`` line up to the next
     ``File:`` line or the end. ``basis`` is a projected contract (one whose
-    kernel ``project`` keeps) that this body was derived from. A chunk equal
-    line for line to the span of the basis entry of the same path reuses that
+    kernel ``project`` keeps) that this body was derived from. A body equal
+    to the basis's gives the basis's entries. Otherwise a chunk equal line
+    for line to the span of the basis entry of the same path reuses that
     entry; the one line allowed to differ is the entry's Status line, which
-    is re-read. Every other chunk goes through the parser, so a body gives
-    the same entries, spans and ``ProjectionError`` with a basis as without
-    one, and a derived value re-parses only the entries that changed.
+    is re-read when it changed. Only the other chunks are read field by
+    field, and the ``File:`` lines are found without reading the rest, so a
+    body gives the same entries, spans and ``ProjectionError`` with a basis
+    as without one, and a derived value reads only the lines that changed.
     """
-    fields = [parse_field_line(line) if line.strip() else None for line in body]
-    starts = [i for i, parsed in enumerate(fields) if parsed is not None and parsed[0] in _FILE_KEYS]
     reusable: dict[str, ApiSpecEntry] = {}
     old_body: tuple[str, ...] = ()
     if basis is not None:
         reusable = basis._kernel.entries
         old_body = basis.body(SectionKey.API_SPECIFICATIONS)
+        if tuple(body) == old_body:
+            return list(reusable.values())
+    found = _file_fields(body)
+    starts = [index for index, _ in found]
 
     # Before the first entry any line but a blank one is an error.
-    _parse_chunk(body, fields, 0, starts[0] if starts else len(body), None)
+    _parse_chunk(body, 0, starts[0] if starts else len(body), None)
     entries: list[ApiSpecEntry] = []
     paths: set[str] = set()
-    for start, end in zip(starts, [*starts[1:], len(body)]):
-        value = fields[start][1]
+    for (start, value), end in zip(found, [*starts[1:], len(body)]):
         if not value:
             raise ProjectionError("File field without a path", start + 1)
         try:
@@ -394,40 +416,34 @@ def parse_api_section(
             raise ProjectionError(f"duplicate File entry: {path}", start + 1)
         paths.add(path)
         old = reusable.get(path)
-        entry = None if old is None else _reused(old, old_body, body, fields, start, end)
+        entry = None if old is None else _reused(old, old_body, body[start:end], start, end)
         if entry is None:
             builder = _EntryBuilder(path, start)
-            _parse_chunk(body, fields, start + 1, end, builder)
+            _parse_chunk(body, start + 1, end, builder)
             entry = builder.build(end)
         entries.append(entry)
     return entries
 
 
 def _reused(
-    old: ApiSpecEntry,
-    old_body: tuple[str, ...],
-    body: tuple[str, ...] | list[str],
-    fields: list[tuple[str, str] | None],
-    start: int,
-    end: int,
+    old: ApiSpecEntry, old_body: tuple[str, ...], lines: tuple[str, ...] | list[str], start: int, end: int
 ) -> ApiSpecEntry | None:
     """``old`` moved to ``[start, end)`` with the status read there, when the
-    chunk equals its span but for the Status line; otherwise None."""
+    chunk ``lines`` equals its span but for the Status line; otherwise None."""
     old_lines = old_body[slice(*old.span)]
-    lines = tuple(body[start:end])
+    lines = tuple(lines)
     at = old.status_line
-    if at is not None:
-        lines = lines[:at] + old_lines[at : at + 1] + lines[at + 1 :]
-    if lines != old_lines:
-        return None
     status = old.status
-    if at is not None:
-        parsed = fields[start + at]
+    if at is not None and at < len(lines) and lines[at] != old_lines[at]:
+        parsed = parse_field_line(lines[at])
         if parsed is None or parsed[0] != "status":
             return None
         status = read_status(parsed[1])
         if status is None:
             return None  # the parser raises the error
+        lines = lines[:at] + old_lines[at : at + 1] + lines[at + 1 :]
+    if lines != old_lines:
+        return None
     if status is old.status and old.span == (start, end):
         return old
     return replace(old, status=status, span=(start, end))
@@ -435,7 +451,6 @@ def _reused(
 
 def _parse_chunk(
     body: tuple[str, ...] | list[str],
-    fields: list[tuple[str, str] | None],
     first: int,
     end: int,
     entry: _EntryBuilder | None,
@@ -449,7 +464,7 @@ def _parse_chunk(
         if not line.strip():
             continue
         lineno = index + 1
-        parsed = fields[index]
+        parsed = parse_field_line(line)
         key = parsed[0] if parsed else None
 
         if key in ("owner", "version", "status"):
@@ -643,10 +658,13 @@ def project(contract: LanguageContract) -> SymbolicKernel:
 
     A contract value never changes, so its kernel is computed once and kept
     on the value; a projection that raises is not kept. A value derived from
-    a projected one (``with_section``, ``patches.commit_merge``) reuses its
-    basis's API entries for the chunks that did not change, and drops the
-    basis once its own kernel is kept, so no value holds more than its
-    parent and no revision history accumulates.
+    a projected one (``with_section``, ``patches.commit_merge``) reads field
+    by field only the API entries whose lines changed against that basis,
+    and takes the basis's entries for the rest (``parse_api_section``); an
+    API section equal to the basis's is not read at all. The diagram, the
+    Directory Structure and the findings are read again. The basis is
+    dropped once the value's own kernel is kept, so no value holds more than
+    its parent and no revision history accumulates.
     """
     if contract._kernel is None:
         object.__setattr__(contract, "_kernel", _project(contract))

@@ -6,15 +6,17 @@ VERIFIED tasks get nothing. Every dispatch in a layer reads its task's view
 of the same immutable contract snapshot; all mutation (statuses, workspace,
 contract) happens single-threaded at the layer barrier after the auditor has
 classified the outputs, and every status move, artifact commit and document
-action comes from its report. The loop runs until everything is verified or the layer
-budget is exhausted, in which case the current best-effort repository is
-returned.
+action comes from its report. A layer's dispatches run side by side on the
+run's one thread pool, of at most ``MAX_DISPATCH_THREADS`` workers, so a run
+starts no more threads than its widest layer has dispatches. The loop
+runs until everything is verified or the layer budget is exhausted, in which
+case the current best-effort repository is returned.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -44,6 +46,11 @@ class RunMode(Enum):
     PARALLEL = "PARALLEL"
     SEQUENTIAL = "SEQUENTIAL"
     NO_CONTRACT = "NO_CONTRACT"
+
+
+# The most dispatches in flight at once: the worker bound of a run's one
+# dispatch pool, wider than any bundled or benchmark layer.
+MAX_DISPATCH_THREADS = 64
 
 
 class InternalInconsistency(RuntimeError):
@@ -124,12 +131,17 @@ def run_layer(
     workspace: Workspace,
     layer: int,
     config: RunConfig,
+    *,
+    pool: Executor | None,
 ) -> list[DispatchOutcome]:
     """Execute one layer against a single snapshot and collect at the barrier.
 
-    A failing dispatch only affects its own task. In SEQUENTIAL mode the
-    dispatches run one at a time in plan order; the scripted backend makes the
-    two modes produce identical outputs.
+    A failing dispatch only affects its own task. The dispatches are mapped
+    over ``pool``, the run's dispatch pool; with ``pool=None`` (SEQUENTIAL
+    mode, or a layer of one dispatch) they run one at a time in plan order on
+    the caller's thread. The caller chooses: ``config.mode`` does not select
+    the pool here. The scripted backend makes the two produce identical
+    outputs.
     """
     all_paths = tuple(sorted(tasks))
     requests: list[tuple[Dispatch, CompletionRequest | None, str]] = []
@@ -190,10 +202,9 @@ def run_layer(
         )
         return outcome
 
-    if config.mode is RunMode.SEQUENTIAL or len(requests) <= 1:
+    if pool is None:
         return [execute(item) for item in requests]
-    with ThreadPoolExecutor(max_workers=len(requests)) as pool:
-        return list(pool.map(execute, requests))
+    return list(pool.map(execute, requests))
 
 
 @dataclass
@@ -264,92 +275,101 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
     )
 
     layers_used = 0
-    while layers_used < config.t_max:
-        plan = plan_layer(tasks, workspace, attempt_cap=config.attempt_cap)
-        for task_id in plan.skipped:
-            note = f"attempt cap ({config.attempt_cap}) reached; task parked"
-            if note not in tasks[task_id].feedback:
-                tasks[task_id].feedback.append(note)
-                logger.warning("event=task_parked task=%s cap=%d", task_id, config.attempt_cap)
-        if not plan.dispatches:
-            break
-        layers_used += 1
-        outcomes = run_layer(plan, backend, contract, intent, tasks, workspace, layers_used, config)
+    # One dispatch pool per run. It starts a thread only when a layer's
+    # dispatches are mapped over it and no started one is idle, so a run
+    # starts at most as many as its widest layer has dispatches, not one per
+    # dispatch and layer; leaving the block joins them, also on a raise.
+    with ThreadPoolExecutor(max_workers=MAX_DISPATCH_THREADS, thread_name_prefix="charter-dispatch") as pool:
+        while layers_used < config.t_max:
+            plan = plan_layer(tasks, workspace, attempt_cap=config.attempt_cap)
+            for task_id in plan.skipped:
+                note = f"attempt cap ({config.attempt_cap}) reached; task parked"
+                if note not in tasks[task_id].feedback:
+                    tasks[task_id].feedback.append(note)
+                    logger.warning("event=task_parked task=%s cap=%d", task_id, config.attempt_cap)
+            if not plan.dispatches:
+                break
+            layers_used += 1
+            side_by_side = config.mode is not RunMode.SEQUENTIAL and len(plan) > 1
+            outcomes = run_layer(
+                plan, backend, contract, intent, tasks, workspace, layers_used, config,
+                pool=pool if side_by_side else None,
+            )
 
-        # A worker pass is an attempt once the model answered, the prompt
-        # could not be built or the endpoint refused the request; any other
-        # transport failure costs none.
-        for outcome in outcomes:
-            if outcome.role is RoleKind.WORKER and not outcome.transport_failed:
-                tasks[outcome.task_id].attempts += 1
+            # A worker pass is an attempt once the model answered, the prompt
+            # could not be built or the endpoint refused the request; any other
+            # transport failure costs none.
+            for outcome in outcomes:
+                if outcome.role is RoleKind.WORKER and not outcome.transport_failed:
+                    tasks[outcome.task_id].attempts += 1
 
-        report = audit_layer(contract, workspace.view(), tasks, outcomes)
-        for warning in report.warnings:
-            logger.warning("event=audit_warning layer=%d %s", layers_used, warning)
-        for intervention in report.interventions:
-            logger.info("event=intervention layer=%d %s", layers_used, intervention.to_dict())
+            report = audit_layer(contract, workspace.view(), tasks, outcomes)
+            for warning in report.warnings:
+                logger.warning("event=audit_warning layer=%d %s", layers_used, warning)
+            for intervention in report.interventions:
+                logger.info("event=intervention layer=%d %s", layers_used, intervention.to_dict())
 
-        # Every document action is a patch against the snapshot the layer
-        # read. If the guard refuses the merge, the agents' actions are
-        # dropped and the auditor's write-back (the guarded amendment plus
-        # Status lines) commits alone; artifacts and statuses stay as audited.
-        actions = list(report.contract_actions)
-        feedback = list(report.feedback)
-        try:
-            contract, merge_conflicts = _commit_actions(contract, actions, ledger)
-        except KernelViolation as exc:
-            authors = sorted({author for author, _, _ in actions if author != AUDITOR_AUTHOR})
-            logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layers_used, authors, exc)
-            feedback.extend((author, f"document action rejected: {exc}") for author in authors)
-            actions = [item for item in actions if item[0] == AUDITOR_AUTHOR]
-            contract, merge_conflicts = _commit_actions(contract, actions, ledger)
+            # Every document action is a patch against the snapshot the layer
+            # read. If the guard refuses the merge, the agents' actions are
+            # dropped and the auditor's write-back (the guarded amendment plus
+            # Status lines) commits alone; artifacts and statuses stay as audited.
+            actions = list(report.contract_actions)
+            feedback = list(report.feedback)
+            try:
+                contract, merge_conflicts = _commit_actions(contract, actions, ledger)
+            except KernelViolation as exc:
+                authors = sorted({author for author, _, _ in actions if author != AUDITOR_AUTHOR})
+                logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layers_used, authors, exc)
+                feedback.extend((author, f"document action rejected: {exc}") for author in authors)
+                actions = [item for item in actions if item[0] == AUDITOR_AUTHOR]
+                contract, merge_conflicts = _commit_actions(contract, actions, ledger)
 
-        commits = []
-        for task_id, artifacts in report.accepted_artifacts:
-            for unit in artifacts:
-                workspace.commit(unit)
-                commits.append({"path": unit.path, "sha256": file_sha256(unit.body), "writer": task_id})
+            commits = []
+            for task_id, artifacts in report.accepted_artifacts:
+                for unit in artifacts:
+                    workspace.commit(unit)
+                    commits.append({"path": unit.path, "sha256": file_sha256(unit.body), "writer": task_id})
 
-        for task_id, _old, new in report.status_updates:
-            task = tasks.get(task_id)
-            if task is None:
-                continue
-            task.transition(TaskStatus(new))
+            for task_id, _old, new in report.status_updates:
+                task = tasks.get(task_id)
+                if task is None:
+                    continue
+                task.transition(TaskStatus(new))
 
-        for task_id, note in feedback:
-            task = tasks.get(task_id)
-            if task is not None and note not in task.feedback:
-                task.feedback.append(note)
+            for task_id, note in feedback:
+                task = tasks.get(task_id)
+                if task is not None and note not in task.feedback:
+                    task.feedback.append(note)
 
-        for path, owner in report.injected_tasks:
-            if path not in tasks:
-                tasks[path] = Task(id=path, owner=owner, status=TaskStatus.TODO)
-                logger.info("event=task_injected layer=%d task=%s", layers_used, path)
+            for path, owner in report.injected_tasks:
+                if path not in tasks:
+                    tasks[path] = Task(id=path, owner=owner, status=TaskStatus.TODO)
+                    logger.info("event=task_injected layer=%d task=%s", layers_used, path)
 
-        ledger.add(
-            {
-                "kind": "layer",
-                "layer": layers_used,
-                "mode": config.mode.value,
-                "dispatch_count": len(plan.dispatches),
-                "execution_width": 1 if config.mode is RunMode.SEQUENTIAL else len(plan.dispatches),
-                "dispatches": [
-                    {"task": d.task_id, "role": d.role.value} for d in plan.dispatches
-                ],
-                "transitions": [list(update) for update in report.status_updates],
-                "audit_sha256": report.sha256(),
-                "deltas": [{"task": d.task_id, "kind": d.kind.value} for d in report.deltas],
-                "interventions": [i.to_dict() for i in report.interventions],
-                "existence": report.existence,
-                "consistency": report.consistency,
-                "commits": commits,
-                "merge_conflicts": merge_conflicts,
-                "contract_sha256": contract.fingerprint(),
-            }
-        )
+            ledger.add(
+                {
+                    "kind": "layer",
+                    "layer": layers_used,
+                    "mode": config.mode.value,
+                    "dispatch_count": len(plan.dispatches),
+                    "execution_width": min(MAX_DISPATCH_THREADS, len(plan)) if side_by_side else 1,
+                    "dispatches": [
+                        {"task": d.task_id, "role": d.role.value} for d in plan.dispatches
+                    ],
+                    "transitions": [list(update) for update in report.status_updates],
+                    "audit_sha256": report.sha256(),
+                    "deltas": [{"task": d.task_id, "kind": d.kind.value} for d in report.deltas],
+                    "interventions": [i.to_dict() for i in report.interventions],
+                    "existence": report.existence,
+                    "consistency": report.consistency,
+                    "commits": commits,
+                    "merge_conflicts": merge_conflicts,
+                    "contract_sha256": contract.fingerprint(),
+                }
+            )
 
-        if all(t.status is TaskStatus.VERIFIED for t in tasks.values()):
-            break
+            if all(t.status is TaskStatus.VERIFIED for t in tasks.values()):
+                break
 
     converged = bool(tasks) and all(t.status is TaskStatus.VERIFIED for t in tasks.values())
     ledger.add(

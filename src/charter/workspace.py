@@ -11,8 +11,9 @@ contract's own model: classes are ``kernel.ClassSpec`` values with
 types, so a type reads the same on both sides however it is spelled. An
 attribute use is recorded with its receiver's type, and only where the
 receiver is a typed parameter of a def whose body reads it: a local, a
-module-level name or an untyped parameter (which shadows an outer typed one)
-has no type to read, whatever its name.
+module-level name, an untyped parameter, a lambda's parameter or a
+comprehension's target (each of the last three shadows an outer typed
+parameter) has no type to read, whatever its name.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
 unit, and files of any other type yield no symbols. The workspace stores the
@@ -63,6 +64,10 @@ class ExtractedSymbols:
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# What binds untyped names of its own scope: its parameters or targets.
+_UNTYPED_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+# The fields a def, lambda or comprehension reads in its own scope.
+_INNER_FIELDS = frozenset({"body", "elt", "key", "value", "generators"})
 # What can hold a statement, and so a class, an import or a def.
 _BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
 
@@ -135,6 +140,8 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
     """One breadth-first walk, in ``ast.walk``'s order, in which each node
     carries the typed parameters of the defs whose bodies hold it (a def's
     decorators, defaults and annotations are read in the enclosing scope).
+    A lambda's parameters and a comprehension's targets are untyped names of
+    their own scope, so they hide an outer typed parameter of the same name.
     An expression is entered only where such a parameter is in scope."""
     classes: list[ClassSpec] = []
     imports: list[tuple[str, str]] = []
@@ -150,6 +157,18 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
             # An untyped parameter ("any") shadows an outer typed one.
             signature = signatures.pop(node, None) or read_signature(node)
             inner = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
+        elif isinstance(node, _UNTYPED_SCOPES):
+            if isinstance(node, ast.Lambda):
+                args = node.args
+                every = (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+                bound = {a.arg for a in every if a is not None}
+            else:
+                bound = {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+                # The first iterable is read outside the comprehension: it is
+                # queued in the outer scope too, and a use found twice is
+                # recorded once.
+                queue.append((node.generators[0].iter, scope))
+            inner = {name: t for name, t in scope.items() if name not in bound}
         elif isinstance(node, ast.ClassDef):
             classes.append(_class(node, signatures))
         elif isinstance(node, ast.Import):
@@ -157,8 +176,8 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
         elif isinstance(node, ast.ImportFrom):
             module = "." * node.level + (node.module or "")
             imports.extend((module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names)
-        for name in node._fields:  # a def's body alone reads its parameters
-            held = inner if name == "body" else scope
+        for name in node._fields:
+            held = inner if name in _INNER_FIELDS else scope
             value = getattr(node, name)
             for child in value if isinstance(value, list) else (value,):
                 if isinstance(child, _BLOCKS) or (held and isinstance(child, ast.AST)):

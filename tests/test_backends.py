@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from charter.agents import PromptBundle
 from charter.backends import (
+    JITTER,
     BackendError,
     CompletionRequest,
     MissingTranscriptEntry,
@@ -104,10 +106,21 @@ def _recorded_sleeps(monkeypatch):
     return sleeps
 
 
+class _Fixed(random.Random):
+    """Draws ``value`` every time: 0.0 stretches no wait, nearly 1.0 the most."""
+
+    def __init__(self, value: float):
+        super().__init__()
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
 def test_remote_backend_backs_off_exponentially(monkeypatch):
     monkeypatch.setenv("CHARTER_API_KEY", "k")
     sleeps = _recorded_sleeps(monkeypatch)
-    backend = RemoteBackend(retries=3, backoff=0.5, session=_FakeSession([500, 502, 429, 200]))
+    backend = RemoteBackend(retries=3, backoff=0.5, session=_FakeSession([500, 502, 429, 200]), rng=_Fixed(0.0))
     assert backend.complete(_request()) == "ok"
     assert sleeps == [0.5, 1.0, 2.0]
 
@@ -122,9 +135,28 @@ def test_remote_backend_honours_a_numeric_retry_after(monkeypatch):
         {"Retry-After": "9"},  # 500: only 429 and 503 are read, 4.0
     ]
     session = _FakeSession([429, 503, 503, 500, 200], headers=headers)
-    backend = RemoteBackend(retries=4, backoff=0.5, session=session)
+    backend = RemoteBackend(retries=4, backoff=0.5, session=session, rng=_Fixed(0.0))
     assert backend.complete(_request()) == "ok"
     assert sleeps == [7.0, 1.0, 0.25, 4.0]
+
+
+def test_remote_backend_jitters_each_wait_without_shortening_a_retry_after(monkeypatch):
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    sleeps = _recorded_sleeps(monkeypatch)
+    for seed in range(2):  # two dispatches turned away by one burst of 429s
+        session = _FakeSession([429, 429, 200], headers=[{"Retry-After": "2"}, {}])
+        backend = RemoteBackend(retries=2, backoff=0.5, session=session, rng=random.Random(seed))
+        assert backend.complete(_request()) == "ok"
+    first, second = sleeps[:2], sleeps[2:]
+    assert first != second  # they do not wake in lockstep
+    for retry_after, backoff in (first, second):
+        assert 2.0 <= retry_after < 2.0 * (1 + JITTER)
+        assert 1.0 <= backoff < 1.0 * (1 + JITTER)
+    sleeps.clear()
+    session = _FakeSession([429, 500, 200], headers=[{"Retry-After": "4"}, {}])
+    backend = RemoteBackend(retries=2, backoff=0.5, timeout=5, session=session, rng=_Fixed(0.999))
+    assert backend.complete(_request()) == "ok"
+    assert sleeps == [5, 1.0 * (1 + JITTER * 0.999)]  # the cap at the timeout stays
 
 
 def test_remote_backend_caps_a_long_retry_after_at_its_timeout(monkeypatch):

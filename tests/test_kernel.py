@@ -24,6 +24,7 @@ from charter.kernel import (
     find_cycle,
     guard_violations,
     parse_api_section,
+    parse_field_line,
     parse_signature,
     print_api_section,
     print_signature,
@@ -440,12 +441,14 @@ def _edited(entries, edits):
 
 
 _TWO = _basis_entries([TaskStatus.TODO, TaskStatus.DONE])
+_BARE = print_api_section([make_entry("m0.py"), make_entry("m1.py")])  # each entry ends at its Status line
 
 
 @given(_derived_api_sections())
 @example(_edited(_TWO, [(3, "- File: m2.py")]))  # a Status line replaced by a File line
 @example(_edited(_TWO, [(3, "  Status: SHIPPED")]))  # an unknown status value
 @example(_edited(_TWO, [(len(print_api_section(_TWO[:1])) + 1, "- File: m0.py")]))  # a duplicated path
+@example((_BARE, _BARE[:-1]))  # the last entry's Status line, its last line, deleted
 @settings(max_examples=200, deadline=None)
 def test_a_projection_through_its_basis_equals_a_fresh_one(case):
     base, lines = case
@@ -482,6 +485,90 @@ def test_each_method_line_is_parsed_once(monkeypatch):
     method_lines = [line for line in api if line.strip().startswith("- def")]
     assert len(method_lines) == 80
     assert len(calls) == len(method_lines)
+
+
+_FIELD_ALPHABET = st.sampled_from(
+    ["\n", "F", "f", "I", "i", "L", "l", "E", "e", "ile", " path", "P", "*", "**", "-", " ", "\t", "\xa0", "\x1c", ":", "x", "\u0130"]
+)
+
+
+@given(st.lists(st.lists(_FIELD_ALPHABET, max_size=12).map("".join), max_size=8))
+@example(["- File: a.py", "* **File path:** b.py", "  F*i*l*e: c.py", "-File: d.py", "\x1c- file : e"])
+@example(["", "-", "- \n", "  - FILE:", "Files: x", "File path x: y", "- Profile: p"])
+@settings(max_examples=300, deadline=None)
+def test_the_file_line_scan_finds_exactly_the_lines_parse_field_line_reads_as_file(lines):
+    expected = [
+        (i, parsed[1])
+        for i, line in enumerate(lines)
+        if (parsed := parse_field_line(line)) is not None and parsed[0] in ("file", "file path")
+    ]
+    assert charter.kernel._file_fields(lines) == expected
+
+
+def _revisions_of_runs():
+    """A run of each bundled fixture, of ``chain_plan(1, 20)`` and of
+    ``heal_plan(1, 48, 6)``."""
+    root = Path(__file__).resolve().parents[1] / "src" / "charter" / "fixtures"
+    for name in ("gomoku", "plane_battle"):
+        intent = IntentSpec((root / "intents" / f"{name}.txt").read_text())
+        yield intent, RunConfig(), ScriptedBackend.from_file(root / "transcripts" / f"{name}.jsonl")
+    chain, heal = synth.chain_plan(1, 20), synth.heal_plan(1, 48, 6, synth.Latency())
+    for plan, mode in ((chain, RunMode.SEQUENTIAL), (heal, RunMode.PARALLEL)):
+        yield IntentSpec(plan.intent), RunConfig(mode=mode), synth.SyntheticBackend(plan)
+
+
+def test_every_revision_projected_through_its_basis_equals_a_fresh_projection(monkeypatch):
+    compared = []
+    derived = charter.kernel._project
+
+    def checked(contract):
+        kernel = derived(contract)
+        if contract._basis is not None:
+            fresh = derived(LanguageContract(sections=contract.sections, revision=contract.revision))
+            assert kernel == fresh
+            assert [(e.span, e.status_line) for e in kernel.entries.values()] == [
+                (e.span, e.status_line) for e in fresh.entries.values()
+            ]
+            assert kernel.violations == fresh.violations
+            compared.append(contract)
+        return kernel
+
+    monkeypatch.setattr(charter.kernel, "_project", checked)
+    for intent, config, backend in _revisions_of_runs():
+        result = run(intent, config, backend)
+        assert result.converged
+    assert len(compared) > 30
+
+
+def _hundred_entries():
+    return [
+        make_entry(f"pkg/m{i}.py", classes=(simple_class(f"C{i}", [("n", "int")], [method(f"def run{i}() -> None")]),))
+        for i in range(100)
+    ]
+
+
+def test_a_derived_revision_reads_only_the_lines_it_changed(monkeypatch):
+    edges = [f"pkg/m{i}.py --> pkg/m{i - 1}.py" for i in range(1, 100)]
+    parent = contract_with(_hundred_entries(), dependency_lines=edges)
+    parent = parent.with_section(SectionKey.DIRECTORY_STRUCTURE, ["pkg/", *(f"  m{i}.py" for i in range(100))])
+    old = project(parent)
+    api = list(parent.body(SectionKey.API_SPECIFICATIONS))
+    flipped = [i for i, line in enumerate(api) if line.strip() == "Status: TODO"][::10]
+    for i in flipped:
+        api[i] = "  Status: DONE"
+    reads = []
+    read = charter.kernel.parse_field_line
+    monkeypatch.setattr(charter.kernel, "parse_field_line", lambda line: reads.append(line) or read(line))
+
+    status_only = project(parent.with_section(SectionKey.API_SPECIFICATIONS, api))
+    assert len(reads) <= 100 + len(flipped) + 2
+    assert sum(e.status is TaskStatus.DONE for e in status_only.entries.values()) == len(flipped) == 10
+    assert status_only.classes == old.classes and status_only.dependencies == old.dependencies
+
+    reads.clear()
+    elsewhere = project(parent.with_section(SectionKey.CONSTRAINTS, ["- No module performs I/O at import."]))
+    assert reads == []
+    assert elsewhere.entries == old.entries and elsewhere.edge_lines == old.edge_lines
 
 
 def test_a_kernel_keeps_its_findings_in_validation_order():

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import logging
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,9 @@ from charter.tasks import IllegalTransition, LEGAL_TRANSITIONS, Task, TaskStatus
 from charter.workspace import FileUnit, Workspace
 
 from conftest import contract_with, make_entry, method, simple_class
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import synth  # noqa: E402
 
 
 def _task(status=TaskStatus.TODO):
@@ -146,7 +153,7 @@ def test_run_layer_isolates_missing_transcript_entry():
     }
     plan = plan_layer(tasks, Workspace())
     outcomes = run_layer(
-        plan, backend, contract, IntentSpec("x"), tasks, Workspace(), 1, RunConfig()
+        plan, backend, contract, IntentSpec("x"), tasks, Workspace(), 1, RunConfig(), pool=None
     )
     by_task = {o.task_id: o for o in outcomes}
     assert by_task["a.py"].response is not None
@@ -572,3 +579,60 @@ def test_each_document_action_is_reanchored_through_its_authors_prompt_view(monk
             assert view == full_view(contract)
         else:
             assert view is shown[author]
+
+
+class _Metered:
+    """A backend that counts the requests in flight and the threads serving them."""
+
+    def __init__(self, inner, hold: float = 0.0):
+        self.inner = inner
+        self.hold = hold
+        self.in_flight = self.peak = 0
+        self.threads: set[threading.Thread] = set()  # an ident is reused once its thread ends
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            if request.layer:  # synthesis runs on the caller's thread
+                self.threads.add(threading.current_thread())
+        try:
+            time.sleep(self.hold)
+            return self.inner.complete(request)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+def _dispatch_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("charter-dispatch")]
+
+
+def test_a_layer_never_has_more_requests_in_flight_than_the_dispatch_bound(monkeypatch):
+    monkeypatch.setattr(charter.scheduler, "MAX_DISPATCH_THREADS", 2)
+    plan = synth.chain_plan(1, 5)
+    backend = _Metered(synth.SyntheticBackend(plan), hold=0.02)
+    result = run(IntentSpec(plan.intent), RunConfig(), backend)
+    assert result.converged
+    assert backend.peak == len(backend.threads) == 2
+    layers = [r for r in result.ledger.records if r["kind"] == "layer"]
+    assert [(r["dispatch_count"], r["execution_width"]) for r in layers] == [(5, 2), (5, 2)]
+
+
+def test_one_pool_serves_every_layer_of_a_run_and_is_gone_after_it(monkeypatch):
+    plan = synth.heal_plan(1, 16, 2, synth.Latency())
+    backend = _Metered(synth.SyntheticBackend(plan), hold=0.01)  # a layer's dispatches overlap
+    result = run(IntentSpec(plan.intent), RunConfig(), backend)
+    widths = [r["dispatch_count"] for r in result.ledger.records if r["kind"] == "layer"]
+    assert result.converged and len(widths) == 3
+    assert 1 < len(backend.threads) <= max(widths) < sum(widths)
+    assert _dispatch_threads() == []
+
+    def failing_audit(*args):
+        raise RuntimeError("audit failed")
+
+    monkeypatch.setattr(charter.scheduler, "audit_layer", failing_audit)
+    with pytest.raises(RuntimeError, match="audit failed"):
+        run(IntentSpec(plan.intent), RunConfig(), synth.SyntheticBackend(plan))
+    assert _dispatch_threads() == []

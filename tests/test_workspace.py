@@ -377,6 +377,29 @@ def test_attribute_uses_of_a_conformance_body_agree_with_the_positional_referenc
     assert extract_symbols(FileUnit(PATH, body)).attribute_uses == positional_typed_uses(body), body
 
 
+def test_a_comprehension_target_hides_a_typed_parameter_of_its_name():
+    def uses(expression):
+        body = f"def f(p: Player, others: list) -> list:\n    return {expression}\n"
+        return extract_symbols(FileUnit("m.py", body)).attribute_uses
+
+    assert uses("[p.name for p in others]") == ()
+    assert uses("{p.k: p.v for (q, p) in others}") == ()
+    assert uses("[p.name for q in others]") == (("Player", "name"),)
+    # The first iterable is read outside the comprehension.
+    assert uses("[p.name for p in p.party]") == (("Player", "party"),)
+
+
+def test_a_lambda_parameter_hides_a_typed_parameter_of_its_name():
+    def uses(expression):
+        body = f"def f(p: Player, others: list) -> list:\n    return {expression}\n"
+        return extract_symbols(FileUnit("m.py", body)).attribute_uses
+
+    assert uses("lambda p: p.key") == ()
+    assert uses("lambda *p: p.key") == ()
+    # A default is read outside the lambda.
+    assert uses("lambda q=p.key: q.size") == (("Player", "key"),)
+
+
 def test_each_def_signature_is_read_once(monkeypatch):
     body = (
         "class Game:\n"
