@@ -120,6 +120,19 @@ def test_c2_self_healing_regression_sequence():
     assert api_updates
 
 
+def test_c2_plane_battle_matches_its_golden():
+    # The amendment, sync-repair and regression steps of the audit run only
+    # here, so this golden holds them as c1's holds the plain path.
+    first = _run_fixture("plane_battle", t_max=6)
+    second = _run_fixture("plane_battle", t_max=6)
+
+    golden = json.loads((GOLDEN / "plane_battle.json").read_text())
+    assert {u.path: file_sha256(u.body) for u in first.workspace.units()} == golden["files"]
+    assert first.layers_used == golden["layers"]
+    assert first.ledger.serialize() == second.ledger.serialize()
+    assert first.ledger.sha256() == golden["ledger_sha256"]
+
+
 def test_c3_scheduler_law_pointwise_and_legal_traces():
     contract = contract_with(
         [make_entry("m.py", classes=(simple_class("M", [], [method("def f() -> None")]),))]
