@@ -13,10 +13,10 @@ classifies the difference:
   does not declare yet); the artifact is committed and the contract is
   formally amended to legitimize the superset. Extra members and classes are
   recorded as they were read from the audited body. A peer class is demanded
-  only through a parameter annotated with it: a local, a loop variable or an
-  untyped parameter has no class here, so an undeclared read through one
-  (``for enemy in self.enemies: enemy.mana``) is not a demand and shows only
-  when the code runs.
+  only through a parameter annotated with it that its def never rebinds: a
+  local, a loop variable or an untyped parameter has no class here, so an
+  undeclared read through one (``for enemy in self.enemies: enemy.mana``) is
+  not a demand and shows only when the code runs.
 
 A worker may write its own file and files no task owns; an artifact at a
 peer task's path is dropped with feedback, so each contracted file committed
@@ -37,9 +37,14 @@ Every check reads ``FileUnit`` values and takes their analysis from
 accepted units themselves, and the workspace stores them, so a committed
 body is not analyzed again in later layers.
 
-``audit_layer`` is a pure function of its inputs; the scheduler applies the
-returned effects at the barrier. Each document action it returns carries the
-view its author was shown, which the barrier re-anchors it through.
+``audit_layer`` is a pure function of its inputs, run as named steps: read
+the worker artifacts, try the amendment, plan the worker moves, read the
+critic verdicts, re-check the committed files against the amended schema,
+measure existence and write the statuses back. ``scheduler.barrier``
+applies the returned effects; it, not the auditor, creates the task of a
+contract entry that has none. Each document action the audit returns
+carries the view its author was shown, which the barrier re-anchors it
+through.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .agents import AgentResponse, RoleKind
@@ -175,7 +180,6 @@ class AuditReport:
     accepted_artifacts: tuple[tuple[str, tuple[FileUnit, ...]], ...]
     contract_actions: tuple[tuple[str, ContractAction, ContractView], ...]  # (author, action, view shown)
     feedback: tuple[tuple[str, str], ...]
-    injected_tasks: tuple[tuple[str, str], ...]  # (path, owner)
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -195,7 +199,6 @@ class AuditReport:
                 for author, action, _ in self.contract_actions
             ],
             "feedback": [list(f) for f in self.feedback],
-            "injected_tasks": [list(t) for t in self.injected_tasks],
             "warnings": list(self.warnings),
         }
 
@@ -266,12 +269,8 @@ def existence_check(
     if not tasks:
         logger.warning("existence check over an empty task set; defining it as 1.0")
         return 1.0, ()
-    unmatched = []
-    for task in tasks:
-        if not match(task, files.get(task.id), kernel.entries[task.id]):
-            unmatched.append(task.id)
-    fraction = (len(tasks) - len(unmatched)) / len(tasks)
-    return fraction, tuple(unmatched)
+    unmatched = tuple(task.id for task in tasks if not match(task, files.get(task.id), kernel.entries[task.id]))
+    return (len(tasks) - len(unmatched)) / len(tasks), unmatched
 
 
 def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
@@ -324,8 +323,8 @@ def _member_details(declared: ClassSpec, found: ClassSpec) -> list[MismatchDetai
 def demand_details(kernel: SymbolicKernel, unit: FileUnit) -> list[MismatchDetail]:
     """Attributes a file reads off a contracted peer class that the contract
     does not declare: the demand side of a schema divergence. A receiver is
-    a contracted class only where it is a parameter annotated with it; a read
-    through any other name demands nothing."""
+    a contracted class only where it is a parameter annotated with it that
+    its def never rebinds; a read through any other name demands nothing."""
     symbols = analyze(unit)
     if symbols.unanalyzable:
         return []
@@ -382,10 +381,7 @@ def sync_statuses(
     feedback: list[tuple[str, str]] = []
     warnings: list[str] = []
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
-        if outcome.role is not RoleKind.CRITIC:
-            continue
-        task = tasks.get(outcome.task_id)
-        if task is None:
+        if outcome.role is not RoleKind.CRITIC or outcome.task_id not in tasks:
             continue
         if outcome.error or outcome.response is None:
             warnings.append(f"critic for {outcome.task_id} failed: {outcome.error or 'no response'}")
@@ -395,54 +391,58 @@ def sync_statuses(
         if verdict is None:
             warnings.append(f"critic for {outcome.task_id} produced no verdict; status unchanged")
             continue
-        if verdict.passed:
-            updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.VERIFIED))
-        else:
-            updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.ERROR))
+        updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.VERIFIED if verdict.passed else TaskStatus.ERROR))
+        if not verdict.passed:
             feedback.append((outcome.task_id, verdict.reason or "critic rejected the implementation"))
     return updates, feedback, warnings
 
 
-@dataclass
-class SchemaAdditions:
-    """Accumulated superset legitimizations for one amendment."""
-
-    members: dict[str, list[AttributeSpec | MethodSig]] = field(default_factory=dict)
-    classes: dict[str, list[ClassSpec]] = field(default_factory=dict)  # module id -> new classes
-    symbols: list[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return bool(self.members or self.classes)
-
-
-def _schema_additions(
-    deltas: dict[str, list[MismatchDetail]], units: dict[str, FileUnit]
-) -> SchemaAdditions:
-    """Turn EXTRA/DEMANDED details into schema additions. Every detail names a
-    class of the kernel it was computed against; recorded members and classes
-    are read off the analysis of ``units[task_id]``, the unit audited for that
-    task."""
-    out = SchemaAdditions()
+def _amended_entries(
+    kernel: SymbolicKernel, deltas: dict[str, list[MismatchDetail]], artifacts: dict[str, tuple[FileUnit, ...]]
+) -> tuple[list[ApiSpecEntry], list[str]]:
+    """The kernel's entries with the EXTRA/DEMANDED details of ``deltas``
+    recorded as read from the audited code, each amended entry one version
+    up, and the symbols recorded."""
+    attributes: dict[str, list[AttributeSpec]] = {}  # class name -> recorded members
+    methods: dict[str, list[MethodSig]] = {}
+    classes: dict[str, list[ClassSpec]] = {}  # module id -> recorded classes
+    symbols: list[str] = []
     for task_id in sorted(deltas):
-        # The same class per name that compare_unit compared.
-        code = {name: _recorded_class(c, task_id) for name, c in code_classes(analyze(units[task_id])).items()}
+        # The same class per name that compare_unit compared, read off the
+        # audited unit: the last at the task's own path.
+        own = next(unit for unit in reversed(artifacts[task_id]) if unit.path == task_id)
+        code = {name: _recorded_class(c, task_id) for name, c in code_classes(analyze(own)).items()}
         for detail in deltas[task_id]:
-            if detail.symbol in out.symbols:
+            if detail.symbol in symbols:
                 continue
             if detail.kind is DetailKind.DEMANDED:
                 cls_name, attr = detail.symbol.split(".", 1)
-                out.members.setdefault(cls_name, []).append(
+                attributes.setdefault(cls_name, []).append(
                     AttributeSpec(name=attr, type_name="any", description=f"required by {task_id}")
                 )
             elif "." in detail.symbol:
                 cls_name, member = detail.symbol.split(".", 1)
-                cls = code[cls_name]
-                items = cls.methods if detail.actual.startswith("def ") else cls.attributes
-                out.members.setdefault(cls_name, []).append(next(i for i in items if i.name == member))
+                recorded = methods if detail.actual.startswith("def ") else attributes
+                items = code[cls_name].methods if recorded is methods else code[cls_name].attributes
+                recorded.setdefault(cls_name, []).append(next(i for i in items if i.name == member))
             else:
-                out.classes.setdefault(task_id, []).append(code[detail.symbol])
-            out.symbols.append(detail.symbol)
-    return out
+                classes.setdefault(task_id, []).append(code[detail.symbol])
+            symbols.append(detail.symbol)
+
+    entries: list[ApiSpecEntry] = []
+    for module_id, entry in kernel.entries.items():
+        amended = [
+            ClassSpec(
+                cls.name,
+                cls.attributes + tuple(attributes.get(cls.name, ())),
+                cls.methods + tuple(methods.get(cls.name, ())),
+            )
+            for cls in entry.classes
+        ]
+        amended += classes.get(module_id, [])
+        version = entry.version + 1 if tuple(amended) != entry.classes else entry.version
+        entries.append(replace(entry, version=version, classes=tuple(amended)))
+    return entries, symbols
 
 
 def _recorded_class(cls: ClassSpec, module_id: str) -> ClassSpec:
@@ -463,38 +463,8 @@ def _recorded_class(cls: ClassSpec, module_id: str) -> ClassSpec:
     )
 
 
-def amended_entries(kernel: SymbolicKernel, additions: SchemaAdditions) -> list[ApiSpecEntry]:
-    """Rebuild the entry list with schema additions folded in; amended entries
-    get a version bump."""
-    out: list[ApiSpecEntry] = []
-    for module_id, entry in kernel.entries.items():
-        classes = []
-        amended = False
-        for cls in entry.classes:
-            extra = additions.members.get(cls.name, [])
-            new_attrs = list(cls.attributes)
-            new_methods = list(cls.methods)
-            for item in extra:
-                if isinstance(item, AttributeSpec):
-                    new_attrs.append(item)
-                else:
-                    new_methods.append(item)
-                amended = True
-            classes.append(
-                ClassSpec(name=cls.name, attributes=tuple(new_attrs), methods=tuple(new_methods))
-            )
-        for new_class in additions.classes.get(module_id, []):
-            classes.append(new_class)
-            amended = True
-        out.append(replace(entry, version=entry.version + 1 if amended else entry.version, classes=tuple(classes)))
-    return out
-
-
 def _repair_directive(missing: dict[str, list[str]]) -> str:
-    parts = []
-    for cls_name in sorted(missing):
-        members = ", ".join(sorted(missing[cls_name]))
-        parts.append(f"Fix the schema definition; {cls_name} requires {members}")
+    parts = [f"Fix the schema definition; {c} requires {', '.join(sorted(missing[c]))}" for c in sorted(missing)]
     return ". ".join(parts) + "."
 
 
@@ -506,149 +476,172 @@ def audit_layer(
 ) -> AuditReport:
     """Classify one layer's outputs and plan every intervention.
 
-    Pure: identical inputs produce identical reports. The scheduler commits
-    the accepted units, the values audited here, and applies the status
-    updates, contract actions and task injections at the barrier. Each
-    contract action is ``(author, action, view)``: a ride-along agent action
-    carries the view of its dispatch (``DispatchOutcome.view``), and the
-    auditor's own Status/amendment write-back carries ``full_view(contract)``.
-    The write-back prints one entry list: ``amended_entries`` once, tried
-    through ``apply_action`` under the guard, and stamped with the planned
-    statuses.
+    Pure: identical inputs produce identical reports. Each contract action is
+    ``(author, action, view)``: an agent action carries the view of its
+    dispatch (``DispatchOutcome.view``); the auditor's write-back (the amended
+    contract's entries, stamped with the planned statuses) carries
+    ``full_view(contract)``.
     """
     kernel = project(contract)
-
     feedback: list[tuple[str, str]] = []
     warnings: list[str] = []
-    worker_details: dict[str, list[MismatchDetail]] = {}
-    worker_units: dict[str, FileUnit] = {}
-    worker_artifacts: dict[str, tuple[FileUnit, ...]] = {}
 
+    artifacts, details = _read_worker_artifacts(kernel, tasks, outcomes, feedback)
+    amended, symbols = _try_amendment(contract, kernel, artifacts, details, warnings)
+    deltas = {task_id: AuditDelta(task_id, classify(d), tuple(d)) for task_id, d in sorted(details.items())}
+    updates, accepted = _plan_worker_moves(tasks, deltas, artifacts, feedback)
+
+    # Critic verdicts: a rejected implementation regresses with the critic's note as its reason.
+    critic_updates, critic_feedback, critic_warnings = sync_statuses(tasks, outcomes)
+    reasons = dict(critic_feedback)
+    regressions = [StatusRegression(t, reasons[t]) for t, _, new in critic_updates if new is TaskStatus.ERROR]
+    updates += critic_updates
+    feedback += critic_feedback
+    warnings += critic_warnings
+
+    committed = dict(files)
+    for units in accepted.values():
+        committed.update((unit.path, unit) for unit in units)
+    sync_tasks = _sync_after_amendment(amended, tasks, deltas, committed, updates, feedback, warnings)
+
+    # Structural existence over the post-commit view, against the amended
+    # contract. Every unmatched task is (re)injected as next-layer TODO work.
+    existence, unmatched = existence_check(amended, committed)
+
+    interventions: list = [ContractAmendment(added_symbols=tuple(symbols))] if symbols else []
+    interventions += regressions + sync_tasks
+    interventions += [TaskInjection(path=m) for m in unmatched]
+
+    return AuditReport(
+        existence=existence,
+        unmatched=unmatched,
+        status_updates=tuple((t, old.value, new.value) for t, old, new in updates),
+        consistency=all(d.kind is DeltaKind.EMPTY for d in deltas.values()) and not sync_tasks,
+        deltas=tuple(deltas.values()),
+        interventions=tuple(interventions),
+        accepted_artifacts=tuple(accepted.items()),
+        contract_actions=_write_back(contract, amended, _planned_statuses(tasks, updates), outcomes, deltas),
+        feedback=tuple(feedback),
+        warnings=tuple(warnings),
+    )
+
+
+def _read_worker_artifacts(
+    kernel: SymbolicKernel,
+    tasks: dict[str, Task],
+    outcomes: list[DispatchOutcome],
+    feedback: list[tuple[str, str]],
+) -> tuple[dict[str, tuple[FileUnit, ...]], dict[str, list[MismatchDetail]]]:
+    """Each answered worker's artifacts and the details of its own file; what
+    cannot be audited leaves feedback instead."""
+    artifacts: dict[str, tuple[FileUnit, ...]] = {}
+    details: dict[str, list[MismatchDetail]] = {}
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
-        if outcome.role is not RoleKind.WORKER:
-            continue
-        task = tasks.get(outcome.task_id)
-        if task is None:
+        task_id = outcome.task_id
+        if outcome.role is not RoleKind.WORKER or task_id not in tasks:
             continue
         if outcome.error or outcome.response is None:
-            feedback.append((outcome.task_id, f"worker dispatch failed: {outcome.error or 'no response'}"))
+            feedback.append((task_id, f"worker dispatch failed: {outcome.error or 'no response'}"))
             continue
-        artifacts = []
-        own: FileUnit | None = None
+        units, own = [], None
         for path, body in outcome.response.artifacts:
             try:
                 normalized = normalize_path(path)
             except PathViolation as exc:
-                feedback.append((outcome.task_id, f"artifact dropped: {exc}"))
+                feedback.append((task_id, f"artifact dropped: {exc}"))
                 continue
-            if normalized != outcome.task_id and normalized in tasks:
+            if normalized != task_id and normalized in tasks:
                 # A peer task's file is written only by the peer's audited body.
-                feedback.append((outcome.task_id, f"artifact dropped: {normalized} is another task's file"))
+                feedback.append((task_id, f"artifact dropped: {normalized} is another task's file"))
                 continue
-            unit = FileUnit(normalized, body)
-            artifacts.append(unit)
-            if normalized == outcome.task_id:
-                own = unit
+            units.append(FileUnit(normalized, body))
+            if normalized == task_id:
+                own = units[-1]
         if own is None:
-            feedback.append((outcome.task_id, f"worker produced no artifact for {task.id}"))
+            feedback.append((task_id, f"worker produced no artifact for {task_id}"))
             continue
-        worker_artifacts[outcome.task_id] = tuple(artifacts)
-        entry = kernel.entries.get(outcome.task_id)
-        worker_units[outcome.task_id] = own
-        details = compare_unit(entry, own) if entry is not None else []
-        details.extend(demand_details(kernel, own))
-        worker_details[outcome.task_id] = details
+        artifacts[task_id] = tuple(units)
+        entry = kernel.entries.get(task_id)
+        details[task_id] = (compare_unit(entry, own) if entry is not None else []) + demand_details(kernel, own)
+    return artifacts, details
 
-    # Tentative amendment from every patchable superset.
-    patchable_ids = {
-        task_id
-        for task_id, details in worker_details.items()
-        if classify(details) is DeltaKind.PATCHABLE
-    }
-    additions = _schema_additions({tid: worker_details[tid] for tid in patchable_ids}, worker_units)
 
-    entries = amended_entries(kernel, additions)
-    amended_contract = contract
-    if additions:
-        trial = apply_action(
-            contract,
-            ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section(entries))),
-            guard=guard_violations,
+def _try_amendment(
+    contract: LanguageContract,
+    kernel: SymbolicKernel,
+    artifacts: dict[str, tuple[FileUnit, ...]],
+    details: dict[str, list[MismatchDetail]],
+    warnings: list[str],
+) -> tuple[LanguageContract, list[str]]:
+    """The contract amended under the guard to legitimize every PATCHABLE
+    superset, and the symbols recorded; a refused one makes each CRITICAL."""
+    patchable = {task_id: d for task_id, d in details.items() if classify(d) is DeltaKind.PATCHABLE}
+    entries, symbols = _amended_entries(kernel, patchable, artifacts)
+    if not symbols:
+        return contract, symbols
+    trial = apply_action(
+        contract,
+        ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section(entries))),
+        guard=guard_violations,
+    )
+    if not isinstance(trial, Rejection):
+        return trial, symbols
+    warnings.append(f"amendment rejected: {trial}")
+    for task_id in sorted(patchable):
+        details[task_id].append(
+            MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual=str(trial.reason))
         )
-        if isinstance(trial, Rejection):
-            # The superset cannot be legitimized; reject the contributing
-            # artifacts instead of polluting the kernel.
-            warnings.append(f"amendment rejected: {trial}")
-            for task_id in sorted(patchable_ids):
-                worker_details[task_id] = worker_details[task_id] + [
-                    MismatchDetail(
-                        DetailKind.MISMATCH,
-                        task_id,
-                        expected="amendable superset",
-                        actual=str(trial.reason),
-                    )
-                ]
-            entries = list(kernel.entries.values())
-            additions = SchemaAdditions()
-        else:
-            amended_contract = trial
+    return contract, []
 
-    deltas: dict[str, AuditDelta] = {}
-    for task_id in sorted(worker_details):
-        details = worker_details[task_id]
-        deltas[task_id] = AuditDelta(
-            task_id=task_id, kind=classify(details), details=tuple(details)
-        )
 
-    # Plan worker status moves. A rejected artifact still consumed a worker
-    # pass: the task lands on ERROR via the legal TODO -> DONE -> ERROR path.
-    status_updates: list[tuple[str, TaskStatus, TaskStatus]] = []
+def _plan_worker_moves(
+    tasks: dict[str, Task],
+    deltas: dict[str, AuditDelta],
+    artifacts: dict[str, tuple[FileUnit, ...]],
+    feedback: list[tuple[str, str]],
+) -> tuple[list[tuple[str, TaskStatus, TaskStatus]], dict[str, tuple[FileUnit, ...]]]:
+    """Accept every artifact but a CRITICAL one and move its task to DONE. A
+    rejected artifact still consumed a worker pass: a TODO task lands on ERROR
+    via the legal TODO -> DONE -> ERROR path, with one note per detail."""
+    updates: list[tuple[str, TaskStatus, TaskStatus]] = []
     accepted: dict[str, tuple[FileUnit, ...]] = {}
-    statuses = {task_id: task.status for task_id, task in tasks.items()}
-
-    for task_id, delta in sorted(deltas.items()):
-        task = tasks[task_id]
+    for task_id, delta in deltas.items():
+        status = tasks[task_id].status
         if delta.kind is DeltaKind.CRITICAL:
-            for detail in delta.details:
-                feedback.append((task_id, _describe_detail(detail)))
-            if task.status is TaskStatus.TODO:
-                status_updates.append((task_id, TaskStatus.TODO, TaskStatus.DONE))
-                status_updates.append((task_id, TaskStatus.DONE, TaskStatus.ERROR))
-            statuses[task_id] = TaskStatus.ERROR
+            feedback.extend((task_id, _describe_detail(detail)) for detail in delta.details)
+            if status is TaskStatus.TODO:
+                updates += [(task_id, TaskStatus.TODO, TaskStatus.DONE), (task_id, TaskStatus.DONE, TaskStatus.ERROR)]
         else:
-            accepted[task_id] = worker_artifacts[task_id]
-            if task.status is TaskStatus.TODO:
-                status_updates.append((task_id, TaskStatus.TODO, TaskStatus.DONE))
-            elif task.status is TaskStatus.ERROR:
-                status_updates.append((task_id, TaskStatus.ERROR, TaskStatus.DONE))
-            statuses[task_id] = TaskStatus.DONE
+            accepted[task_id] = artifacts[task_id]
+            if status in (TaskStatus.TODO, TaskStatus.ERROR):
+                updates.append((task_id, status, TaskStatus.DONE))
+    return updates, accepted
 
-    # Critic verdicts.
-    critic_updates, critic_feedback, critic_warnings = sync_statuses(tasks, outcomes)
-    regressions: list[StatusRegression] = []
-    for task_id, old, new in critic_updates:
-        status_updates.append((task_id, old, new))
-        statuses[task_id] = new
-        if new is TaskStatus.ERROR:
-            reason = next((note for tid, note in critic_feedback if tid == task_id), "")
-            regressions.append(StatusRegression(task_id=task_id, reason=reason))
-    feedback.extend(critic_feedback)
-    warnings.extend(critic_warnings)
 
-    # Post-amendment synchronization: committed files that no longer satisfy
-    # the (possibly amended) schema compel a repair round.
-    committed = dict(files)
-    for artifacts in accepted.values():
-        committed.update((unit.path, unit) for unit in artifacts)
+def _planned_statuses(
+    tasks: dict[str, Task], updates: list[tuple[str, TaskStatus, TaskStatus]]
+) -> dict[str, TaskStatus]:
+    """Each task's status once ``updates`` are applied."""
+    return {**{task_id: task.status for task_id, task in tasks.items()}, **{t: new for t, _, new in updates}}
 
+
+def _sync_after_amendment(
+    amended: LanguageContract,
+    tasks: dict[str, Task],
+    deltas: dict[str, AuditDelta],
+    committed: dict[str, FileUnit],
+    updates: list[tuple[str, TaskStatus, TaskStatus]],
+    feedback: list[tuple[str, str]],
+    warnings: list[str],
+) -> list[SyncTask]:
+    """A committed file that misses members of the (possibly amended) schema
+    compels a repair: its DONE task regresses to ERROR with a directive."""
+    statuses = _planned_statuses(tasks, updates)
+    entries = project(amended).entries
     sync_tasks: list[SyncTask] = []
-    amended_by_id = project(amended_contract).entries
     for task_id in sorted(tasks):
-        if task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL:
-            continue
-        unit = committed.get(task_id)
-        entry = amended_by_id.get(task_id)
-        if unit is None or entry is None:
+        unit, entry = committed.get(task_id), entries.get(task_id)
+        if unit is None or entry is None or (task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL):
             continue
         missing_members: dict[str, list[str]] = {}
         for detail in compare_unit(entry, unit):
@@ -657,72 +650,38 @@ def audit_layer(
                 missing_members.setdefault(cls_name, []).append(member)
         if not missing_members:
             continue
-        current = statuses.get(task_id)
-        if current is TaskStatus.VERIFIED:
-            warnings.append(
-                f"{task_id} is already verified but misses amended symbols; no automatic cascade"
-            )
+        if statuses[task_id] is TaskStatus.VERIFIED:
+            warnings.append(f"{task_id} is already verified but misses amended symbols; no automatic cascade")
             continue
         directive = _repair_directive(missing_members)
-        if current is TaskStatus.DONE:
-            status_updates.append((task_id, TaskStatus.DONE, TaskStatus.ERROR))
-            statuses[task_id] = TaskStatus.ERROR
+        if statuses[task_id] is TaskStatus.DONE:
+            updates.append((task_id, TaskStatus.DONE, TaskStatus.ERROR))
         feedback.append((task_id, directive))
         sync_tasks.append(SyncTask(task_id=task_id, directive=directive))
+    return sync_tasks
 
-    # Structural existence over the post-commit view, against the amended
-    # contract. Every unmatched task is (re)injected as next-layer TODO work;
-    # for contracted paths with no task yet the injection also creates one.
-    existence, unmatched = existence_check(amended_contract, committed)
-    injections: list[TaskInjection] = []
-    injected: list[tuple[str, str]] = []
-    missing_task_paths = [m for m in sorted(amended_by_id) if m not in tasks]
-    for module_id in sorted(set(unmatched) | set(missing_task_paths)):
-        injections.append(TaskInjection(path=module_id))
-    for module_id in missing_task_paths:
-        injected.append((module_id, amended_by_id[module_id].owner))
 
-    # Write live statuses (and any schema additions) back into the document,
-    # addressed to the whole contract.
-    contract_actions: list[tuple[str, ContractAction, ContractView]] = []
-    final_body = print_api_section([replace(e, status=statuses.get(e.file_path, e.status)) for e in entries])
-    if tuple(final_body) != contract.body(SectionKey.API_SPECIFICATIONS):
-        write_back = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(final_body))
-        contract_actions.append((AUDITOR_AUTHOR, write_back, full_view(contract)))
-
-    # Agent-proposed document actions ride along, each with the view its
-    # author was shown, unless their artifact was rejected outright.
+def _write_back(
+    contract: LanguageContract,
+    amended: LanguageContract,
+    statuses: dict[str, TaskStatus],
+    outcomes: list[DispatchOutcome],
+    deltas: dict[str, AuditDelta],
+) -> tuple[tuple[str, ContractAction, ContractView], ...]:
+    """The write-back of the amended entries and planned statuses, then each
+    agent action with its view, unless its artifact was rejected outright."""
+    actions: list[tuple[str, ContractAction, ContractView]] = []
+    entries = project(amended).entries.values()
+    body = print_api_section([replace(e, status=statuses.get(e.file_path, e.status)) for e in entries])
+    if tuple(body) != contract.body(SectionKey.API_SPECIFICATIONS):
+        write_back = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(body))
+        actions.append((AUDITOR_AUTHOR, write_back, full_view(contract)))
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
-        if outcome.response is None:
-            continue
         delta = deltas.get(outcome.task_id)
-        if delta is not None and delta.kind is DeltaKind.CRITICAL:
+        if outcome.response is None or (delta is not None and delta.kind is DeltaKind.CRITICAL):
             continue
-        for action in outcome.response.actions:
-            contract_actions.append((outcome.task_id, action, outcome.view))
-
-    interventions: list = []
-    if additions:
-        interventions.append(ContractAmendment(added_symbols=tuple(additions.symbols)))
-    interventions.extend(regressions)
-    interventions.extend(sync_tasks)
-    interventions.extend(injections)
-
-    consistency_ok = all(d.kind is DeltaKind.EMPTY for d in deltas.values()) and not sync_tasks
-
-    return AuditReport(
-        existence=existence,
-        unmatched=unmatched,
-        status_updates=tuple((t, old.value, new.value) for t, old, new in status_updates),
-        consistency=consistency_ok,
-        deltas=tuple(deltas[t] for t in sorted(deltas)),
-        interventions=tuple(interventions),
-        accepted_artifacts=tuple((t, accepted[t]) for t in sorted(accepted)),
-        contract_actions=tuple(contract_actions),
-        feedback=tuple(feedback),
-        injected_tasks=tuple(injected),
-        warnings=tuple(warnings),
-    )
+        actions.extend((outcome.task_id, action, outcome.view) for action in outcome.response.actions)
+    return tuple(actions)
 
 
 def _describe_detail(detail: MismatchDetail) -> str:

@@ -4,13 +4,15 @@ The execution topology is not hard-coded: each layer is derived from task
 statuses alone. TODO and ERROR tasks get a worker, DONE tasks get a critic,
 VERIFIED tasks get nothing. Every dispatch in a layer reads its task's view
 of the same immutable contract snapshot; all mutation (statuses, workspace,
-contract) happens single-threaded at the layer barrier after the auditor has
+contract, tasks) happens single-threaded in ``barrier`` after the auditor has
 classified the outputs, and every status move, artifact commit and document
-action comes from its report. A layer's dispatches run side by side on the
-run's one thread pool, of at most ``MAX_DISPATCH_THREADS`` workers, so a run
-starts no more threads than its widest layer has dispatches. The loop
-runs until everything is verified or the layer budget is exhausted, in which
-case the current best-effort repository is returned.
+action comes from its report. The barrier gives each entry of the committed
+contract that has no task a TODO task, so a module added to the contract in
+one layer is dispatched in the next. A layer's dispatches run side by side
+on the run's one thread pool, of at most ``MAX_DISPATCH_THREADS`` workers,
+so a run starts no more threads than its widest layer has dispatches. The
+loop runs until everything is verified or the layer budget is exhausted, in
+which case the current best-effort repository is returned.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .agents import (
     parse_response,
     synthesize_contract,
 )
-from .auditor import AUDITOR_AUTHOR, DispatchOutcome, audit_layer
+from .auditor import AUDITOR_AUTHOR, DispatchOutcome, TaskInjection, audit_layer
 from .backends import CompletionRequest, RequestRejected
-from .contract import ContractAction, LanguageContract, journal_record
+from .contract import ContractAction, LanguageContract, Rejection, journal_record, rejection_record
 from .kernel import ContractView, ViolationKind, project, tasks_of
 from .ledger import RunLedger, file_sha256
 from .patches import KernelViolation, commit_merge, merge_layer, patches_for_action
@@ -202,9 +204,7 @@ def run_layer(
         )
         return outcome
 
-    if pool is None:
-        return [execute(item) for item in requests]
-    return list(pool.map(execute, requests))
+    return list((pool.map if pool else map)(execute, requests))
 
 
 @dataclass
@@ -224,13 +224,9 @@ class RunResult:
 def _commit_actions(
     contract: LanguageContract, actions: list[tuple[str, ContractAction, ContractView]], ledger: RunLedger
 ) -> tuple[LanguageContract, int]:
-    """Merge ``actions`` against ``contract``, commit and journal them.
-
-    Each action is re-anchored through the view it carries, the one its
-    author was shown. Returns the committed contract and the merge's conflict
-    count; raises ``KernelViolation`` (journaling nothing) when the guard
-    refuses the merge.
-    """
+    """Merge ``actions``, each re-anchored through the view its author was
+    shown, commit and journal them: the committed contract and the merge's
+    conflict count, or ``KernelViolation`` (nothing journaled)."""
     patches = [
         patch
         for author, action, view in actions
@@ -246,8 +242,94 @@ def _commit_actions(
     return committed, len(merged.conflicts)
 
 
+def barrier(
+    layer: int,
+    outcomes: list[DispatchOutcome],
+    contract: LanguageContract,
+    tasks: dict[str, Task],
+    workspace: Workspace,
+    config: RunConfig,
+    ledger: RunLedger,
+) -> LanguageContract:
+    """Apply one layer's outcomes (one per dispatch, in plan order) and return
+    the committed contract: count attempts, audit, commit the document
+    actions and the audited units, move statuses, add feedback, create the
+    tasks of new entries and write the layer record."""
+    # A worker pass is an attempt once the model answered, the prompt could
+    # not be built or the endpoint refused the request; any other transport
+    # failure costs none.
+    for outcome in outcomes:
+        if outcome.role is RoleKind.WORKER and not outcome.transport_failed:
+            tasks[outcome.task_id].attempts += 1
+
+    report = audit_layer(contract, workspace.view(), tasks, outcomes)
+    for warning in report.warnings:
+        logger.warning("event=audit_warning layer=%d %s", layer, warning)
+    for intervention in report.interventions:
+        logger.info("event=intervention layer=%d %s", layer, intervention.to_dict())
+
+    # Every document action is a patch against the snapshot the layer read.
+    # If the guard refuses the merge, the agents' actions are dropped and
+    # journaled as refused, and the auditor's write-back (the guarded
+    # amendment plus Status lines) commits alone; artifacts and statuses stay
+    # as audited.
+    actions = list(report.contract_actions)
+    feedback = list(report.feedback)
+    try:
+        contract, merge_conflicts = _commit_actions(contract, actions, ledger)
+    except KernelViolation as exc:
+        dropped = [item for item in actions if item[0] != AUDITOR_AUTHOR]
+        authors = sorted({author for author, _, _ in dropped})
+        logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layer, authors, exc)
+        feedback.extend((author, f"document action rejected: {exc}") for author in authors)
+        rejection = Rejection("kernel validation failed", tuple(exc.violations))
+        for _, action, _ in dropped:
+            ledger.add_journal(rejection_record(action, f"layer {layer}", rejection))
+        contract, merge_conflicts = _commit_actions(contract, [a for a in actions if a[0] == AUDITOR_AUTHOR], ledger)
+
+    commits = []
+    for task_id, artifacts in report.accepted_artifacts:
+        for unit in artifacts:
+            workspace.commit(unit)
+            commits.append({"path": unit.path, "sha256": file_sha256(unit.body), "writer": task_id})
+    for task_id, _old, new in report.status_updates:
+        tasks[task_id].transition(TaskStatus(new))
+    for task_id, note in feedback:
+        if note not in tasks[task_id].feedback:
+            tasks[task_id].feedback.append(note)
+
+    # Every entry of the committed contract has a task: one that an action
+    # of this layer added becomes TODO work for the next.
+    created = [Task(id=task.id, owner=task.owner) for task in tasks_of(project(contract)) if task.id not in tasks]
+    for task in created:
+        tasks[task.id] = task
+        logger.info("event=task_injected layer=%d task=%s", layer, task.id)
+
+    ledger.add(
+        {
+            "kind": "layer",
+            "layer": layer,
+            "mode": config.mode.value,
+            "dispatch_count": len(outcomes),
+            "execution_width": 1 if config.mode is RunMode.SEQUENTIAL else min(MAX_DISPATCH_THREADS, len(outcomes)),
+            "dispatches": [{"task": o.task_id, "role": o.role.value} for o in outcomes],
+            "transitions": [list(update) for update in report.status_updates],
+            "audit_sha256": report.sha256(),
+            "deltas": [{"task": d.task_id, "kind": d.kind.value} for d in report.deltas],
+            "interventions": [i.to_dict() for i in (*report.interventions, *(TaskInjection(t.id) for t in created))],
+            "existence": report.existence,
+            "consistency": report.consistency,
+            "commits": commits,
+            "merge_conflicts": merge_conflicts,
+            "contract_sha256": contract.fingerprint(),
+        }
+    )
+    return contract
+
+
 def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
-    """Synthesize the contract, then iterate plan / execute / audit / commit."""
+    """Synthesize the contract, then per layer: ``plan_layer``, ``run_layer``
+    and ``barrier``, until every task is verified or ``t_max`` layers ran."""
     ledger = RunLedger()
     workspace = Workspace()
 
@@ -290,84 +372,11 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
             if not plan.dispatches:
                 break
             layers_used += 1
-            side_by_side = config.mode is not RunMode.SEQUENTIAL and len(plan) > 1
             outcomes = run_layer(
                 plan, backend, contract, intent, tasks, workspace, layers_used, config,
-                pool=pool if side_by_side else None,
+                pool=pool if config.mode is not RunMode.SEQUENTIAL and len(plan) > 1 else None,
             )
-
-            # A worker pass is an attempt once the model answered, the prompt
-            # could not be built or the endpoint refused the request; any other
-            # transport failure costs none.
-            for outcome in outcomes:
-                if outcome.role is RoleKind.WORKER and not outcome.transport_failed:
-                    tasks[outcome.task_id].attempts += 1
-
-            report = audit_layer(contract, workspace.view(), tasks, outcomes)
-            for warning in report.warnings:
-                logger.warning("event=audit_warning layer=%d %s", layers_used, warning)
-            for intervention in report.interventions:
-                logger.info("event=intervention layer=%d %s", layers_used, intervention.to_dict())
-
-            # Every document action is a patch against the snapshot the layer
-            # read. If the guard refuses the merge, the agents' actions are
-            # dropped and the auditor's write-back (the guarded amendment plus
-            # Status lines) commits alone; artifacts and statuses stay as audited.
-            actions = list(report.contract_actions)
-            feedback = list(report.feedback)
-            try:
-                contract, merge_conflicts = _commit_actions(contract, actions, ledger)
-            except KernelViolation as exc:
-                authors = sorted({author for author, _, _ in actions if author != AUDITOR_AUTHOR})
-                logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layers_used, authors, exc)
-                feedback.extend((author, f"document action rejected: {exc}") for author in authors)
-                actions = [item for item in actions if item[0] == AUDITOR_AUTHOR]
-                contract, merge_conflicts = _commit_actions(contract, actions, ledger)
-
-            commits = []
-            for task_id, artifacts in report.accepted_artifacts:
-                for unit in artifacts:
-                    workspace.commit(unit)
-                    commits.append({"path": unit.path, "sha256": file_sha256(unit.body), "writer": task_id})
-
-            for task_id, _old, new in report.status_updates:
-                task = tasks.get(task_id)
-                if task is None:
-                    continue
-                task.transition(TaskStatus(new))
-
-            for task_id, note in feedback:
-                task = tasks.get(task_id)
-                if task is not None and note not in task.feedback:
-                    task.feedback.append(note)
-
-            for path, owner in report.injected_tasks:
-                if path not in tasks:
-                    tasks[path] = Task(id=path, owner=owner, status=TaskStatus.TODO)
-                    logger.info("event=task_injected layer=%d task=%s", layers_used, path)
-
-            ledger.add(
-                {
-                    "kind": "layer",
-                    "layer": layers_used,
-                    "mode": config.mode.value,
-                    "dispatch_count": len(plan.dispatches),
-                    "execution_width": min(MAX_DISPATCH_THREADS, len(plan)) if side_by_side else 1,
-                    "dispatches": [
-                        {"task": d.task_id, "role": d.role.value} for d in plan.dispatches
-                    ],
-                    "transitions": [list(update) for update in report.status_updates],
-                    "audit_sha256": report.sha256(),
-                    "deltas": [{"task": d.task_id, "kind": d.kind.value} for d in report.deltas],
-                    "interventions": [i.to_dict() for i in report.interventions],
-                    "existence": report.existence,
-                    "consistency": report.consistency,
-                    "commits": commits,
-                    "merge_conflicts": merge_conflicts,
-                    "contract_sha256": contract.fingerprint(),
-                }
-            )
-
+            contract = barrier(layers_used, outcomes, contract, tasks, workspace, config, ledger)
             if all(t.status is TaskStatus.VERIFIED for t in tasks.values()):
                 break
 

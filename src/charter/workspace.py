@@ -13,7 +13,8 @@ attribute use is recorded with its receiver's type, and only where the
 receiver is a typed parameter of a def whose body reads it: a local, a
 module-level name, an untyped parameter, a lambda's parameter or a
 comprehension's target (each of the last three shadows an outer typed
-parameter) has no type to read, whatever its name.
+parameter) has no type to read, whatever its name, and neither has a
+parameter that its def rebinds anywhere in its own scope.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
 unit, and files of any other type yield no symbols. The workspace stores the
@@ -136,13 +137,38 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
         return ExtractedSymbols(unanalyzable=True)
 
 
+def _own_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+    """The names a def's body binds in the def's own scope: targets of every
+    kind, walruses (in a comprehension too), imports, ``del`` and nested defs
+    and classes, but nothing a nested def, lambda or class binds inside."""
+    bound: set[str] = set()
+    stack: list[ast.AST] = list(node.body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load):
+            bound.add(child.id)
+        elif isinstance(child, (*_DEFS, ast.ClassDef, ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and child.name:
+            bound.add(child.name)
+        elif isinstance(child, ast.MatchMapping) and child.rest:
+            bound.add(child.rest)
+        elif isinstance(child, ast.alias):
+            bound.add(child.asname or child.name.split(".")[0])
+        if isinstance(child, ast.comprehension):
+            stack += [child.iter, *child.ifs]
+        elif not isinstance(child, (*_DEFS, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(child))
+    return bound
+
+
 def _read_module(tree: ast.Module) -> ExtractedSymbols:
     """One breadth-first walk, in ``ast.walk``'s order, in which each node
     carries the typed parameters of the defs whose bodies hold it (a def's
     decorators, defaults and annotations are read in the enclosing scope).
     A lambda's parameters and a comprehension's targets are untyped names of
     their own scope, so they hide an outer typed parameter of the same name.
-    An expression is entered only where such a parameter is in scope."""
+    A name a def binds in its own scope (``_own_bindings``) is untyped in all
+    of that def. An expression is entered only where a typed parameter is in
+    scope."""
     classes: list[ClassSpec] = []
     imports: list[tuple[str, str]] = []
     uses: list[tuple[tuple[int, int], str, str]] = []  # source position first: the walk is breadth-first
@@ -157,6 +183,9 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
             # An untyped parameter ("any") shadows an outer typed one.
             signature = signatures.pop(node, None) or read_signature(node)
             inner = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
+            if inner:
+                bound = _own_bindings(node)
+                inner = {name: t for name, t in inner.items() if name not in bound}
         elif isinstance(node, _UNTYPED_SCOPES):
             if isinstance(node, ast.Lambda):
                 args = node.args

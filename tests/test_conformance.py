@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import keyword
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from charter.auditor import DeltaKind, classify, compare_unit, demand_details
@@ -167,3 +168,29 @@ def test_a_labelled_mutation_gives_its_delta_kind(entry, mutation, data):
     assume(_applies(mutation, entry.classes[0]))
     body, details = _details(entry, data.draw, mutation)
     assert classify(details) is MUTATIONS[mutation], (body, details)
+
+
+# A name a def binds anywhere in its own scope is untyped throughout the def,
+# so a read through a rebound typed parameter demands nothing; a binding inside
+# a nested def, lambda or class leaves the parameter typed.
+REBINDINGS = {
+    "a loop rebinds it": ("for p in others:\n        p.name", DeltaKind.EMPTY),
+    "an assignment rebinds it": ("p = others[0]\n    p.name", DeltaKind.EMPTY),
+    "a with target rebinds it": ("with open(x) as p:\n        p.read()", DeltaKind.EMPTY),
+    "an except target rebinds it": ("try:\n        pass\n    except Exception as p:\n        p.args", DeltaKind.EMPTY),
+    "a walrus rebinds it": ("if (p := xs[0]):\n        p.name", DeltaKind.EMPTY),
+    "a walrus in a comprehension rebinds it": ("[(p := x) for x in xs]\n    p.name", DeltaKind.EMPTY),
+    "a nested def binds its own": ("def g():\n        p = 1\n    p.name", DeltaKind.PATCHABLE),
+    "a nested class binds its own": ("class K:\n        p = 1\n    p.name", DeltaKind.PATCHABLE),
+}
+
+
+@pytest.mark.parametrize("label", sorted(REBINDINGS))
+def test_a_rebound_parameter_demands_nothing_of_its_class(label):
+    statements, kind = REBINDINGS[label]
+    peer = ApiSpecEntry(PATH, "dev", 1, TaskStatus.TODO, (ClassSpec(CLASS, (AttributeSpec("turn", "int", "documented"),)),))
+    reader = ApiSpecEntry("game/view.py", "dev", 1, TaskStatus.TODO, ())
+    kernel = project(contract_with([peer, reader]))
+    body = f"def show(p: {CLASS}, others: list, x: str, xs: list) -> None:\n    {statements}\n"
+    unit = FileUnit("game/view.py", body)
+    assert classify(compare_unit(kernel.entries["game/view.py"], unit) + demand_details(kernel, unit)) is kind, body

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import logging
 import sys
 import threading
@@ -13,9 +14,9 @@ import charter.auditor
 import charter.kernel
 import charter.scheduler
 import charter.workspace
-from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response
+from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response, parse_response
 from charter.backends import BackendError, RequestRejected, ScriptedBackend
-from charter.contract import ActionOp, ContractAction, SectionKey, render
+from charter.contract import ActionOp, ContractAction, Rejection, SectionKey, rejection_record, render
 from charter.kernel import full_view, print_api_section, project, task_view
 from charter.scheduler import (
     InternalInconsistency,
@@ -438,6 +439,33 @@ def test_rejected_document_action_keeps_audited_artifacts_and_statuses():
     assert result.tasks["b.py"].feedback[0].startswith("document action rejected: CYCLE")
     layer = next(r for r in result.ledger.records if r["kind"] == "layer")
     assert [t for t in layer["transitions"] if t[1:] == ["DONE", "ERROR"]] == []
+    # The dropped action is journaled as refused at its layer, before the
+    # write-back that commits alone.
+    [refused] = [j for j in result.ledger.journal if j.get("kind") == "rejected"]
+    assert refused == rejection_record(cycle, "layer 1", Rejection(refused["reason"]))
+    assert refused["reason"].startswith("kernel validation failed; CYCLE")
+    assert result.ledger.journal[-1]["kind"] == "commit"
+
+
+def test_a_module_added_in_a_layer_is_dispatched_in_the_next(gomoku_intent, gomoku_transcript):
+    # game.py's layer-1 worker ADDs a util.py entry. The commit that adds it
+    # creates its task, so util.py's worker runs in layer 2 beside the
+    # critics, its critic in layer 3, and the run converges in 3 layers.
+    util = make_entry("util.py", classes=(simple_class("Clock", [], [method("def tick() -> int")]),))
+    add_util = ContractAction(ActionOp.ADD, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section([util])))
+    records = [json.loads(line) for line in gomoku_transcript.read_text().splitlines()]
+    game = next(r for r in records if r["role"] == "worker" and r["task"] == "game.py")
+    game["response"] = format_response(replace(parse_response(game["response"]), actions=(add_util,)))
+    util_body = "class Clock:\n    def tick(self) -> int:\n        \"\"\"documented\"\"\"\n        return 0\n"
+    records += [_worker_record(2, "util.py", util_body), _critic_record(3, "util.py")]
+
+    result = run(IntentSpec(gomoku_intent.read_text()), RunConfig(t_max=5), ScriptedBackend(records))
+
+    assert result.converged and result.layers_used == 3
+    layers = [r for r in result.ledger.records if r["kind"] == "layer"]
+    assert {"task": "util.py", "role": "worker"} in layers[1]["dispatches"]
+    assert {"kind": "TaskInjection", "path": "util.py"} in layers[0]["interventions"]
+    assert result.workspace.get("util.py").body == util_body
 
 
 def test_a_sliced_workers_update_keeps_the_entries_it_was_not_shown():
