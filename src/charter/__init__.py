@@ -2,11 +2,10 @@
 
 A structured planning document (the contract) is the single source of truth
 between agents: it is projected into a machine-checkable kernel, drives a
-status-conditioned layer scheduler, and is policed after every layer by a
-deterministic auditor that re-injects missing files, regresses failed tasks,
-and formally amends the schema when implementations legitimately outgrow it.
-The layer barrier applies what the auditor plans and gives every contract
-entry that has no task one, at the commit that adds the entry.
+status-conditioned layer scheduler whose barrier gives each new entry its
+task, and is policed after every layer by a deterministic auditor that
+regresses failed tasks and formally amends the schema when implementations
+legitimately outgrow it.
 """
 
 from .contract import (

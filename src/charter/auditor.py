@@ -37,14 +37,10 @@ Every check reads ``FileUnit`` values and takes their analysis from
 accepted units themselves, and the workspace stores them, so a committed
 body is not analyzed again in later layers.
 
-``audit_layer`` is a pure function of its inputs, run as named steps: read
-the worker artifacts, try the amendment, plan the worker moves, read the
-critic verdicts, re-check the committed files against the amended schema,
-measure existence and write the statuses back. ``scheduler.barrier``
-applies the returned effects; it, not the auditor, creates the task of a
-contract entry that has none. Each document action the audit returns
-carries the view its author was shown, which the barrier re-anchors it
-through.
+``audit_layer`` is a pure function of its inputs, run as named steps;
+``scheduler.barrier`` applies the returned effects and creates tasks. Each
+document action it returns carries the view its author was shown, which the
+barrier re-anchors it through.
 """
 
 from __future__ import annotations
@@ -269,8 +265,12 @@ def existence_check(
     if not tasks:
         logger.warning("existence check over an empty task set; defining it as 1.0")
         return 1.0, ()
-    unmatched = tuple(task.id for task in tasks if not match(task, files.get(task.id), kernel.entries[task.id]))
-    return (len(tasks) - len(unmatched)) / len(tasks), unmatched
+    unmatched = []
+    for task in tasks:
+        if not match(task, files.get(task.id), kernel.entries[task.id]):
+            unmatched.append(task.id)
+    fraction = (len(tasks) - len(unmatched)) / len(tasks)
+    return fraction, tuple(unmatched)
 
 
 def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
@@ -391,14 +391,16 @@ def sync_statuses(
         if verdict is None:
             warnings.append(f"critic for {outcome.task_id} produced no verdict; status unchanged")
             continue
-        updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.VERIFIED if verdict.passed else TaskStatus.ERROR))
-        if not verdict.passed:
+        if verdict.passed:
+            updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.VERIFIED))
+        else:
+            updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.ERROR))
             feedback.append((outcome.task_id, verdict.reason or "critic rejected the implementation"))
     return updates, feedback, warnings
 
 
 def _amended_entries(
-    kernel: SymbolicKernel, deltas: dict[str, list[MismatchDetail]], artifacts: dict[str, tuple[FileUnit, ...]]
+    kernel: SymbolicKernel, deltas: dict[str, tuple[MismatchDetail, ...]], artifacts: dict[str, tuple[FileUnit, ...]]
 ) -> tuple[list[ApiSpecEntry], list[str]]:
     """The kernel's entries with the EXTRA/DEMANDED details of ``deltas``
     recorded as read from the audited code, each amended entry one version
@@ -464,7 +466,10 @@ def _recorded_class(cls: ClassSpec, module_id: str) -> ClassSpec:
 
 
 def _repair_directive(missing: dict[str, list[str]]) -> str:
-    parts = [f"Fix the schema definition; {c} requires {', '.join(sorted(missing[c]))}" for c in sorted(missing)]
+    parts = []
+    for cls_name in sorted(missing):
+        members = ", ".join(sorted(missing[cls_name]))
+        parts.append(f"Fix the schema definition; {cls_name} requires {members}")
     return ". ".join(parts) + "."
 
 
@@ -476,7 +481,9 @@ def audit_layer(
 ) -> AuditReport:
     """Classify one layer's outputs and plan every intervention.
 
-    Pure: identical inputs produce identical reports. Each contract action is
+    Pure: identical inputs produce identical reports. The scheduler commits
+    the accepted units, the values audited here, and applies the status
+    updates and contract actions at the barrier. Each contract action is
     ``(author, action, view)``: an agent action carries the view of its
     dispatch (``DispatchOutcome.view``); the auditor's write-back (the amended
     contract's entries, stamped with the planned statuses) carries
@@ -486,9 +493,8 @@ def audit_layer(
     feedback: list[tuple[str, str]] = []
     warnings: list[str] = []
 
-    artifacts, details = _read_worker_artifacts(kernel, tasks, outcomes, feedback)
-    amended, symbols = _try_amendment(contract, kernel, artifacts, details, warnings)
-    deltas = {task_id: AuditDelta(task_id, classify(d), tuple(d)) for task_id, d in sorted(details.items())}
+    artifacts, deltas = _read_worker_artifacts(kernel, tasks, outcomes, feedback)
+    amended, symbols = _try_amendment(contract, kernel, artifacts, deltas, warnings)
     updates, accepted = _plan_worker_moves(tasks, deltas, artifacts, feedback)
 
     # Critic verdicts: a rejected implementation regresses with the critic's note as its reason.
@@ -531,11 +537,11 @@ def _read_worker_artifacts(
     tasks: dict[str, Task],
     outcomes: list[DispatchOutcome],
     feedback: list[tuple[str, str]],
-) -> tuple[dict[str, tuple[FileUnit, ...]], dict[str, list[MismatchDetail]]]:
-    """Each answered worker's artifacts and the details of its own file; what
+) -> tuple[dict[str, tuple[FileUnit, ...]], dict[str, AuditDelta]]:
+    """Each answered worker's artifacts and the delta of its own file; what
     cannot be audited leaves feedback instead."""
     artifacts: dict[str, tuple[FileUnit, ...]] = {}
-    details: dict[str, list[MismatchDetail]] = {}
+    deltas: dict[str, AuditDelta] = {}
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
         task_id = outcome.task_id
         if outcome.role is not RoleKind.WORKER or task_id not in tasks:
@@ -562,20 +568,21 @@ def _read_worker_artifacts(
             continue
         artifacts[task_id] = tuple(units)
         entry = kernel.entries.get(task_id)
-        details[task_id] = (compare_unit(entry, own) if entry is not None else []) + demand_details(kernel, own)
-    return artifacts, details
+        details = (compare_unit(entry, own) if entry is not None else []) + demand_details(kernel, own)
+        deltas[task_id] = AuditDelta(task_id, classify(details), tuple(details))
+    return artifacts, deltas
 
 
 def _try_amendment(
     contract: LanguageContract,
     kernel: SymbolicKernel,
     artifacts: dict[str, tuple[FileUnit, ...]],
-    details: dict[str, list[MismatchDetail]],
+    deltas: dict[str, AuditDelta],
     warnings: list[str],
 ) -> tuple[LanguageContract, list[str]]:
     """The contract amended under the guard to legitimize every PATCHABLE
     superset, and the symbols recorded; a refused one makes each CRITICAL."""
-    patchable = {task_id: d for task_id, d in details.items() if classify(d) is DeltaKind.PATCHABLE}
+    patchable = {task_id: d.details for task_id, d in deltas.items() if d.kind is DeltaKind.PATCHABLE}
     entries, symbols = _amended_entries(kernel, patchable, artifacts)
     if not symbols:
         return contract, symbols
@@ -588,9 +595,8 @@ def _try_amendment(
         return trial, symbols
     warnings.append(f"amendment rejected: {trial}")
     for task_id in sorted(patchable):
-        details[task_id].append(
-            MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual=str(trial.reason))
-        )
+        refused = MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual=str(trial.reason))
+        deltas[task_id] = AuditDelta(task_id, DeltaKind.CRITICAL, patchable[task_id] + (refused,))
     return contract, []
 
 

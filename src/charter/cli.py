@@ -213,7 +213,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args, parser)
         parser.error(f"unknown command {args.command!r}")
-    except (SynthesisFailure, BackendError, OSError, ValueError) as exc:
+    except (SynthesisFailure, BackendError) as exc:
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+        return 1
+    except (OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 2

@@ -150,11 +150,8 @@ def run_layer(
     for dispatch in plan.dispatches:
         task = tasks[dispatch.task_id]
         implementation = None
-        if dispatch.role is RoleKind.CRITIC:
-            unit = workspace.get(task.id)
-            if unit is None:
-                raise InternalInconsistency(f"{task.id} is DONE but has no workspace unit")
-            implementation = unit.body
+        if dispatch.role is RoleKind.CRITIC:  # planned only for a task with a committed unit
+            implementation = workspace.get(task.id).body
         try:
             bundle = build_prompt(
                 dispatch.role,
@@ -222,11 +219,15 @@ class RunResult:
 
 
 def _commit_actions(
-    contract: LanguageContract, actions: list[tuple[str, ContractAction, ContractView]], ledger: RunLedger
+    contract: LanguageContract, actions: tuple[tuple[str, ContractAction, ContractView], ...], ledger: RunLedger
 ) -> tuple[LanguageContract, int]:
-    """Merge ``actions``, each re-anchored through the view its author was
-    shown, commit and journal them: the committed contract and the merge's
-    conflict count, or ``KernelViolation`` (nothing journaled)."""
+    """Merge ``actions`` against ``contract``, commit and journal them.
+
+    Each action is re-anchored through the view it carries, the one its
+    author was shown. Returns the committed contract and the merge's conflict
+    count; raises ``KernelViolation`` (journaling nothing) when the guard
+    refuses the merge.
+    """
     patches = [
         patch
         for author, action, view in actions
@@ -265,27 +266,24 @@ def barrier(
     report = audit_layer(contract, workspace.view(), tasks, outcomes)
     for warning in report.warnings:
         logger.warning("event=audit_warning layer=%d %s", layer, warning)
-    for intervention in report.interventions:
-        logger.info("event=intervention layer=%d %s", layer, intervention.to_dict())
 
     # Every document action is a patch against the snapshot the layer read.
     # If the guard refuses the merge, the agents' actions are dropped and
     # journaled as refused, and the auditor's write-back (the guarded
     # amendment plus Status lines) commits alone; artifacts and statuses stay
     # as audited.
-    actions = list(report.contract_actions)
     feedback = list(report.feedback)
     try:
-        contract, merge_conflicts = _commit_actions(contract, actions, ledger)
+        contract, merge_conflicts = _commit_actions(contract, report.contract_actions, ledger)
     except KernelViolation as exc:
-        dropped = [item for item in actions if item[0] != AUDITOR_AUTHOR]
+        dropped = [item for item in report.contract_actions if item[0] != AUDITOR_AUTHOR]
         authors = sorted({author for author, _, _ in dropped})
         logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layer, authors, exc)
         feedback.extend((author, f"document action rejected: {exc}") for author in authors)
-        rejection = Rejection("kernel validation failed", tuple(exc.violations))
         for _, action, _ in dropped:
-            ledger.add_journal(rejection_record(action, f"layer {layer}", rejection))
-        contract, merge_conflicts = _commit_actions(contract, [a for a in actions if a[0] == AUDITOR_AUTHOR], ledger)
+            ledger.add_journal(rejection_record(action, f"layer {layer}", Rejection(str(exc))))
+        kept = tuple(item for item in report.contract_actions if item[0] == AUDITOR_AUTHOR)
+        contract, merge_conflicts = _commit_actions(contract, kept, ledger)
 
     commits = []
     for task_id, artifacts in report.accepted_artifacts:
@@ -301,9 +299,10 @@ def barrier(
     # Every entry of the committed contract has a task: one that an action
     # of this layer added becomes TODO work for the next.
     created = [Task(id=task.id, owner=task.owner) for task in tasks_of(project(contract)) if task.id not in tasks]
-    for task in created:
-        tasks[task.id] = task
-        logger.info("event=task_injected layer=%d task=%s", layer, task.id)
+    tasks.update((task.id, task) for task in created)
+    interventions = [i.to_dict() for i in (*report.interventions, *(TaskInjection(t.id) for t in created))]
+    for intervention in interventions:
+        logger.info("event=intervention layer=%d %s", layer, intervention)
 
     ledger.add(
         {
@@ -316,7 +315,7 @@ def barrier(
             "transitions": [list(update) for update in report.status_updates],
             "audit_sha256": report.sha256(),
             "deltas": [{"task": d.task_id, "kind": d.kind.value} for d in report.deltas],
-            "interventions": [i.to_dict() for i in (*report.interventions, *(TaskInjection(t.id) for t in created))],
+            "interventions": interventions,
             "existence": report.existence,
             "consistency": report.consistency,
             "commits": commits,
@@ -328,8 +327,7 @@ def barrier(
 
 
 def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
-    """Synthesize the contract, then per layer: ``plan_layer``, ``run_layer``
-    and ``barrier``, until every task is verified or ``t_max`` layers ran."""
+    """Synthesize the contract, then ``plan_layer``, ``run_layer`` and ``barrier`` per layer."""
     ledger = RunLedger()
     workspace = Workspace()
 
@@ -377,8 +375,6 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
                 pool=pool if config.mode is not RunMode.SEQUENTIAL and len(plan) > 1 else None,
             )
             contract = barrier(layers_used, outcomes, contract, tasks, workspace, config, ledger)
-            if all(t.status is TaskStatus.VERIFIED for t in tasks.values()):
-                break
 
     converged = bool(tasks) and all(t.status is TaskStatus.VERIFIED for t in tasks.values())
     ledger.add(

@@ -10,11 +10,10 @@ contract's own model: classes are ``kernel.ClassSpec`` values with
 ``kernel.read_type`` and ``read_signature``, the readers of the contract's
 types, so a type reads the same on both sides however it is spelled. An
 attribute use is recorded with its receiver's type, and only where the
-receiver is a typed parameter of a def whose body reads it: a local, a
-module-level name, an untyped parameter, a lambda's parameter or a
-comprehension's target (each of the last three shadows an outer typed
-parameter) has no type to read, whatever its name, and neither has a
-parameter that its def rebinds anywhere in its own scope.
+receiver is a typed parameter of a def whose body reads it and never
+rebinds it: a local, a module-level name, an untyped parameter, a lambda's
+parameter or a comprehension's target (each of the last three shadows an
+outer typed parameter) has no type to read, whatever its name.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
 unit, and files of any other type yield no symbols. The workspace stores the
@@ -165,10 +164,10 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
     carries the typed parameters of the defs whose bodies hold it (a def's
     decorators, defaults and annotations are read in the enclosing scope).
     A lambda's parameters and a comprehension's targets are untyped names of
-    their own scope, so they hide an outer typed parameter of the same name.
-    A name a def binds in its own scope (``_own_bindings``) is untyped in all
-    of that def. An expression is entered only where a typed parameter is in
-    scope."""
+    their own scope, so they hide an outer typed parameter of the same name,
+    and a name a def binds in its own scope (``_own_bindings``) is untyped in
+    all of that def. An expression is entered only where such a parameter is
+    in scope."""
     classes: list[ClassSpec] = []
     imports: list[tuple[str, str]] = []
     uses: list[tuple[tuple[int, int], str, str]] = []  # source position first: the walk is breadth-first
@@ -182,10 +181,9 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
         elif isinstance(node, _DEFS):
             # An untyped parameter ("any") shadows an outer typed one.
             signature = signatures.pop(node, None) or read_signature(node)
-            inner = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
-            if inner:
-                bound = _own_bindings(node)
-                inner = {name: t for name, t in inner.items() if name not in bound}
+            typed = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
+            bound = _own_bindings(node) if typed else set()
+            inner = {name: t for name, t in typed.items() if name not in bound}
         elif isinstance(node, _UNTYPED_SCOPES):
             if isinstance(node, ast.Lambda):
                 args = node.args
