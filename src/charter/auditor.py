@@ -538,8 +538,7 @@ def _read_worker_artifacts(
     outcomes: list[DispatchOutcome],
     feedback: list[tuple[str, str]],
 ) -> tuple[dict[str, tuple[FileUnit, ...]], dict[str, AuditDelta]]:
-    """Each answered worker's artifacts and the delta of its own file; what
-    cannot be audited leaves feedback instead."""
+    """Each answered worker's artifacts and the delta of its own file, or feedback."""
     artifacts: dict[str, tuple[FileUnit, ...]] = {}
     deltas: dict[str, AuditDelta] = {}
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
@@ -640,8 +639,7 @@ def _sync_after_amendment(
     feedback: list[tuple[str, str]],
     warnings: list[str],
 ) -> list[SyncTask]:
-    """A committed file that misses members of the (possibly amended) schema
-    compels a repair: its DONE task regresses to ERROR with a directive."""
+    """A committed file missing members of the amended schema sends its DONE task to ERROR to repair."""
     statuses = _planned_statuses(tasks, updates)
     entries = project(amended).entries
     sync_tasks: list[SyncTask] = []

@@ -131,12 +131,12 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
     except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
     try:
-        return _read_module(tree)
+        return _read_module(tree, walrus=":=" in unit.body)
     except (RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
 
 
-def _own_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
+def _own_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef, walrus: bool) -> set[str]:
     """The names a def's body binds in the def's own scope: targets of every
     kind, walruses (in a comprehension too), imports, ``del`` and nested defs
     and classes, but nothing a nested def, lambda or class binds inside."""
@@ -154,12 +154,14 @@ def _own_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
             bound.add(child.asname or child.name.split(".")[0])
         if isinstance(child, ast.comprehension):
             stack += [child.iter, *child.ifs]
+        elif isinstance(child, ast.expr) and not walrus and isinstance(getattr(child, "ctx", ast.Load()), ast.Load):
+            pass  # with no walrus in the module, an expression binds only as a target
         elif not isinstance(child, (*_DEFS, ast.ClassDef, ast.Lambda)):
             stack.extend(ast.iter_child_nodes(child))
     return bound
 
 
-def _read_module(tree: ast.Module) -> ExtractedSymbols:
+def _read_module(tree: ast.Module, walrus: bool) -> ExtractedSymbols:
     """One breadth-first walk, in ``ast.walk``'s order, in which each node
     carries the typed parameters of the defs whose bodies hold it (a def's
     decorators, defaults and annotations are read in the enclosing scope).
@@ -182,7 +184,7 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
             # An untyped parameter ("any") shadows an outer typed one.
             signature = signatures.pop(node, None) or read_signature(node)
             typed = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
-            bound = _own_bindings(node) if typed else set()
+            bound = _own_bindings(node, walrus) if typed else set()
             inner = {name: t for name, t in typed.items() if name not in bound}
         elif isinstance(node, _UNTYPED_SCOPES):
             if isinstance(node, ast.Lambda):

@@ -186,9 +186,10 @@ REBINDINGS = {
 
 
 @pytest.mark.parametrize("label", sorted(REBINDINGS))
-def test_a_rebound_parameter_demands_nothing_of_its_class(label):
+def test_a_labelled_rebinding_gives_its_delta_kind(label):
     statements, kind = REBINDINGS[label]
-    peer = ApiSpecEntry(PATH, "dev", 1, TaskStatus.TODO, (ClassSpec(CLASS, (AttributeSpec("turn", "int", "documented"),)),))
+    game = ClassSpec(CLASS, (AttributeSpec("turn", "int", "documented"),))
+    peer = ApiSpecEntry(PATH, "dev", 1, TaskStatus.TODO, (game,))
     reader = ApiSpecEntry("game/view.py", "dev", 1, TaskStatus.TODO, ())
     kernel = project(contract_with([peer, reader]))
     body = f"def show(p: {CLASS}, others: list, x: str, xs: list) -> None:\n    {statements}\n"

@@ -400,6 +400,21 @@ def test_a_lambda_parameter_hides_a_typed_parameter_of_its_name():
     assert uses("lambda q=p.key: q.size") == (("Player", "key"),)
 
 
+def test_a_binding_anywhere_in_a_def_untypes_the_name_in_all_of_it():
+    def uses(*statements):
+        body = "def f(p: Player, others: list) -> None:\n" + "".join(f"    {s}\n" for s in statements)
+        return extract_symbols(FileUnit("m.py", body)).attribute_uses
+
+    # A read before the binding, or in a nested def, reads the rebound name.
+    assert uses("p.name", "p = others[0]") == ()
+    assert uses("def g():", "    return p.name", "p = others[0]") == ()
+    assert uses("import p", "p.name") == ()
+    assert uses("def p():", "    pass", "p.name") == ()
+    # What a nested def or class binds is its own; f's p keeps its type.
+    assert uses("def g():", "    p = 1", "    return p.name", "p.name") == (("Player", "name"),)
+    assert uses("class K:", "    p = 1", "p.name") == (("Player", "name"),)
+
+
 def test_each_def_signature_is_read_once(monkeypatch):
     body = (
         "class Game:\n"
