@@ -495,7 +495,8 @@ def audit_layer(
 
     artifacts, deltas = _read_worker_artifacts(kernel, tasks, outcomes, feedback)
     amended, symbols = _try_amendment(contract, kernel, artifacts, deltas, warnings)
-    updates, accepted = _plan_worker_moves(tasks, deltas, artifacts, feedback)
+    updates = _plan_worker_moves(tasks, deltas, feedback)
+    accepted = {task_id: artifacts[task_id] for task_id, d in deltas.items() if d.kind is not DeltaKind.CRITICAL}
 
     # Critic verdicts: a rejected implementation regresses with the critic's note as its reason.
     critic_updates, critic_feedback, critic_warnings = sync_statuses(tasks, outcomes)
@@ -600,27 +601,22 @@ def _try_amendment(
 
 
 def _plan_worker_moves(
-    tasks: dict[str, Task],
-    deltas: dict[str, AuditDelta],
-    artifacts: dict[str, tuple[FileUnit, ...]],
-    feedback: list[tuple[str, str]],
-) -> tuple[list[tuple[str, TaskStatus, TaskStatus]], dict[str, tuple[FileUnit, ...]]]:
-    """Accept every artifact but a CRITICAL one and move its task to DONE. A
-    rejected artifact still consumed a worker pass: a TODO task lands on ERROR
-    via the legal TODO -> DONE -> ERROR path, with one note per detail."""
+    tasks: dict[str, Task], deltas: dict[str, AuditDelta], feedback: list[tuple[str, str]]
+) -> list[tuple[str, TaskStatus, TaskStatus]]:
+    """A worker whose artifacts are accepted moves its task to DONE. A CRITICAL
+    artifact is rejected with one note per detail, but it still consumed a
+    worker pass: a TODO task lands on ERROR via the legal TODO -> DONE -> ERROR
+    path."""
     updates: list[tuple[str, TaskStatus, TaskStatus]] = []
-    accepted: dict[str, tuple[FileUnit, ...]] = {}
     for task_id, delta in deltas.items():
         status = tasks[task_id].status
         if delta.kind is DeltaKind.CRITICAL:
             feedback.extend((task_id, _describe_detail(detail)) for detail in delta.details)
             if status is TaskStatus.TODO:
                 updates += [(task_id, TaskStatus.TODO, TaskStatus.DONE), (task_id, TaskStatus.DONE, TaskStatus.ERROR)]
-        else:
-            accepted[task_id] = artifacts[task_id]
-            if status in (TaskStatus.TODO, TaskStatus.ERROR):
-                updates.append((task_id, status, TaskStatus.DONE))
-    return updates, accepted
+        elif status in (TaskStatus.TODO, TaskStatus.ERROR):
+            updates.append((task_id, status, TaskStatus.DONE))
+    return updates
 
 
 def _planned_statuses(
@@ -639,13 +635,16 @@ def _sync_after_amendment(
     feedback: list[tuple[str, str]],
     warnings: list[str],
 ) -> list[SyncTask]:
-    """A committed file missing members of the amended schema sends its DONE task to ERROR to repair."""
+    """A committed file that misses members of the (possibly amended) schema
+    compels a repair: its DONE task regresses to ERROR with a directive."""
     statuses = _planned_statuses(tasks, updates)
     entries = project(amended).entries
     sync_tasks: list[SyncTask] = []
     for task_id in sorted(tasks):
+        if task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL:
+            continue
         unit, entry = committed.get(task_id), entries.get(task_id)
-        if unit is None or entry is None or (task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL):
+        if unit is None or entry is None:
             continue
         missing_members: dict[str, list[str]] = {}
         for detail in compare_unit(entry, unit):
