@@ -9,9 +9,9 @@ modules that passed are not shown and are kept as drafted. A prompt
 therefore stays the same size however many modules the contract holds.
 ``build_prompt`` decides the view once and records it on the bundle; the
 scheduler carries it with the dispatch's document actions to the barrier,
-where ``patches.patches_for_action`` re-anchors each action through it, and
-synthesis places each stage's actions through its bundle's view the same
-way, so lines an author was not shown are kept.
+and synthesis with each stage's actions to ``patches.commit_actions``, which
+re-anchors each action through it, so lines an author was not shown are
+kept. A synthesis stage commits like a layer: once, whole or not at all.
 
 Every agent answers in the same tagged format: a ``<thinking>`` block, an
 ``<output>`` block, and an optional ``<document_action>`` block carrying a
@@ -42,11 +42,10 @@ from .contract import (
     render,
     section_key_from_name,
     DEFAULT_TEMPLATE,
-    journal_record,
     rejection_record,
 )
-from .kernel import ContractView, full_view, guard_violations, review_view, task_view
-from .patches import apply_through_view
+from .kernel import ContractView, full_view, review_view, task_view
+from .patches import KernelViolation, commit_actions
 from .tasks import Task
 
 logger = logging.getLogger(__name__)
@@ -319,29 +318,6 @@ def format_response(response: AgentResponse) -> str:
 # --- two-stage contract synthesis ---------------------------------------------
 
 
-def apply_actions(
-    contract: LanguageContract,
-    actions: tuple[ContractAction, ...] | list[ContractAction],
-    view: ContractView,
-    *,
-    stage: str,
-    journal: Callable[[dict], None] = lambda record: None,
-) -> LanguageContract:
-    """Apply one author's batch of actions transactionally, each placed
-    through the view the author was shown (``patches.apply_through_view``).
-    Each action leaves one ``journal`` record: ``journal_record`` for an
-    accepted one, ``rejection_record`` for a refused one."""
-    for action in actions:
-        outcome = apply_through_view(contract, action, stage, view, guard_violations)
-        if isinstance(outcome, Rejection):
-            logger.warning("%s action on %s rejected: %s", stage, action.section.value, outcome)
-            journal(rejection_record(action, stage, outcome))
-        else:
-            contract, view = outcome
-            journal(journal_record(action, contract.revision))
-    return contract
-
-
 def synthesize_contract(
     intent: IntentSpec,
     backend,
@@ -352,14 +328,16 @@ def synthesize_contract(
     """Build the initial contract: a proposal pass, then one rectification pass.
 
     The proposal agent drafts the whole document through actions; the reviewer
-    agent gets exactly one corrective pass. Each stage's actions are placed
-    through the view its prompt showed (``apply_actions``): the planner's
-    replace and append as written, and a reviewer's update keeps every line
-    it was not shown, the modules that passed validation among them. Every
-    action runs through the kernel guard, so the returned contract projects
-    to an acyclic, type-safe kernel by construction. Interfaces that survive
-    with too little detail are left for downstream feedback, not rejected
-    here. A stage whose prompt exceeds ``context_limit`` fails the synthesis.
+    agent gets exactly one corrective pass. Each stage commits its actions as
+    a layer does (``patches.commit_actions``): placed through the view its
+    prompt showed, merged and guarded once, so the planner's sections land in
+    any order and a reviewer's update keeps every line it was not shown. A
+    stage the guard refuses changes nothing and journals each of its actions
+    as refused; a refused proposal raises ``SynthesisFailure``. So the
+    returned contract projects to an acyclic, type-safe kernel by
+    construction. Interfaces that survive with too little detail are left for
+    downstream feedback, not rejected here. A stage whose prompt exceeds
+    ``context_limit`` fails the synthesis.
     """
     from .backends import CompletionRequest  # local import: backends never import agents
 
@@ -377,7 +355,14 @@ def synthesize_contract(
             raise SynthesisFailure(f"{stage} response unparseable: {exc}") from exc
         if stage == "proposal" and not response.actions:
             raise SynthesisFailure("proposal stage emitted no document actions")
-        contract = apply_actions(contract, response.actions, bundle.view, stage=stage, journal=journal)
+        try:
+            contract, _ = commit_actions(contract, [(stage, a, bundle.view) for a in response.actions], journal)
+        except KernelViolation as exc:
+            logger.warning("event=stage_rejected stage=%s reason=%s", stage, exc)
+            for action in response.actions:
+                journal(rejection_record(action, stage, Rejection(str(exc))))
+            if stage == "proposal":
+                raise SynthesisFailure(f"proposal refused by the kernel guard: {exc}") from exc
         if stage == "proposal" and not contract.body(SectionKey.API_SPECIFICATIONS):
             raise SynthesisFailure("proposal stage produced no Symbolic API Specifications content")
     return contract

@@ -126,6 +126,8 @@ class AuditDelta:
 
 @dataclass(frozen=True)
 class TaskInjection:
+    """A task the barrier created for a contract entry that had none."""
+
     path: str
 
     def to_dict(self) -> dict:
@@ -511,13 +513,11 @@ def audit_layer(
         committed.update((unit.path, unit) for unit in units)
     sync_tasks = _sync_after_amendment(amended, tasks, deltas, committed, updates, feedback, warnings)
 
-    # Structural existence over the post-commit view, against the amended
-    # contract. Every unmatched task is (re)injected as next-layer TODO work.
+    # Structural existence over the post-commit view, against the amended contract.
     existence, unmatched = existence_check(amended, committed)
 
     interventions: list = [ContractAmendment(added_symbols=tuple(symbols))] if symbols else []
     interventions += regressions + sync_tasks
-    interventions += [TaskInjection(path=m) for m in unmatched]
 
     return AuditReport(
         existence=existence,

@@ -132,7 +132,9 @@ def section_key_from_name(name: str) -> SectionKey:
     return key
 
 
-def _normalize_body(lines: Iterable[str]) -> tuple[str, ...]:
+def normalize_body(lines: Iterable[str]) -> tuple[str, ...]:
+    """A section body: the lines without a trailing ``\\r``, trimmed of blank
+    lines at both ends."""
     body = [line.rstrip("\r") for line in lines]
     while body and not body[0].strip():
         body.pop(0)
@@ -142,11 +144,14 @@ def _normalize_body(lines: Iterable[str]) -> tuple[str, ...]:
 
 
 def body_from_text(text: str) -> tuple[str, ...]:
-    return _normalize_body(text.split("\n"))
+    return normalize_body(text.split("\n"))
 
 
 @dataclass(frozen=True)
 class LanguageContract:
+    """An immutable contract value; ``revision`` counts the commits that made
+    it (one per synthesis stage or layer that changed it), not the actions."""
+
     sections: dict[SectionKey, tuple[str, ...]]
     revision: int
     # The value's projection, filled by ``kernel.project`` on first use; a
@@ -162,7 +167,7 @@ class LanguageContract:
 
     def with_section(self, key: SectionKey, lines: Sequence[str]) -> "LanguageContract":
         sections = dict(self.sections)
-        sections[key] = _normalize_body(lines)
+        sections[key] = normalize_body(lines)
         return self.with_sections(sections)
 
     def with_sections(self, sections: Mapping[SectionKey, tuple[str, ...]]) -> "LanguageContract":
@@ -246,7 +251,7 @@ def parse(doc: str) -> LanguageContract:
     missing = [key.title for key in SECTION_ORDER if key not in bodies]
     if missing:
         raise MalformedTemplate(f"missing section heading(s): {', '.join(missing)}")
-    sections = {key: _normalize_body(bodies[key]) for key in SECTION_ORDER}
+    sections = {key: normalize_body(bodies[key]) for key in SECTION_ORDER}
     return LanguageContract(sections=sections, revision=0)
 
 
@@ -306,26 +311,20 @@ GuardFn = Callable[[LanguageContract], Sequence[object]]
 
 
 def apply_action(
-    contract: LanguageContract,
-    action: ContractAction,
-    guard: GuardFn | None = None,
-    *,
-    body: Sequence[str] | None = None,
+    contract: LanguageContract, action: ContractAction, guard: GuardFn | None = None
 ) -> LanguageContract | Rejection:
-    """Apply one mutation transactionally.
+    """Apply one mutation on its own, as the next revision.
 
     The candidate contract is validated by ``guard`` (typically the kernel
     validator); any reported violation rejects the action and the caller's
     contract is untouched. ADD appends the content lines to the section body,
-    UPDATE replaces the body outright. ``body``, when given, is the section
-    body the action leaves as its author's view placed it
-    (``patches.apply_through_view``).
+    UPDATE replaces the body outright. The engine commits its batches through
+    ``patches.commit_actions``; the auditor tries its amendment here.
     """
     if action.section is SectionKey.API_SPECIFICATIONS and is_partial_api_patch(action.content):
         return Rejection("partial API-spec patch (Status without File) refused to prevent clobbering")
-    if body is None:
-        new_lines = body_from_text(action.content)
-        body = contract.body(action.section) + new_lines if action.op is ActionOp.ADD else new_lines
+    new_lines = body_from_text(action.content)
+    body = contract.body(action.section) + new_lines if action.op is ActionOp.ADD else new_lines
     candidate = contract.with_section(action.section, body)
     if guard is not None:
         violations = tuple(guard(candidate))

@@ -1,15 +1,16 @@
 """Interval patches against one contract snapshot, and union-first merging.
 
-A contract value is immutable, so the snapshot a layer's dispatches read is
-also the coordinate system of all of that layer's edits: each edit is a
-line-interval replacement into that snapshot's section bodies, never into any
-intermediate state. One coordinate system is what makes concurrent edits
-mergeable without index-shift corruption. Overlapping edits are resolved by
-union: every author's proposed lines survive (exact duplicates collapse),
-nothing is silently dropped. The merged value must still pass the kernel
-guard; ``commit_merge`` raises ``KernelViolation`` otherwise. One author's
-sequence of actions outside a layer (the synthesis stages) is placed by the
-same re-anchoring, one action at a time (``apply_through_view``).
+A contract value is immutable, so the snapshot a batch of document actions
+was written against is also the coordinate system of all of its edits: each
+edit is a line-interval replacement into that snapshot's section bodies,
+never into any intermediate state. One coordinate system is what makes
+concurrent edits mergeable without index-shift corruption. Overlapping edits
+are resolved by union: every author's proposed lines survive (exact
+duplicates collapse), nothing is silently dropped. The merged value must
+still pass the kernel guard; ``commit_merge`` raises ``KernelViolation``
+otherwise. ``commit_actions`` is the one commit path of every document
+action: a layer's at its barrier, and a synthesis stage's, each batch placed,
+merged and committed once.
 """
 
 from __future__ import annotations
@@ -17,17 +18,17 @@ from __future__ import annotations
 import bisect
 import difflib
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable, Sequence
 
 from .contract import (
     ActionOp,
     ContractAction,
-    GuardFn,
     LanguageContract,
-    Rejection,
     SectionKey,
-    apply_action,
     body_from_text,
+    journal_record,
+    normalize_body,
 )
 from .kernel import ContractView, Violation, guard_violations
 
@@ -190,46 +191,6 @@ def patches_for_action(
     ]
 
 
-def apply_through_view(
-    contract: LanguageContract, action: ContractAction, author: str, view: ContractView, guard: GuardFn
-) -> tuple[LanguageContract, ContractView] | Rejection:
-    """Apply one action on its own, placed through ``view`` as
-    ``patches_for_action`` places it, and move the view onto the result.
-
-    This is the transactional path of one author's sequence of actions (the
-    synthesis stages): the candidate passes ``contract.apply_action``'s guard
-    or is rejected, and the author's next action is placed through the moved
-    view. There a line the view hid is still hidden, at its new index (a
-    patch covers shown lines only, so every hidden line survives it), and
-    every other line of the section is shown: the author saw it or wrote it.
-    Under the whole-contract view an UPDATE replaces the section and an ADD
-    appends to it, as ``apply_action`` alone does.
-    """
-    base = contract.body(action.section)
-    patches = sorted(patches_for_action(contract, action, author, view), key=lambda p: (p.start, p.end))
-    placed = apply_patches(base, [(p.start, p.end, p.replacement) for p in patches])
-    outcome = apply_action(contract, action, guard, body=placed)
-    if isinstance(outcome, Rejection):
-        return outcome
-    # A hidden line moves by the lines the patches before it insert or
-    # remove, and by the leading blank lines ``with_section`` trims.
-    shown = view[action.section]
-    size = len(outcome.body(action.section))
-    moved = dict(view)
-    moved[action.section] = tuple(range(size))
-    if len(shown) < len(base):
-        shift = -next((i for i, line in enumerate(placed) if line.strip()), len(placed))
-        hidden: set[int] = set()
-        k = 0
-        for i in sorted(set(range(len(base))).difference(shown)):
-            while k < len(patches) and patches[k].end <= i:
-                shift += len(patches[k].replacement) - (patches[k].end - patches[k].start)
-                k += 1
-            hidden.add(i + shift)
-        moved[action.section] = tuple(j for j in moved[action.section] if j not in hidden)
-    return outcome, moved
-
-
 def _reanchored(
     shown: tuple[int, ...], start: int, end: int, replacement: tuple[str, ...]
 ) -> list[tuple[int, int, tuple[str, ...]]]:
@@ -265,11 +226,13 @@ def _union_replacement(cluster: list[AtomicPatch]) -> tuple[str, ...]:
 
 
 def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> MergeResult:
-    """Merge one layer's patches against ``contract``, the snapshot they address.
+    """Merge one batch's patches against ``contract``, the snapshot they address.
 
     Non-overlapping patches apply positionally; patches whose half-open
     intervals intersect form a cluster resolved by union (adjacent intervals
-    do not conflict). The merge is independent of the input order.
+    do not conflict). The merge is independent of the input order. Each
+    rebuilt section is trimmed of blank lines at both ends, as
+    ``LanguageContract.with_section`` trims a section it is given.
     """
     by_section: dict[SectionKey, list[AtomicPatch]] = {}
     for patch in patches:
@@ -317,14 +280,13 @@ def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> Merge
                         authors=tuple(sorted({p.author for p in cluster})),
                     )
                 )
-        merged = apply_patches(list(contract.body(section)), flat)
-        sections[section] = tuple(merged)
+        sections[section] = normalize_body(apply_patches(list(contract.body(section)), flat))
 
     return MergeResult(sections=sections, conflicts=tuple(conflicts), patch_count=len(patches))
 
 
 def commit_merge(contract: LanguageContract, result: MergeResult) -> LanguageContract:
-    """Commit a merge at the layer barrier: new sections, revision +1.
+    """Commit a merge: new sections, revision +1.
 
     The committed contract must re-project to a valid kernel; otherwise the
     whole merge is rejected and the caller's contract is unchanged. It is
@@ -338,3 +300,41 @@ def commit_merge(contract: LanguageContract, result: MergeResult) -> LanguageCon
     if violations:
         raise KernelViolation(violations)
     return candidate
+
+
+def commit_actions(
+    contract: LanguageContract,
+    actions: Sequence[tuple[str, ContractAction, ContractView]],
+    journal: Callable[[dict], None],
+) -> tuple[LanguageContract, int]:
+    """Place ``(author, action, view)`` triples against ``contract``, merge
+    them and commit the result once; return it and the merge's conflict count.
+
+    Each action is re-anchored through the view its author was shown
+    (``patches_for_action``). One author's actions on one section are first
+    folded in order into one: a later UPDATE replaces what that author's
+    earlier actions wrote there, and an ADD extends it. So a batch is placed
+    against its snapshot whatever the order of its actions. Every action is
+    journaled at the revision it lands in, also when the batch changes no
+    line; a ``commit`` record follows when a revision is made. When the guard
+    refuses the merge, ``KernelViolation`` propagates and nothing is journaled.
+    """
+    folded: dict[tuple[str, SectionKey], tuple[ContractAction, ContractView]] = {}
+    for author, action, view in actions:
+        earlier = folded.get((author, action.section))
+        if earlier is not None and action.op is ActionOp.ADD:
+            lines = (*body_from_text(earlier[0].content), *body_from_text(action.content))
+            action = replace(earlier[0], content="\n".join(lines))
+        folded[author, action.section] = (action, view)
+    patches = [
+        patch
+        for (author, _), (action, view) in folded.items()
+        for patch in patches_for_action(contract, action, author, view)
+    ]
+    merged = merge_layer(contract, patches)
+    committed = commit_merge(contract, merged)
+    for _, action, _ in actions:
+        journal(journal_record(action, committed.revision))
+    if committed is not contract:
+        journal({"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()})
+    return committed, len(merged.conflicts)

@@ -6,9 +6,11 @@ VERIFIED tasks get nothing. Every dispatch in a layer reads its task's view
 of the same immutable contract snapshot; all mutation (statuses, workspace,
 contract, tasks) happens single-threaded in ``barrier`` after the auditor has
 classified the outputs, and every status move, artifact commit and document
-action comes from its report. The barrier gives each entry of the committed
-contract that has no task a TODO task, so a module added to the contract in
-one layer is dispatched in the next. A layer's dispatches run side by side
+action comes from its report. The document actions commit through
+``patches.commit_actions``, the path synthesis commits each stage through.
+``create_tasks`` gives each entry of the synthesized contract, and of each
+committed one, that has no task a TODO task, so a module added to the
+contract in one layer is dispatched in the next. A layer's dispatches run side by side
 on the run's one thread pool, of at most ``MAX_DISPATCH_THREADS`` workers,
 so a run starts no more threads than its widest layer has dispatches. The
 loop runs until everything is verified or the layer budget is exhausted, in
@@ -34,10 +36,10 @@ from .agents import (
 )
 from .auditor import AUDITOR_AUTHOR, DispatchOutcome, TaskInjection, audit_layer
 from .backends import CompletionRequest, RequestRejected
-from .contract import ContractAction, LanguageContract, Rejection, journal_record, rejection_record
-from .kernel import ContractView, ViolationKind, project, tasks_of
+from .contract import LanguageContract, Rejection, rejection_record
+from .kernel import SymbolicKernel, ViolationKind, project
 from .ledger import RunLedger, file_sha256
-from .patches import KernelViolation, commit_merge, merge_layer, patches_for_action
+from .patches import KernelViolation, commit_actions
 from .tasks import Task, TaskStatus
 from .workspace import Workspace
 
@@ -204,6 +206,19 @@ def run_layer(
     return list((pool.map if pool else map)(execute, requests))
 
 
+def create_tasks(kernel: SymbolicKernel, tasks: dict[str, Task]) -> list[str]:
+    """Give each entry of ``kernel`` without a task a TODO task with the
+    entry's owner, whatever Status the entry names, and the INCOMPLETE
+    messages of its validation as feedback; return the new task ids in path
+    order. Synthesis and every barrier create tasks only here."""
+    created = [path for path in sorted(kernel.entries) if path not in tasks]
+    tasks.update((path, Task(id=path, owner=kernel.entries[path].owner)) for path in created)
+    for violation in kernel.violations:
+        if violation.kind is ViolationKind.INCOMPLETE and violation.subject in created:
+            tasks[violation.subject].feedback.append(violation.message)
+    return created
+
+
 @dataclass
 class RunResult:
     workspace: Workspace
@@ -218,31 +233,6 @@ class RunResult:
         return not self.converged
 
 
-def _commit_actions(
-    contract: LanguageContract, actions: tuple[tuple[str, ContractAction, ContractView], ...], ledger: RunLedger
-) -> tuple[LanguageContract, int]:
-    """Merge ``actions`` against ``contract``, commit and journal them.
-
-    Each action is re-anchored through the view it carries, the one its
-    author was shown. Returns the committed contract and the merge's conflict
-    count; raises ``KernelViolation`` (journaling nothing) when the guard
-    refuses the merge.
-    """
-    patches = [
-        patch
-        for author, action, view in actions
-        for patch in patches_for_action(contract, action, author, view)
-    ]
-    if not patches:
-        return contract, 0
-    merged = merge_layer(contract, patches)
-    committed = commit_merge(contract, merged)
-    for _, action, _ in actions:
-        ledger.add_journal(journal_record(action, committed.revision))
-    ledger.add_journal({"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()})
-    return committed, len(merged.conflicts)
-
-
 def barrier(
     layer: int,
     outcomes: list[DispatchOutcome],
@@ -254,8 +244,10 @@ def barrier(
 ) -> LanguageContract:
     """Apply one layer's outcomes (one per dispatch, in plan order) and return
     the committed contract: count attempts, audit, commit the document
-    actions and the audited units, move statuses, add feedback, create the
-    tasks of new entries and write the layer record."""
+    actions in one ``commit_actions`` batch and the audited units, move
+    statuses, add feedback, create the tasks of new entries and write the
+    layer record. A batch the guard refuses is committed again without the
+    agents' actions, each of which is journaled as refused."""
     # A worker pass is an attempt once the model answered, the prompt could
     # not be built or the endpoint refused the request; any other transport
     # failure costs none.
@@ -274,7 +266,7 @@ def barrier(
     # as audited.
     feedback = list(report.feedback)
     try:
-        contract, merge_conflicts = _commit_actions(contract, report.contract_actions, ledger)
+        contract, merge_conflicts = commit_actions(contract, report.contract_actions, ledger.add_journal)
     except KernelViolation as exc:
         dropped = [item for item in report.contract_actions if item[0] != AUDITOR_AUTHOR]
         authors = sorted({author for author, _, _ in dropped})
@@ -283,7 +275,7 @@ def barrier(
         for _, action, _ in dropped:
             ledger.add_journal(rejection_record(action, f"layer {layer}", Rejection(str(exc))))
         kept = tuple(item for item in report.contract_actions if item[0] == AUDITOR_AUTHOR)
-        contract, merge_conflicts = _commit_actions(contract, kept, ledger)
+        contract, merge_conflicts = commit_actions(contract, kept, ledger.add_journal)
 
     commits = []
     for task_id, artifacts in report.accepted_artifacts:
@@ -298,9 +290,8 @@ def barrier(
 
     # Every entry of the committed contract has a task: one that an action
     # of this layer added becomes TODO work for the next.
-    created = [Task(id=task.id, owner=task.owner) for task in tasks_of(project(contract)) if task.id not in tasks]
-    tasks.update((task.id, task) for task in created)
-    interventions = [i.to_dict() for i in (*report.interventions, *(TaskInjection(t.id) for t in created))]
+    created = create_tasks(project(contract), tasks)
+    interventions = [i.to_dict() for i in (*report.interventions, *map(TaskInjection, created))]
     for intervention in interventions:
         logger.info("event=intervention layer=%d %s", layer, intervention)
 
@@ -337,14 +328,8 @@ def run(intent: IntentSpec, config: RunConfig, backend) -> RunResult:
         context_limit=config.context_limit,
         journal=ledger.add_journal,
     )
-    kernel = project(contract)
-    tasks = {t.id: t for t in tasks_of(kernel)}
-
-    # Interfaces that survived rectification underspecified become feedback.
-    for violation in kernel.violations:
-        if violation.kind is ViolationKind.INCOMPLETE and violation.subject in tasks:
-            tasks[violation.subject].feedback.append(violation.message)
-
+    tasks: dict[str, Task] = {}
+    create_tasks(project(contract), tasks)
     ledger.add(
         {
             "kind": "synthesis",

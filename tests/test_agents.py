@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,15 @@ from charter.agents import (
     synthesize_contract,
 )
 from charter.backends import ScriptedBackend
-from charter.contract import ActionOp, SectionKey, render
+from charter.contract import (
+    ActionOp,
+    ContractAction,
+    Rejection,
+    SectionKey,
+    body_from_text,
+    rejection_record,
+    render,
+)
 from charter.kernel import ViolationKind, print_api_section, project, validate
 from charter.tasks import Task, TaskStatus
 
@@ -194,9 +203,10 @@ def test_synthesize_contract_from_fixture(gomoku_transcript):
     assert not any(v.kind is ViolationKind.CYCLE for v in validate(kernel))
 
 
-def test_synthesize_rejects_cyclic_draft_then_discriminator_repairs():
-    from charter.contract import ContractAction
-
+def test_a_cyclic_proposal_is_refused_whole_and_fails_the_synthesis():
+    # The stage commits as one merge, so the guard refuses all of it; the
+    # reviewer could not repair the diagram anyway, as its view shows only
+    # the flagged modules' lines.
     mk = lambda p, c: make_entry(p, classes=(simple_class(c, [], [method("def f() -> None")]),))
     api = ContractAction(
         ActionOp.UPDATE,
@@ -208,10 +218,28 @@ def test_synthesize_rejects_cyclic_draft_then_discriminator_repairs():
     )
     fixed = ContractAction(ActionOp.UPDATE, SectionKey.DEPENDENCY_RELATIONSHIPS, "a.py --> b.py")
     backend = _synthesis_backend([_pm_record([api, cyclic]), _disc_record([fixed])])
-    contract = synthesize_contract(IntentSpec("two modules"), backend)
-    kernel = project(contract)
-    assert kernel.dependencies["a.py"] == ("b.py",)
-    assert not any(v.kind is ViolationKind.CYCLE for v in validate(kernel))
+    journal = []
+    with pytest.raises(SynthesisFailure, match=r"proposal refused by the kernel guard: CYCLE\(b\.py -> a\.py\)"):
+        synthesize_contract(IntentSpec("two modules"), backend, journal=journal.append)
+    reason = Rejection(journal[0]["reason"])
+    assert journal == [rejection_record(api, "proposal", reason), rejection_record(cyclic, "proposal", reason)]
+
+
+def test_a_planner_sending_the_diagram_before_the_api_entries_keeps_it(gomoku_transcript):
+    records = [json.loads(line) for line in gomoku_transcript.read_text().splitlines()]
+    intent = IntentSpec("Write a Gomoku program with AI.")
+    as_recorded = synthesize_contract(intent, ScriptedBackend(records))
+    planner = next(r for r in records if r["role"] == "project_manager")
+    response = parse_response(planner["response"])
+    *head, api, diagram = response.actions
+    assert (api.section, diagram.section) == (SectionKey.API_SPECIFICATIONS, SectionKey.DEPENDENCY_RELATIONSHIPS)
+    planner["response"] = format_response(replace(response, actions=(*head, diagram, api)))
+    journal = []
+
+    contract = synthesize_contract(intent, ScriptedBackend(records), journal=journal.append)
+    assert contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS) == body_from_text(diagram.content) != ()
+    assert contract.sections == as_recorded.sections
+    assert not any(record.get("kind") == "rejected" for record in journal)
 
 
 def test_synthesize_fails_without_actions():
@@ -221,8 +249,6 @@ def test_synthesize_fails_without_actions():
 
 
 def test_synthesize_fails_without_api_content():
-    from charter.contract import ContractAction
-
     overview = ContractAction(ActionOp.UPDATE, SectionKey.PROJECT_OVERVIEW, "words")
     backend = _synthesis_backend([_pm_record([overview]), _disc_record()])
     with pytest.raises(SynthesisFailure, match="Symbolic API Specifications"):

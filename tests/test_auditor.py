@@ -349,13 +349,15 @@ def test_audit_layer_is_pure():
     assert first.sha256() == second.sha256()
 
 
-def test_audit_layer_unmatched_task_injected():
+def test_audit_layer_reports_an_unmatched_task_without_injecting_it():
+    # collision.py's task exists and is dispatched again; only a task the
+    # barrier creates is a TaskInjection.
     contract = _plane_contract()
     tasks = _tasks(contract)
     outcomes = [_worker_outcome("entities/player.py", "entities/player.py", PLAYER_OK)]
     report = audit_layer(contract, {}, tasks, outcomes)
-    injections = [i for i in report.interventions if isinstance(i, TaskInjection)]
-    assert [i.path for i in injections] == ["systems/collision.py"]
+    assert report.unmatched == ("systems/collision.py",)
+    assert not any(isinstance(i, TaskInjection) for i in report.interventions)
     assert report.existence == pytest.approx(0.5)
 
 

@@ -506,15 +506,16 @@ def test_the_file_line_scan_finds_exactly_the_lines_parse_field_line_reads_as_fi
 
 
 def _revisions_of_runs():
-    """A run of each bundled fixture, of ``chain_plan(1, 20)`` and of
-    ``heal_plan(1, 48, 6)``."""
+    """A run of each bundled fixture, and of ``chain_plan(seed, 20)`` and
+    ``heal_plan(seed, 48, 6)`` for seeds 1 to 4."""
     root = Path(__file__).resolve().parents[1] / "src" / "charter" / "fixtures"
     for name in ("gomoku", "plane_battle"):
         intent = IntentSpec((root / "intents" / f"{name}.txt").read_text())
         yield intent, RunConfig(), ScriptedBackend.from_file(root / "transcripts" / f"{name}.jsonl")
-    chain, heal = synth.chain_plan(1, 20), synth.heal_plan(1, 48, 6, synth.Latency())
-    for plan, mode in ((chain, RunMode.SEQUENTIAL), (heal, RunMode.PARALLEL)):
-        yield IntentSpec(plan.intent), RunConfig(mode=mode), synth.SyntheticBackend(plan)
+    for seed in range(1, 5):
+        chain, heal = synth.chain_plan(seed, 20), synth.heal_plan(seed, 48, 6, synth.Latency())
+        for plan, mode in ((chain, RunMode.SEQUENTIAL), (heal, RunMode.PARALLEL)):
+            yield IntentSpec(plan.intent), RunConfig(mode=mode), synth.SyntheticBackend(plan)
 
 
 def test_every_revision_projected_through_its_basis_equals_a_fresh_projection(monkeypatch):

@@ -12,9 +12,9 @@ from charter.contract import (
     ActionOp,
     ContractAction,
     LanguageContract,
-    Rejection,
     SectionKey,
     apply_action,
+    journal_record,
     new_contract,
     render,
     DEFAULT_TEMPLATE,
@@ -24,13 +24,13 @@ from charter.patches import (
     KernelViolation,
     StalePatch,
     apply_patches,
-    apply_through_view,
+    commit_actions,
     commit_merge,
     diff_against_base,
     merge_layer,
     patches_for_action,
 )
-from charter.kernel import full_view, guard_violations, print_api_section
+from charter.kernel import full_view, print_api_section
 from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
@@ -277,36 +277,28 @@ def test_the_whole_contract_view_patches_the_plain_diff(case):
     assert patches_for_action(contract, action, "w", full_view(contract)) == expected
 
 
-def _no_guard(contract):
-    return ()
-
-
-def _split(contract, view, section):
-    """The section's lines the view shows, and the ones it hides."""
-    body = contract.body(section)
-    shown = set(view[section])
-    return [body[i] for i in sorted(shown)], [line for i, line in enumerate(body) if i not in shown]
-
-
 @given(_view_edits(), st.data())
-def test_a_second_edit_is_placed_through_the_moved_view(case, data):
+def test_two_edits_and_an_add_of_one_author_fold_into_one_placement(case, data):
     base, shown, proposed = case
+    # Hidden lines are distinct from every line an edit can write.
+    base = [line if i in shown else f"- hidden {i}" for i, line in enumerate(base)]
     contract, first = _update(base, proposed)
     second = list(proposed)
     at = data.draw(st.integers(0, len(second)))
     second[at:at + data.draw(st.integers(0, 2))] = data.draw(st.lists(st.sampled_from(_VIEW_LINES), max_size=2))
-    view = full_view(contract)
-    view[first.section] = shown
-    unseen = [base[i] for i in range(len(base)) if i not in shown]
-
-    contract, view = apply_through_view(contract, first, "w", view, _no_guard)
-    assert _split(contract, view, first.section) == (proposed, unseen)
-    for action in (
+    view = {**full_view(contract), first.section: shown}
+    actions = [
+        first,
         ContractAction(ActionOp.UPDATE, first.section, "\n".join(second)),
         ContractAction(ActionOp.ADD, first.section, "- added"),
-    ):
-        contract, view = apply_through_view(contract, action, "w", view, _no_guard)
-    assert _split(contract, view, first.section) == ([*second, "- added"], unseen)
+    ]
+    journal = []
+
+    committed, _ = commit_actions(contract, [("w", action, view) for action in actions], journal.append)
+    body = committed.body(first.section)
+    assert [line for line in body if not line.startswith("- hidden")] == [*second, "- added"]
+    assert [line for line in body if line.startswith("- hidden")] == [base[i] for i in range(len(base)) if i not in shown]
+    assert journal[:3] == [journal_record(action, committed.revision) for action in actions]
 
 
 @given(_view_edits(), st.sampled_from(ActionOp))
@@ -314,23 +306,22 @@ def test_through_the_whole_view_an_action_applies_as_apply_action_does(case, op)
     base, _, proposed = case
     contract, action = _update(base, proposed)
     action = ContractAction(op, action.section, action.content)
-    placed, view = apply_through_view(contract, action, "w", full_view(contract), _no_guard)
-    assert placed.sections == apply_action(contract, action).sections
-    assert view == full_view(placed)
+    committed, _ = commit_actions(contract, [("w", action, full_view(contract))], lambda record: None)
+    assert committed.sections == apply_action(contract, action).sections
 
 
-def test_the_moved_view_follows_the_blank_lines_the_section_trims():
+def test_a_commit_trims_the_blank_lines_an_edit_leaves_at_a_section_end():
     contract = LanguageContract.empty().with_section(SectionKey.CONSTRAINTS, ("- x", "", "- y", "- z"))
     view = {**full_view(contract), SectionKey.CONSTRAINTS: (0, 3)}
     action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- z")
-    placed, view = apply_through_view(contract, action, "w", view, _no_guard)
-    assert placed.body(SectionKey.CONSTRAINTS) == ("- y", "- z")  # the hidden blank line is trimmed
-    assert view[SectionKey.CONSTRAINTS] == (1,)
+    committed, _ = commit_actions(contract, [("w", action, view)], lambda record: None)
+    assert committed.body(SectionKey.CONSTRAINTS) == ("- y", "- z")  # the hidden blank line is trimmed
 
 
 def test_a_guarded_action_placed_through_a_view_is_rejected_whole():
     contract = contract_with([make_entry("a.py"), make_entry("b.py")])
     cyclic = ContractAction(ActionOp.UPDATE, SectionKey.DEPENDENCY_RELATIONSHIPS, "a.py --> b.py\nb.py --> a.py")
-    outcome = apply_through_view(contract, cyclic, "w", full_view(contract), guard_violations)
-    assert isinstance(outcome, Rejection) and outcome.violations
-
+    journal = []
+    with pytest.raises(KernelViolation) as refused:
+        commit_actions(contract, [("w", cyclic, full_view(contract))], journal.append)
+    assert refused.value.violations and journal == []

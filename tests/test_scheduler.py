@@ -12,12 +12,14 @@ import pytest
 
 import charter.auditor
 import charter.kernel
+import charter.patches
 import charter.scheduler
 import charter.workspace
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response, parse_response
 from charter.backends import BackendError, RequestRejected, ScriptedBackend
-from charter.contract import ActionOp, ContractAction, Rejection, SectionKey, rejection_record, render
-from charter.kernel import full_view, print_api_section, project, task_view
+from charter.contract import ActionOp, ContractAction, Rejection, SectionKey, journal_record, rejection_record, render
+from charter.kernel import ViolationKind, full_view, print_api_section, project, task_view
+from charter.ledger import file_sha256
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
@@ -30,7 +32,7 @@ from charter.scheduler import (
 from charter.tasks import IllegalTransition, LEGAL_TRANSITIONS, Task, TaskStatus
 from charter.workspace import FileUnit, Workspace
 
-from conftest import contract_with, make_entry, method, simple_class
+from conftest import GOLDEN, contract_with, make_entry, method, simple_class
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import synth  # noqa: E402
@@ -584,24 +586,27 @@ def test_each_document_action_is_reanchored_through_its_authors_prompt_view(monk
         }
         for path, body, action in (("a.py", a_body, a_action), ("b.py", b_body, b_action))
     ]
+    # The reviewer answers too, so both synthesis stages place an action.
+    records[1] = {**records[1], "response": format_response(AgentResponse("t", "o", actions=(b_action,)))}
     shown = {}
+    stages = {"project_manager": "proposal", "discriminator": "rectification"}
 
     class Capture(ScriptedBackend):
         def complete(self, request):
-            shown[request.task_id] = request.bundle.view
+            shown[request.task_id or stages[request.role]] = request.bundle.view
             return super().complete(request)
 
     calls = []
-    reanchor = charter.scheduler.patches_for_action
+    reanchor = charter.patches.patches_for_action
 
     def recording(contract, action, author, view):
         calls.append((contract, author, view))
         return reanchor(contract, action, author, view)
 
-    monkeypatch.setattr(charter.scheduler, "patches_for_action", recording)
+    monkeypatch.setattr(charter.patches, "patches_for_action", recording)
     result = run(IntentSpec("two modules"), RunConfig(t_max=1), Capture(records))
     assert [m.name for m in project(result.contract).classes["A"][1].methods] == ["f", "extra"]
-    assert sorted(author for _, author, _ in calls) == ["a.py", "auditor", "b.py"]
+    assert sorted(author for _, author, _ in calls) == ["a.py", "auditor", "b.py", "proposal", "proposal", "rectification"]
     for contract, author, view in calls:
         if author == "auditor":
             assert view == full_view(contract)
@@ -664,3 +669,57 @@ def test_one_pool_serves_every_layer_of_a_run_and_is_gone_after_it(monkeypatch):
     with pytest.raises(RuntimeError, match="audit failed"):
         run(IntentSpec(plan.intent), RunConfig(), synth.SyntheticBackend(plan))
     assert _dispatch_threads() == []
+
+
+def test_a_workers_second_update_of_a_section_replaces_its_first():
+    keep = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- a\n- keep")
+    first = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- a\n- b\n- keep")
+    second = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- c\n- keep")
+    worker = AgentResponse(thinking="t", output="built", artifacts=(("mod.py", MOD_BODY),), actions=(first, second))
+    records = _synthesis_records(_single_module_entries(), extra=(keep,)) + [
+        {"layer": 1, "role": "worker", "task": "mod.py", "response": format_response(worker)}
+    ]
+    result = run(IntentSpec("one module"), RunConfig(t_max=1), ScriptedBackend(records))
+    assert result.contract.body(SectionKey.CONSTRAINTS) == ("- c", "- keep")
+
+
+@pytest.mark.parametrize("status", ["DONE", "VERIFIED"])
+def test_every_task_starts_todo_whatever_status_the_planner_writes(status, gomoku_intent, gomoku_transcript):
+    records = [json.loads(line) for line in gomoku_transcript.read_text().splitlines()]
+    planner = next(r for r in records if r["role"] == "project_manager")
+    assert "Status: TODO" in planner["response"]
+    planner["response"] = planner["response"].replace("Status: TODO", f"Status: {status}")
+    result = run(IntentSpec(gomoku_intent.read_text()), RunConfig(), ScriptedBackend(records))
+    golden = json.loads((GOLDEN / "gomoku.json").read_text())
+    assert {u.path: file_sha256(u.body) for u in result.workspace.units()} == golden["files"]
+    assert result.converged and result.layers_used == golden["layers"]
+
+
+def test_a_task_created_at_the_barrier_gets_its_entrys_incomplete_feedback(gomoku_intent, gomoku_transcript):
+    # game.py's layer-1 worker ADDs a util.py entry whose method has no docstring.
+    util = make_entry("util.py", classes=(simple_class("Clock", [], [method("def tick() -> int", doc="")]),))
+    add_util = ContractAction(ActionOp.ADD, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section([util])))
+    records = [json.loads(line) for line in gomoku_transcript.read_text().splitlines()]
+    game = next(r for r in records if r["role"] == "worker" and r["task"] == "game.py")
+    game["response"] = format_response(replace(parse_response(game["response"]), actions=(add_util,)))
+
+    result = run(IntentSpec(gomoku_intent.read_text()), RunConfig(t_max=1), ScriptedBackend(records))
+    [incomplete] = [
+        v.message
+        for v in project(result.contract).violations
+        if v.kind is ViolationKind.INCOMPLETE and v.subject == "util.py"
+    ]
+    assert result.tasks["util.py"].feedback == [incomplete]
+
+
+def test_an_empty_add_alone_in_a_layer_is_journaled():
+    # The critic gives no verdict, so no status moves and the auditor writes
+    # nothing back: the layer's one action changes no line.
+    empty = ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, "")
+    silent = AgentResponse(thinking="t", output="review without a verdict line", actions=(empty,))
+    records = _synthesis_records(_single_module_entries()) + [
+        _worker_record(1, "mod.py", MOD_BODY),
+        {"layer": 2, "role": "critic", "task": "mod.py", "response": format_response(silent)},
+    ]
+    result = run(IntentSpec("one module"), RunConfig(t_max=2), ScriptedBackend(records))
+    assert result.ledger.journal[-1] == journal_record(empty, result.contract.revision)

@@ -244,6 +244,11 @@ def _synthesis(proposal, review):
     return contract, journal
 
 
+def _commit(contract):
+    """The journal record of the commit that made ``contract``."""
+    return {"kind": "commit", "revision": contract.revision, "base_sha256": contract.fingerprint()}
+
+
 def _proposal(entries, edges):
     drafted = contract_with(entries, dependency_lines=edges)
     actions = [ContractAction(ActionOp.UPDATE, key, "\n".join(drafted.body(key))) for key in (API, DIAGRAM)]
@@ -266,7 +271,7 @@ def test_a_reviewer_update_rewrites_only_the_entries_it_was_shown():
     for path in UNSEEN:
         assert _span_lines(contract, path) == _span_lines(drafted, path)
     assert not any(v.kind is ViolationKind.INCOMPLETE for v in validate(project(contract)))
-    assert journal[-1] == journal_record(fix, contract.revision)
+    assert journal[-2:] == [journal_record(fix, contract.revision), _commit(contract)]
 
 
 def test_a_second_reviewer_update_is_placed_through_the_moved_view():
@@ -277,7 +282,8 @@ def test_a_second_reviewer_update_is_placed_through_the_moved_view():
     actions = [ContractAction(ActionOp.UPDATE, API, first), ContractAction(ActionOp.UPDATE, API, second)]
     contract, journal = _synthesis(proposal, actions)
 
-    assert len(journal) == len(proposal) + 2
+    assert len(journal) == len(proposal) + 1 + len(actions) + 1  # each stage's actions, then its commit
+    assert journal[-3:] == [*(journal_record(action, contract.revision) for action in actions), _commit(contract)]
     for path in UNSEEN:
         assert _span_lines(contract, path) == _span_lines(drafted, path)
     docs = {sig.docstring for entry in project(contract).entries.values() for c in entry.classes for sig in c.methods}
@@ -293,7 +299,7 @@ def test_a_reviewer_add_appends_as_a_replace_free_apply_does():
     expected = apply_action(apply_action(drafted, added), pinned)
     assert isinstance(expected, LanguageContract)
     assert contract.sections == expected.sections
-    assert journal[-2:] == [journal_record(added, contract.revision - 1), journal_record(pinned, contract.revision)]
+    assert journal[-3:] == [*(journal_record(action, contract.revision) for action in (added, pinned)), _commit(contract)]
 
 
 NEW_ENTRY = ("- File: m6.py", "  Owner: dev", "  Version: 1")
@@ -318,7 +324,7 @@ def test_a_reviewer_update_appending_a_module_after_the_last_shown_entry_keeps_t
     update = _reviewed(drafted, API, lambda lines: lines.extend(["", *NEW_ENTRY]))
     contract, journal = _synthesis(proposal, [update])
 
-    assert journal[-1] == journal_record(update, contract.revision)  # accepted
+    assert journal[-2:] == [journal_record(update, contract.revision), _commit(contract)]  # accepted
     _assert_unseen_kept(contract, drafted, ["m0", "m1", "m2", "m3", "m6", "m4", "m5"])
     assert [line for line in _span_lines(contract, "m6.py") if line.strip()] == list(NEW_ENTRY)
 
@@ -338,7 +344,7 @@ def test_a_reviewer_update_deleting_a_shown_neighbour_keeps_the_unseen_entries()
     deleted = _reviewed(drafted, API, lambda lines: _without(lines, "- File: m1.py"))
     contract, journal = _synthesis(proposal, [unlinked, deleted])
 
-    assert journal[-2:] == [journal_record(unlinked, contract.revision - 1), journal_record(deleted, contract.revision)]
+    assert journal[-3:] == [*(journal_record(action, contract.revision) for action in (unlinked, deleted)), _commit(contract)]
     _assert_unseen_kept(contract, drafted, ["m0", "m2", "m3", "m4", "m5"])
     assert contract.body(DIAGRAM) == ("m5.py --> m3.py",)
 
@@ -346,14 +352,13 @@ def test_a_reviewer_update_deleting_a_shown_neighbour_keeps_the_unseen_entries()
 def test_a_shown_neighbour_with_an_unseen_edge_cannot_be_deleted():
     """The reviewer is not shown the edge ``m1.py --> m0.py`` and cannot remove
     it, so deleting m1 would leave the diagram naming an unknown module: the
-    guard refuses that update whole."""
+    guard refuses the stage whole, both of the reviewer's actions."""
     drafted, proposal = _proposal(*_flagged_plan())
     unlinked = _reviewed(drafted, DIAGRAM, lambda lines: lines.remove("m2.py --> m1.py"))
     deleted = _reviewed(drafted, API, lambda lines: _without(lines, "- File: m1.py"))
     contract, journal = _synthesis(proposal, [unlinked, deleted])
 
-    assert journal[-2] == journal_record(unlinked, contract.revision)
-    refusal = journal[-1]  # the API update was refused, and the journal says so
-    assert refusal == rejection_record(deleted, "rectification", Rejection(refusal["reason"]))
-    assert refusal["reason"].startswith("kernel validation failed") and "m1.py" in refusal["reason"]
-    assert contract.body(API) == drafted.body(API)
+    reason = Rejection(journal[-1]["reason"])  # the stage was refused, and the journal says so
+    assert journal[-2:] == [rejection_record(action, "rectification", reason) for action in (unlinked, deleted)]
+    assert "m1.py" in reason.reason
+    assert (contract.body(API), contract.body(DIAGRAM)) == (drafted.body(API), drafted.body(DIAGRAM))
