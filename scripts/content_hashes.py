@@ -75,15 +75,11 @@ def content_hashes(case: workloads.Case) -> dict:
     }
 
 
-def all_content_hashes() -> dict[str, dict]:
-    return {name: content_hashes(case) for name, case in cases().items()}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--json", type=Path, help="write the hashes of every case here")
     args = parser.parse_args(argv)
-    hashes = all_content_hashes()
+    hashes = {name: content_hashes(case) for name, case in cases().items()}
     for name, row in hashes.items():
         print(name, " ".join(f"{key}={value}" for key, value in row.items()), flush=True)
     if args.json is not None:

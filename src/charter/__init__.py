@@ -34,7 +34,6 @@ from .kernel import (
     parse_signature,
     print_signature,
     project,
-    tasks_of,
     validate,
 )
 from .tasks import Task, TaskStatus
@@ -125,7 +124,6 @@ __all__ = [
     "run",
     "run_layer",
     "synthesize_contract",
-    "tasks_of",
     "token_report",
     "validate",
 ]

@@ -34,7 +34,6 @@ from .contract import (
     ActionOp,
     ContractAction,
     LanguageContract,
-    Rejection,
     SectionKey,
     UnknownSection,
     is_partial_api_patch,
@@ -278,14 +277,15 @@ def _parse_actions(payload: str) -> tuple[ContractAction, ...]:
 
 
 def parse_response(raw: str) -> AgentResponse:
-    """Parse the tagged three-block format into a structured response."""
+    """Parse the tagged three-block format into a structured response. An
+    artifact path may be written in backticks (``# FILE: `a.py` ``)."""
     blocks = {name: body for name, body in _BLOCK_RE.findall(raw)}
     if "output" not in blocks:
         raise ParseError("response has no <output> block")
     output = blocks["output"]
     thinking = blocks.get("thinking", "")
     actions = _parse_actions(blocks["document_action"]) if "document_action" in blocks else ()
-    artifacts = tuple((path.strip(), body) for path, body in _ARTIFACT_RE.findall(raw))
+    artifacts = tuple((path.strip().strip("`"), body) for path, body in _ARTIFACT_RE.findall(raw))
     verdict = None
     m = _VERDICT_RE.search(output)
     if m:
@@ -360,7 +360,7 @@ def synthesize_contract(
         except KernelViolation as exc:
             logger.warning("event=stage_rejected stage=%s reason=%s", stage, exc)
             for action in response.actions:
-                journal(rejection_record(action, stage, Rejection(str(exc))))
+                journal(rejection_record(action, stage, str(exc)))
             if stage == "proposal":
                 raise SynthesisFailure(f"proposal refused by the kernel guard: {exc}") from exc
         if stage == "proposal" and not contract.body(SectionKey.API_SPECIFICATIONS):

@@ -37,10 +37,12 @@ Every check reads ``FileUnit`` values and takes their analysis from
 accepted units themselves, and the workspace stores them, so a committed
 body is not analyzed again in later layers.
 
-``audit_layer`` is a pure function of its inputs, run as named steps;
-``scheduler.barrier`` applies the returned effects and creates tasks. Each
-document action it returns carries the view its author was shown, which the
-barrier re-anchors it through.
+``audit_layer`` is a pure function of its inputs, run as named steps that
+move each task through one planned-status map and record feedback, warnings
+and interventions in step order; the repair check, the existence check and
+the write-back read the entries the amendment step printed.
+``scheduler.barrier`` applies the returned effects and creates tasks. Each document action it returns carries the view its author
+was shown, which the barrier re-anchors it through.
 """
 
 from __future__ import annotations
@@ -48,7 +50,8 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import dataclass, replace
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .agents import AgentResponse, RoleKind
@@ -66,7 +69,6 @@ from .kernel import (
     normalize_path,
     print_api_section,
     project,
-    tasks_of,
     type_head,
 )
 from .tasks import Task, TaskStatus
@@ -230,13 +232,13 @@ def code_classes(symbols: ExtractedSymbols) -> dict[str, ClassSpec]:
     return classes
 
 
-def match(task: Task, unit: FileUnit | None, entry: ApiSpecEntry) -> bool:
-    """Physical alignment: file exists at the task's path, is non-empty, and
-    defines every class the contract names for it (the hollow-skeleton guard)."""
+def match(unit: FileUnit | None, entry: ApiSpecEntry) -> bool:
+    """Physical alignment: a file exists at the entry's path, is non-empty, and
+    defines every class the entry names (the hollow-skeleton guard)."""
     if unit is None:
         return False
     try:
-        if normalize_path(unit.path) != task.id:
+        if normalize_path(unit.path) != entry.file_path:
             return False
     except PathViolation:
         return False
@@ -258,21 +260,14 @@ def match(task: Task, unit: FileUnit | None, entry: ApiSpecEntry) -> bool:
     return True
 
 
-def existence_check(
-    contract: LanguageContract, files: dict[str, FileUnit]
-) -> tuple[float, tuple[str, ...]]:
-    """Fraction of tasks physically realized in the workspace, plus the misses."""
-    kernel = project(contract)
-    tasks = tasks_of(kernel)
-    if not tasks:
-        logger.warning("existence check over an empty task set; defining it as 1.0")
+def existence_check(entries: Mapping[str, ApiSpecEntry], files: dict[str, FileUnit]) -> tuple[float, tuple[str, ...]]:
+    """Fraction of a kernel's entries (path -> entry) physically realized in
+    the workspace, plus the paths that are not, in path order."""
+    if not entries:
+        logger.warning("existence check over a kernel without entries; defining it as 1.0")
         return 1.0, ()
-    unmatched = []
-    for task in tasks:
-        if not match(task, files.get(task.id), kernel.entries[task.id]):
-            unmatched.append(task.id)
-    fraction = (len(tasks) - len(unmatched)) / len(tasks)
-    return fraction, tuple(unmatched)
+    unmatched = tuple(path for path, entry in sorted(entries.items()) if not match(files.get(path), entry))
+    return (len(entries) - len(unmatched)) / len(entries), unmatched
 
 
 def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
@@ -374,39 +369,12 @@ def consistency_check(
     return ok, tuple(deltas)
 
 
-def sync_statuses(
-    tasks: dict[str, Task], outcomes: list[DispatchOutcome]
-) -> tuple[list[tuple[str, TaskStatus, TaskStatus]], list[tuple[str, str]], list[str]]:
-    """Planned status moves from critic verdicts alone (worker moves depend on
-    the delta classification and are planned by ``audit_layer``)."""
-    updates: list[tuple[str, TaskStatus, TaskStatus]] = []
-    feedback: list[tuple[str, str]] = []
-    warnings: list[str] = []
-    for outcome in sorted(outcomes, key=lambda o: o.task_id):
-        if outcome.role is not RoleKind.CRITIC or outcome.task_id not in tasks:
-            continue
-        if outcome.error or outcome.response is None:
-            warnings.append(f"critic for {outcome.task_id} failed: {outcome.error or 'no response'}")
-            feedback.append((outcome.task_id, f"critic dispatch failed: {outcome.error or 'no response'}"))
-            continue
-        verdict = outcome.response.verdict
-        if verdict is None:
-            warnings.append(f"critic for {outcome.task_id} produced no verdict; status unchanged")
-            continue
-        if verdict.passed:
-            updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.VERIFIED))
-        else:
-            updates.append((outcome.task_id, TaskStatus.DONE, TaskStatus.ERROR))
-            feedback.append((outcome.task_id, verdict.reason or "critic rejected the implementation"))
-    return updates, feedback, warnings
-
-
 def _amended_entries(
     kernel: SymbolicKernel, deltas: dict[str, tuple[MismatchDetail, ...]], artifacts: dict[str, tuple[FileUnit, ...]]
-) -> tuple[list[ApiSpecEntry], list[str]]:
-    """The kernel's entries with the EXTRA/DEMANDED details of ``deltas``
-    recorded as read from the audited code, each amended entry one version
-    up, and the symbols recorded."""
+) -> tuple[dict[str, ApiSpecEntry], list[str]]:
+    """The kernel's entries (path -> entry) with the EXTRA/DEMANDED details
+    of ``deltas`` recorded as read from the audited code, each amended entry
+    one version up, and the symbols recorded."""
     attributes: dict[str, list[AttributeSpec]] = {}  # class name -> recorded members
     methods: dict[str, list[MethodSig]] = {}
     classes: dict[str, list[ClassSpec]] = {}  # module id -> recorded classes
@@ -433,7 +401,7 @@ def _amended_entries(
                 classes.setdefault(task_id, []).append(code[detail.symbol])
             symbols.append(detail.symbol)
 
-    entries: list[ApiSpecEntry] = []
+    entries: dict[str, ApiSpecEntry] = {}
     for module_id, entry in kernel.entries.items():
         amended = [
             ClassSpec(
@@ -445,7 +413,7 @@ def _amended_entries(
         ]
         amended += classes.get(module_id, [])
         version = entry.version + 1 if tuple(amended) != entry.classes else entry.version
-        entries.append(replace(entry, version=version, classes=tuple(amended)))
+        entries[module_id] = replace(entry, version=version, classes=tuple(amended))
     return entries, symbols
 
 
@@ -475,6 +443,23 @@ def _repair_directive(missing: dict[str, list[str]]) -> str:
     return ". ".join(parts) + "."
 
 
+@dataclass
+class _AuditPlan:
+    """The one state the steps of a layer's audit write, in step order: each
+    task's planned status, the ``(task, old, new)`` moves that led there, and
+    the feedback, warnings and interventions the steps recorded."""
+
+    statuses: dict[str, TaskStatus]
+    moves: list[tuple[str, TaskStatus, TaskStatus]] = field(default_factory=list)
+    feedback: list[tuple[str, str]] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+    interventions: list = field(default_factory=list)
+
+    def move(self, task_id: str, new: TaskStatus) -> None:
+        self.moves.append((task_id, self.statuses[task_id], new))
+        self.statuses[task_id] = new
+
+
 def audit_layer(
     contract: LanguageContract,
     files: dict[str, FileUnit],
@@ -483,88 +468,76 @@ def audit_layer(
 ) -> AuditReport:
     """Classify one layer's outputs and plan every intervention.
 
-    Pure: identical inputs produce identical reports. The scheduler commits
-    the accepted units, the values audited here, and applies the status
-    updates and contract actions at the barrier. Each contract action is
+    Pure: identical inputs produce identical reports. Every step writes one
+    ``_AuditPlan``; the sync, the existence check and the write-back read the
+    entries the amendment step printed for its guarded trial. The scheduler
+    commits the accepted units, the values audited here, and applies the
+    status moves and contract actions at the barrier. Each contract action is
     ``(author, action, view)``: an agent action carries the view of its
     dispatch (``DispatchOutcome.view``); the auditor's write-back (the amended
-    contract's entries, stamped with the planned statuses) carries
-    ``full_view(contract)``.
+    entries, stamped with the planned statuses) carries ``full_view(contract)``.
     """
     kernel = project(contract)
-    feedback: list[tuple[str, str]] = []
-    warnings: list[str] = []
+    plan = _AuditPlan({task_id: task.status for task_id, task in tasks.items()})
 
-    artifacts, deltas = _read_worker_artifacts(kernel, tasks, outcomes, feedback)
-    amended, symbols = _try_amendment(contract, kernel, artifacts, deltas, warnings)
-    updates = _plan_worker_moves(tasks, deltas, feedback)
+    artifacts, deltas = _read_worker_artifacts(kernel, outcomes, plan)
+    entries = _try_amendment(contract, kernel, artifacts, deltas, plan)
+    _plan_worker_moves(deltas, plan)
+    _plan_critic_verdicts(outcomes, plan)
     accepted = {task_id: artifacts[task_id] for task_id, d in deltas.items() if d.kind is not DeltaKind.CRITICAL}
-
-    # Critic verdicts: a rejected implementation regresses with the critic's note as its reason.
-    critic_updates, critic_feedback, critic_warnings = sync_statuses(tasks, outcomes)
-    reasons = dict(critic_feedback)
-    regressions = [StatusRegression(t, reasons[t]) for t, _, new in critic_updates if new is TaskStatus.ERROR]
-    updates += critic_updates
-    feedback += critic_feedback
-    warnings += critic_warnings
 
     committed = dict(files)
     for units in accepted.values():
         committed.update((unit.path, unit) for unit in units)
-    sync_tasks = _sync_after_amendment(amended, tasks, deltas, committed, updates, feedback, warnings)
+    _sync_after_amendment(entries, deltas, committed, plan)
 
-    # Structural existence over the post-commit view, against the amended contract.
-    existence, unmatched = existence_check(amended, committed)
-
-    interventions: list = [ContractAmendment(added_symbols=tuple(symbols))] if symbols else []
-    interventions += regressions + sync_tasks
+    # Structural existence over the post-commit view, against the amended entries.
+    existence, unmatched = existence_check(entries, committed)
 
     return AuditReport(
         existence=existence,
         unmatched=unmatched,
-        status_updates=tuple((t, old.value, new.value) for t, old, new in updates),
-        consistency=all(d.kind is DeltaKind.EMPTY for d in deltas.values()) and not sync_tasks,
+        status_updates=tuple((t, old.value, new.value) for t, old, new in plan.moves),
+        consistency=all(d.kind is DeltaKind.EMPTY for d in deltas.values())
+        and not any(isinstance(i, SyncTask) for i in plan.interventions),
         deltas=tuple(deltas.values()),
-        interventions=tuple(interventions),
+        interventions=tuple(plan.interventions),
         accepted_artifacts=tuple(accepted.items()),
-        contract_actions=_write_back(contract, amended, _planned_statuses(tasks, updates), outcomes, deltas),
-        feedback=tuple(feedback),
-        warnings=tuple(warnings),
+        contract_actions=_write_back(contract, entries, plan.statuses, outcomes, deltas),
+        feedback=tuple(plan.feedback),
+        warnings=tuple(plan.warnings),
     )
 
 
 def _read_worker_artifacts(
-    kernel: SymbolicKernel,
-    tasks: dict[str, Task],
-    outcomes: list[DispatchOutcome],
-    feedback: list[tuple[str, str]],
+    kernel: SymbolicKernel, outcomes: list[DispatchOutcome], plan: _AuditPlan
 ) -> tuple[dict[str, tuple[FileUnit, ...]], dict[str, AuditDelta]]:
     """Each answered worker's artifacts and the delta of its own file, or feedback."""
     artifacts: dict[str, tuple[FileUnit, ...]] = {}
     deltas: dict[str, AuditDelta] = {}
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
         task_id = outcome.task_id
-        if outcome.role is not RoleKind.WORKER or task_id not in tasks:
+        if outcome.role is not RoleKind.WORKER or task_id not in plan.statuses:
             continue
         if outcome.error or outcome.response is None:
-            feedback.append((task_id, f"worker dispatch failed: {outcome.error or 'no response'}"))
+            plan.feedback.append((task_id, f"worker dispatch failed: {outcome.error or 'no response'}"))
             continue
         units, own = [], None
         for path, body in outcome.response.artifacts:
             try:
                 normalized = normalize_path(path)
             except PathViolation as exc:
-                feedback.append((task_id, f"artifact dropped: {exc}"))
+                plan.feedback.append((task_id, f"artifact dropped: {exc}"))
                 continue
-            if normalized != task_id and normalized in tasks:
+            if normalized != task_id and normalized in plan.statuses:
                 # A peer task's file is written only by the peer's audited body.
-                feedback.append((task_id, f"artifact dropped: {normalized} is another task's file"))
+                plan.feedback.append((task_id, f"artifact dropped: {normalized} is another task's file"))
                 continue
             units.append(FileUnit(normalized, body))
             if normalized == task_id:
                 own = units[-1]
         if own is None:
-            feedback.append((task_id, f"worker produced no artifact for {task_id}"))
+            plan.feedback.append((task_id, f"worker produced no artifact for {task_id}"))
             continue
         artifacts[task_id] = tuple(units)
         entry = kernel.entries.get(task_id)
@@ -578,69 +551,79 @@ def _try_amendment(
     kernel: SymbolicKernel,
     artifacts: dict[str, tuple[FileUnit, ...]],
     deltas: dict[str, AuditDelta],
-    warnings: list[str],
-) -> tuple[LanguageContract, list[str]]:
-    """The contract amended under the guard to legitimize every PATCHABLE
-    superset, and the symbols recorded; a refused one makes each CRITICAL."""
+    plan: _AuditPlan,
+) -> Mapping[str, ApiSpecEntry]:
+    """The entries (path -> entry) amended under the guard to legitimize every
+    PATCHABLE superset, as printed for the guarded trial. Without an
+    amendment, or when the guard refuses it, they are the kernel's own
+    entries, and a refusal makes each PATCHABLE delta CRITICAL."""
     patchable = {task_id: d.details for task_id, d in deltas.items() if d.kind is DeltaKind.PATCHABLE}
     entries, symbols = _amended_entries(kernel, patchable, artifacts)
     if not symbols:
-        return contract, symbols
+        return kernel.entries
+    printed = "\n".join(print_api_section(list(entries.values())))
     trial = apply_action(
-        contract,
-        ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(print_api_section(entries))),
-        guard=guard_violations,
+        contract, ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, printed), guard=guard_violations
     )
     if not isinstance(trial, Rejection):
-        return trial, symbols
-    warnings.append(f"amendment rejected: {trial}")
+        plan.interventions.append(ContractAmendment(added_symbols=tuple(symbols)))
+        return entries
+    plan.warnings.append(f"amendment rejected: {trial}")
     for task_id in sorted(patchable):
         refused = MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual=str(trial.reason))
         deltas[task_id] = AuditDelta(task_id, DeltaKind.CRITICAL, patchable[task_id] + (refused,))
-    return contract, []
+    return kernel.entries
 
 
-def _plan_worker_moves(
-    tasks: dict[str, Task], deltas: dict[str, AuditDelta], feedback: list[tuple[str, str]]
-) -> list[tuple[str, TaskStatus, TaskStatus]]:
+def _plan_worker_moves(deltas: dict[str, AuditDelta], plan: _AuditPlan) -> None:
     """A worker whose artifacts are accepted moves its task to DONE. A CRITICAL
     artifact is rejected with one note per detail, but it still consumed a
     worker pass: a TODO task lands on ERROR via the legal TODO -> DONE -> ERROR
     path."""
-    updates: list[tuple[str, TaskStatus, TaskStatus]] = []
     for task_id, delta in deltas.items():
-        status = tasks[task_id].status
+        status = plan.statuses[task_id]
         if delta.kind is DeltaKind.CRITICAL:
-            feedback.extend((task_id, _describe_detail(detail)) for detail in delta.details)
+            plan.feedback.extend((task_id, _describe_detail(detail)) for detail in delta.details)
             if status is TaskStatus.TODO:
-                updates += [(task_id, TaskStatus.TODO, TaskStatus.DONE), (task_id, TaskStatus.DONE, TaskStatus.ERROR)]
+                plan.move(task_id, TaskStatus.DONE)
+                plan.move(task_id, TaskStatus.ERROR)
         elif status in (TaskStatus.TODO, TaskStatus.ERROR):
-            updates.append((task_id, status, TaskStatus.DONE))
-    return updates
+            plan.move(task_id, TaskStatus.DONE)
 
 
-def _planned_statuses(
-    tasks: dict[str, Task], updates: list[tuple[str, TaskStatus, TaskStatus]]
-) -> dict[str, TaskStatus]:
-    """Each task's status once ``updates`` are applied."""
-    return {**{task_id: task.status for task_id, task in tasks.items()}, **{t: new for t, _, new in updates}}
+def _plan_critic_verdicts(outcomes: list[DispatchOutcome], plan: _AuditPlan) -> None:
+    """A passing verdict verifies its task. A failing one regresses it to ERROR
+    with the critic's note as its feedback and as the regression's reason. A
+    failed critic dispatch or a missing verdict leaves the status and warns."""
+    for outcome in sorted(outcomes, key=lambda o: o.task_id):
+        task_id = outcome.task_id
+        if outcome.role is not RoleKind.CRITIC or task_id not in plan.statuses:
+            continue
+        if outcome.error or outcome.response is None:
+            plan.warnings.append(f"critic for {task_id} failed: {outcome.error or 'no response'}")
+            plan.feedback.append((task_id, f"critic dispatch failed: {outcome.error or 'no response'}"))
+            continue
+        verdict = outcome.response.verdict
+        if verdict is None:
+            plan.warnings.append(f"critic for {task_id} produced no verdict; status unchanged")
+        elif verdict.passed:
+            plan.move(task_id, TaskStatus.VERIFIED)
+        else:
+            reason = verdict.reason or "critic rejected the implementation"
+            plan.move(task_id, TaskStatus.ERROR)
+            plan.feedback.append((task_id, reason))
+            plan.interventions.append(StatusRegression(task_id, reason))
 
 
 def _sync_after_amendment(
-    amended: LanguageContract,
-    tasks: dict[str, Task],
+    entries: Mapping[str, ApiSpecEntry],
     deltas: dict[str, AuditDelta],
     committed: dict[str, FileUnit],
-    updates: list[tuple[str, TaskStatus, TaskStatus]],
-    feedback: list[tuple[str, str]],
-    warnings: list[str],
-) -> list[SyncTask]:
+    plan: _AuditPlan,
+) -> None:
     """A committed file that misses members of the (possibly amended) schema
     compels a repair: its DONE task regresses to ERROR with a directive."""
-    statuses = _planned_statuses(tasks, updates)
-    entries = project(amended).entries
-    sync_tasks: list[SyncTask] = []
-    for task_id in sorted(tasks):
+    for task_id in sorted(plan.statuses):
         if task_id in deltas and deltas[task_id].kind is DeltaKind.CRITICAL:
             continue
         unit, entry = committed.get(task_id), entries.get(task_id)
@@ -653,20 +636,19 @@ def _sync_after_amendment(
                 missing_members.setdefault(cls_name, []).append(member)
         if not missing_members:
             continue
-        if statuses[task_id] is TaskStatus.VERIFIED:
-            warnings.append(f"{task_id} is already verified but misses amended symbols; no automatic cascade")
+        if plan.statuses[task_id] is TaskStatus.VERIFIED:
+            plan.warnings.append(f"{task_id} is already verified but misses amended symbols; no automatic cascade")
             continue
         directive = _repair_directive(missing_members)
-        if statuses[task_id] is TaskStatus.DONE:
-            updates.append((task_id, TaskStatus.DONE, TaskStatus.ERROR))
-        feedback.append((task_id, directive))
-        sync_tasks.append(SyncTask(task_id=task_id, directive=directive))
-    return sync_tasks
+        if plan.statuses[task_id] is TaskStatus.DONE:
+            plan.move(task_id, TaskStatus.ERROR)
+        plan.feedback.append((task_id, directive))
+        plan.interventions.append(SyncTask(task_id=task_id, directive=directive))
 
 
 def _write_back(
     contract: LanguageContract,
-    amended: LanguageContract,
+    entries: Mapping[str, ApiSpecEntry],
     statuses: dict[str, TaskStatus],
     outcomes: list[DispatchOutcome],
     deltas: dict[str, AuditDelta],
@@ -674,8 +656,7 @@ def _write_back(
     """The write-back of the amended entries and planned statuses, then each
     agent action with its view, unless its artifact was rejected outright."""
     actions: list[tuple[str, ContractAction, ContractView]] = []
-    entries = project(amended).entries.values()
-    body = print_api_section([replace(e, status=statuses.get(e.file_path, e.status)) for e in entries])
+    body = print_api_section([replace(e, status=statuses.get(path, e.status)) for path, e in entries.items()])
     if tuple(body) != contract.body(SectionKey.API_SPECIFICATIONS):
         write_back = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(body))
         actions.append((AUDITOR_AUTHOR, write_back, full_view(contract)))

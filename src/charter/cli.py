@@ -17,8 +17,9 @@ from . import __version__
 from .agents import IntentSpec, SynthesisFailure
 from .auditor import existence_check, consistency_check
 from .backends import BackendError, RecordingBackend, RemoteBackend, ScriptedBackend
-from .contract import parse as parse_contract
+from .contract import ContractError, parse as parse_contract
 from .evaluation import evaluate, keepalive_check, load_manifest, load_scores
+from .kernel import project
 from .ledger import RunLedger
 from .scheduler import RunConfig, RunMode, run
 from .workspace import Workspace
@@ -146,7 +147,7 @@ def _cmd_audit(args) -> int:
     contract = parse_contract(Path(args.contract).read_text(encoding="utf-8"))
     workspace = Workspace.load(args.workspace)
     files = workspace.view()
-    existence, unmatched = existence_check(contract, files)
+    existence, unmatched = existence_check(project(contract).entries, files)
     consistent, deltas = consistency_check(contract, files)
     report = {
         "existence": existence,
@@ -213,10 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args, parser)
         parser.error(f"unknown command {args.command!r}")
-    except (SynthesisFailure, BackendError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (SynthesisFailure, BackendError, ContractError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 2

@@ -338,9 +338,9 @@ def journal_record(action: ContractAction, revision: int) -> dict:
     return {"revision": revision, **_action_fields(action)}
 
 
-def rejection_record(action: ContractAction, stage: str, rejection: Rejection) -> dict:
-    """The sidecar record of an action refused at ``stage``."""
-    return {"kind": "rejected", "stage": stage, **_action_fields(action), "reason": str(rejection)}
+def rejection_record(action: ContractAction, stage: str, reason: str) -> dict:
+    """The sidecar record of an action refused at ``stage`` for ``reason``."""
+    return {"kind": "rejected", "stage": stage, **_action_fields(action), "reason": reason}
 
 
 def _action_fields(action: ContractAction) -> dict:

@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache
 from itertools import compress, count
 
 from .contract import LanguageContract, SectionKey, parse_field_line, read_status
-from .tasks import Task, TaskStatus
+from .tasks import TaskStatus
 
 logger = logging.getLogger(__name__)
 
@@ -914,8 +914,3 @@ def guard_violations(contract: LanguageContract) -> list[Violation]:
     except KernelError as exc:
         return [Violation(ViolationKind.TYPE_UNDEFINED, "projection", str(exc))]
     return [v for v in kernel.violations if v.kind is not ViolationKind.INCOMPLETE]
-
-
-def tasks_of(kernel: SymbolicKernel) -> list[Task]:
-    """One task per kernel entry, in path-lexicographic order."""
-    return [Task(id=path, owner=e.owner, status=e.status) for path, e in sorted(kernel.entries.items())]

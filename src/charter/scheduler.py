@@ -36,7 +36,7 @@ from .agents import (
 )
 from .auditor import AUDITOR_AUTHOR, DispatchOutcome, TaskInjection, audit_layer
 from .backends import CompletionRequest, RequestRejected
-from .contract import LanguageContract, Rejection, rejection_record
+from .contract import LanguageContract, rejection_record
 from .kernel import SymbolicKernel, ViolationKind, project
 from .ledger import RunLedger, file_sha256
 from .patches import KernelViolation, commit_actions
@@ -273,7 +273,7 @@ def barrier(
         logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layer, authors, exc)
         feedback.extend((author, f"document action rejected: {exc}") for author in authors)
         for _, action, _ in dropped:
-            ledger.add_journal(rejection_record(action, f"layer {layer}", Rejection(str(exc))))
+            ledger.add_journal(rejection_record(action, f"layer {layer}", str(exc)))
         kept = tuple(item for item in report.contract_actions if item[0] == AUDITOR_AUTHOR)
         contract, merge_conflicts = commit_actions(contract, kept, ledger.add_journal)
 

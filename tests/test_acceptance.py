@@ -26,7 +26,7 @@ from charter.contract import (
     DEFAULT_TEMPLATE,
 )
 from charter.evaluation import architecture_score, linkage_score, overall_score, token_report
-from charter.kernel import find_cycle, guard_violations, print_api_section
+from charter.kernel import find_cycle, guard_violations, print_api_section, project
 from charter.ledger import file_sha256
 from charter.patches import AtomicPatch, apply_patches, diff_against_base, merge_layer
 from charter.scheduler import RunConfig, RunMode, dispatch_for, run
@@ -194,7 +194,7 @@ def test_c4_audit_metric_arithmetic():
         "a.py": FileUnit("a.py", "class A:\n    def __init__(self):\n        self.v = 1\n"),
         "b.py": FileUnit("b.py", "class B:\n    def __init__(self):\n        self.v = 2\n"),
     }
-    fraction, unmatched = existence_check(contract, files)
+    fraction, unmatched = existence_check(project(contract).entries, files)
     assert fraction == 2 / 3  # exact
     assert unmatched == ("c.py",)
 
@@ -209,10 +209,9 @@ def test_c4_audit_metric_arithmetic():
     assert all(d.kind is DetailKind.EXTRA for d in deltas[0].details)
 
     # the hollow skeleton fails the physical match
-    task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CONTRACT_CLASS,))
     hollow = FileUnit(path="entities/player.py", body="class Player: pass\n")
-    assert match(task, hollow, entry) is False
+    assert match(hollow, entry) is False
 
 
 def test_c5_merge_properties():

@@ -23,7 +23,6 @@ from charter.backends import ScriptedBackend
 from charter.contract import (
     ActionOp,
     ContractAction,
-    Rejection,
     SectionKey,
     body_from_text,
     rejection_record,
@@ -221,7 +220,7 @@ def test_a_cyclic_proposal_is_refused_whole_and_fails_the_synthesis():
     journal = []
     with pytest.raises(SynthesisFailure, match=r"proposal refused by the kernel guard: CYCLE\(b\.py -> a\.py\)"):
         synthesize_contract(IntentSpec("two modules"), backend, journal=journal.append)
-    reason = Rejection(journal[0]["reason"])
+    reason = journal[0]["reason"]
     assert journal == [rejection_record(api, "proposal", reason), rejection_record(cyclic, "proposal", reason)]
 
 

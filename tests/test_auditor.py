@@ -4,10 +4,12 @@ import pytest
 
 from charter.agents import AgentResponse, RoleKind, Verdict
 from charter.auditor import (
+    AUDITOR_AUTHOR,
     ContractAmendment,
     DeltaKind,
     DetailKind,
     DispatchOutcome,
+    StatusRegression,
     SyncTask,
     TaskInjection,
     audit_layer,
@@ -17,9 +19,8 @@ from charter.auditor import (
     demand_details,
     existence_check,
     match,
-    sync_statuses,
 )
-from charter.contract import SectionKey
+from charter.contract import SectionKey, apply_action
 from charter.kernel import full_view, project
 from charter.tasks import Task, TaskStatus
 from charter.workspace import FileUnit
@@ -81,9 +82,7 @@ def _plane_contract():
 
 
 def _tasks(contract, statuses=None):
-    from charter.kernel import tasks_of
-
-    tasks = {t.id: t for t in tasks_of(project(contract))}
+    tasks = {path: Task(id=path, owner=entry.owner) for path, entry in project(contract).entries.items()}
     for task_id, status in (statuses or {}).items():
         tasks[task_id].status = status
     return tasks
@@ -94,30 +93,27 @@ def _units(bodies: dict[str, str]) -> dict[str, FileUnit]:
 
 
 def test_match_true_when_classes_present():
-    task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
-    assert match(task, FileUnit(path="entities/player.py", body=PLAYER_OK), entry)
+    assert match(FileUnit(path="entities/player.py", body=PLAYER_OK), entry)
 
 
 def test_match_false_on_missing_class_or_empty_file():
-    task = Task(id="a.py", owner="b")
     entry = make_entry("a.py", classes=(PLAYER_CLASS,))
-    assert not match(task, FileUnit(path="a.py", body="x = 1\n"), entry)
-    assert not match(task, FileUnit(path="a.py", body="   \n"), entry)
-    assert not match(task, None, entry)
+    assert not match(FileUnit(path="a.py", body="x = 1\n"), entry)
+    assert not match(FileUnit(path="a.py", body="   \n"), entry)
+    assert not match(None, entry)
 
 
 def test_match_rejects_hollow_skeleton():
-    task = Task(id="entities/player.py", owner="b")
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
-    assert not match(task, FileUnit(path="entities/player.py", body="class Player: pass\n"), entry)
+    assert not match(FileUnit(path="entities/player.py", body="class Player: pass\n"), entry)
 
 
 def test_a_nested_class_of_a_contracted_name_is_not_the_one_audited():
     # Both read the module-level Player, not the one nested in factory().
     body = PLAYER_OK + "\n\ndef factory():\n    class Player:\n        pass\n    return Player\n"
     entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
-    assert match(Task(id="entities/player.py", owner="b"), FileUnit(path="entities/player.py", body=body), entry)
+    assert match(FileUnit(path="entities/player.py", body=body), entry)
     assert compare_unit(entry, FileUnit("entities/player.py", body)) == []
 
 
@@ -135,7 +131,7 @@ def test_existence_two_of_three():
             "b.py": "class B:\n    def __init__(self):\n        self.v = 2\n",
         }
     )
-    fraction, unmatched = existence_check(contract, files)
+    fraction, unmatched = existence_check(project(contract).entries, files)
     assert fraction == pytest.approx(2 / 3)
     assert unmatched == ("c.py",)
 
@@ -144,7 +140,7 @@ def test_existence_zero_files():
     contract = contract_with(
         [make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> None")]),))]
     )
-    fraction, unmatched = existence_check(contract, {})
+    fraction, unmatched = existence_check(project(contract).entries, {})
     assert fraction == 0.0
     assert unmatched == ("a.py",)
 
@@ -216,48 +212,44 @@ def test_demand_details_resolves_param_annotation():
     assert all(d.kind is DetailKind.DEMANDED for d in details)
 
 
-def test_sync_statuses_critic_outcomes():
+def _critic_outcome(task_id: str, output: str, verdict: Verdict | None) -> DispatchOutcome:
+    return DispatchOutcome(
+        task_id=task_id,
+        role=RoleKind.CRITIC,
+        view={},
+        response=AgentResponse(thinking="t", output=output, verdict=verdict),
+    )
+
+
+def test_audit_layer_moves_tasks_by_critic_verdicts():
     contract = _plane_contract()
     tasks = _tasks(contract, {"entities/player.py": TaskStatus.DONE, "systems/collision.py": TaskStatus.DONE})
     outcomes = [
-        DispatchOutcome(
-            task_id="entities/player.py",
-            role=RoleKind.CRITIC,
-            view={},
-            response=AgentResponse(thinking="t", output="VERDICT: PASS", verdict=Verdict(True)),
-        ),
-        DispatchOutcome(
-            task_id="systems/collision.py",
-            role=RoleKind.CRITIC,
-            view={},
-            response=AgentResponse(
-                thinking="t",
-                output="VERDICT: FAIL collision uses undeclared width",
-                verdict=Verdict(False, "collision uses undeclared width"),
-            ),
+        _critic_outcome("entities/player.py", "VERDICT: PASS", Verdict(True)),
+        _critic_outcome(
+            "systems/collision.py",
+            "VERDICT: FAIL collision uses undeclared width",
+            Verdict(False, "collision uses undeclared width"),
         ),
     ]
-    updates, feedback, warnings = sync_statuses(tasks, outcomes)
-    assert ("entities/player.py", TaskStatus.DONE, TaskStatus.VERIFIED) in updates
-    assert ("systems/collision.py", TaskStatus.DONE, TaskStatus.ERROR) in updates
-    assert ("systems/collision.py", "collision uses undeclared width") in feedback
-    assert warnings == []
+    report = audit_layer(contract, {}, tasks, outcomes)
+    assert report.status_updates == (
+        ("entities/player.py", "DONE", "VERIFIED"),
+        ("systems/collision.py", "DONE", "ERROR"),
+    )
+    assert report.feedback == (("systems/collision.py", "collision uses undeclared width"),)
+    assert report.warnings == ()
+    assert report.interventions == (StatusRegression("systems/collision.py", "collision uses undeclared width"),)
 
 
-def test_sync_statuses_missing_verdict_warns():
+def test_audit_layer_warns_when_a_critic_gives_no_verdict():
     contract = _plane_contract()
     tasks = _tasks(contract, {"entities/player.py": TaskStatus.DONE})
-    outcomes = [
-        DispatchOutcome(
-            task_id="entities/player.py",
-            role=RoleKind.CRITIC,
-            view={},
-            response=AgentResponse(thinking="t", output="no verdict here"),
-        )
-    ]
-    updates, feedback, warnings = sync_statuses(tasks, outcomes)
-    assert updates == [] and feedback == []
-    assert any("no verdict" in w for w in warnings)
+    outcomes = [_critic_outcome("entities/player.py", "no verdict here", None)]
+    report = audit_layer(contract, {}, tasks, outcomes)
+    assert report.status_updates == () and report.feedback == ()
+    assert any("no verdict" in w for w in report.warnings)
+    assert report.interventions == ()
 
 
 def _worker_outcome(task_id: str, path: str, body: str) -> DispatchOutcome:
@@ -299,6 +291,62 @@ def test_audit_layer_schema_divergence_scenario():
     ]
     assert ("entities/player.py", "DONE", "ERROR") in report.status_updates
     assert report.consistency is False
+
+
+HUD_CLASS = simple_class("Hud", [("score", "int")], [method("def draw() -> None")])
+
+HUD_OK = """\
+class Hud:
+    def __init__(self):
+        self.score: int = 0
+
+    def draw(self) -> None:
+        pass
+"""
+
+
+def test_audit_layer_plans_amendment_regression_and_repair_into_one_state():
+    # collision's demand amends Player; hud's critic fails; the committed
+    # player body misses the amended members. Each step moves its task in
+    # one planned-status map, and the write-back stamps where they end.
+    contract = contract_with(
+        [
+            make_entry("entities/player.py", owner="backend", classes=(PLAYER_CLASS,)),
+            make_entry("systems/collision.py", owner="algorithm", classes=(COLLISION_CLASS,)),
+            make_entry("ui/hud.py", owner="frontend", classes=(HUD_CLASS,)),
+        ],
+        dependency_lines=["systems/collision.py --> entities/player.py"],
+    )
+    tasks = _tasks(contract, {"entities/player.py": TaskStatus.DONE, "ui/hud.py": TaskStatus.DONE})
+    files = _units({"entities/player.py": PLAYER_OK, "ui/hud.py": HUD_OK})
+    outcomes = [
+        _worker_outcome("systems/collision.py", "systems/collision.py", COLLISION_DEMANDING),
+        _critic_outcome("ui/hud.py", "VERDICT: FAIL the score never changes", Verdict(False, "the score never changes")),
+    ]
+    report = audit_layer(contract, files, tasks, outcomes)
+
+    directive = "Fix the schema definition; Player requires height, width."
+    assert report.interventions == (
+        ContractAmendment(added_symbols=("Player.height", "Player.width")),
+        StatusRegression("ui/hud.py", "the score never changes"),
+        SyncTask("entities/player.py", directive),
+    )
+    assert report.status_updates == (
+        ("systems/collision.py", "TODO", "DONE"),
+        ("ui/hud.py", "DONE", "ERROR"),
+        ("entities/player.py", "DONE", "ERROR"),
+    )
+    assert report.feedback == (("ui/hud.py", "the score never changes"), ("entities/player.py", directive))
+    assert report.existence == 1.0 and report.unmatched == ()
+
+    [(author, write_back, view)] = report.contract_actions
+    assert (author, view) == (AUDITOR_AUTHOR, full_view(contract))
+    written = project(apply_action(contract, write_back)).entries
+    planned = {task_id: task.status.value for task_id, task in tasks.items()}
+    planned.update((task_id, new) for task_id, _, new in report.status_updates)
+    assert {path: entry.status.value for path, entry in written.items()} == planned
+    player = written["entities/player.py"].classes[0]
+    assert [a.name for a in player.attributes][-2:] == ["height", "width"]
 
 
 def test_audit_layer_silent_rename_is_rejected():

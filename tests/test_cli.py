@@ -143,6 +143,19 @@ def test_audit_command_fails_on_a_tampered_workspace(tmp_path, capsys, tamper, f
     assert report["existence"] < 1.0 if failure == "existence" else report["consistency"] is False
 
 
+def test_audit_command_reports_a_malformed_contract_as_an_error(tmp_path, capsys):
+    code, out, _ = _generate(tmp_path, capsys)
+    assert code == 0
+    contract = out / "project.contract.md"
+    contract.write_text("## Goals\n" + contract.read_text())
+    code = main(["audit", "--contract", str(contract), "--workspace", str(out / "workspace")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error["error"] == "MalformedTemplate"
+    assert "unknown section heading 'Goals'" in error["message"]
+
+
 def test_replay_matches_and_detects_tamper(tmp_path, capsys):
     code, out, _ = _generate(tmp_path, capsys)
     assert code == 0

@@ -31,7 +31,6 @@ from charter.kernel import (
     project,
     read_type,
     task_view,
-    tasks_of,
     validate,
 )
 from charter.scheduler import RunConfig, RunMode, run
@@ -309,21 +308,6 @@ def test_generic_head_symbol_only():
     assert not any(
         v.kind is ViolationKind.TYPE_UNDEFINED for v in validate(project(contract_with([entry])))
     )
-
-
-def test_tasks_of_orders_and_copies_status():
-    entries = [
-        make_entry("b.py", status=TaskStatus.DONE, classes=(simple_class("B", [], [method("def f() -> None")]),)),
-        make_entry("a.py", status=TaskStatus.TODO, classes=(simple_class("A", [], [method("def f() -> None")]),)),
-        make_entry("c.py", status=TaskStatus.VERIFIED, classes=(simple_class("C", [], [method("def f() -> None")]),)),
-    ]
-    tasks = tasks_of(project(contract_with(entries)))
-    assert [t.id for t in tasks] == ["a.py", "b.py", "c.py"]
-    assert [t.status for t in tasks] == [TaskStatus.TODO, TaskStatus.DONE, TaskStatus.VERIFIED]
-
-
-def test_tasks_of_empty_kernel():
-    assert tasks_of(project(new_contract(DEFAULT_TEMPLATE))) == []
 
 
 def test_api_section_print_parse_round_trip():

@@ -17,13 +17,23 @@ import charter.scheduler
 import charter.workspace
 from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response, parse_response
 from charter.backends import BackendError, RequestRejected, ScriptedBackend
-from charter.contract import ActionOp, ContractAction, Rejection, SectionKey, journal_record, rejection_record, render
+from charter.contract import (
+    DEFAULT_TEMPLATE,
+    ActionOp,
+    ContractAction,
+    SectionKey,
+    journal_record,
+    new_contract,
+    rejection_record,
+    render,
+)
 from charter.kernel import ViolationKind, full_view, print_api_section, project, task_view
 from charter.ledger import file_sha256
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
     RunMode,
+    create_tasks,
     dispatch_for,
     plan_layer,
     run,
@@ -444,7 +454,7 @@ def test_rejected_document_action_keeps_audited_artifacts_and_statuses():
     # The dropped action is journaled as refused at its layer, before the
     # write-back that commits alone.
     [refused] = [j for j in result.ledger.journal if j.get("kind") == "rejected"]
-    assert refused == rejection_record(cycle, "layer 1", Rejection(refused["reason"]))
+    assert refused == rejection_record(cycle, "layer 1", refused["reason"])
     assert refused["reason"].startswith("CYCLE")
     assert result.ledger.journal[-1]["kind"] == "commit"
 
@@ -693,6 +703,40 @@ def test_every_task_starts_todo_whatever_status_the_planner_writes(status, gomok
     golden = json.loads((GOLDEN / "gomoku.json").read_text())
     assert {u.path: file_sha256(u.body) for u in result.workspace.units()} == golden["files"]
     assert result.converged and result.layers_used == golden["layers"]
+
+
+def test_create_tasks_makes_one_todo_task_per_entry_in_path_order():
+    cls = simple_class("M", [], [method("def f() -> None")])
+    entries = [
+        make_entry("b.py", owner="y", status=TaskStatus.DONE, classes=(replace(cls, name="B"),)),
+        make_entry("a.py", owner="x", status=TaskStatus.TODO, classes=(replace(cls, name="A"),)),
+        make_entry("c.py", owner="z", status=TaskStatus.VERIFIED, classes=(replace(cls, name="C"),)),
+    ]
+    kernel = project(contract_with(entries))
+    tasks = {}
+    assert create_tasks(kernel, tasks) == ["a.py", "b.py", "c.py"]
+    assert [(t.id, t.owner, t.status) for t in tasks.values()] == [
+        ("a.py", "x", TaskStatus.TODO),
+        ("b.py", "y", TaskStatus.TODO),
+        ("c.py", "z", TaskStatus.TODO),
+    ]
+    assert create_tasks(kernel, tasks) == []
+
+
+def test_create_tasks_on_an_empty_kernel_makes_none():
+    tasks = {}
+    assert create_tasks(project(new_contract(DEFAULT_TEMPLATE)), tasks) == []
+    assert tasks == {}
+
+
+def test_a_backticked_artifact_path_reaches_its_task():
+    entries = [replace(_single_module_entries()[0], file_path="a.py")]
+    records = _synthesis_records(entries) + [_worker_record(1, "a.py", MOD_BODY, path="`a.py`")]
+    assert "# FILE: `a.py`" in records[-1]["response"]
+    result = run(IntentSpec("one module"), RunConfig(t_max=1), ScriptedBackend(records))
+    assert result.tasks["a.py"].status is TaskStatus.DONE
+    assert result.workspace.paths() == ["a.py"]
+    assert result.workspace.get("a.py").body == MOD_BODY
 
 
 def test_a_task_created_at_the_barrier_gets_its_entrys_incomplete_feedback(gomoku_intent, gomoku_transcript):
