@@ -13,17 +13,23 @@ is non-zero when any run fails its oracle check (every task VERIFIED, the
 workspace equal to the generator's), and the failures go to standard error.
 
 With ``--json PATH`` the sweep also counts, for each N up to
-``LINE_EVENTS_MAX``, the ``sys.settrace`` "line" events in frames of
-``src/charter`` files during the first run of ``chain_large(seed, n)`` in a
-fresh process. That count is the engine's work: unlike CPU time it repeats
-exactly from run to run (for one Python version), however busy the host. It
-then writes every row and the slope of each column fitted on a log-log scale
-(1.0 is linear in N, 2.0 quadratic) to PATH.
+``LINE_EVENTS_MAX``, the ``sys.settrace`` "line" events during the first run
+of ``chain_large(seed, n)`` in a fresh process: in frames of ``src/charter``
+files (``line_events``, the total earlier rows compare with), and in every
+Python frame, the standard library's ``ast``, ``difflib``, ``dataclasses``
+and ``re`` included, split by phase (``phase_line_events``). An event is
+charged to the innermost phase function on the stack (``PHASES``), or to
+``other`` outside them all, so work moved into or out of the standard library
+still counts where it is done. The counts are the engine's work: unlike CPU
+time they repeat exactly from run to run (for one Python version), however
+busy the host. It then writes every row and the slope of each column fitted
+on a log-log scale (1.0 is linear in N, 2.0 quadratic) to PATH.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -51,22 +57,57 @@ LINE_EVENTS_MAX = 400
 CHARTER_SOURCES = str(ROOT / "src" / "charter") + os.sep
 
 
-def count_line_events(seed: int, n: int) -> int:
-    """The line events of one ``chain_large(seed, n)`` run in this process,
-    counted in frames of ``src/charter`` files; ValueError if the run fails
-    its oracle check."""
-    (case,) = workloads.chain_large(seed, n)
-    count = 0
+# Phase -> the functions whose calls it holds. Each line event is charged to
+# the innermost of these on the stack, so ``extract_symbols`` under the audit,
+# or a projection under the merge, is charged to its own phase.
+PHASES = {
+    "synthesis": ("agents.synthesize_contract",),
+    "plan": ("scheduler.plan_layer",),
+    "prompt_build": ("agents.build_prompt",),
+    "parse": ("agents.parse_response",),
+    "audit": ("auditor.audit_layer",),
+    "extract_symbols": ("workspace.extract_symbols",),
+    "projection_validate": ("kernel.project", "kernel.validate"),
+    "merge_commit": ("patches.commit_actions",),
+}
+OTHER = "other"
 
-    def local(frame, event, arg):
-        nonlocal count
-        if event == "line":
-            count += 1
+
+def count_line_events(seed: int, n: int) -> dict:
+    """The line events of one ``chain_large(seed, n)`` run in this process:
+    ``charter``, those in frames of ``src/charter`` files, and ``phases``,
+    those in every Python frame by phase; ValueError if the run fails its
+    oracle check."""
+    phase_of_code = {
+        getattr(importlib.import_module(f"charter.{module}"), name).__code__: phase
+        for phase, functions in PHASES.items()
+        for module, name in (function.split(".") for function in functions)
+    }
+    counts = dict.fromkeys([*PHASES, OTHER, "charter"], 0)
+    phase_of_tracer = {}
+
+    def local_tracer(phase: str, charter: bool):
+        def local(frame, event, arg):
+            if event == "line":
+                counts[phase] += 1
+                if charter:
+                    counts["charter"] += 1
+            return local
+
+        phase_of_tracer[local] = phase
         return local
 
-    def tracer(frame, event, arg):
-        return local if frame.f_code.co_filename.startswith(CHARTER_SOURCES) else None
+    tracers = {(phase, charter): local_tracer(phase, charter) for phase in [*PHASES, OTHER] for charter in (False, True)}
 
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        phase = phase_of_code.get(code)
+        if phase is None:  # the caller's phase, read off the tracer it runs under
+            caller = frame.f_back
+            phase = phase_of_tracer.get(caller.f_trace, OTHER) if caller is not None else OTHER
+        return tracers[phase, code.co_filename.startswith(CHARTER_SOURCES)]
+
+    (case,) = workloads.chain_large(seed, n)
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
@@ -76,10 +117,10 @@ def count_line_events(seed: int, n: int) -> int:
         threading.settrace(None)
     if record.problems:
         raise ValueError(f"chain_large(seed={seed}, n={n}): {'; '.join(record.problems)}")
-    return count
+    return {"charter": counts.pop("charter"), "phases": counts}
 
 
-def line_events(seed: int, n: int) -> int:
+def line_events(seed: int, n: int) -> dict:
     """``count_line_events`` of the first run in a fresh process, so no cache
     of an earlier run in this one is warm."""
     proc = subprocess.run(
@@ -89,7 +130,7 @@ def line_events(seed: int, n: int) -> int:
     )
     if proc.returncode != 0:
         raise RuntimeError(f"line-event count for n={n} failed: {proc.stderr.strip()[-500:]}")
-    return int(proc.stdout.split()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 def fitted_slope(points: list[tuple[int, float]]) -> float | None:
@@ -102,6 +143,12 @@ def fitted_slope(points: list[tuple[int, float]]) -> float | None:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
 
 
+def _rounded(value):
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    return None if value is None else round(value, 3)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seed", type=int, default=1)
@@ -110,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count-line-events", type=int, metavar="N", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.count_line_events is not None:
-        print(count_line_events(args.seed, args.count_line_events))
+        print(json.dumps(count_line_events(args.seed, args.count_line_events)))
         return 0
 
     print("| N files | CPU s | prompt tokens | largest prompt | planner | reviewer | worker/critic | line events |")
@@ -133,7 +180,9 @@ def main(argv: list[str] | None = None) -> int:
             "largest_prompt_by_role": largest,
         }
         if args.json is not None and n <= LINE_EVENTS_MAX:
-            row["line_events"] = line_events(args.seed, n)
+            counted = line_events(args.seed, n)
+            row["line_events"] = counted["charter"]
+            row["phase_line_events"] = counted["phases"]
         cells = [f"{n}", f"{record.cpu_s:.2f}", f"{row['prompt_tokens']:,}", f"{row['largest_prompt']:,}"]
         cells += [f"{size:,}" for size in largest.values()]
         cells.append(f"{row['line_events']:,}" if "line_events" in row else "")
@@ -148,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
             key: fitted_slope([(row["n"], row[key]) for row in rows if row.get(key)])
             for key in ("cpu_s", "prompt_tokens", "largest_prompt", "line_events")
         }
+        slopes["phase_line_events"] = {
+            phase: fitted_slope([(row["n"], row["phase_line_events"][phase]) for row in rows if "phase_line_events" in row])
+            for phase in [*PHASES, OTHER]
+        }
         record = {
             "workload": "perfbench.workloads.chain_large",
             "seed": args.seed,
@@ -157,8 +210,13 @@ def main(argv: list[str] | None = None) -> int:
             "line_events": (
                 f"sys.settrace line events in src/charter frames, first run in a fresh process, N <= {LINE_EVENTS_MAX}"
             ),
+            "phase_line_events": (
+                "the same run's line events in every Python frame, each charged to the innermost phase function on "
+                "the stack: " + "; ".join(f"{phase} = {', '.join(functions)}" for phase, functions in PHASES.items())
+                + f"; {OTHER} = outside them all"
+            ),
             "rows": rows,
-            "slopes": {key: None if value is None else round(value, 3) for key, value in slopes.items()},
+            "slopes": {key: _rounded(value) for key, value in slopes.items()},
         }
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")

@@ -228,8 +228,10 @@ def build_prompt(
 # --- response protocol -------------------------------------------------------
 
 _BLOCK_RE = re.compile(r"<(thinking|output|document_action)>\s*\n?(.*?)\n?\s*</\1>", re.S)
-_ARTIFACT_RE = re.compile(r"```[A-Za-z0-9_+-]*\n# FILE: ([^\n]+)\n(.*?)```", re.S)
-_VERDICT_RE = re.compile(r"^VERDICT:\s*(PASS|FAIL)\s*(.*)$", re.M)
+# The ``FILE:`` marker and the verdict are matched in any case; a verdict may
+# be wrapped in emphasis (``**VERDICT: PASS**``, ``**VERDICT:** FAIL reason``).
+_ARTIFACT_RE = re.compile(r"```[A-Za-z0-9_+-]*\n#[ \t]*FILE:[ \t]*([^\n]+)\n(.*?)```", re.S | re.I)
+_VERDICT_RE = re.compile(r"^(\*\*|__|\*|_)?VERDICT:\1?\s*(PASS|FAIL)\s*(.*)$", re.M | re.I)
 
 
 def _section_key(name: str) -> SectionKey:
@@ -278,7 +280,8 @@ def _parse_actions(payload: str) -> tuple[ContractAction, ...]:
 
 def parse_response(raw: str) -> AgentResponse:
     """Parse the tagged three-block format into a structured response. An
-    artifact path may be written in backticks (``# FILE: `a.py` ``)."""
+    artifact path may be written in backticks (``# FILE: `a.py` ``); the
+    marker and the verdict are read in any case."""
     blocks = {name: body for name, body in _BLOCK_RE.findall(raw)}
     if "output" not in blocks:
         raise ParseError("response has no <output> block")
@@ -289,7 +292,8 @@ def parse_response(raw: str) -> AgentResponse:
     verdict = None
     m = _VERDICT_RE.search(output)
     if m:
-        verdict = Verdict(passed=m.group(1) == "PASS", reason=m.group(2).strip())
+        emphasis, word, reason = m.group(1) or "", m.group(2), m.group(3).strip()
+        verdict = Verdict(passed=word.upper() == "PASS", reason=reason.removesuffix(emphasis).strip())
     return AgentResponse(
         thinking=thinking,
         output=output,

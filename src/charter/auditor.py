@@ -223,7 +223,7 @@ def _is_internal_name(name: str) -> bool:
 
 def code_classes(symbols: ExtractedSymbols) -> dict[str, ClassSpec]:
     """The class each name denotes in analyzed code: the first of that name in
-    ``symbols.classes``. The walk that fills it is breadth-first, so a
+    ``symbols.classes``, which is in ``ast.walk``'s breadth-first order, so a
     module-level class wins over a nested one of the same name. ``match``,
     ``compare_unit`` and the amendment all read classes through here."""
     classes: dict[str, ClassSpec] = {}

@@ -20,7 +20,7 @@ which case the current best-effort repository is returned.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -140,12 +140,13 @@ def run_layer(
 ) -> list[DispatchOutcome]:
     """Execute one layer against a single snapshot and collect at the barrier.
 
-    A failing dispatch only affects its own task. The dispatches are mapped
-    over ``pool``, the run's dispatch pool; with ``pool=None`` (SEQUENTIAL
-    mode, or a layer of one dispatch) they run one at a time in plan order on
-    the caller's thread. The caller chooses: ``config.mode`` does not select
-    the pool here. The scripted backend makes the two produce identical
-    outputs.
+    A failing dispatch only affects its own task. The requests are submitted
+    to ``pool``, the run's dispatch pool, whose threads only wait for the
+    backend; this thread waits once for them all, then parses each answer in
+    plan order. With ``pool=None`` (SEQUENTIAL mode, or a layer of one
+    dispatch) the requests are sent one at a time in plan order on the
+    caller's thread. The caller chooses: ``config.mode`` does not select the
+    pool here. The scripted backend makes the two produce identical outputs.
     """
     all_paths = tuple(sorted(tasks))
     requests: list[tuple[Dispatch, CompletionRequest | None, str]] = []
@@ -175,23 +176,35 @@ def run_layer(
             )
         )
 
-    def execute(item: tuple[Dispatch, CompletionRequest | None, str]) -> DispatchOutcome:
-        dispatch, request, build_error = item
+    def complete(request: CompletionRequest) -> str | Exception:
+        """The answer, or what the backend raised; a pool thread runs only this."""
+        logger.info("event=dispatch_start layer=%d role=%s task=%s", layer, request.role, request.task_id)
+        try:
+            return backend.complete(request)
+        except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
+            return exc
+
+    sent = [request for _, request, _ in requests if request is not None]
+    if pool is None:
+        answers = map(complete, sent)  # each is sent as its outcome is built, in plan order
+    else:
+        futures = [pool.submit(complete, request) for request in sent]
+        wait(futures)
+        answers = (future.result() for future in futures)
+    outcomes: list[DispatchOutcome] = []
+    for dispatch, request, build_error in requests:
         if request is None:
             # No prompt was sent, so the dispatch was shown no line.
-            return DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, view={}, error=build_error)
-        logger.info(
-            "event=dispatch_start layer=%d role=%s task=%s", layer, dispatch.role.value, dispatch.task_id
-        )
+            outcomes.append(DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, view={}, error=build_error))
+            continue
         outcome_of = partial(DispatchOutcome, dispatch.task_id, dispatch.role, request.bundle.view)
-        try:
-            raw = backend.complete(request)
-        except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
+        answer = next(answers)
+        if isinstance(answer, Exception):
             # A refused request would be refused again, so it is no transport failure.
-            outcome = outcome_of(error=str(exc), transport_failed=not isinstance(exc, RequestRejected))
+            outcome = outcome_of(error=str(answer), transport_failed=not isinstance(answer, RequestRejected))
         else:
             try:
-                outcome = outcome_of(response=parse_response(raw))
+                outcome = outcome_of(response=parse_response(answer))
             except Exception as exc:  # noqa: BLE001 - isolate failures per dispatch
                 outcome = outcome_of(error=str(exc))
         logger.info(
@@ -201,9 +214,8 @@ def run_layer(
             dispatch.task_id,
             not outcome.error,
         )
-        return outcome
-
-    return list((pool.map if pool else map)(execute, requests))
+        outcomes.append(outcome)
+    return outcomes
 
 
 def create_tasks(kernel: SymbolicKernel, tasks: dict[str, Task]) -> list[str]:

@@ -14,6 +14,8 @@ receiver is a typed parameter of a def whose body reads it and never
 rebinds it: a local, a module-level name, an untyped parameter, a lambda's
 parameter or a comprehension's target (each of the last three shadows an
 outer typed parameter) has no type to read, whatever its name.
+One depth-first walk reads a module and visits each node once; leaving a
+def, it drops the uses read there of a name the def binds.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
 unit, and files of any other type yield no symbols. The workspace stores the
@@ -64,57 +66,11 @@ class ExtractedSymbols:
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
-# What binds untyped names of its own scope: its parameters or targets.
-_UNTYPED_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-# The fields a def, lambda or comprehension reads in its own scope.
-_INNER_FIELDS = frozenset({"body", "elt", "key", "value", "generators"})
-# What can hold a statement, and so a class, an import or a def.
-_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
-
-
-def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple[str, str]]:
-    """``self.NAME [: TYPE] = ...`` targets anywhere in a constructor, in source order."""
-    params = init.args.posonlyargs + init.args.args
-    if not params:
-        return []
-    receiver = params[0].arg
-    found: list[tuple[int, int, str, str]] = []
-    for node in ast.walk(init):
-        if isinstance(node, ast.Assign):
-            targets, type_name = node.targets, "any"
-        elif isinstance(node, ast.AnnAssign):
-            targets, type_name = [node.target], read_type(node.annotation)
-        else:
-            continue
-        for target in targets:
-            for item in target.elts if isinstance(target, ast.Tuple) else (target,):
-                if isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name) and item.value.id == receiver:
-                    found.append((item.lineno, item.col_offset, item.attr, type_name))
-    return [(name, type_name) for _, _, name, type_name in sorted(found)]
-
-
-def _class(node: ast.ClassDef, signatures: dict[ast.AST, MethodSig]) -> ClassSpec:
-    """Class-body annotations (dataclass fields) and constructor assignments
-    are attributes, typed ``"any"`` when unannotated; the class body's own
-    defs are methods, and their signatures are recorded in ``signatures``.
-    The first definition of a name wins, so a property's setter does not
-    replace its getter."""
-    attributes: dict[str, str] = {}
-    methods: dict[str, MethodSig] = {}
-    for item in node.body:
-        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-            attributes.setdefault(item.target.id, read_type(item.annotation))
-        elif isinstance(item, _DEFS):
-            signatures[item] = read_signature(item)
-            methods.setdefault(item.name, signatures[item])
-            if item.name == "__init__":
-                for name, type_name in _self_attributes(item):
-                    attributes.setdefault(name, type_name)
-    return ClassSpec(
-        name=node.name,
-        attributes=tuple(AttributeSpec(name, type_name) for name, type_name in attributes.items()),
-        methods=tuple(methods.values()),
-    )
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+# The fields that hold statements, handlers or match cases.
+_BLOCKS = frozenset({"body", "orelse", "finalbody", "handlers", "cases"})
+# The field naming what a pattern binds.
+_PATTERN_NAMES = {ast.MatchAs: "name", ast.MatchStar: "name", ast.MatchMapping: "rest"}
 
 
 def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
@@ -131,86 +87,150 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
     except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
     try:
-        return _read_module(tree, walrus=":=" in unit.body)
+        return _read_module(tree)
     except (RecursionError, MemoryError):
         return ExtractedSymbols(unanalyzable=True)
 
 
-def _own_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef, walrus: bool) -> set[str]:
-    """The names a def's body binds in the def's own scope: targets of every
-    kind, walruses (in a comprehension too), imports, ``del`` and nested defs
-    and classes, but nothing a nested def, lambda or class binds inside."""
-    bound: set[str] = set()
-    stack: list[ast.AST] = list(node.body)
-    while stack:
-        child = stack.pop()
-        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load):
-            bound.add(child.id)
-        elif isinstance(child, (*_DEFS, ast.ClassDef, ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and child.name:
-            bound.add(child.name)
-        elif isinstance(child, ast.MatchMapping) and child.rest:
-            bound.add(child.rest)
-        elif isinstance(child, ast.alias):
-            bound.add(child.asname or child.name.split(".")[0])
-        if isinstance(child, ast.comprehension):
-            stack += [child.iter, *child.ifs]
-        elif isinstance(child, ast.expr) and not walrus and isinstance(getattr(child, "ctx", ast.Load()), ast.Load):
-            pass  # with no walrus in the module, an expression binds only as a target
-        elif not isinstance(child, (*_DEFS, ast.ClassDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(child))
-    return bound
+def _read_module(tree: ast.Module) -> ExtractedSymbols:
+    """One depth-first walk that visits each node once. It enters every
+    statement, and an expression only where a typed name is in scope: a
+    typed parameter of a def whose body holds it (a def's decorators,
+    defaults and annotations are read in the enclosing scope). A lambda's
+    parameters and a comprehension's targets hide an outer typed name. Each
+    def collects the uses read in its scope and the names it binds there
+    (targets, walruses, imports, ``del``, handlers, patterns, nested defs and
+    classes); leaving it, the walk drops the uses of a name it binds, so a
+    binding anywhere in a def untypes the name in all of it. A class reads
+    its annotations, method signatures and constructors' ``self.NAME``
+    targets as the walk passes them. Classes and imports keep ``ast.walk``'s
+    order (by depth, then position). Only defs, classes, lambdas and
+    comprehensions recurse, so a deep ``elif`` chain costs no frames."""
+    classes: list[tuple[tuple[int, int, int], ClassSpec]] = []  # (depth, line, column) first
+    imports: list[tuple[tuple[int, int, int], list[tuple[str, str]]]] = []
+    uses: list[tuple[tuple[int, int], str, str, str]] = []  # (position, type, attribute, receiver)
+    constructors: list[tuple[str | None, list]] = []  # (receiver, self.NAME targets) of each one the walk is in
 
+    def read_def(node, depth, scope, frame, constructor=False) -> tuple[MethodSig, list[tuple[str, str]]]:
+        """The def's signature and, for a constructor, its attributes."""
+        signature = read_signature(node)
+        if scope:
+            expressions([getattr(node, name) for name in node._fields if name != "body"], scope, frame, None)
+        params = dict(signature.params)
+        typed = {name: t for name, t in {**scope, **params}.items() if t != "any"}  # "any" hides an outer type
+        own, bound, assigned = [], set(), []  # uses read in its scope, names bound there, self.NAME targets
+        if constructor:
+            receiver = node.args.posonlyargs + node.args.args
+            constructors.append((receiver[0].arg if receiver else None, assigned))
+        statements(node.body, depth + 1, typed, own, bound if typed else None)
+        if constructor:
+            constructors.pop()
+        for use in own:
+            if use[3] not in bound:
+                (uses if use[3] in params else frame).append(use)
+        return signature, [(name, type_name) for _, _, name, type_name in sorted(assigned)]
 
-def _read_module(tree: ast.Module, walrus: bool) -> ExtractedSymbols:
-    """One breadth-first walk, in ``ast.walk``'s order, in which each node
-    carries the typed parameters of the defs whose bodies hold it (a def's
-    decorators, defaults and annotations are read in the enclosing scope).
-    A lambda's parameters and a comprehension's targets are untyped names of
-    their own scope, so they hide an outer typed parameter of the same name,
-    and a name a def binds in its own scope (``_own_bindings``) is untyped in
-    all of that def. An expression is entered only where such a parameter is
-    in scope."""
-    classes: list[ClassSpec] = []
-    imports: list[tuple[str, str]] = []
-    uses: list[tuple[tuple[int, int], str, str]] = []  # source position first: the walk is breadth-first
-    signatures: dict[ast.AST, MethodSig] = {}  # a class's methods, read by ``_class``
-    queue: list[tuple[ast.AST, dict[str, str]]] = [(tree, {})]
-    for node, scope in queue:  # the queue grows as it is read
-        inner = scope
-        if isinstance(node, ast.Attribute):
-            if isinstance(node.value, ast.Name) and node.value.id in scope:
-                uses.append(((node.lineno, node.col_offset), scope[node.value.id], node.attr))
-        elif isinstance(node, _DEFS):
-            # An untyped parameter ("any") shadows an outer typed one.
-            signature = signatures.pop(node, None) or read_signature(node)
-            typed = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
-            bound = _own_bindings(node, walrus) if typed else set()
-            inner = {name: t for name, t in typed.items() if name not in bound}
-        elif isinstance(node, _UNTYPED_SCOPES):
-            if isinstance(node, ast.Lambda):
-                args = node.args
-                every = (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
-                bound = {a.arg for a in every if a is not None}
-            else:
-                bound = {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
-                # The first iterable is read outside the comprehension: it is
-                # queued in the outer scope too, and a use found twice is
-                # recorded once.
-                queue.append((node.generators[0].iter, scope))
-            inner = {name: t for name, t in scope.items() if name not in bound}
-        elif isinstance(node, ast.ClassDef):
-            classes.append(_class(node, signatures))
-        elif isinstance(node, ast.Import):
-            imports.extend((alias.name, WHOLE_MODULE) for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            module = "." * node.level + (node.module or "")
-            imports.extend((module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names)
-        for name in node._fields:
-            held = inner if name in _INNER_FIELDS else scope
-            value = getattr(node, name)
-            for child in value if isinstance(value, list) else (value,):
-                if isinstance(child, _BLOCKS) or (held and isinstance(child, ast.AST)):
-                    queue.append((child, held))
+    def read_class(node, depth, scope, frame) -> None:
+        """Class-body annotations and constructor assignments are attributes
+        (``"any"`` unannotated), its own defs methods; the first of a name
+        wins, so a property's setter does not replace its getter."""
+        if scope:
+            expressions([getattr(node, name) for name in node._fields if name != "body"], scope, frame, None)
+        attributes: dict[str, str] = {}
+        methods: dict[str, MethodSig] = {}
+        for item in node.body:
+            if isinstance(item, _DEFS):
+                signature, assigned = read_def(item, depth + 1, scope, frame, item.name == "__init__")
+                methods.setdefault(item.name, signature)
+                for name, type_name in assigned:
+                    attributes.setdefault(name, type_name)
+                continue
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                attributes.setdefault(item.target.id, read_type(item.annotation))
+            statements([item], depth + 1, scope, frame, None)
+        spec = ClassSpec(node.name, tuple(AttributeSpec(n, t) for n, t in attributes.items()), tuple(methods.values()))
+        classes.append(((depth, node.lineno, node.col_offset), spec))
+
+    def statements(body, depth, scope, frame, bound) -> None:
+        """The statements of ``body``, then their expressions if a typed name is in scope."""
+        stack = [(node, depth) for node in body]
+        found: list = []
+        while stack:
+            node, depth = stack.pop()
+            kind = node.__class__
+            if kind in readers:
+                if bound is not None:
+                    bound.add(node.name)
+                readers[kind](node, depth, scope, frame)
+                continue
+            if kind is ast.Import or kind is ast.ImportFrom:
+                if kind is ast.Import:
+                    pairs = [(alias.name, WHOLE_MODULE) for alias in node.names]
+                else:
+                    module = "." * node.level + (node.module or "")
+                    pairs = [(module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names]
+                imports.append(((depth, node.lineno, node.col_offset), pairs))
+                if bound is not None:
+                    bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+                continue
+            if constructors and (kind is ast.Assign or kind is ast.AnnAssign):
+                annotated = kind is ast.AnnAssign
+                targets, type_name = ([node.target], read_type(node.annotation)) if annotated else (node.targets, "any")
+                for target in targets:
+                    for item in target.elts if isinstance(target, ast.Tuple) else (target,):
+                        if isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name):
+                            for receiver, assigned in constructors:
+                                if item.value.id == receiver:
+                                    assigned.append((item.lineno, item.col_offset, item.attr, type_name))
+            elif kind is ast.ExceptHandler and node.name and bound is not None:
+                bound.add(node.name)
+            for name in node._fields:
+                if name in _BLOCKS:
+                    stack += [(child, depth + 1) for child in getattr(node, name)]
+                elif scope:
+                    found.append(getattr(node, name))
+        if found:
+            expressions(found, scope, frame, bound)
+
+    def expressions(found, scope, frame, bound) -> None:
+        """Each ``name.attr`` of a receiver typed in ``scope`` goes to ``frame``, each name bound to ``bound``."""
+        stack = list(found)
+        while stack:
+            node = stack.pop()
+            kind = node.__class__
+            if kind is ast.Name:
+                if bound is not None and node.ctx.__class__ is not ast.Load:
+                    bound.add(node.id)
+            elif kind is list:
+                stack += node
+            elif kind is ast.Attribute and node.value.__class__ is ast.Name:
+                receiver = node.value.id
+                if receiver in scope:
+                    frame.append(((node.lineno, node.col_offset), scope[receiver], node.attr, receiver))
+            elif kind is ast.Lambda:
+                a = node.args
+                hidden = {p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p is not None}
+                expressions([a], scope, frame, None)  # the defaults are read outside the lambda
+                if inner := {name: t for name, t in scope.items() if name not in hidden}:
+                    expressions([node.body], inner, frame, None)
+            elif kind in _COMPREHENSIONS:
+                generators = node.generators
+                hidden = {n.id for g in generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+                stack.append(generators[0].iter)  # the first iterable is read outside the comprehension
+                if inner := {name: t for name, t in scope.items() if name not in hidden}:  # a target holds no use
+                    parts = [getattr(node, name) for name in node._fields if name != "generators"]
+                    parts += [*(g.ifs for g in generators), *(g.iter for g in generators[1:])]
+                    expressions(parts, inner, frame, bound)
+            elif isinstance(node, ast.AST) and kind is not ast.Constant:
+                if kind in _PATTERN_NAMES and bound is not None and getattr(node, _PATTERN_NAMES[kind]):
+                    bound.add(getattr(node, _PATTERN_NAMES[kind]))
+                for name in node._fields:
+                    value = getattr(node, name)
+                    if value.__class__ is list or isinstance(value, ast.AST) and name != "ctx":
+                        stack.append(value)
+
+    readers = {ast.FunctionDef: read_def, ast.AsyncFunctionDef: read_def, ast.ClassDef: read_class}
+    statements(tree.body, 1, {}, None, None)
 
     toplevel: list[str] = []
     for node in tree.body:
@@ -225,9 +245,9 @@ def _read_module(tree: ast.Module, walrus: bool) -> ExtractedSymbols:
             toplevel.extend(alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*")
 
     return ExtractedSymbols(
-        classes=tuple(classes),
-        imports=tuple(imports),
-        attribute_uses=tuple(dict.fromkeys(use[1:] for use in sorted(uses))),
+        classes=tuple(spec for _, spec in sorted(classes, key=lambda found: found[0])),
+        imports=tuple(pair for _, pairs in sorted(imports, key=lambda found: found[0]) for pair in pairs),
+        attribute_uses=tuple(dict.fromkeys(use[1:3] for use in sorted(uses))),
         toplevel_names=tuple(dict.fromkeys(toplevel)),
     )
 

@@ -154,6 +154,28 @@ def test_parse_response_artifacts_and_verdict():
     assert response.verdict == Verdict(passed=False, reason="collision uses undeclared width")
 
 
+
+# How a live model may spell the verdict and the file marker: label ->
+# (output line, marker line, the verdict read, the artifacts read). A marker
+# that is not read loses the artifact and spends the worker's attempt.
+A_PY = (("a.py", "x = 1\n"),)
+CASE_DEVIATIONS = {
+    "canonical": ("VERDICT: FAIL collision", "# FILE: a.py", Verdict(False, "collision"), A_PY),
+    "verdict word in title case": ("Verdict: pass", "# File: a.py", Verdict(True), A_PY),
+    "bold verdict": ("**VERDICT: PASS**", "#FILE: a.py", Verdict(True), A_PY),
+    "bold label before a reason": ("**VERDICT:** FAIL missing x", "# file: a.py", Verdict(False, "missing x"), A_PY),
+    "bold verdict with its reason": ("**VERDICT: FAIL missing x**", "# FILE: a.py", Verdict(False, "missing x"), A_PY),
+    "a verdict in prose is none": ("my verdict: the code passes", "# FILE: a.py", None, A_PY),
+    "a marker that is no comment is none": ("VERDICT: PASS", "FILE: a.py", Verdict(True), ()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_DEVIATIONS))
+def test_the_verdict_and_the_file_marker_are_read_in_any_case(case):
+    line, marker, verdict, artifacts = CASE_DEVIATIONS[case]
+    response = parse_response(f"<output>\nreviewed\n{line}\n</output>\n```python\n{marker}\nx = 1\n```")
+    assert (response.verdict, response.artifacts) == (verdict, artifacts)
+
 @pytest.mark.parametrize(
     "response",
     [

@@ -1,10 +1,10 @@
 """The engine's work grows linearly with the number of contracted files.
 
 The work is counted as ``scripts/sweep_chain.py`` counts it for
-``BENCH_scaling.json``: ``sys.settrace`` line events in ``charter`` frames
-during the first run of the synthetic chain in a fresh process. The count
-repeats exactly, so the gate holds on any host; CPU time is recorded by the
-sweep but not gated.
+``BENCH_scaling.json``: ``sys.settrace`` line events during the first run of
+the synthetic chain in a fresh process, in ``charter`` frames for the total
+and in every Python frame for each phase. The counts repeat exactly, so the
+gates hold on any host; CPU time is recorded by the sweep but not gated.
 """
 
 from __future__ import annotations
@@ -25,8 +25,22 @@ def _sweep():
     return module
 
 
-def test_the_line_event_count_grows_linearly_from_100_to_200_files():
-    sweep = _sweep()
-    small, large = sweep.line_events(1, 100), sweep.line_events(1, 200)
+SWEEP = _sweep()
+
+
+@pytest.fixture(scope="module")
+def counts():
+    return SWEEP.line_events(1, 100), SWEEP.line_events(1, 200)
+
+
+def test_the_line_event_count_grows_linearly_from_100_to_200_files(counts):
+    small, large = counts[0]["charter"], counts[1]["charter"]
     assert math.log2(large / small) <= 1.10, (small, large)
-    assert sweep.fitted_slope([(100, small), (200, large)]) == pytest.approx(math.log2(large / small))
+    assert SWEEP.fitted_slope([(100, small), (200, large)]) == pytest.approx(math.log2(large / small))
+
+
+@pytest.mark.parametrize("phase", [*SWEEP.PHASES, SWEEP.OTHER])
+def test_each_phase_grows_linearly_from_100_to_200_files(counts, phase):
+    small, large = counts[0]["phases"][phase], counts[1]["phases"][phase]
+    assert small > 0, phase
+    assert math.log2(large / small) <= 1.10, (phase, small, large)

@@ -174,6 +174,55 @@ def test_run_layer_isolates_missing_transcript_entry():
     assert "no transcript entry" in by_task["b.py"].error
 
 
+
+def test_a_parallel_layer_parses_every_answer_on_the_calling_thread(monkeypatch):
+    """Pool threads only wait for the backend: the layer's own thread parses
+    each answer, and still reads a raise as a transport failure and a garbled
+    answer as a parse error."""
+    paths = ("a.py", "b.py", "c.py")
+    contract = contract_with(
+        [make_entry(path, classes=(simple_class(path[0].upper(), [], [method("def f() -> None")]),)) for path in paths]
+    )
+    tasks = {path: Task(id=path, owner="d") for path in paths}
+    parsed_on, completed_on = [], []
+
+    def recording_parse(raw):
+        parsed_on.append(threading.current_thread())
+        return parse_response(raw)
+
+    class Backend:
+        def __init__(self, answers):
+            self.answers = answers
+
+        def complete(self, request):
+            completed_on.append(threading.current_thread())
+            answer = self.answers[request.task_id]
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+    monkeypatch.setattr(charter.scheduler, "parse_response", recording_parse)
+    answers = {path: _worker_record(1, path, "class A:\n    pass\n")["response"] for path in paths}
+
+    def layer(backend):
+        with charter.scheduler.ThreadPoolExecutor(max_workers=3) as pool:
+            plan = plan_layer(tasks, Workspace())
+            return run_layer(plan, backend, contract, IntentSpec("x"), tasks, Workspace(), 1, RunConfig(), pool=pool)
+
+    outcomes = layer(Backend(answers))
+    assert [o.task_id for o in outcomes] == list(paths)
+    assert all(o.response is not None and not o.error for o in outcomes)
+    assert parsed_on == [threading.current_thread()] * 3
+    assert threading.current_thread() not in completed_on
+
+    parsed_on.clear()
+    failing = {**answers, "b.py": BackendError("connection reset"), "c.py": "no tagged blocks"}
+    a, b, c = layer(Backend(failing))
+    assert a.response is not None and not a.error
+    assert (b.response, b.error, b.transport_failed) == (None, "connection reset", True)
+    assert c.response is None and "no <output> block" in c.error and not c.transport_failed
+    assert parsed_on == [threading.current_thread()] * 2
+
 def test_sequential_and_parallel_modes_match(gomoku_intent, gomoku_transcript):
     intent = IntentSpec(gomoku_intent.read_text())
     results = {}

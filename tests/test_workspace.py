@@ -2,13 +2,15 @@ from __future__ import annotations
 
 import ast
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from charter import workspace
 from charter.agents import parse_response
-from charter.kernel import MethodSig, read_signature
+from charter.kernel import AttributeSpec, ClassSpec, MethodSig, read_signature, read_type
 from charter.workspace import (
     ExtractedSymbols,
     FileUnit,
@@ -24,6 +26,9 @@ from charter.workspace import (
 
 from conftest import fixture_path
 from test_conformance import MUTATIONS, PATH, _applies, _entries, _render
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import synth  # noqa: E402
 
 PLAYER_BODY = '''\
 """Player entity."""
@@ -304,6 +309,174 @@ def positional_typed_uses(body: str) -> tuple[tuple[str, str], ...]:
     return tuple(dict.fromkeys(use[1:] for use in sorted(uses)))
 
 
+# --- the reference reader ----------------------------------------------------
+# The breadth-first reader that ``workspace._read_module``'s one walk
+# replaced, kept verbatim as the reference the walk must equal field for
+# field: a queue in ``ast.walk``'s order, ``_class``'s signatures handed to
+# the walk, a walk of each constructor and a second walk of each typed def.
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# What binds untyped names of its own scope: its parameters or targets.
+_UNTYPED_SCOPES = (ast.Lambda, ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+# The fields a def, lambda or comprehension reads in its own scope.
+_INNER_FIELDS = frozenset({"body", "elt", "key", "value", "generators"})
+# What can hold a statement, and so a class, an import or a def.
+_BLOCKS = (ast.stmt, ast.excepthandler, ast.match_case)
+
+
+def _self_attributes(init: ast.FunctionDef | ast.AsyncFunctionDef) -> list[tuple[str, str]]:
+    """``self.NAME [: TYPE] = ...`` targets anywhere in a constructor, in source order."""
+    params = init.args.posonlyargs + init.args.args
+    if not params:
+        return []
+    receiver = params[0].arg
+    found: list[tuple[int, int, str, str]] = []
+    for node in ast.walk(init):
+        if isinstance(node, ast.Assign):
+            targets, type_name = node.targets, "any"
+        elif isinstance(node, ast.AnnAssign):
+            targets, type_name = [node.target], read_type(node.annotation)
+        else:
+            continue
+        for target in targets:
+            for item in target.elts if isinstance(target, ast.Tuple) else (target,):
+                if isinstance(item, ast.Attribute) and isinstance(item.value, ast.Name) and item.value.id == receiver:
+                    found.append((item.lineno, item.col_offset, item.attr, type_name))
+    return [(name, type_name) for _, _, name, type_name in sorted(found)]
+
+
+def _class(node: ast.ClassDef, signatures: dict[ast.AST, MethodSig]) -> ClassSpec:
+    """Class-body annotations (dataclass fields) and constructor assignments
+    are attributes, typed ``"any"`` when unannotated; the class body's own
+    defs are methods, and their signatures are recorded in ``signatures``.
+    The first definition of a name wins, so a property's setter does not
+    replace its getter."""
+    attributes: dict[str, str] = {}
+    methods: dict[str, MethodSig] = {}
+    for item in node.body:
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+            attributes.setdefault(item.target.id, read_type(item.annotation))
+        elif isinstance(item, _DEFS):
+            signatures[item] = read_signature(item)
+            methods.setdefault(item.name, signatures[item])
+            if item.name == "__init__":
+                for name, type_name in _self_attributes(item):
+                    attributes.setdefault(name, type_name)
+    return ClassSpec(
+        name=node.name,
+        attributes=tuple(AttributeSpec(name, type_name) for name, type_name in attributes.items()),
+        methods=tuple(methods.values()),
+    )
+
+
+def _own_bindings(node: ast.FunctionDef | ast.AsyncFunctionDef, walrus: bool) -> set[str]:
+    """The names a def's body binds in the def's own scope: targets of every
+    kind, walruses (in a comprehension too), imports, ``del`` and nested defs
+    and classes, but nothing a nested def, lambda or class binds inside."""
+    bound: set[str] = set()
+    stack: list[ast.AST] = list(node.body)
+    while stack:
+        child = stack.pop()
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Load):
+            bound.add(child.id)
+        elif isinstance(child, (*_DEFS, ast.ClassDef, ast.ExceptHandler, ast.MatchAs, ast.MatchStar)) and child.name:
+            bound.add(child.name)
+        elif isinstance(child, ast.MatchMapping) and child.rest:
+            bound.add(child.rest)
+        elif isinstance(child, ast.alias):
+            bound.add(child.asname or child.name.split(".")[0])
+        if isinstance(child, ast.comprehension):
+            stack += [child.iter, *child.ifs]
+        elif isinstance(child, ast.expr) and not walrus and isinstance(getattr(child, "ctx", ast.Load()), ast.Load):
+            pass  # with no walrus in the module, an expression binds only as a target
+        elif not isinstance(child, (*_DEFS, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(child))
+    return bound
+
+
+def _read_module(tree: ast.Module, walrus: bool) -> ExtractedSymbols:
+    """One breadth-first walk, in ``ast.walk``'s order, in which each node
+    carries the typed parameters of the defs whose bodies hold it (a def's
+    decorators, defaults and annotations are read in the enclosing scope).
+    A lambda's parameters and a comprehension's targets are untyped names of
+    their own scope, so they hide an outer typed parameter of the same name,
+    and a name a def binds in its own scope (``_own_bindings``) is untyped in
+    all of that def. An expression is entered only where such a parameter is
+    in scope."""
+    classes: list[ClassSpec] = []
+    imports: list[tuple[str, str]] = []
+    uses: list[tuple[tuple[int, int], str, str]] = []  # source position first: the walk is breadth-first
+    signatures: dict[ast.AST, MethodSig] = {}  # a class's methods, read by ``_class``
+    queue: list[tuple[ast.AST, dict[str, str]]] = [(tree, {})]
+    for node, scope in queue:  # the queue grows as it is read
+        inner = scope
+        if isinstance(node, ast.Attribute):
+            if isinstance(node.value, ast.Name) and node.value.id in scope:
+                uses.append(((node.lineno, node.col_offset), scope[node.value.id], node.attr))
+        elif isinstance(node, _DEFS):
+            # An untyped parameter ("any") shadows an outer typed one.
+            signature = signatures.pop(node, None) or read_signature(node)
+            typed = {name: t for name, t in {**scope, **dict(signature.params)}.items() if t != "any"}
+            bound = _own_bindings(node, walrus) if typed else set()
+            inner = {name: t for name, t in typed.items() if name not in bound}
+        elif isinstance(node, _UNTYPED_SCOPES):
+            if isinstance(node, ast.Lambda):
+                args = node.args
+                every = (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+                bound = {a.arg for a in every if a is not None}
+            else:
+                bound = {n.id for g in node.generators for n in ast.walk(g.target) if isinstance(n, ast.Name)}
+                # The first iterable is read outside the comprehension: it is
+                # queued in the outer scope too, and a use found twice is
+                # recorded once.
+                queue.append((node.generators[0].iter, scope))
+            inner = {name: t for name, t in scope.items() if name not in bound}
+        elif isinstance(node, ast.ClassDef):
+            classes.append(_class(node, signatures))
+        elif isinstance(node, ast.Import):
+            imports.extend((alias.name, WHOLE_MODULE) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            imports.extend((module, WHOLE_MODULE if alias.name == "*" else alias.name) for alias in node.names)
+        for name in node._fields:
+            held = inner if name in _INNER_FIELDS else scope
+            value = getattr(node, name)
+            for child in value if isinstance(value, list) else (value,):
+                if isinstance(child, _BLOCKS) or (held and isinstance(child, ast.AST)):
+                    queue.append((child, held))
+
+    toplevel: list[str] = []
+    for node in tree.body:
+        if isinstance(node, (ast.ClassDef, *_DEFS)):
+            toplevel.append(node.name)
+        elif isinstance(node, ast.Assign):
+            toplevel.extend(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None and isinstance(node.target, ast.Name):
+            toplevel.append(node.target.id)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            # ``import a.b`` binds ``a``; a star import binds nothing nameable.
+            toplevel.extend(alias.asname or alias.name.split(".")[0] for alias in node.names if alias.name != "*")
+
+    return ExtractedSymbols(
+        classes=tuple(classes),
+        imports=tuple(imports),
+        attribute_uses=tuple(dict.fromkeys(use[1:] for use in sorted(uses))),
+        toplevel_names=tuple(dict.fromkeys(toplevel)),
+    )
+
+
+def reference_symbols(body: str) -> ExtractedSymbols:
+    """``extract_symbols`` as it was with the reference reader."""
+    try:
+        tree = ast.parse(body)
+    except (SyntaxError, ValueError, TypeError, RecursionError, MemoryError):
+        return ExtractedSymbols(unanalyzable=True)
+    try:
+        return _read_module(tree, walrus=":=" in body)
+    except (RecursionError, MemoryError):
+        return ExtractedSymbols(unanalyzable=True)
+
+
 def _fixture_bodies() -> list[str]:
     bodies = []
     for transcript in sorted(fixture_path("transcripts").glob("*.jsonl")):
@@ -376,6 +549,180 @@ def test_attribute_uses_of_a_conformance_body_agree_with_the_positional_referenc
     body = _render(entry.classes[0], data.draw, mutation if _applies(mutation, entry.classes[0]) else "")
     assert extract_symbols(FileUnit(PATH, body)).attribute_uses == positional_typed_uses(body), body
 
+
+
+def _synthetic_bodies() -> list[str]:
+    """The oracle bodies of the benchmark's chain and heal plans, and every
+    body their workers send (the heal plan's faulty ones too)."""
+    bodies = []
+    for plan in (synth.chain_plan(1, 100), synth.heal_plan(1, 48, 6)):
+        bodies += plan.oracle.values()
+        for (role, _), answers in sorted(plan.answers.items()):
+            if role == "worker":
+                bodies += [body for answer in answers for _, body in parse_response(answer).artifacts]
+    return bodies
+
+
+# Orders and scopes a single walk can get wrong: label -> (body, what the
+# body reads as, expected).
+WALK_BODIES = {
+    "a class nested in a def above a later top-level class of the same name": (
+        "def make():\n"
+        "    class Player:\n"
+        "        hp: int\n"
+        "    return Player\n"
+        "try:\n"
+        "    pass\n"
+        "except ValueError:\n"
+        "    class Deep:\n"
+        "        pass\n"
+        "if True:\n"
+        "    class Shallow:\n"
+        "        pass\n"
+        "class Player:\n"
+        "    name: str\n",
+        lambda s: [(c.name, [a.name for a in c.attributes]) for c in s.classes],
+        [("Player", ["name"]), ("Player", ["hp"]), ("Shallow", []), ("Deep", [])],
+    ),
+    "an import inside an if, and one inside a def": (
+        "import os\n"
+        "if os:\n"
+        "    from a import b\n"
+        "def f(p: Player):\n"
+        "    import json\n"
+        "    from .c import *\n"
+        "    return p.x\n"
+        "from d import e as g\n",
+        lambda s: s.imports,
+        (("os", WHOLE_MODULE), ("d", "e"), ("a", "b"), ("json", WHOLE_MODULE), (".c", WHOLE_MODULE)),
+    ),
+    "self.x set under an if, a with and a try in __init__": (
+        "class Game:\n"
+        "    turn: int\n"
+        "    def __init__(self, n: int):\n"
+        "        if n:\n"
+        "            self.a: int = n\n"
+        "        else:\n"
+        "            self.b = self.c = 0\n"
+        "        with open(n) as handle:\n"
+        "            self.d: str = handle.read()\n"
+        "        try:\n"
+        "            self.e, other.f = 1, 2\n"
+        "        except ValueError:\n"
+        "            self.g: float = 0.0\n"
+        "        finally:\n"
+        "            self.a = 2\n"
+        "        def helper(me):\n"
+        "            self.h = me.i = 3\n"
+        "        class Inner:\n"
+        "            def __init__(me):\n"
+        "                me.j = self.k = 1\n"
+        "    score: float\n",
+        lambda s: [(c.name, [(a.name, a.type_name) for a in c.attributes]) for c in s.classes],
+        [
+            (
+                "Game",
+                [
+                    ("turn", "int"), ("a", "int"), ("b", "any"), ("c", "any"), ("d", "str"), ("e", "any"),
+                    ("g", "float"), ("h", "any"), ("k", "any"), ("score", "float"),
+                ],
+            ),
+            ("Inner", [("j", "any")]),
+        ],
+    ),
+    "a walrus inside a comprehension of a typed def": (
+        "def f(p: Player, q: Board, xs: list) -> list:\n"
+        "    found = [y for x in xs if (p := x)]\n"
+        "    def g() -> None:\n"
+        "        (q := 1)\n"
+        "    return p.name, q.size, found\n",
+        lambda s: s.attribute_uses,
+        (("Board", "size"),),
+    ),
+    "a lambda and a comprehension that shadow a typed parameter": (
+        "def f(p: Player, others: list) -> list:\n"
+        "    key = lambda p: p.rank\n"
+        "    return sorted(others, key=key) + [p.name for p in others] + [p.hp]\n",
+        lambda s: s.attribute_uses,
+        (("Player", "hp"),),
+    ),
+    "a nested def that reads an outer typed parameter which the outer def rebinds below it": (
+        "def f(p: Player, q: Board) -> None:\n"
+        "    def g() -> int:\n"
+        "        return p.hp + q.size\n"
+        "    def h() -> int:\n"
+        "        q = None\n"
+        "        return q.size\n"
+        "    p = None\n",
+        lambda s: s.attribute_uses,
+        (("Board", "size"),),
+    ),
+    "a decorator and a default that read a typed name": (
+        "def f(p: Player, q: Board) -> None:\n"
+        "    @p.wrap\n"
+        "    def g(x: int = q.size) -> int:\n"
+        "        q = 0\n"
+        "        return x\n",
+        lambda s: s.attribute_uses,
+        (("Player", "wrap"), ("Board", "size")),
+    ),
+    "match patterns and a handler bind in the def": (
+        "def f(p: Player, q: Board, r: Cell) -> None:\n"
+        "    match q:\n"
+        "        case {'k': 1, **p}:\n"
+        "            pass\n"
+        "        case [*rest] if q.ok:\n"
+        "            pass\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as r:\n"
+        "        pass\n"
+        "    return p.x, r.y\n",
+        lambda s: s.attribute_uses,
+        (("Board", "ok"),),
+    ),
+    "an elif chain and a sum nested past the interpreter's recursion limit": (
+        "def f(p: Player, n: int) -> int:\n"
+        "    if n == 0:\n"
+        "        return p.x\n"
+        + "".join(f"    elif n == {i}:\n        return {i}\n" for i in range(1, 1500))
+        + "    return " + " + ".join(["p.y"] * 1500) + "\n",
+        lambda s: (s.unanalyzable, s.attribute_uses),
+        (False, (("Player", "x"), ("Player", "y"))),
+    ),
+    "type parameters are read in the enclosing scope": pytest.param(
+        "def f[T](x: T, p: Player) -> T:\n"
+        "    return p.x\n"
+        "class Box[T]:\n"
+        "    item: T\n",
+        lambda s: (s.attribute_uses, [(c.name, [(a.name, a.type_name) for a in c.attributes]) for c in s.classes]),
+        ((("Player", "x"),), [("Box", [("item", "T")])]),
+        marks=pytest.mark.skipif(sys.version_info < (3, 12), reason="type parameters are Python 3.12 syntax"),
+    ),
+}
+
+
+@pytest.mark.parametrize("body, view, expected", [WALK_BODIES[label] for label in sorted(WALK_BODIES)], ids=sorted(WALK_BODIES))
+def test_the_one_walk_reads_each_labelled_body_as_the_reference_reader(body, view, expected):
+    symbols = extract_symbols(FileUnit("m.py", body))
+    assert symbols == reference_symbols(body)
+    assert view(symbols) == expected
+
+
+def test_extract_symbols_equals_the_reference_reader():
+    layouts = [body for _, body, _, _ in LAYOUT_CASES.values()]
+    fixtures, synthetic = _fixture_bodies(), _synthetic_bodies()
+    assert len(fixtures) >= 5 and len(synthetic) >= 148
+    for body in [*layouts, *SCOPE_BODIES, PLAYER_BODY, *fixtures, *synthetic]:
+        assert extract_symbols(FileUnit("m.py", body)) == reference_symbols(body), body
+
+
+@pytest.mark.parametrize("mutation", ["", *sorted(MUTATIONS)])
+@given(entry=_entries(), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_extract_symbols_of_a_conformance_body_equals_the_reference_reader(mutation, entry, data):
+    body = _render(entry.classes[0], data.draw, mutation if _applies(mutation, entry.classes[0]) else "")
+    assert extract_symbols(FileUnit(PATH, body)) == reference_symbols(body), body
 
 def test_a_comprehension_target_hides_a_typed_parameter_of_its_name():
     def uses(expression):
