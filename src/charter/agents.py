@@ -230,8 +230,10 @@ def build_prompt(
 _BLOCK_RE = re.compile(r"<(thinking|output|document_action)>\s*\n?(.*?)\n?\s*</\1>", re.S)
 # The ``FILE:`` marker and the verdict are matched in any case; a verdict may
 # be wrapped in emphasis (``**VERDICT: PASS**``, ``**VERDICT:** FAIL reason``).
+# The verdict is a whole word, ``PASS``/``PASSED`` or ``FAIL``/``FAILED``, so
+# ``VERDICT: FAILED x`` gives the reason ``x`` and ``VERDICT: PASSING`` none.
 _ARTIFACT_RE = re.compile(r"```[A-Za-z0-9_+-]*\n#[ \t]*FILE:[ \t]*([^\n]+)\n(.*?)```", re.S | re.I)
-_VERDICT_RE = re.compile(r"^(\*\*|__|\*|_)?VERDICT:\1?\s*(PASS|FAIL)\s*(.*)$", re.M | re.I)
+_VERDICT_RE = re.compile(r"^(\*\*|__|\*|_)?VERDICT:\1?\s*(PASS|FAIL)(?:ED)?\b\s*(.*)$", re.M | re.I)
 
 
 def _section_key(name: str) -> SectionKey:

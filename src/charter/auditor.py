@@ -554,13 +554,14 @@ def _try_amendment(
     plan: _AuditPlan,
 ) -> Mapping[str, ApiSpecEntry]:
     """The entries (path -> entry) amended under the guard to legitimize every
-    PATCHABLE superset, as printed for the guarded trial. Without an
-    amendment, or when the guard refuses it, they are the kernel's own
-    entries, and a refusal makes each PATCHABLE delta CRITICAL."""
+    PATCHABLE superset, as printed for the guarded trial. Without a PATCHABLE
+    delta they are the kernel's own entries, and none is built; when the
+    guard refuses the amendment they are the kernel's too, and the refusal
+    makes each PATCHABLE delta CRITICAL."""
     patchable = {task_id: d.details for task_id, d in deltas.items() if d.kind is DeltaKind.PATCHABLE}
-    entries, symbols = _amended_entries(kernel, patchable, artifacts)
-    if not symbols:
+    if not patchable:
         return kernel.entries
+    entries, symbols = _amended_entries(kernel, patchable, artifacts)
     printed = "\n".join(print_api_section(list(entries.values())))
     trial = apply_action(
         contract, ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, printed), guard=guard_violations

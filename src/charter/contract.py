@@ -161,6 +161,8 @@ class LanguageContract:
     # reads unchanged API entries off and then clears: at most one level of
     # history is ever held.
     _basis: "LanguageContract | None" = field(default=None, init=False, repr=False, compare=False)
+    # The digest of the value's rendering, filled by ``fingerprint`` on first use.
+    _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def body(self, key: SectionKey) -> tuple[str, ...]:
         return self.sections[key]
@@ -179,7 +181,10 @@ class LanguageContract:
         return derived
 
     def fingerprint(self) -> str:
-        return hashlib.sha256(render(self).encode("utf-8")).hexdigest()
+        """The sha256 of the rendered document, rendered once per value."""
+        if self._fingerprint is None:
+            object.__setattr__(self, "_fingerprint", hashlib.sha256(render(self).encode("utf-8")).hexdigest())
+        return self._fingerprint
 
     @staticmethod
     def empty() -> "LanguageContract":

@@ -10,8 +10,9 @@ failure is what lets the store refuse an action before it pollutes shared
 state. A contract value is immutable, so ``project`` computes its kernel once
 and keeps it on the value. A value derived from a projected parent reads
 field by field only the API entries whose lines changed and reuses the
-parent's for the rest (``parse_api_section``'s basis), so a mutation's
-projection of that section costs what it changed rather than the section's
+parent's for the rest (``parse_api_section``'s basis), and a revision that
+changes only statuses shares the rest of the parent's kernel, so a
+mutation's projection costs what it changed rather than the section's
 size. Every reader but the planner and the auditor reads one kind of view
 (``task_view``): the entries of a set of modules and of their direct
 dependencies, with the Directory Structure and diagram lines inside that
@@ -315,7 +316,10 @@ def type_head(type_name: str) -> str:
 #           - def move(dx: int) -> None | Shift the player.
 #
 # Bullets, indentation and bold markers are not significant; the field names
-# are. Attribute and method lines are only meaningful inside their blocks. A
+# are. Attribute and method lines are only meaningful inside their blocks, and
+# an attribute may be named like a field (``_parse_chunk``): a ``file``
+# attribute is told from the next entry's File line by its indentation
+# (``_names_an_attribute``). A
 # description follows the first ``|`` outside brackets and string literals,
 # so a union type is printed in parentheses. An attribute type is a Python
 # expression.
@@ -325,6 +329,7 @@ _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.*)$")
 
 
 _FILE_KEYS = ("file", "file path")
+_BLOCK_KEYS = ("classes", "attributes", "methods")
 
 
 class _EntryBuilder:
@@ -375,6 +380,28 @@ def _file_fields(body: tuple[str, ...] | list[str]) -> list[tuple[int, str]]:
     return found
 
 
+def _names_an_attribute(body: tuple[str, ...] | list[str], index: int) -> bool:
+    """Whether the File line at ``index`` is an attribute named ``file``: an
+    attribute line indented deeper than the ``Attributes:`` line above it,
+    with only blank lines and attribute lines of its own indentation (none a
+    File line) between them. A File line at the margin starts an entry."""
+    line = body[index]
+    indent = len(line) - len(line.lstrip())
+    if not indent or not _ATTR_LINE_RE.match(line.replace("*", "")):
+        return False
+    for above in range(index - 1, -1, -1):
+        text = body[above].rstrip()
+        if not text:
+            continue
+        parsed = parse_field_line(text)
+        depth = len(text) - len(text.lstrip())
+        if depth < indent:
+            return parsed == ("attributes", "")
+        if depth > indent or not _ATTR_LINE_RE.match(text.replace("*", "")) or parsed and parsed[0] in _FILE_KEYS:
+            return False
+    return False
+
+
 def parse_api_section(
     body: tuple[str, ...] | list[str], basis: LanguageContract | None = None
 ) -> list[ApiSpecEntry]:
@@ -390,6 +417,9 @@ def parse_api_section(
     field, and the ``File:`` lines are found without reading the rest, so a
     body gives the same entries, spans and ``ProjectionError`` with a basis
     as without one, and a derived value reads only the lines that changed.
+    Each distinct method header is parsed once per call: a read keeps a map
+    of header text to signature, and a repeated header takes its signature
+    from there, so only the first line of a bad header can raise.
     """
     reusable: dict[str, ApiSpecEntry] = {}
     old_body: tuple[str, ...] = ()
@@ -398,11 +428,12 @@ def parse_api_section(
         old_body = basis.body(SectionKey.API_SPECIFICATIONS)
         if tuple(body) == old_body:
             return list(reusable.values())
-    found = _file_fields(body)
+    found = [(index, value) for index, value in _file_fields(body) if not _names_an_attribute(body, index)]
     starts = [index for index, _ in found]
+    headers: dict[str, MethodSig] = {}  # method header text -> its signature, for this read
 
     # Before the first entry any line but a blank one is an error.
-    _parse_chunk(body, 0, starts[0] if starts else len(body), None)
+    _parse_chunk(body, 0, starts[0] if starts else len(body), None, headers)
     entries: list[ApiSpecEntry] = []
     paths: set[str] = set()
     for (start, value), end in zip(found, [*starts[1:], len(body)]):
@@ -419,7 +450,7 @@ def parse_api_section(
         entry = None if old is None else _reused(old, old_body, body[start:end], start, end)
         if entry is None:
             builder = _EntryBuilder(path, start)
-            _parse_chunk(body, start + 1, end, builder)
+            _parse_chunk(body, start + 1, end, builder, headers)
             entry = builder.build(end)
         entries.append(entry)
     return entries
@@ -454,10 +485,18 @@ def _parse_chunk(
     first: int,
     end: int,
     entry: _EntryBuilder | None,
+    headers: dict[str, MethodSig],
 ) -> None:
     """Read lines ``[first, end)``, none of them a ``File:`` line, into
     ``entry``, the entry whose ``File:`` line precedes them (None before the
-    first one). Line numbers in errors are 1-based in the whole body."""
+    first one). Line numbers in errors are 1-based in the whole body.
+    ``headers`` maps each method header read so far to its signature.
+
+    Inside an Attributes block an attribute may be named like a field: a
+    line for a field the entry already holds (``status``, ``owner``,
+    ``version``) is an attribute, and so is a ``classes``, ``attributes`` or
+    ``methods`` line that carries a type; without one it opens its block. A
+    ``file`` line reaches a chunk only as an attribute (``_names_an_attribute``)."""
     block: str | None = None  # None | "attrs" | "methods"
     for index in range(first, end):
         line = body[index]
@@ -466,6 +505,8 @@ def _parse_chunk(
         lineno = index + 1
         parsed = parse_field_line(line)
         key = parsed[0] if parsed else None
+        if block == "attrs" and key is not None and (key in entry.seen_fields or key in _BLOCK_KEYS and parsed[1]):
+            key = None  # an attribute named like a field
 
         if key in ("owner", "version", "status"):
             if entry is None:
@@ -537,11 +578,13 @@ def _parse_chunk(
             if m is None:
                 raise ProjectionError(f"unparseable method line: {line.strip()!r}", lineno)
             header, *doc = _outer_bars(m.group(1))
-            try:
-                sig = parse_signature(header)
-            except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
-                raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
-            sig = replace(sig, docstring="|".join(doc).strip())
+            read = headers.get(header)
+            if read is None:
+                try:
+                    read = headers[header] = parse_signature(header)
+                except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
+                    raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
+            sig = MethodSig(read.name, read.params, read.return_type, "|".join(doc).strip())
             cls = entry.classes[-1]  # type: ignore[union-attr]
             if any(existing.name == sig.name for existing in cls["methods"]):
                 raise ProjectionError(f"duplicate method {sig.name} in class {cls['name']}", lineno)
@@ -661,10 +704,13 @@ def project(contract: LanguageContract) -> SymbolicKernel:
     a projected one (``with_section``, ``patches.commit_merge``) reads field
     by field only the API entries whose lines changed against that basis,
     and takes the basis's entries for the rest (``parse_api_section``); an
-    API section equal to the basis's is not read at all. The diagram, the
-    Directory Structure and the findings are read again. The basis is
-    dropped once the value's own kernel is kept, so no value holds more than
-    its parent and no revision history accumulates.
+    API section equal to the basis's is not read at all. When the revision
+    keeps the basis's diagram, Directory Structure, entry paths and class
+    tuples, as a Status-only write-back does, the basis kernel's classes,
+    edges, line indices and findings are shared (``_restamped``); otherwise
+    they are read again. The basis is dropped once the value's own kernel is
+    kept, so no value holds more than its parent and no revision history
+    accumulates.
     """
     if contract._kernel is None:
         object.__setattr__(contract, "_kernel", _project(contract))
@@ -673,8 +719,11 @@ def project(contract: LanguageContract) -> SymbolicKernel:
 
 
 def _project(contract: LanguageContract) -> SymbolicKernel:
-    parsed = parse_api_section(contract.body(SectionKey.API_SPECIFICATIONS), contract._basis)
+    basis = contract._basis
+    parsed = parse_api_section(contract.body(SectionKey.API_SPECIFICATIONS), basis)
     entries = {e.file_path: e for e in parsed}
+    if basis is not None and _same_structure(contract, basis, entries):
+        return _restamped(basis._kernel, entries)
     classes: dict[str, tuple[str, ClassSpec]] = {}
     for path, entry in entries.items():
         for cls in entry.classes:
@@ -707,6 +756,41 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
         edge_lines=edge_lines,
         directory_lines=_directory_lines(contract.body(SectionKey.DIRECTORY_STRUCTURE), entries),
     )
+
+
+def _same_structure(contract: LanguageContract, basis: LanguageContract, entries: dict[str, ApiSpecEntry]) -> bool:
+    """Whether everything the kernel reads but the entries' statuses and spans
+    is the basis's: the diagram and the Directory Structure bodies, the entry
+    paths in order, and each entry's class tuple, the basis entry's own
+    object (``_reused`` keeps it for a chunk that is unchanged)."""
+    old = basis._kernel.entries
+    return (
+        len(entries) == len(old)
+        and all(
+            contract.body(key) == basis.body(key)
+            for key in (SectionKey.DEPENDENCY_RELATIONSHIPS, SectionKey.DIRECTORY_STRUCTURE)
+        )
+        and all(
+            path == old_path and entry.classes is old_entry.classes
+            for (path, entry), (old_path, old_entry) in zip(entries.items(), old.items())
+        )
+    )
+
+
+def _restamped(kernel: SymbolicKernel, entries: dict[str, ApiSpecEntry]) -> SymbolicKernel:
+    """``kernel`` with ``entries`` in place of its own: the classes, edges,
+    line indices and findings, which read nothing else, are shared."""
+    restamped = SymbolicKernel(
+        entries=entries,
+        classes=kernel.classes,
+        dependencies=kernel.dependencies,
+        derived_edges=kernel.derived_edges,
+        edge_lines=kernel.edge_lines,
+        directory_lines=kernel.directory_lines,
+    )
+    if "violations" in kernel.__dict__:  # found already: the same kernel finds the same
+        restamped.__dict__["violations"] = kernel.violations
+    return restamped
 
 
 # --- views: the lines one dispatch reads ----------------------------------------

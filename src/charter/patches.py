@@ -85,18 +85,41 @@ def diff_against_base(base: list[str] | tuple[str, ...], proposed: list[str] | t
     ``File:`` lines of an API section are such anchors, so a write-back that
     flips N Status lines costs N small diffs, not one diff of the whole
     section, whose repeated lines (``Version: 1``, ``Methods:``) make it
-    quadratic. Without an anchor this is one ``SequenceMatcher`` over both."""
+    quadratic. A stretch that differs in one line only, such as an entry
+    whose Status flipped, is written as that line's replacement without a
+    matcher (``_replaced_line``). Without an anchor this is one
+    ``SequenceMatcher`` over both."""
     base, proposed = list(base), list(proposed)
     out: list[tuple[int, int, tuple[str, ...]]] = []
     a0 = b0 = 0
     for a1, b1 in [*_anchors(base, proposed), (len(base), len(proposed))]:
-        if base[a0:a1] != proposed[b0:b1]:
-            matcher = difflib.SequenceMatcher(a=base[a0:a1], b=proposed[b0:b1])
-            for tag, i0, i1, j0, j1 in matcher.get_opcodes():
-                if tag != "equal":
-                    out.append((a0 + i0, a0 + i1, tuple(proposed[b0 + j0 : b0 + j1])))
+        old, new = base[a0:a1], proposed[b0:b1]
+        if old != new:
+            at = _replaced_line(old, new)
+            if at is not None:
+                out.append((a0 + at, a0 + at + 1, (new[at],)))
+            else:
+                for tag, i0, i1, j0, j1 in difflib.SequenceMatcher(a=old, b=new).get_opcodes():
+                    if tag != "equal":
+                        out.append((a0 + i0, a0 + i1, tuple(new[j0:j1])))
         a0, b0 = a1 + 1, b1 + 1
     return out
+
+
+def _replaced_line(old: list[str], new: list[str]) -> int | None:
+    """The index of the one line in which two stretches of one length differ,
+    when its old text does not occur in ``new`` nor its new text in ``old``
+    and the stretch is shorter than difflib's autojunk threshold (200 lines).
+    ``SequenceMatcher`` then matches the lines before and after it in place
+    and gives this one replacement, so the matcher is not needed. Otherwise
+    None."""
+    if len(old) != len(new) or len(old) >= 200:
+        return None
+    differing = [k for k, (line, proposed) in enumerate(zip(old, new)) if line != proposed]
+    if len(differing) != 1:
+        return None
+    at = differing[0]
+    return at if old[at] not in new and new[at] not in old else None
 
 
 def _anchors(base: list[str], proposed: list[str]) -> list[tuple[int, int]]:

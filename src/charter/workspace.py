@@ -95,27 +95,30 @@ def extract_symbols(unit: FileUnit) -> ExtractedSymbols:
 def _read_module(tree: ast.Module) -> ExtractedSymbols:
     """One depth-first walk that visits each node once. It enters every
     statement, and an expression only where a typed name is in scope: a
-    typed parameter of a def whose body holds it (a def's decorators,
-    defaults and annotations are read in the enclosing scope). A lambda's
-    parameters and a comprehension's targets hide an outer typed name. Each
-    def collects the uses read in its scope and the names it binds there
-    (targets, walruses, imports, ``del``, handlers, patterns, nested defs and
-    classes); leaving it, the walk drops the uses of a name it binds, so a
-    binding anywhere in a def untypes the name in all of it. A class reads
-    its annotations, method signatures and constructors' ``self.NAME``
-    targets as the walk passes them. Classes and imports keep ``ast.walk``'s
-    order (by depth, then position). Only defs, classes, lambdas and
-    comprehensions recurse, so a deep ``elif`` chain costs no frames."""
+    typed parameter of a def whose body holds it (a def's or a class's
+    decorators, defaults and annotations are read in the enclosing scope,
+    and a walrus there or in a lambda's default binds in the enclosing def).
+    A lambda's parameters and a comprehension's targets hide an outer typed
+    name. Each def collects the uses read in its scope and the names it binds
+    there (targets, walruses, imports, ``del``, handlers, patterns, nested
+    defs and classes); leaving it, the walk drops the uses of a name it
+    binds, so a binding anywhere in a def untypes the name in all of it. A
+    class reads its annotations, method signatures and constructors'
+    ``self.NAME`` targets as the walk passes them. Classes and imports keep
+    ``ast.walk``'s order (by depth, then position). Only defs, classes,
+    lambdas and comprehensions recurse, so a deep ``elif`` chain costs no
+    frames."""
     classes: list[tuple[tuple[int, int, int], ClassSpec]] = []  # (depth, line, column) first
     imports: list[tuple[tuple[int, int, int], list[tuple[str, str]]]] = []
     uses: list[tuple[tuple[int, int], str, str, str]] = []  # (position, type, attribute, receiver)
     constructors: list[tuple[str | None, list]] = []  # (receiver, self.NAME targets) of each one the walk is in
 
-    def read_def(node, depth, scope, frame, constructor=False) -> tuple[MethodSig, list[tuple[str, str]]]:
-        """The def's signature and, for a constructor, its attributes."""
+    def read_def(node, depth, scope, frame, outer, constructor=False) -> tuple[MethodSig, list[tuple[str, str]]]:
+        """The def's signature and, for a constructor, its attributes. Its
+        header binds a walrus target in ``outer``, the enclosing def's names."""
         signature = read_signature(node)
         if scope:
-            expressions([getattr(node, name) for name in node._fields if name != "body"], scope, frame, None)
+            expressions([getattr(node, name) for name in node._fields if name != "body"], scope, frame, outer)
         params = dict(signature.params)
         typed = {name: t for name, t in {**scope, **params}.items() if t != "any"}  # "any" hides an outer type
         own, bound, assigned = [], set(), []  # uses read in its scope, names bound there, self.NAME targets
@@ -130,17 +133,17 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
                 (uses if use[3] in params else frame).append(use)
         return signature, [(name, type_name) for _, _, name, type_name in sorted(assigned)]
 
-    def read_class(node, depth, scope, frame) -> None:
+    def read_class(node, depth, scope, frame, outer) -> None:
         """Class-body annotations and constructor assignments are attributes
         (``"any"`` unannotated), its own defs methods; the first of a name
         wins, so a property's setter does not replace its getter."""
         if scope:
-            expressions([getattr(node, name) for name in node._fields if name != "body"], scope, frame, None)
+            expressions([getattr(node, name) for name in node._fields if name != "body"], scope, frame, outer)
         attributes: dict[str, str] = {}
         methods: dict[str, MethodSig] = {}
         for item in node.body:
             if isinstance(item, _DEFS):
-                signature, assigned = read_def(item, depth + 1, scope, frame, item.name == "__init__")
+                signature, assigned = read_def(item, depth + 1, scope, frame, None, item.name == "__init__")
                 methods.setdefault(item.name, signature)
                 for name, type_name in assigned:
                     attributes.setdefault(name, type_name)
@@ -161,7 +164,7 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
             if kind in readers:
                 if bound is not None:
                     bound.add(node.name)
-                readers[kind](node, depth, scope, frame)
+                readers[kind](node, depth, scope, frame, bound)
                 continue
             if kind is ast.Import or kind is ast.ImportFrom:
                 if kind is ast.Import:
@@ -210,7 +213,7 @@ def _read_module(tree: ast.Module) -> ExtractedSymbols:
             elif kind is ast.Lambda:
                 a = node.args
                 hidden = {p.arg for p in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if p is not None}
-                expressions([a], scope, frame, None)  # the defaults are read outside the lambda
+                expressions([a], scope, frame, bound)  # the defaults are read outside the lambda
                 if inner := {name: t for name, t in scope.items() if name not in hidden}:
                     expressions([node.body], inner, frame, None)
             elif kind in _COMPREHENSIONS:

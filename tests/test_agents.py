@@ -167,6 +167,10 @@ CASE_DEVIATIONS = {
     "bold verdict with its reason": ("**VERDICT: FAIL missing x**", "# FILE: a.py", Verdict(False, "missing x"), A_PY),
     "a verdict in prose is none": ("my verdict: the code passes", "# FILE: a.py", None, A_PY),
     "a marker that is no comment is none": ("VERDICT: PASS", "FILE: a.py", Verdict(True), ()),
+    "past tense pass": ("VERDICT: PASSED", "# FILE: a.py", Verdict(True), A_PY),
+    "past tense fail before a reason": ("Verdict: failed the width check", "# FILE: a.py", Verdict(False, "the width check"), A_PY),
+    "bold past tense fail": ("**VERDICT: FAILED missing x**", "# FILE: a.py", Verdict(False, "missing x"), A_PY),
+    "a longer word is no verdict": ("VERDICT: PASSING", "# FILE: a.py", None, A_PY),
 }
 
 

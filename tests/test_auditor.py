@@ -293,6 +293,35 @@ def test_audit_layer_schema_divergence_scenario():
     assert report.consistency is False
 
 
+@pytest.mark.parametrize("names", [("file", "status", "owner", "version"), ("methods", "attributes", "classes")])
+def test_an_amendment_records_members_named_like_entry_fields(names):
+    # Each recorded member is printed as an attribute line of the entry; the
+    # guarded trial reads it back as that attribute, not as a field or a block.
+    added = "".join(f"        self.{name}: int = 0\n" for name in names)
+    body = PLAYER_OK.replace("        self.health: int = 100\n", "        self.health: int = 100\n" + added)
+    contract = _plane_contract()
+    outcomes = [_worker_outcome("entities/player.py", "entities/player.py", body)]
+    report = audit_layer(contract, {}, _tasks(contract), outcomes)
+
+    assert [d.kind for d in report.deltas] == [DeltaKind.PATCHABLE]
+    assert report.warnings == ()
+    amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
+    assert amendment.added_symbols == tuple(f"Player.{name}" for name in sorted(names))
+
+
+def test_an_audit_without_a_patchable_delta_builds_no_amended_entries(monkeypatch):
+    import charter.auditor
+
+    def refuse(*args):
+        raise AssertionError("amended entries built without a PATCHABLE delta")
+
+    monkeypatch.setattr(charter.auditor, "_amended_entries", refuse)
+    contract = _plane_contract()
+    outcomes = [_worker_outcome("entities/player.py", "entities/player.py", PLAYER_OK)]
+    report = audit_layer(contract, {}, _tasks(contract), outcomes)
+    assert [d.kind for d in report.deltas] == [DeltaKind.EMPTY]
+
+
 HUD_CLASS = simple_class("Hud", [("score", "int")], [method("def draw() -> None")])
 
 HUD_OK = """\

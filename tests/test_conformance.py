@@ -180,6 +180,7 @@ REBINDINGS = {
     "an except target rebinds it": ("try:\n        pass\n    except Exception as p:\n        p.args", DeltaKind.EMPTY),
     "a walrus rebinds it": ("if (p := xs[0]):\n        p.name", DeltaKind.EMPTY),
     "a walrus in a comprehension rebinds it": ("[(p := x) for x in xs]\n    p.name", DeltaKind.EMPTY),
+    "a walrus in a nested def's default rebinds it": ("def g(y=(p := None)):\n        pass\n    p.name", DeltaKind.EMPTY),
     "a nested def binds its own": ("def g():\n        p = 1\n    p.name", DeltaKind.PATCHABLE),
     "a nested class binds its own": ("class K:\n        p = 1\n    p.name", DeltaKind.PATCHABLE),
 }

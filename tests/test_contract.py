@@ -194,3 +194,21 @@ def test_render_parse_round_trip(bodies):
     assert reparsed.sections == contract.sections
     # idempotence of the serialized form
     assert render(parse(render(contract))) == render(contract)
+
+
+def test_a_value_renders_once_for_any_number_of_fingerprints(monkeypatch):
+    import hashlib
+
+    import charter.contract
+
+    contract = contract_with([make_entry("a.py", classes=(simple_class("A", [], [method("def run() -> None")]),))])
+    derived = contract.with_section(SectionKey.CONSTRAINTS, ["- one more"])
+    render = charter.contract.render
+    rendered = []
+    monkeypatch.setattr(charter.contract, "render", lambda value, view=None: rendered.append(value) or render(value, view))
+
+    first = contract.fingerprint()
+    assert all(contract.fingerprint() == first for _ in range(5))
+    assert first == hashlib.sha256(render(contract).encode("utf-8")).hexdigest()
+    assert derived.fingerprint() != first and derived.fingerprint() == derived.fingerprint()
+    assert rendered == [contract, derived]

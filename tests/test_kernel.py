@@ -15,7 +15,9 @@ from charter.agents import IntentSpec, synthesize_contract
 from charter.backends import ScriptedBackend
 from charter.contract import LanguageContract, SectionKey, new_contract, DEFAULT_TEMPLATE
 from charter.kernel import (
+    ApiSpecEntry,
     AttributeSpec,
+    ClassSpec,
     MethodSig,
     ProjectionError,
     SignatureError,
@@ -454,7 +456,7 @@ def test_a_projection_through_its_basis_equals_a_fresh_one(case):
         assert child._basis is None  # dropped once the kernel is kept
 
 
-def test_each_method_line_is_parsed_once(monkeypatch):
+def test_each_distinct_header_of_a_read_is_parsed_once(monkeypatch):
     plan = synth.chain_plan(1, 20)
     calls = []
     parse = charter.kernel.parse_signature
@@ -467,8 +469,115 @@ def test_each_method_line_is_parsed_once(monkeypatch):
     result = run(IntentSpec(plan.intent), RunConfig(mode=RunMode.SEQUENTIAL), synth.SyntheticBackend(plan))
     api = result.contract.body(SectionKey.API_SPECIFICATIONS)
     method_lines = [line for line in api if line.strip().startswith("- def")]
-    assert len(method_lines) == 80
-    assert len(calls) == len(method_lines)
+    headers = {line.strip().removeprefix("- ").partition(" | ")[0] for line in method_lines}
+    assert (len(method_lines), len(headers)) == (80, 40)
+    # The run reads the synthesized section once; later revisions reuse its entries.
+    assert sorted(text.strip() for text in calls) == sorted(headers)
+
+    calls.clear()
+    assert parse_api_section(api) == parse_api_section(list(api))
+    assert len(calls) == 2 * len(headers)
+
+
+def _basis_and_revisions():
+    """The kernel of a projected contract and two revisions derived from it:
+    one that flips a Status and one that documents and adds a method."""
+    a = make_entry("a.py", classes=(simple_class("A", [("n", "int")], [method("def run() -> None")]),))
+    b = make_entry("b.py", classes=(simple_class("B", [("a", "A")], [method("def go(x: A) -> int")]),))
+    c = make_entry("c.py", classes=(simple_class("C", [], [method("def idle() -> None", doc="")]),))
+    contract = contract_with([a, b, c], dependency_lines=["b.py --> a.py"])
+    basis = project(contract)
+    assert [v.kind for v in basis.violations] == [ViolationKind.INCOMPLETE]
+    flipped = contract.with_section(
+        SectionKey.API_SPECIFICATIONS, print_api_section([replace(a, status=TaskStatus.DONE), b, c])
+    )
+    grown = replace(c, classes=(simple_class("C", [], [method("def idle() -> None"), method("def wake() -> None")]),))
+    amended = contract.with_section(SectionKey.API_SPECIFICATIONS, print_api_section([a, b, grown]))
+    return basis, flipped, amended
+
+
+def _fresh(contract: LanguageContract):
+    """The contract's kernel projected without a basis."""
+    return project(LanguageContract(sections=contract.sections, revision=contract.revision))
+
+
+def test_a_status_only_revision_shares_its_basis_kernel():
+    basis, flipped, _ = _basis_and_revisions()
+    kernel = project(flipped)
+    assert kernel.entries["a.py"].status is TaskStatus.DONE
+    assert kernel.classes is basis.classes
+    assert kernel.dependencies is basis.dependencies and kernel.derived_edges is basis.derived_edges
+    assert kernel.edge_lines is basis.edge_lines and kernel.directory_lines is basis.directory_lines
+    assert kernel.violations is basis.violations
+    fresh = _fresh(flipped)
+    assert kernel == fresh and kernel.violations == fresh.violations
+    assert [e.span for e in kernel.entries.values()] == [e.span for e in fresh.entries.values()]
+    assert [e.status_line for e in kernel.entries.values()] == [e.status_line for e in fresh.entries.values()]
+
+
+def test_a_revision_that_changes_a_class_is_projected_again():
+    basis, _, amended = _basis_and_revisions()
+    kernel = project(amended)
+    assert kernel.classes is not basis.classes
+    assert kernel == _fresh(amended) and kernel.violations == () == _fresh(amended).violations
+
+
+# The words an entry's field lines and block headers are named by.
+_FIELD_WORDS = ("file", "status", "owner", "version", "methods", "attributes", "classes")
+
+
+@given(
+    st.lists(st.sampled_from((*_FIELD_WORDS, "hp", "x1", "_seen")), min_size=1, max_size=8, unique=True),
+    st.lists(st.sampled_from((*_FIELD_WORDS, "run")), max_size=3, unique=True),
+    st.sampled_from(list(TaskStatus)),
+    st.sampled_from(["int", "list[str]", "Player | None", "any"]),
+)
+@example(["status"], [], TaskStatus.TODO, "int")
+@example(["methods", "x"], [], TaskStatus.DONE, "int")
+@example(["x1", "_seen", "file"], [], TaskStatus.TODO, "str")
+def test_an_attribute_named_like_an_entry_field_survives_print_and_parse(attributes, methods, status, type_name):
+    cls = ClassSpec(
+        "Player",
+        tuple(AttributeSpec(name, type_name, f"{name} value" if len(name) % 2 else "") for name in attributes),
+        tuple(method(f"def {name}() -> int") for name in methods),
+    )
+    entries = [ApiSpecEntry("a.py", "dev", 2, status, (cls,)), make_entry("b.py")]
+    assert parse_api_section(print_api_section(entries)) == entries
+
+
+# Where a ``file:`` line stands: label -> (lines, the entry paths read, the
+# attributes of the first entry's class).
+FILE_LINE_LAYOUTS = {
+    "indented under Attributes": (
+        ["- File: a.py", "  Classes:", "    - Class: A", "      Attributes:", "        - hp: int", "        - file: str"],
+        ["a.py"],
+        ["hp", "file"],
+    ),
+    "at the margin under Attributes at the margin": (
+        ["- File: a.py", "Classes:", "- Class: A", "Attributes:", "- hp: int", "- file: b.py"],
+        ["a.py", "b.py"],
+        ["hp"],
+    ),
+    "an indented entry after attributes": (
+        ["  - File: a.py", "    Classes:", "      - Class: A", "        Attributes:", "          - hp: int", "  - File: b.py"],
+        ["a.py", "b.py"],
+        ["hp"],
+    ),
+    "an indented entry after its fields": (
+        ["  - File: a.py", "  - Owner: x", "  - File: b.py"],
+        ["a.py", "b.py"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FILE_LINE_LAYOUTS))
+def test_a_file_line_is_an_attribute_only_indented_under_attributes(label):
+    lines, paths, attributes = FILE_LINE_LAYOUTS[label]
+    entries = parse_api_section(lines)
+    assert [e.file_path for e in entries] == paths
+    if attributes is not None:
+        assert [a.name for a in entries[0].classes[0].attributes] == attributes
 
 
 _FIELD_ALPHABET = st.sampled_from(

@@ -6,7 +6,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from charter.contract import (
     ActionOp,
@@ -29,6 +29,7 @@ from charter.patches import (
     diff_against_base,
     merge_layer,
     patches_for_action,
+    _replaced_line,
 )
 from charter.kernel import full_view, print_api_section
 from charter.tasks import TaskStatus
@@ -75,6 +76,34 @@ def test_status_write_back_diffs_to_one_line_per_flip():
         changed = [i for i, (old, new) in enumerate(zip(base, proposed)) if old != new]
         assert len(changed) == len(flipped)
         assert diff_against_base(base, proposed) == [(i, i + 1, (proposed[i],)) for i in changed]
+
+
+def test_a_status_write_back_builds_no_sequence_matcher(monkeypatch):
+    entries = [
+        make_entry(f"mod{i}.py", classes=(simple_class(f"C{i}", [("n", "int")], [method("def run() -> None")]),))
+        for i in range(50)
+    ]
+    base = print_api_section(entries)
+    proposed = print_api_section([replace(e, status=TaskStatus.DONE) for e in entries])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-line stretch needs no matcher")
+
+    monkeypatch.setattr(difflib, "SequenceMatcher", refuse)
+    patches = diff_against_base(base, proposed)
+    assert len(patches) == 50 and apply_patches(base, patches) == proposed
+
+
+@given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=12), st.integers(0, 11), st.sampled_from("abcxy"))
+@example(["a", "b", "c", "d"], 2, "x")
+def test_a_stretch_written_without_a_matcher_is_the_matchers_replacement(old, at, line):
+    at %= len(old)
+    new = [*old[:at], line, *old[at + 1 :]]
+    changed = [op for op in difflib.SequenceMatcher(a=old, b=new).get_opcodes() if op[0] != "equal"]
+    found = _replaced_line(old, new)
+    if found is not None:
+        assert changed == [("replace", at, at + 1, at, at + 1)]
+    assert _replaced_line(["a", "b", "c", "d"], ["a", "b", "x", "d"]) == 2
 
 
 @given(st.lists(st.sampled_from("abcd"), max_size=10), st.lists(st.sampled_from("abcde"), max_size=20))

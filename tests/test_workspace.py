@@ -724,6 +724,41 @@ def test_extract_symbols_of_a_conformance_body_equals_the_reference_reader(mutat
     body = _render(entry.classes[0], data.draw, mutation if _applies(mutation, entry.classes[0]) else "")
     assert extract_symbols(FileUnit(PATH, body)) == reference_symbols(body), body
 
+# A walrus in a nested def's or class's header, or in a lambda's default,
+# binds in the enclosing def (Python evaluates the header there). The
+# reference reader reads such a header for uses but not for bindings, so on
+# these bodies the two differ by design; they are compared with the labelled
+# answer instead: label -> (body, expected attribute uses).
+HEADER_WALRUS_BODIES = {
+    "a walrus in a nested def's default": (
+        "def f(p: Player):\n    def g(x=(p := None)):\n        pass\n    return p.name\n",
+        (),
+    ),
+    "a walrus in a nested def's decorator": (
+        "def f(p: Player, q: Board):\n    @wrap(p := q)\n    def g():\n        pass\n    return p.name, q.size\n",
+        (("Board", "size"),),
+    ),
+    "a walrus in a lambda's default": (
+        "def f(p: Player):\n    h = lambda x=(p := None): x\n    return p.name\n",
+        (),
+    ),
+    "a walrus in a nested class's base": (
+        "def f(p: Player):\n    class C(p := object):\n        pass\n    return p.name\n",
+        (),
+    ),
+    "a walrus in a lambda's body stays in the lambda": (
+        "def f(p: Player):\n    h = lambda: (p := None)\n    return p.name\n",
+        (("Player", "name"),),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(HEADER_WALRUS_BODIES))
+def test_a_walrus_in_a_nested_header_binds_in_the_enclosing_def(label):
+    body, expected = HEADER_WALRUS_BODIES[label]
+    assert extract_symbols(FileUnit("m.py", body)).attribute_uses == expected
+
+
 def test_a_comprehension_target_hides_a_typed_parameter_of_its_name():
     def uses(expression):
         body = f"def f(p: Player, others: list) -> list:\n    return {expression}\n"
