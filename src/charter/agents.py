@@ -227,12 +227,16 @@ def build_prompt(
 
 # --- response protocol -------------------------------------------------------
 
-_BLOCK_RE = re.compile(r"<(thinking|output|document_action)>\s*\n?(.*?)\n?\s*</\1>", re.S)
+# A block's body runs to the first close tag of its name and is stripped in
+# ``parse_response``. The close tag starts with a literal ``<``, so the lazy
+# body fails it at once on any other character; a tail of optional
+# whitespace before the tag would be tried in full at every character.
+_BLOCK_RE = re.compile(r"<(thinking|output|document_action)>(.*?)</\1>", re.S)
 # The ``FILE:`` marker and the verdict are matched in any case; a verdict may
 # be wrapped in emphasis (``**VERDICT: PASS**``, ``**VERDICT:** FAIL reason``).
 # The verdict is a whole word, ``PASS``/``PASSED`` or ``FAIL``/``FAILED``, so
 # ``VERDICT: FAILED x`` gives the reason ``x`` and ``VERDICT: PASSING`` none.
-_ARTIFACT_RE = re.compile(r"```[A-Za-z0-9_+-]*\n#[ \t]*FILE:[ \t]*([^\n]+)\n(.*?)```", re.S | re.I)
+_ARTIFACT_RE = re.compile(r"```[A-Za-z0-9_+-]*[ \t]*\n#[ \t]*FILE:[ \t]*([^\n]+)\n(.*?)```", re.S | re.I)
 _VERDICT_RE = re.compile(r"^(\*\*|__|\*|_)?VERDICT:\1?\s*(PASS|FAIL)(?:ED)?\b\s*(.*)$", re.M | re.I)
 
 
@@ -281,15 +285,18 @@ def _parse_actions(payload: str) -> tuple[ContractAction, ...]:
 
 
 def parse_response(raw: str) -> AgentResponse:
-    """Parse the tagged three-block format into a structured response. An
-    artifact path may be written in backticks (``# FILE: `a.py` ``); the
-    marker and the verdict are read in any case."""
-    blocks = {name: body for name, body in _BLOCK_RE.findall(raw)}
+    """Parse the tagged three-block format into a structured response. A CRLF
+    line end is read as LF, and a fence may carry blanks after its language
+    tag. An artifact path may be written in backticks (``# FILE: `a.py` ``);
+    the marker and the verdict are read in any case. A block's body is read
+    without the blanks around it; of blocks with one name, the last wins."""
+    raw = raw.replace("\r\n", "\n")
+    blocks = dict(_BLOCK_RE.findall(raw))
     if "output" not in blocks:
         raise ParseError("response has no <output> block")
-    output = blocks["output"]
-    thinking = blocks.get("thinking", "")
-    actions = _parse_actions(blocks["document_action"]) if "document_action" in blocks else ()
+    output = blocks["output"].strip()
+    thinking = blocks.get("thinking", "").strip()
+    actions = _parse_actions(blocks["document_action"].strip()) if "document_action" in blocks else ()
     artifacts = tuple((path.strip().strip("`"), body) for path, body in _ARTIFACT_RE.findall(raw))
     verdict = None
     m = _VERDICT_RE.search(output)

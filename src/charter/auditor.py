@@ -33,9 +33,12 @@ Every lookup is keyed by module path: a task id is a key of the kernel's
 In analyzed code, a class name denotes the class ``code_classes`` picks.
 
 Every check reads ``FileUnit`` values and takes their analysis from
-``workspace.analyze``, which keeps it on the unit. The report carries the
-accepted units themselves, and the workspace stores them, so a committed
-body is not analyzed again in later layers.
+``workspace.analyze``, which keeps it on the unit; a unit also keeps its
+last ``compare_unit`` result. The report carries the accepted units
+themselves, and the workspace stores them, so a committed body is not
+analyzed again in later layers, nor compared again with an entry whose
+classes are the same objects. An amendment keeps the kernel's own entry and
+class objects for everything it records nothing on.
 
 ``audit_layer`` is a pure function of its inputs, run as named steps that
 move each task through one planned-status map and record feedback, warnings
@@ -271,7 +274,23 @@ def existence_check(entries: Mapping[str, ApiSpecEntry], files: dict[str, FileUn
 
 
 def compare_unit(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
-    """Definition-side comparison of one file against its contract entry."""
+    """Definition-side comparison of one file against its contract entry,
+    sorted by kind and symbol.
+
+    The result reads only the unit's analysis and the entry's ``classes``
+    and ``file_path``, so the unit keeps its last comparison with them: a
+    unit compared again with the same ``classes`` object and path, as a
+    committed file is at every later barrier until its entry is amended,
+    reads the kept details. Either way the caller gets a list of its own."""
+    kept = unit._compared
+    if kept is not None and kept[0] is entry.classes and kept[1] == entry.file_path:
+        return list(kept[2])
+    details = _compare(entry, unit)
+    object.__setattr__(unit, "_compared", (entry.classes, entry.file_path, tuple(details)))
+    return details
+
+
+def _compare(entry: ApiSpecEntry, unit: FileUnit) -> list[MismatchDetail]:
     symbols = analyze(unit)
     if symbols.unanalyzable:
         return [MismatchDetail(DetailKind.UNANALYZABLE, entry.file_path, actual="unanalyzable")]
@@ -374,7 +393,8 @@ def _amended_entries(
 ) -> tuple[dict[str, ApiSpecEntry], list[str]]:
     """The kernel's entries (path -> entry) with the EXTRA/DEMANDED details
     of ``deltas`` recorded as read from the audited code, each amended entry
-    one version up, and the symbols recorded."""
+    one version up, and the symbols recorded. An entry, or a class, that
+    records nothing is the kernel's own object."""
     attributes: dict[str, list[AttributeSpec]] = {}  # class name -> recorded members
     methods: dict[str, list[MethodSig]] = {}
     classes: dict[str, list[ClassSpec]] = {}  # module id -> recorded classes
@@ -401,19 +421,24 @@ def _amended_entries(
                 classes.setdefault(task_id, []).append(code[detail.symbol])
             symbols.append(detail.symbol)
 
+    grown = attributes.keys() | methods.keys()  # the classes that record a member
     entries: dict[str, ApiSpecEntry] = {}
     for module_id, entry in kernel.entries.items():
-        amended = [
+        added = tuple(classes.get(module_id, ()))
+        if not added and not any(cls.name in grown for cls in entry.classes):
+            entries[module_id] = entry  # kept whole: its comparisons and printed lines still hold
+            continue
+        amended = tuple(
             ClassSpec(
                 cls.name,
                 cls.attributes + tuple(attributes.get(cls.name, ())),
                 cls.methods + tuple(methods.get(cls.name, ())),
             )
+            if cls.name in grown
+            else cls
             for cls in entry.classes
-        ]
-        amended += classes.get(module_id, [])
-        version = entry.version + 1 if tuple(amended) != entry.classes else entry.version
-        entries[module_id] = replace(entry, version=version, classes=tuple(amended))
+        )
+        entries[module_id] = replace(entry, version=entry.version + 1, classes=amended + added)
     return entries, symbols
 
 

@@ -13,13 +13,17 @@ field by field only the API entries whose lines changed and reuses the
 parent's for the rest (``parse_api_section``'s basis), and a revision that
 changes only statuses shares the rest of the parent's kernel, so a
 mutation's projection costs what it changed rather than the section's
-size. Every reader but the planner and the auditor reads one kind of view
-(``task_view``): the entries of a set of modules and of their direct
-dependencies, with the Directory Structure and diagram lines inside that
-neighbourhood. A worker or critic reads its task's; the plan reviewer reads
-the modules validation flags (``review_view``). A view reads an index of
-module paths to lines that the value's first view builds and its kernel
-keeps, so it costs the size of its neighbourhood.
+size. Within one read each distinct line is read once: the Owner, Version,
+Status and block lines of every entry repeat, and so do members that many
+classes share. A class keeps its printed lines (``ClassSpec.printed_lines``),
+so a class that revisions share is printed once. Every reader but the
+planner and the auditor reads one kind of view (``task_view``): the
+entries of a set of modules and of their direct dependencies, with the
+Directory Structure and diagram lines inside that neighbourhood. A worker
+or critic reads its task's; the plan reviewer reads the modules validation
+flags (``review_view``). A view reads an index of module paths to lines
+that the value's first view builds and its kernel keeps, so it costs the
+size of its neighbourhood.
 
 Contract and code share one type model. Every type, of a contract attribute
 or header or of a code annotation, is read by ``read_type`` into one canonical
@@ -111,6 +115,24 @@ class ClassSpec:
             typed.append((f"{self.name}.{sig.name} return", sig.return_type))
             typed.extend((f"{self.name}.{sig.name}({n})", t) for n, t in sig.params)
         return tuple((where, type_head(alternative)) for where, t in typed for alternative in _outer_bars(t))
+
+    @cached_property
+    def printed_lines(self) -> tuple[str, ...]:
+        """The lines ``print_api_section`` writes for this class, from its
+        Class line on. Computed on first use, so every revision and every
+        write-back that keeps the class prints it once."""
+        lines = [f"    - Class: {self.name}"]
+        if self.attributes:
+            lines.append("      Attributes:")
+            for attr in self.attributes:
+                desc = f" | {attr.description}" if attr.description else ""
+                lines.append(f"        - {attr.name}: {_printed_type(attr.type_name)}{desc}")
+        if self.methods:
+            lines.append("      Methods:")
+            for sig in self.methods:
+                doc = f" | {sig.docstring}" if sig.docstring else ""
+                lines.append(f"        - {sig.text}{doc}")
+        return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -417,9 +439,13 @@ def parse_api_section(
     field, and the ``File:`` lines are found without reading the rest, so a
     body gives the same entries, spans and ``ProjectionError`` with a basis
     as without one, and a derived value reads only the lines that changed.
-    Each distinct method header is parsed once per call: a read keeps a map
-    of header text to signature, and a repeated header takes its signature
-    from there, so only the first line of a bad header can raise.
+    Each distinct line is read once per call (``_LineReads``): a line that
+    repeats, as the Owner, Version, Status and block lines of every entry
+    and the members shared by many classes do, takes its field, attribute or
+    method reading from the call's line map. The checks that depend on where
+    a line stands run at each occurrence, in line order, so every error
+    raises at the line it did without the map, and a bad line raises at its
+    first occurrence.
     """
     reusable: dict[str, ApiSpecEntry] = {}
     old_body: tuple[str, ...] = ()
@@ -430,10 +456,10 @@ def parse_api_section(
             return list(reusable.values())
     found = [(index, value) for index, value in _file_fields(body) if not _names_an_attribute(body, index)]
     starts = [index for index, _ in found]
-    headers: dict[str, MethodSig] = {}  # method header text -> its signature, for this read
+    reads = _LineReads()
 
     # Before the first entry any line but a blank one is an error.
-    _parse_chunk(body, 0, starts[0] if starts else len(body), None, headers)
+    _parse_chunk(body, 0, starts[0] if starts else len(body), None, reads)
     entries: list[ApiSpecEntry] = []
     paths: set[str] = set()
     for (start, value), end in zip(found, [*starts[1:], len(body)]):
@@ -447,26 +473,32 @@ def parse_api_section(
             raise ProjectionError(f"duplicate File entry: {path}", start + 1)
         paths.add(path)
         old = reusable.get(path)
-        entry = None if old is None else _reused(old, old_body, body[start:end], start, end)
+        entry = None if old is None else _reused(old, old_body, body[start:end], start, end, reads)
         if entry is None:
             builder = _EntryBuilder(path, start)
-            _parse_chunk(body, start + 1, end, builder, headers)
+            _parse_chunk(body, start + 1, end, builder, reads)
             entry = builder.build(end)
         entries.append(entry)
     return entries
 
 
 def _reused(
-    old: ApiSpecEntry, old_body: tuple[str, ...], lines: tuple[str, ...] | list[str], start: int, end: int
+    old: ApiSpecEntry,
+    old_body: tuple[str, ...],
+    lines: tuple[str, ...] | list[str],
+    start: int,
+    end: int,
+    reads: _LineReads,
 ) -> ApiSpecEntry | None:
     """``old`` moved to ``[start, end)`` with the status read there, when the
-    chunk ``lines`` equals its span but for the Status line; otherwise None."""
+    chunk ``lines`` equals its span but for the Status line; otherwise None.
+    The Status line is read through the call's line map ``reads``."""
     old_lines = old_body[slice(*old.span)]
     lines = tuple(lines)
     at = old.status_line
     status = old.status
     if at is not None and at < len(lines) and lines[at] != old_lines[at]:
-        parsed = parse_field_line(lines[at])
+        parsed = reads.field(lines[at])
         if parsed is None or parsed[0] != "status":
             return None
         status = read_status(parsed[1])
@@ -480,17 +512,71 @@ def _reused(
     return replace(old, status=status, span=(start, end))
 
 
+class _LineReads:
+    """What one ``parse_api_section`` call has read each distinct line as:
+    its ``parse_field_line`` reading, and, in an Attributes or Methods block,
+    its attribute or method (docstring included). Only readings are kept,
+    never a check that depends on the entry or block a line stands in, and
+    only a reading that succeeded, so a bad line raises where it first
+    occurs. A method line missing from the map takes the signature of a
+    header it shares with another line, so each distinct header is parsed
+    once per call too."""
+
+    def __init__(self) -> None:
+        self.fields: dict[str, tuple[str, str] | None] = {}
+        self.attributes: dict[str, AttributeSpec] = {}
+        self.methods: dict[str, MethodSig] = {}
+        self.headers: dict[str, MethodSig] = {}  # method header text -> its signature
+
+    def field(self, line: str) -> tuple[str, str] | None:
+        try:
+            return self.fields[line]
+        except KeyError:
+            parsed = self.fields[line] = parse_field_line(line)
+            return parsed
+
+    def attribute(self, line: str, lineno: int) -> AttributeSpec:
+        spec = self.attributes.get(line)
+        if spec is None:
+            m = _ATTR_LINE_RE.match(line.replace("*", ""))
+            if m is None:
+                raise ProjectionError(f"unparseable attribute line: {line.strip()!r}", lineno)
+            name, (text, *desc) = m.group(1), _outer_bars(m.group(2))
+            try:
+                type_name = _read_type_text(text.strip())
+            except (SyntaxError, ValueError, RecursionError, MemoryError):
+                raise ProjectionError(f"attribute type is not a Python expression: {text.strip()!r}", lineno) from None
+            spec = self.attributes[line] = AttributeSpec(name, type_name, "|".join(desc).strip())
+        return spec
+
+    def method(self, line: str, lineno: int) -> MethodSig:
+        sig = self.methods.get(line)
+        if sig is None:
+            m = _METHOD_LINE_RE.match(line.replace("*", ""))
+            if m is None:
+                raise ProjectionError(f"unparseable method line: {line.strip()!r}", lineno)
+            header, *doc = _outer_bars(m.group(1))
+            read = self.headers.get(header)
+            if read is None:
+                try:
+                    read = self.headers[header] = parse_signature(header)
+                except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
+                    raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
+            sig = self.methods[line] = MethodSig(read.name, read.params, read.return_type, "|".join(doc).strip())
+        return sig
+
+
 def _parse_chunk(
     body: tuple[str, ...] | list[str],
     first: int,
     end: int,
     entry: _EntryBuilder | None,
-    headers: dict[str, MethodSig],
+    reads: _LineReads,
 ) -> None:
     """Read lines ``[first, end)``, none of them a ``File:`` line, into
     ``entry``, the entry whose ``File:`` line precedes them (None before the
     first one). Line numbers in errors are 1-based in the whole body.
-    ``headers`` maps each method header read so far to its signature.
+    ``reads`` holds what the call has read each distinct line as so far.
 
     Inside an Attributes block an attribute may be named like a field: a
     line for a field the entry already holds (``status``, ``owner``,
@@ -503,7 +589,7 @@ def _parse_chunk(
         if not line.strip():
             continue
         lineno = index + 1
-        parsed = parse_field_line(line)
+        parsed = reads.field(line)
         key = parsed[0] if parsed else None
         if block == "attrs" and key is not None and (key in entry.seen_fields or key in _BLOCK_KEYS and parsed[1]):
             key = None  # an attribute named like a field
@@ -560,31 +646,14 @@ def _parse_chunk(
             continue
 
         if block == "attrs":
-            m = _ATTR_LINE_RE.match(line.replace("*", ""))
-            if m is None:
-                raise ProjectionError(f"unparseable attribute line: {line.strip()!r}", lineno)
-            name, (text, *desc) = m.group(1), _outer_bars(m.group(2))
-            try:
-                type_name = _read_type_text(text.strip())
-            except (SyntaxError, ValueError, RecursionError, MemoryError):
-                raise ProjectionError(f"attribute type is not a Python expression: {text.strip()!r}", lineno) from None
+            attr = reads.attribute(line, lineno)
             cls = entry.classes[-1]  # type: ignore[union-attr]
-            if any(a.name == name for a in cls["attributes"]):
-                raise ProjectionError(f"duplicate attribute {name} in class {cls['name']}", lineno)
-            cls["attributes"].append(AttributeSpec(name=name, type_name=type_name, description="|".join(desc).strip()))
+            if any(a.name == attr.name for a in cls["attributes"]):
+                raise ProjectionError(f"duplicate attribute {attr.name} in class {cls['name']}", lineno)
+            cls["attributes"].append(attr)
             continue
         if block == "methods":
-            m = _METHOD_LINE_RE.match(line.replace("*", ""))
-            if m is None:
-                raise ProjectionError(f"unparseable method line: {line.strip()!r}", lineno)
-            header, *doc = _outer_bars(m.group(1))
-            read = headers.get(header)
-            if read is None:
-                try:
-                    read = headers[header] = parse_signature(header)
-                except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
-                    raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
-            sig = MethodSig(read.name, read.params, read.return_type, "|".join(doc).strip())
+            sig = reads.method(line, lineno)
             cls = entry.classes[-1]  # type: ignore[union-attr]
             if any(existing.name == sig.name for existing in cls["methods"]):
                 raise ProjectionError(f"duplicate method {sig.name} in class {cls['name']}", lineno)
@@ -595,29 +664,23 @@ def _parse_chunk(
 
 
 def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) -> list[str]:
-    """Canonical re-rendering; ``parse_api_section`` inverts it."""
+    """Canonical re-rendering; ``parse_api_section`` inverts it. An entry's
+    field lines are written here, its classes' lines are the ones each class
+    keeps (``ClassSpec.printed_lines``)."""
     lines: list[str] = []
     for i, entry in enumerate(entries):
         if i:
             lines.append("")
-        lines.append(f"- File: {entry.file_path}")
-        lines.append(f"  Owner: {entry.owner}")
-        lines.append(f"  Version: {entry.version}")
-        lines.append(f"  Status: {entry.status.value}")
+        lines += (
+            f"- File: {entry.file_path}",
+            f"  Owner: {entry.owner}",
+            f"  Version: {entry.version}",
+            f"  Status: {entry.status.value}",
+        )
         if entry.classes:
             lines.append("  Classes:")
-        for cls in entry.classes:
-            lines.append(f"    - Class: {cls.name}")
-            if cls.attributes:
-                lines.append("      Attributes:")
-                for attr in cls.attributes:
-                    desc = f" | {attr.description}" if attr.description else ""
-                    lines.append(f"        - {attr.name}: {_printed_type(attr.type_name)}{desc}")
-            if cls.methods:
-                lines.append("      Methods:")
-                for sig in cls.methods:
-                    doc = f" | {sig.docstring}" if sig.docstring else ""
-                    lines.append(f"        - {print_signature(sig)}{doc}")
+            for cls in entry.classes:
+                lines += cls.printed_lines
     return lines
 
 

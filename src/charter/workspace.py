@@ -18,10 +18,13 @@ One depth-first walk reads a module and visits each node once; leaving a
 def, it drops the uses read there of a name the def binds.
 A ``FileUnit`` keeps its analysis, as a contract value keeps its kernel:
 ``analyze`` reads a ``.py`` unit on first use and stores the result on the
-unit, and files of any other type yield no symbols. The workspace stores the
-units the auditor read, so a committed body is not analyzed again. Files are
-keyed by ``kernel.normalize_path``, the function that also keys the kernel's
-entries, so a workspace path is the task id of the file contracted there.
+unit, and files of any other type yield no symbols. A unit also keeps its
+last comparison with a contract entry (``auditor.compare_unit``). The
+workspace stores the units the auditor read, so a committed body is not
+analyzed again, nor compared again with an entry whose classes are
+unchanged. Files are keyed by ``kernel.normalize_path``, the function that
+also keys the kernel's entries, so a workspace path is the task id of the
+file contracted there.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ class FileUnit:
     body: str
     # The body's analysis, filled by ``analyze`` on first use.
     _symbols: ExtractedSymbols | None = field(default=None, init=False, repr=False, compare=False)
+    # The last ``auditor.compare_unit`` of this unit: (the entry's classes,
+    # its file path, the details found).
+    _compared: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

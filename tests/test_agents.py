@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from charter.agents import (
+    _BLOCK_RE,
     AgentResponse,
     ContextOverflow,
     IntentSpec,
@@ -179,6 +182,44 @@ def test_the_verdict_and_the_file_marker_are_read_in_any_case(case):
     line, marker, verdict, artifacts = CASE_DEVIATIONS[case]
     response = parse_response(f"<output>\nreviewed\n{line}\n</output>\n```python\n{marker}\nx = 1\n```")
     assert (response.verdict, response.artifacts) == (verdict, artifacts)
+
+
+# How a live model may lay out a whole response: label -> the response, read
+# as the canonical one (``<output>`` with a verdict, then one ``a.py`` fence).
+CANONICAL_LAYOUT = "<output>\nreviewed\nVERDICT: PASS\n</output>\n```python\n# FILE: a.py\nx = 1\n```"
+LAYOUT_DEVIATIONS = {
+    "canonical": CANONICAL_LAYOUT,
+    "CRLF line ends": CANONICAL_LAYOUT.replace("\n", "\r\n"),
+    "a space after the fence's language tag": CANONICAL_LAYOUT.replace("```python\n", "```python \n"),
+    "a tab after the fence's language tag": CANONICAL_LAYOUT.replace("```python\n", "```python\t\n"),
+    "a space after a fence without a tag": CANONICAL_LAYOUT.replace("```python\n", "``` \n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_DEVIATIONS))
+def test_a_response_is_read_whatever_its_line_ends_and_fence_blanks(case):
+    response = parse_response(LAYOUT_DEVIATIONS[case])
+    assert (response.output, response.verdict, response.artifacts) == ("reviewed\nVERDICT: PASS", Verdict(True), A_PY)
+
+
+# The block reader before the body was stripped in Python; its lazy body
+# tried the optional-whitespace tail at every character.
+_REFERENCE_BLOCK_RE = re.compile(r"<(thinking|output|document_action)>\s*\n?(.*?)\n?\s*</\1>", re.S)
+_BLOCK_PIECES = st.sampled_from(
+    [f"<{name}>" for name in ("thinking", "output", "document_action")]
+    + [f"</{name}>" for name in ("thinking", "output", "document_action")]
+    + [" ", "\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\xa0", "\u2028", "a", "b", "<", ">", "/"]
+)
+
+
+@given(st.lists(_BLOCK_PIECES, max_size=24).map("".join))
+@example("<output> \n\n a \n </output><output>b</output>")
+@example("<thinking>\n<output>\n</thinking>x</output>")
+@example("<output>\x1c\n a\x85</output>")
+@settings(max_examples=500, deadline=None)
+def test_blocks_are_read_as_the_reference_pattern_reads_them(text):
+    # Every occurrence, in order, so the one ``parse_response`` keeps is the same too.
+    assert [(name, body.strip()) for name, body in _BLOCK_RE.findall(text)] == _REFERENCE_BLOCK_RE.findall(text)
 
 @pytest.mark.parametrize(
     "response",

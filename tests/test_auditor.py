@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from charter.agents import AgentResponse, RoleKind, Verdict
@@ -12,6 +14,7 @@ from charter.auditor import (
     StatusRegression,
     SyncTask,
     TaskInjection,
+    _amended_entries,
     audit_layer,
     classify,
     compare_unit,
@@ -21,7 +24,7 @@ from charter.auditor import (
     match,
 )
 from charter.contract import SectionKey, apply_action
-from charter.kernel import full_view, project
+from charter.kernel import AttributeSpec, ClassSpec, full_view, project
 from charter.tasks import Task, TaskStatus
 from charter.workspace import FileUnit
 
@@ -320,6 +323,57 @@ def test_an_audit_without_a_patchable_delta_builds_no_amended_entries(monkeypatc
     outcomes = [_worker_outcome("entities/player.py", "entities/player.py", PLAYER_OK)]
     report = audit_layer(contract, {}, _tasks(contract), outcomes)
     assert [d.kind for d in report.deltas] == [DeltaKind.EMPTY]
+
+
+def test_a_unit_compared_again_reads_what_a_fresh_comparison_reads(monkeypatch):
+    import charter.auditor
+
+    computed = []
+    compare = charter.auditor._compare
+    monkeypatch.setattr(charter.auditor, "_compare", lambda entry, unit: computed.append(unit) or compare(entry, unit))
+    entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
+    unit = FileUnit("entities/player.py", PLAYER_SUPERSET)
+    first = compare_unit(entry, unit)
+    assert [d.symbol for d in first] == ["Player.height", "Player.width"]
+    first.clear()  # the caller's own list: the kept details are untouched
+    again = compare_unit(entry, unit)
+    assert again == compare_unit(entry, FileUnit(unit.path, unit.body))
+    assert [d.symbol for d in again] == ["Player.height", "Player.width"]
+    again.append(again[0])
+    assert len(compare_unit(entry, unit)) == 2
+    assert len(computed) == 2  # ``unit`` once, the fresh unit once: the repeats read the kept details
+
+    # Equal classes in another tuple, or the same classes at another path, are compared afresh.
+    computed.clear()
+    assert compare_unit(replace(entry, classes=(PLAYER_CLASS,)), unit) == again[:2]
+    broken = FileUnit("a.py", "class Player(:\n")
+    assert [d.symbol for d in compare_unit(replace(entry, file_path="a.py"), broken)] == ["a.py"]
+    assert [d.symbol for d in compare_unit(replace(entry, file_path="b.py"), broken)] == ["b.py"]
+    assert len(computed) == 3
+
+
+def test_an_amended_class_is_compared_afresh():
+    entry = make_entry("entities/player.py", classes=(PLAYER_CLASS,))
+    unit = FileUnit("entities/player.py", PLAYER_SUPERSET)
+    assert [d.kind for d in compare_unit(entry, unit)] == [DetailKind.EXTRA, DetailKind.EXTRA]
+    grown = ClassSpec(
+        "Player", PLAYER_CLASS.attributes + (AttributeSpec("height", "int"), AttributeSpec("width", "int")), PLAYER_CLASS.methods
+    )
+    assert compare_unit(replace(entry, classes=(grown,)), unit) == []
+    assert len(compare_unit(entry, unit)) == 2  # the first entry again: compared afresh, not read off the last
+
+
+def test_amended_entries_keep_the_kernels_object_for_an_entry_they_leave_alone():
+    contract = _plane_contract()
+    kernel = project(contract)
+    unit = FileUnit("systems/collision.py", COLLISION_DEMANDING)
+    details = tuple(demand_details(kernel, unit))
+    entries, symbols = _amended_entries(kernel, {unit.path: details}, {unit.path: (unit,)})
+    assert symbols == ["Player.height", "Player.width"]
+    assert entries["systems/collision.py"] is kernel.entries["systems/collision.py"]
+    player = entries["entities/player.py"]
+    assert player is not kernel.entries["entities/player.py"] and player.version == 2
+    assert [a.name for a in player.classes[0].attributes] == ["x", "y", "health", "height", "width"]
 
 
 HUD_CLASS = simple_class("Hud", [("score", "int")], [method("def draw() -> None")])

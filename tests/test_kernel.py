@@ -545,6 +545,119 @@ def test_an_attribute_named_like_an_entry_field_survives_print_and_parse(attribu
     assert parse_api_section(print_api_section(entries)) == entries
 
 
+# Members drawn from small pools, so a drawn section repeats most of its
+# lines: field lines, block lines and member lines shared by many classes,
+# among them attributes named like the fields each entry's lines also hold.
+_REPEATED_ATTRIBUTES = st.builds(
+    AttributeSpec,
+    st.sampled_from(("status", "owner", "version", "file", "methods", "hp")),
+    st.sampled_from(("int", "list[str]", "Player | None")),
+    st.sampled_from(("", "shared", "a | b")),
+)
+_REPEATED_METHODS = st.builds(
+    lambda header, doc: replace(parse_signature(header), docstring=doc),
+    st.sampled_from(("def run() -> None", "def step(delta: int) -> int", "def status(x: int | None) -> str")),
+    st.sampled_from(("", "documented", "x | y")),
+)
+_REPEATED_CLASSES = st.builds(
+    ClassSpec,
+    st.sampled_from(("Player", "Board")),
+    st.lists(_REPEATED_ATTRIBUTES, max_size=4, unique_by=lambda a: a.name).map(tuple),
+    st.lists(_REPEATED_METHODS, max_size=3, unique_by=lambda m: m.name).map(tuple),
+)
+
+
+@st.composite
+def _repetitive_entries(draw):
+    entries = []
+    for i in range(draw(st.integers(1, 6))):
+        classes = draw(st.lists(_REPEATED_CLASSES, max_size=2, unique_by=lambda c: c.name))
+        owner = draw(st.sampled_from(("dev", "backend")))
+        version = draw(st.sampled_from((1, 2)))
+        entries.append(ApiSpecEntry(f"m{i}.py", owner, version, draw(st.sampled_from(list(TaskStatus))), tuple(classes)))
+    return entries
+
+
+@given(_repetitive_entries())
+@settings(max_examples=300, deadline=None)
+def test_a_section_of_repeated_lines_survives_print_and_parse(entries):
+    printed = print_api_section(entries)
+    parsed = parse_api_section(printed)
+    assert parsed == entries
+    assert print_api_section(parsed) == printed
+
+
+def test_one_line_is_read_as_a_field_in_one_entry_and_an_attribute_in_another():
+    lines = [
+        "- File: a.py", "- Owner: dev", "- Status: DONE",
+        "- File: b.py", "- Status: TODO", "- Classes:", "- Class: B", "- Attributes:", "- Status: DONE", "- Owner: dev",
+    ]  # fmt: skip
+    a, b = parse_api_section(lines)
+    assert (a.owner, a.status, a.classes) == ("dev", TaskStatus.DONE, ())
+    assert (b.owner, b.status) == ("dev", TaskStatus.TODO)
+    assert b.classes == (ClassSpec("B", (AttributeSpec("Status", "DONE"),)),)
+
+
+def _section_of_two(attributes=(("hp", "int"),)):
+    """The printed lines of two entries whose classes share every member line."""
+    return print_api_section(
+        [
+            make_entry(path, classes=(simple_class(name, list(attributes), [method("def run() -> None")]),))
+            for path, name in (("a.py", "A"), ("b.py", "B"))
+        ]
+    )
+
+
+def _with_line(lines, at, insert=(), replace_with=None):
+    """``lines`` with every line equal to ``at`` replaced by ``replace_with``,
+    or with ``insert`` after the last such line."""
+    lines = list(lines)
+    if replace_with is not None:
+        lines = [replace_with if line == at else line for line in lines]
+    else:
+        index = max(i for i, line in enumerate(lines) if line == at)  # in the last entry
+        lines[index + 1 : index + 1] = insert
+    return lines
+
+
+_SHARED_ATTRIBUTE = "        - hp: int | hp value"
+# label -> (lines, the 1-based line the read raises at, the message).
+ERROR_LOCI = {
+    "a bad type on a repeated line, at its first occurrence": (
+        _with_line(_section_of_two(), _SHARED_ATTRIBUTE, replace_with="        - hp: list of int"),
+        _section_of_two().index(_SHARED_ATTRIBUTE) + 1,
+        "attribute type is not a Python expression",
+    ),
+    "a duplicate attribute whose line an earlier entry holds, at its own line": (
+        _with_line(_section_of_two(), _SHARED_ATTRIBUTE, insert=[_SHARED_ATTRIBUTE]),
+        max(i for i, line in enumerate(_section_of_two()) if line == _SHARED_ATTRIBUTE) + 2,
+        "duplicate attribute hp in class B",
+    ),
+    "a duplicate Status, at the second Status line of its entry": (
+        _with_line(_section_of_two(), "  Status: TODO", insert=["  Status: TODO"]),
+        max(i for i, line in enumerate(_section_of_two()) if line == "  Status: TODO") + 2,
+        "duplicate status field in entry b.py",
+    ),
+    "a duplicate method whose line an earlier entry holds, at its own line": (
+        _with_line(_section_of_two(), "        - def run() -> None | documented", insert=["        - def run() -> None"]),
+        len(_section_of_two()) + 1,
+        "duplicate method run in class B",
+    ),
+    "a duplicate class line, at the second one": (
+        _with_line(_section_of_two(), "        - def run() -> None | documented", insert=["    - Class: B"]),
+        len(_section_of_two()) + 1,
+        "duplicate class B in entry b.py",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", sorted(ERROR_LOCI))
+def test_a_line_map_read_raises_where_a_line_by_line_read_does(label):
+    lines, lineno, message = ERROR_LOCI[label]
+    with pytest.raises(ProjectionError, match=f"^line {lineno}: {message}"):
+        parse_api_section(lines)
+
+
 # Where a ``file:`` line stands: label -> (lines, the entry paths read, the
 # attributes of the first entry's class).
 FILE_LINE_LAYOUTS = {

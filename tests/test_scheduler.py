@@ -447,6 +447,23 @@ def test_each_file_value_is_analyzed_once(monkeypatch, gomoku_intent, gomoku_tra
         assert len(analyzed) == len(set(analyzed)) == 3
 
 
+def test_each_file_is_compared_with_its_entry_once(monkeypatch):
+    # Layer 1 compares each worker's file; layer 2's repair check meets the
+    # same committed units and unamended entries, and reads the kept result.
+    compared = []
+    compare = charter.auditor._compare
+
+    def recording_compare(entry, unit):
+        compared.append((entry.file_path, unit.body))
+        return compare(entry, unit)
+
+    monkeypatch.setattr(charter.auditor, "_compare", recording_compare)
+    plan = synth.chain_plan(1, 20)
+    result = run(IntentSpec(plan.intent), RunConfig(mode=RunMode.SEQUENTIAL), synth.SyntheticBackend(plan))
+    assert all(task.status is TaskStatus.VERIFIED for task in result.tasks.values())
+    assert sorted(compared) == sorted(plan.oracle.items())
+
+
 def test_dispatch_events_logged(gomoku_intent, gomoku_transcript, caplog):
     backend = ScriptedBackend.from_file(gomoku_transcript)
     with caplog.at_level(logging.INFO, logger="charter.scheduler"):
