@@ -43,9 +43,11 @@ class objects for everything it records nothing on.
 ``audit_layer`` is a pure function of its inputs, run as named steps that
 move each task through one planned-status map and record feedback, warnings
 and interventions in step order; the repair check, the existence check and
-the write-back read the entries the amendment step printed.
-``scheduler.barrier`` applies the returned effects and creates tasks. Each document action it returns carries the view its author
-was shown, which the barrier re-anchors it through.
+the write-back read the entries the amendment step placed.
+``scheduler.barrier`` applies the returned effects and creates tasks. Each
+agent's document action it returns carries the view its author was shown,
+which the barrier re-anchors it through; the write-back comes placed, as one
+patch per moved Status line and a diff of each amended entry.
 """
 
 from __future__ import annotations
@@ -67,13 +69,14 @@ from .kernel import (
     MethodSig,
     PathViolation,
     SymbolicKernel,
-    full_view,
     guard_violations,
     normalize_path,
     print_api_section,
+    print_status,
     project,
     type_head,
 )
+from .patches import AtomicPatch, PlacedAction, apply_patches, diff_against_base
 from .tasks import Task, TaskStatus
 from .workspace import ExtractedSymbols, FileUnit, analyze
 
@@ -181,11 +184,15 @@ class AuditReport:
     deltas: tuple[AuditDelta, ...]
     interventions: tuple
     accepted_artifacts: tuple[tuple[str, tuple[FileUnit, ...]], ...]
-    contract_actions: tuple[tuple[str, ContractAction, ContractView], ...]  # (author, action, view shown)
+    write_back: PlacedAction | None  # the amended entries and planned statuses, placed in the snapshot
+    contract_actions: tuple[tuple[str, ContractAction, ContractView], ...]  # agents' (author, action, view shown)
     feedback: tuple[tuple[str, str], ...]
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        journaled = [(author, action) for author, action, _ in self.contract_actions]
+        if self.write_back is not None:
+            journaled.insert(0, (AUDITOR_AUTHOR, self.write_back.action))
         return {
             "existence": self.existence,
             "unmatched": list(self.unmatched),
@@ -199,7 +206,7 @@ class AuditReport:
             ],
             "contract_actions": [
                 {"author": author, "section": action.section.value, "op": action.op.value}
-                for author, action, _ in self.contract_actions
+                for author, action in journaled
             ],
             "feedback": [list(f) for f in self.feedback],
             "warnings": list(self.warnings),
@@ -495,12 +502,13 @@ def audit_layer(
 
     Pure: identical inputs produce identical reports. Every step writes one
     ``_AuditPlan``; the sync, the existence check and the write-back read the
-    entries the amendment step printed for its guarded trial. The scheduler
+    entries the amendment step placed for its guarded trial. The scheduler
     commits the accepted units, the values audited here, and applies the
-    status moves and contract actions at the barrier. Each contract action is
-    ``(author, action, view)``: an agent action carries the view of its
-    dispatch (``DispatchOutcome.view``); the auditor's write-back (the amended
-    entries, stamped with the planned statuses) carries ``full_view(contract)``.
+    status moves and document actions at the barrier. Each agent action is
+    ``(author, action, view)`` and carries the view of its dispatch
+    (``DispatchOutcome.view``). The auditor's write-back (the amended entries,
+    stamped with the planned statuses) is placed here, in the snapshot the
+    layer read (``_write_back``).
     """
     kernel = project(contract)
     plan = _AuditPlan({task_id: task.status for task_id, task in tasks.items()})
@@ -528,7 +536,8 @@ def audit_layer(
         deltas=tuple(deltas.values()),
         interventions=tuple(plan.interventions),
         accepted_artifacts=tuple(accepted.items()),
-        contract_actions=_write_back(contract, entries, plan.statuses, outcomes, deltas),
+        write_back=_write_back(contract, entries, plan.statuses),
+        contract_actions=_agent_actions(outcomes, deltas),
         feedback=tuple(plan.feedback),
         warnings=tuple(plan.warnings),
     )
@@ -579,7 +588,7 @@ def _try_amendment(
     plan: _AuditPlan,
 ) -> Mapping[str, ApiSpecEntry]:
     """The entries (path -> entry) amended under the guard to legitimize every
-    PATCHABLE superset, as printed for the guarded trial. Without a PATCHABLE
+    PATCHABLE superset, as placed for the guarded trial. Without a PATCHABLE
     delta they are the kernel's own entries, and none is built; when the
     guard refuses the amendment they are the kernel's too, and the refusal
     makes each PATCHABLE delta CRITICAL."""
@@ -587,10 +596,7 @@ def _try_amendment(
     if not patchable:
         return kernel.entries
     entries, symbols = _amended_entries(kernel, patchable, artifacts)
-    printed = "\n".join(print_api_section(list(entries.values())))
-    trial = apply_action(
-        contract, ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, printed), guard=guard_violations
-    )
+    trial = apply_action(contract, _write_back(contract, entries, {}).action, guard=guard_violations)
     if not isinstance(trial, Rejection):
         plan.interventions.append(ContractAmendment(added_symbols=tuple(symbols)))
         return entries
@@ -673,19 +679,45 @@ def _sync_after_amendment(
 
 
 def _write_back(
-    contract: LanguageContract,
-    entries: Mapping[str, ApiSpecEntry],
-    statuses: dict[str, TaskStatus],
-    outcomes: list[DispatchOutcome],
-    deltas: dict[str, AuditDelta],
+    contract: LanguageContract, entries: Mapping[str, ApiSpecEntry], statuses: Mapping[str, TaskStatus]
+) -> PlacedAction | None:
+    """``entries`` (path -> entry, for each entry of the kernel of
+    ``contract``) stamped with ``statuses``, as patches placed in the API
+    section of ``contract`` and journaled as the section they make; None
+    when they move no line. An entry the kernel holds as it is, with a
+    Status line, is patched only when its status moves: that line, printed
+    anew. Any other entry, amended or without a Status line, is its span,
+    trailing blanks trimmed, diffed against its own print. On a section in
+    canonical spelling the result is ``print_api_section`` of the stamped
+    entries; in any other, only the lines that move are rewritten."""
+    section = SectionKey.API_SPECIFICATIONS
+    body, kept = contract.body(section), project(contract).entries
+    hunks: list[tuple[int, int, tuple[str, ...]]] = []
+    for path, entry in entries.items():
+        status = statuses.get(path, entry.status)
+        start, end = entry.span
+        if entry is kept[path] and entry.status_line is not None:
+            if status is not entry.status:
+                at = start + entry.status_line
+                hunks.append((at, at + 1, (print_status(status),)))
+            continue
+        while end > start and not body[end - 1].strip():
+            end -= 1
+        printed = print_api_section([replace(entry, status=status)])
+        hunks += [(start + i0, start + i1, lines) for i0, i1, lines in diff_against_base(body[start:end], printed)]
+    if not hunks:
+        return None
+    return PlacedAction(
+        ContractAction(ActionOp.UPDATE, section, "\n".join(apply_patches(body, hunks))),
+        tuple(AtomicPatch(section, start, end, lines, AUDITOR_AUTHOR) for start, end, lines in hunks),
+    )
+
+
+def _agent_actions(
+    outcomes: list[DispatchOutcome], deltas: dict[str, AuditDelta]
 ) -> tuple[tuple[str, ContractAction, ContractView], ...]:
-    """The write-back of the amended entries and planned statuses, then each
-    agent action with its view, unless its artifact was rejected outright."""
+    """Each agent action with its view, unless its artifact was rejected outright."""
     actions: list[tuple[str, ContractAction, ContractView]] = []
-    body = print_api_section([replace(e, status=statuses.get(path, e.status)) for path, e in entries.items()])
-    if tuple(body) != contract.body(SectionKey.API_SPECIFICATIONS):
-        write_back = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(body))
-        actions.append((AUDITOR_AUTHOR, write_back, full_view(contract)))
     for outcome in sorted(outcomes, key=lambda o: o.task_id):
         delta = deltas.get(outcome.task_id)
         if outcome.response is None or (delta is not None and delta.kind is DeltaKind.CRITICAL):

@@ -675,13 +675,18 @@ def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) ->
             f"- File: {entry.file_path}",
             f"  Owner: {entry.owner}",
             f"  Version: {entry.version}",
-            f"  Status: {entry.status.value}",
+            print_status(entry.status),
         )
         if entry.classes:
             lines.append("  Classes:")
             for cls in entry.classes:
                 lines += cls.printed_lines
     return lines
+
+
+def print_status(status: TaskStatus) -> str:
+    """An entry's Status line as ``print_api_section`` writes it."""
+    return f"  Status: {status.value}"
 
 
 # --- dependency diagram ------------------------------------------------------
@@ -913,7 +918,7 @@ def _build_view_index(contract: LanguageContract, kernel: SymbolicKernel) -> _Vi
 
 
 def full_view(contract: LanguageContract) -> ContractView:
-    """Every line of every section: what the auditor's write-back addresses."""
+    """Every line of every section: what the planner reads and writes back through."""
     return {key: tuple(range(len(body))) for key, body in contract.sections.items()}
 
 

@@ -10,14 +10,15 @@ duplicates collapse), nothing is silently dropped. The merged value must
 still pass the kernel guard; ``commit_merge`` raises ``KernelViolation``
 otherwise. ``commit_actions`` is the one commit path of every document
 action: a layer's at its barrier, and a synthesis stage's, each batch placed,
-merged and committed once.
+merged and committed once. An agent's action is placed here, through the
+view its author was shown; the auditor places its write-back itself
+(``PlacedAction``): one patch per Status line it moves, and a diff of each
+entry it amends against that entry's own lines.
 """
 
 from __future__ import annotations
 
-import bisect
 import difflib
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -61,6 +62,15 @@ class AtomicPatch:
 
 
 @dataclass(frozen=True)
+class PlacedAction:
+    """A document action whose author placed its own patches in the snapshot,
+    as the auditor's write-back is: merged as they are, journaled as ``action``."""
+
+    action: ContractAction
+    patches: tuple[AtomicPatch, ...]
+
+
+@dataclass(frozen=True)
 class Conflict:
     section: SectionKey
     start: int
@@ -77,87 +87,12 @@ class MergeResult:
 
 def diff_against_base(base: list[str] | tuple[str, ...], proposed: list[str] | tuple[str, ...]) -> list[tuple[int, int, tuple[str, ...]]]:
     """Line diff as interval replacements; applying them rebuilds ``proposed``.
-
-    The diff is anchored on the lines that occur exactly once in ``base`` and
-    exactly once in ``proposed``, keeping the longest run of them that is in
-    the same order on both sides (``_anchors``). Anchors are matched lines,
-    and difflib runs only on the stretches between consecutive anchors. The
-    ``File:`` lines of an API section are such anchors, so a write-back that
-    flips N Status lines costs N small diffs, not one diff of the whole
-    section, whose repeated lines (``Version: 1``, ``Methods:``) make it
-    quadratic. A stretch that differs in one line only, such as an entry
-    whose Status flipped, is written as that line's replacement without a
-    matcher (``_replaced_line``). Without an anchor this is one
-    ``SequenceMatcher`` over both."""
-    base, proposed = list(base), list(proposed)
-    out: list[tuple[int, int, tuple[str, ...]]] = []
-    a0 = b0 = 0
-    for a1, b1 in [*_anchors(base, proposed), (len(base), len(proposed))]:
-        old, new = base[a0:a1], proposed[b0:b1]
-        if old != new:
-            at = _replaced_line(old, new)
-            if at is not None:
-                out.append((a0 + at, a0 + at + 1, (new[at],)))
-            else:
-                for tag, i0, i1, j0, j1 in difflib.SequenceMatcher(a=old, b=new).get_opcodes():
-                    if tag != "equal":
-                        out.append((a0 + i0, a0 + i1, tuple(new[j0:j1])))
-        a0, b0 = a1 + 1, b1 + 1
-    return out
-
-
-def _replaced_line(old: list[str], new: list[str]) -> int | None:
-    """The index of the one line in which two stretches of one length differ,
-    when its old text does not occur in ``new`` nor its new text in ``old``
-    and the stretch is shorter than difflib's autojunk threshold (200 lines).
-    ``SequenceMatcher`` then matches the lines before and after it in place
-    and gives this one replacement, so the matcher is not needed. Otherwise
-    None."""
-    if len(old) != len(new) or len(old) >= 200:
-        return None
-    differing = [k for k, (line, proposed) in enumerate(zip(old, new)) if line != proposed]
-    if len(differing) != 1:
-        return None
-    at = differing[0]
-    return at if old[at] not in new and new[at] not in old else None
-
-
-def _anchors(base: list[str], proposed: list[str]) -> list[tuple[int, int]]:
-    """Index pairs ``(i, j)`` with ``base[i] == proposed[j]`` a line unique on
-    both sides: the longest run of them ascending in ``i`` and in ``j``."""
-    once_in_proposed = _unique_lines(proposed)
-    pairs = [
-        (i, once_in_proposed[line])
-        for line, i in _unique_lines(base).items()
-        if line in once_in_proposed
+    One ``SequenceMatcher`` over both: its opcodes that are not equal."""
+    return [
+        (i0, i1, tuple(proposed[j0:j1]))
+        for tag, i0, i1, j0, j1 in difflib.SequenceMatcher(a=base, b=proposed).get_opcodes()
+        if tag != "equal"
     ]
-    # Longest increasing subsequence of the j's (pairs ascend in i), by
-    # patience sorting: tails[k] is the smallest j ending a run of length
-    # k + 1, ends[k] the pair it came from, back[n] the pair before pair n.
-    tails: list[int] = []
-    ends: list[int] = []
-    back: list[int] = []
-    for n, (_, j) in enumerate(pairs):
-        k = bisect.bisect_left(tails, j)
-        back.append(ends[k - 1] if k else -1)
-        if k == len(tails):
-            tails.append(j)
-            ends.append(n)
-        else:
-            tails[k] = j
-            ends[k] = n
-    run: list[tuple[int, int]] = []
-    n = ends[-1] if ends else -1
-    while n >= 0:
-        run.append(pairs[n])
-        n = back[n]
-    return run[::-1]
-
-
-def _unique_lines(lines: list[str]) -> dict[str, int]:
-    """Line -> its index, for the lines that occur exactly once, in order."""
-    counts = Counter(lines)
-    return {line: i for i, line in enumerate(lines) if counts[line] == 1}
 
 
 def apply_patches(base: list[str] | tuple[str, ...], patches: list[tuple[int, int, tuple[str, ...]]]) -> list[str]:
@@ -185,8 +120,8 @@ def patches_for_action(
 
     ``view`` holds the lines the author was shown: the view its prompt bundle
     recorded (``kernel.task_view`` for a worker, critic or the plan reviewer,
-    empty for the contract-less ablation), or ``kernel.full_view`` for the
-    auditor's write-back. An UPDATE replaces what the author saw, so it is
+    ``kernel.full_view`` for the planner, empty for the contract-less
+    ablation). An UPDATE replaces what the author saw, so it is
     diffed against the view and each hunk is re-anchored in the snapshot: a
     pure insertion lands right after the preceding shown line; a replaced or
     deleted range of the view is split into runs contiguous in the snapshot,
@@ -329,18 +264,21 @@ def commit_actions(
     contract: LanguageContract,
     actions: Sequence[tuple[str, ContractAction, ContractView]],
     journal: Callable[[dict], None],
+    placed: PlacedAction | None = None,
 ) -> tuple[LanguageContract, int]:
     """Place ``(author, action, view)`` triples against ``contract``, merge
-    them and commit the result once; return it and the merge's conflict count.
+    them with the ``placed`` action's own patches and commit the result once;
+    return it and the merge's conflict count.
 
     Each action is re-anchored through the view its author was shown
     (``patches_for_action``). One author's actions on one section are first
     folded in order into one: a later UPDATE replaces what that author's
     earlier actions wrote there, and an ADD extends it. So a batch is placed
     against its snapshot whatever the order of its actions. Every action is
-    journaled at the revision it lands in, also when the batch changes no
-    line; a ``commit`` record follows when a revision is made. When the guard
-    refuses the merge, ``KernelViolation`` propagates and nothing is journaled.
+    journaled at the revision it lands in, the placed one first, also when
+    the batch changes no line; a ``commit`` record follows when a revision is
+    made. When the guard refuses the merge, ``KernelViolation`` propagates
+    and nothing is journaled.
     """
     folded: dict[tuple[str, SectionKey], tuple[ContractAction, ContractView]] = {}
     for author, action, view in actions:
@@ -354,9 +292,13 @@ def commit_actions(
         for (author, _), (action, view) in folded.items()
         for patch in patches_for_action(contract, action, author, view)
     ]
+    journaled = [action for _, action, _ in actions]
+    if placed is not None:
+        patches += placed.patches
+        journaled.insert(0, placed.action)
     merged = merge_layer(contract, patches)
     committed = commit_merge(contract, merged)
-    for _, action, _ in actions:
+    for action in journaled:
         journal(journal_record(action, committed.revision))
     if committed is not contract:
         journal({"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()})

@@ -34,7 +34,7 @@ from .agents import (
     parse_response,
     synthesize_contract,
 )
-from .auditor import AUDITOR_AUTHOR, DispatchOutcome, TaskInjection, audit_layer
+from .auditor import DispatchOutcome, TaskInjection, audit_layer
 from .backends import CompletionRequest, RequestRejected
 from .contract import LanguageContract, rejection_record
 from .kernel import SymbolicKernel, ViolationKind, project
@@ -278,16 +278,16 @@ def barrier(
     # as audited.
     feedback = list(report.feedback)
     try:
-        contract, merge_conflicts = commit_actions(contract, report.contract_actions, ledger.add_journal)
+        contract, merge_conflicts = commit_actions(
+            contract, report.contract_actions, ledger.add_journal, report.write_back
+        )
     except KernelViolation as exc:
-        dropped = [item for item in report.contract_actions if item[0] != AUDITOR_AUTHOR]
-        authors = sorted({author for author, _, _ in dropped})
+        authors = sorted({author for author, _, _ in report.contract_actions})
         logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layer, authors, exc)
         feedback.extend((author, f"document action rejected: {exc}") for author in authors)
-        for _, action, _ in dropped:
+        for _, action, _ in report.contract_actions:
             ledger.add_journal(rejection_record(action, f"layer {layer}", str(exc)))
-        kept = tuple(item for item in report.contract_actions if item[0] == AUDITOR_AUTHOR)
-        contract, merge_conflicts = commit_actions(contract, kept, ledger.add_journal)
+        contract, merge_conflicts = commit_actions(contract, (), ledger.add_journal, report.write_back)
 
     commits = []
     for task_id, artifacts in report.accepted_artifacts:

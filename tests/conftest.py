@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from charter import auditor
 from charter.contract import (
     ActionOp,
     ContractAction,
@@ -21,6 +24,7 @@ from charter.kernel import (
     MethodSig,
     print_api_section,
 )
+from charter.patches import apply_patches
 from charter.tasks import TaskStatus
 
 logging.getLogger("charter").setLevel(logging.ERROR)
@@ -85,6 +89,33 @@ def simple_class(name: str, attrs: list[tuple[str, str]], methods: list[MethodSi
         attributes=tuple(AttributeSpec(n, t, f"{n} value") for n, t in attrs),
         methods=tuple(methods),
     )
+
+
+def audit_checking_the_write_back(contract, files, tasks, outcomes):
+    """``auditor.audit_layer``, checking that the write-back it places,
+    applied alone to ``contract``, is ``print_api_section`` of the amended
+    entries stamped with the planned statuses: the whole section the
+    auditor once printed and diffed against the snapshot."""
+    amended = []
+    amend = auditor._try_amendment
+
+    def recording(*args):
+        amended.append(amend(*args))
+        return amended[-1]
+
+    statuses = {task_id: task.status for task_id, task in tasks.items()}
+    with mock.patch.object(auditor, "_try_amendment", recording):
+        report = auditor.audit_layer(contract, files, tasks, outcomes)
+    statuses.update((task_id, TaskStatus(new)) for task_id, _, new in report.status_updates)
+    whole = print_api_section([replace(e, status=statuses.get(path, e.status)) for path, e in amended[0].items()])
+    body = list(contract.body(SectionKey.API_SPECIFICATIONS))
+    if report.write_back is None:
+        assert body == whole
+    else:
+        patches = report.write_back.patches
+        assert apply_patches(body, [(p.start, p.end, p.replacement) for p in patches]) == whole
+        assert report.write_back.action.content == "\n".join(whole)
+    return report
 
 
 @pytest.fixture

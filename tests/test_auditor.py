@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import difflib
+import random
 from dataclasses import replace
 
 import pytest
@@ -23,8 +25,9 @@ from charter.auditor import (
     existence_check,
     match,
 )
-from charter.contract import SectionKey, apply_action
-from charter.kernel import AttributeSpec, ClassSpec, full_view, project
+from charter.contract import SectionKey, apply_action, parse, render
+from charter.kernel import AttributeSpec, ClassSpec, print_api_section, project
+from charter.patches import commit_actions
 from charter.tasks import Task, TaskStatus
 from charter.workspace import FileUnit
 
@@ -422,9 +425,9 @@ def test_audit_layer_plans_amendment_regression_and_repair_into_one_state():
     assert report.feedback == (("ui/hud.py", "the score never changes"), ("entities/player.py", directive))
     assert report.existence == 1.0 and report.unmatched == ()
 
-    [(author, write_back, view)] = report.contract_actions
-    assert (author, view) == (AUDITOR_AUTHOR, full_view(contract))
-    written = project(apply_action(contract, write_back)).entries
+    assert report.contract_actions == ()
+    assert {patch.author for patch in report.write_back.patches} == {AUDITOR_AUTHOR}
+    written = project(apply_action(contract, report.write_back.action)).entries
     planned = {task_id: task.status.value for task_id, task in tasks.items()}
     planned.update((task_id, new) for task_id, _, new in report.status_updates)
     assert {path: entry.status.value for path, entry in written.items()} == planned
@@ -608,9 +611,8 @@ def test_audit_layer_amendment_records_members_from_the_audited_body():
 
     amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
     assert amendment.added_symbols == ("Inventory", "Player.heal", "Player.speed", "Player.width")
-    [(author, write_back, view)] = report.contract_actions
-    assert author == "auditor" and view == full_view(contract)
-    assert write_back.content == """\
+    assert report.contract_actions == () and report.to_dict()["contract_actions"][0]["author"] == "auditor"
+    assert report.write_back.action.content == """\
 - File: entities/player.py
   Owner: backend
   Version: 2
@@ -703,8 +705,8 @@ def test_a_method_with_a_union_parameter_is_amended_into_the_contract():
     amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
     assert amendment.added_symbols == ("A.h", "B.k")
     assert report.warnings == ()
-    [(_, write_back, _)] = report.contract_actions
-    assert "        - def h(y: int | None) -> int | recorded from a.py" in write_back.content.splitlines()
+    assert report.contract_actions == ()
+    assert "        - def h(y: int | None) -> int | recorded from a.py" in report.write_back.action.content.splitlines()
 
 
 def test_a_receiver_is_a_peer_only_where_it_is_a_typed_parameter():
@@ -755,3 +757,118 @@ def test_a_receiver_named_like_a_class_is_no_peer_unless_typed():
     for body in (local, untyped, module_level, shadowed, loop):
         assert demand_details(kernel, FileUnit("p.py", body)) == [], body
     assert [d.symbol for d in demand_details(kernel, FileUnit("p.py", typed))] == ["Player.mp"]
+
+
+def _done_entries(count: int) -> list:
+    return [
+        make_entry(
+            f"mod{i}.py",
+            status=TaskStatus.DONE,
+            classes=(simple_class(f"C{i}", [("n", "int")], [method("def run() -> None")]),),
+        )
+        for i in range(count)
+    ]
+
+
+def _verdict(task_id: str, passed: bool) -> DispatchOutcome:
+    return _critic_outcome(task_id, "VERDICT", Verdict(passed, "" if passed else "wrong"))
+
+
+def test_a_status_write_back_places_one_patch_per_moved_status():
+    for count, every in ((100, 7), (300, 1)):  # a verdict on every seventh task; on every one
+        entries = _done_entries(count)
+        contract = contract_with(entries)
+        judged = {f"mod{i}.py": random.Random(i).choice([True, False]) for i in range(0, count, every)}
+        report = audit_layer(
+            contract,
+            {},
+            _tasks(contract, {e.file_path: TaskStatus.DONE for e in entries}),
+            [_verdict(path, passed) for path, passed in judged.items()],
+        )
+        planned = {path: TaskStatus.VERIFIED if passed else TaskStatus.ERROR for path, passed in judged.items()}
+        base = contract.body(SectionKey.API_SPECIFICATIONS)
+        printed = print_api_section([replace(e, status=planned.get(e.file_path, e.status)) for e in entries])
+        changed = [i for i, (old, new) in enumerate(zip(base, printed)) if old != new]
+        assert len(changed) == len(judged)
+        placed = [(p.start, p.end, p.replacement) for p in report.write_back.patches]
+        assert placed == [(i, i + 1, (printed[i],)) for i in changed]
+        assert report.write_back.action.content == "\n".join(printed)
+
+
+def test_a_status_write_back_builds_no_sequence_matcher(monkeypatch):
+    entries = _done_entries(50)
+    contract = contract_with(entries)
+    tasks = _tasks(contract, {e.file_path: TaskStatus.DONE for e in entries})
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Status-only write-back needs no matcher")
+
+    monkeypatch.setattr(difflib, "SequenceMatcher", refuse)
+    report = audit_layer(contract, {}, tasks, [_verdict(e.file_path, True) for e in entries])
+    assert len(report.write_back.patches) == 50
+    printed = print_api_section([replace(e, status=TaskStatus.VERIFIED) for e in entries])
+    assert report.write_back.action.content == "\n".join(printed)
+
+
+# A section not in canonical spelling: bold fields, a ``File path`` key and
+# an entry (b.py) without a Status line.
+_SPELLED = {
+    "a.py": [
+        "* **File path:** a.py",
+        "  * **Owner:** dev",
+        "  * **Version:** 1",
+        "  * **Status:** DONE",
+    ],
+    "b.py": [
+        "* **File:** b.py",
+        "  * **Owner:** dev",
+        "  * **Version:** 1",
+    ],
+    "c.py": [
+        "* **File:** c.py",
+        "  * **Owner:** dev",
+        "  * **Version:** 1",
+        "  * **Status:** TODO",
+        "  * **Classes:**",
+        "    * **Class:** C",
+    ],
+    "d.py": [
+        "* **File:** d.py",
+        "  * **Owner:** dev",
+        "  * **Version:** 1",
+        "  * **Status:** TODO",
+        "  * **Classes:**",
+        "    * **Class:** D",
+        "      * **Methods:**",
+        "        - def g() -> int | documented",
+    ],
+}
+
+
+def test_a_write_back_rewrites_only_the_lines_it_moves_in_a_section_of_any_spelling():
+    # a.py's Status moves, b.py has no Status line and d.py is amended: only
+    # those are written, each in canonical spelling; c.py keeps its lines.
+    spelled = [line for lines in _SPELLED.values() for line in (*lines, "")][:-1]
+    contract = contract_with([]).with_section(SectionKey.API_SPECIFICATIONS, spelled)
+    tasks = _tasks(contract, {"a.py": TaskStatus.DONE})
+    d_body = "class D:\n    def g(self) -> int:\n        return 1\n\n    def h(self) -> int:\n        return 2\n"
+    report = audit_layer(contract, {}, tasks, [_verdict("a.py", True), _worker_outcome("d.py", "d.py", d_body)])
+
+    written = [
+        *_SPELLED["a.py"][:3],
+        "  Status: VERIFIED",
+        "",
+        *["- File: b.py", "  Owner: dev", "  Version: 1", "  Status: TODO"],
+        "",
+        *_SPELLED["c.py"],
+        "",
+        *["- File: d.py", "  Owner: dev", "  Version: 2", "  Status: DONE", "  Classes:", "    - Class: D"],
+        *["      Methods:", "        - def g() -> int | documented", "        - def h() -> int | recorded from d.py"],
+    ]
+    assert report.write_back.action.content.split("\n") == written
+    committed, _ = commit_actions(contract, report.contract_actions, lambda record: None, report.write_back)
+    assert committed.body(SectionKey.API_SPECIFICATIONS) == tuple(written)
+    reread = parse(render(committed))
+    assert reread.sections == committed.sections
+    statuses = {path: entry.status for path, entry in project(reread).entries.items()}
+    assert statuses == {"a.py": TaskStatus.VERIFIED, "b.py": TaskStatus.TODO, "c.py": TaskStatus.TODO, "d.py": TaskStatus.DONE}

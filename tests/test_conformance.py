@@ -15,12 +15,13 @@ import keyword
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from charter.auditor import DeltaKind, classify, compare_unit, demand_details
+from charter.agents import AgentResponse, RoleKind
+from charter.auditor import DeltaKind, DispatchOutcome, classify, compare_unit, demand_details
 from charter.kernel import ApiSpecEntry, AttributeSpec, ClassSpec, MethodSig, project
-from charter.tasks import TaskStatus
+from charter.tasks import Task, TaskStatus
 from charter.workspace import FileUnit
 
-from conftest import contract_with
+from conftest import audit_checking_the_write_back, contract_with
 
 PATH = "game/state.py"
 CLASS = "Game"
@@ -168,6 +169,22 @@ def test_a_labelled_mutation_gives_its_delta_kind(entry, mutation, data):
     assume(_applies(mutation, entry.classes[0]))
     body, details = _details(entry, data.draw, mutation)
     assert classify(details) is MUTATIONS[mutation], (body, details)
+
+
+@given(entry=_entries(), mutation=st.sampled_from(["", *sorted(MUTATIONS)]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_placed_write_back_is_the_whole_section_once_printed(entry, mutation, data):
+    # A conforming or mutated body moves its task's Status, and a PATCHABLE
+    # one amends its entry; a later entry leaves a blank line in its span.
+    assume(not mutation or _applies(mutation, entry.classes[0]))
+    later = ApiSpecEntry("game/view.py", "dev", 1, TaskStatus.TODO)
+    contract = contract_with([entry, later])
+    body = _render(project(contract).entries[PATH].classes[0], data.draw, mutation)
+    response = AgentResponse(thinking="t", output="built", artifacts=((PATH, body),))
+    outcome = DispatchOutcome(PATH, RoleKind.WORKER, {}, response)
+    tasks = {path: Task(id=path, owner="dev") for path in (PATH, later.file_path)}
+    report = audit_checking_the_write_back(contract, {}, tasks, [outcome])
+    assert report.write_back is not None
 
 
 # A name a def binds anywhere in its own scope is untyped throughout the def,

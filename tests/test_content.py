@@ -16,6 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from charter import scheduler
+
+from conftest import audit_checking_the_write_back
+
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "content_hashes.py"
 GOLDEN = json.loads((ROOT / "tests" / "golden" / "content.json").read_text(encoding="utf-8"))
@@ -39,3 +43,18 @@ def test_the_golden_names_every_case():
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_a_workload_run_produces_its_golden_content(name):
     assert SCRIPT_MODULE.content_hashes(CASES[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_each_placed_write_back_is_the_whole_section_once_printed(name, monkeypatch):
+    audits = []
+
+    def audit(*args):
+        audits.append(audit_checking_the_write_back(*args))
+        return audits[-1]
+
+    monkeypatch.setattr(scheduler, "audit_layer", audit)
+    case = CASES[name]
+    scheduler.run(case.intent, case.config, case.make_backend())
+    assert len(audits) == GOLDEN[name]["layers"]
+    assert any(report.write_back is not None for report in audits)

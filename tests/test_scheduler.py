@@ -27,7 +27,7 @@ from charter.contract import (
     rejection_record,
     render,
 )
-from charter.kernel import ViolationKind, full_view, print_api_section, project, task_view
+from charter.kernel import ViolationKind, print_api_section, project, task_view
 from charter.ledger import file_sha256
 from charter.scheduler import (
     InternalInconsistency,
@@ -638,7 +638,8 @@ def test_a_contractless_workers_update_keeps_the_lines_it_was_never_shown():
 
 def test_each_document_action_is_reanchored_through_its_authors_prompt_view(monkeypatch):
     # Both workers answer with a document action, and a.py's extra method is
-    # amended into the contract by the auditor's write-back.
+    # amended into the contract by the auditor's write-back, which the
+    # auditor places itself, so it is not re-anchored through a view.
     entries = [
         make_entry("a.py", classes=(simple_class("A", [], [method("def f() -> None")]),)),
         make_entry("b.py", classes=(simple_class("B", [], [method("def g() -> None")]),)),
@@ -682,12 +683,9 @@ def test_each_document_action_is_reanchored_through_its_authors_prompt_view(monk
     monkeypatch.setattr(charter.patches, "patches_for_action", recording)
     result = run(IntentSpec("two modules"), RunConfig(t_max=1), Capture(records))
     assert [m.name for m in project(result.contract).classes["A"][1].methods] == ["f", "extra"]
-    assert sorted(author for _, author, _ in calls) == ["a.py", "auditor", "b.py", "proposal", "proposal", "rectification"]
-    for contract, author, view in calls:
-        if author == "auditor":
-            assert view == full_view(contract)
-        else:
-            assert view is shown[author]
+    assert sorted(author for _, author, _ in calls) == ["a.py", "b.py", "proposal", "proposal", "rectification"]
+    for _, author, view in calls:
+        assert view is shown[author]
 
 
 class _Metered:
