@@ -41,10 +41,9 @@ from .contract import (
     render,
     section_key_from_name,
     DEFAULT_TEMPLATE,
-    rejection_record,
 )
 from .kernel import ContractView, full_view, review_view, task_view
-from .patches import KernelViolation, commit_actions
+from .patches import commit_actions
 from .tasks import Task
 
 logger = logging.getLogger(__name__)
@@ -345,10 +344,10 @@ def synthesize_contract(
     a layer does (``patches.commit_actions``): placed through the view its
     prompt showed, merged and guarded once, so the planner's sections land in
     any order and a reviewer's update keeps every line it was not shown. A
-    stage the guard refuses changes nothing and journals each of its actions
-    as refused; a refused proposal raises ``SynthesisFailure``. So the
-    returned contract projects to an acyclic, type-safe kernel by
-    construction. Interfaces that survive with too little detail are left for
+    stage the guard refuses changes nothing, and ``commit_actions`` journals
+    each of its actions as refused at that stage; a refused proposal raises
+    ``SynthesisFailure``. So the returned contract projects to an acyclic,
+    type-safe kernel by construction. Interfaces that survive with too little detail are left for
     downstream feedback, not rejected here. A stage whose prompt exceeds
     ``context_limit`` fails the synthesis.
     """
@@ -368,14 +367,12 @@ def synthesize_contract(
             raise SynthesisFailure(f"{stage} response unparseable: {exc}") from exc
         if stage == "proposal" and not response.actions:
             raise SynthesisFailure("proposal stage emitted no document actions")
-        try:
-            contract, _ = commit_actions(contract, [(stage, a, bundle.view) for a in response.actions], journal)
-        except KernelViolation as exc:
-            logger.warning("event=stage_rejected stage=%s reason=%s", stage, exc)
-            for action in response.actions:
-                journal(rejection_record(action, stage, str(exc)))
+        actions = [(stage, a, bundle.view) for a in response.actions]
+        contract, _, refusal = commit_actions(contract, actions, journal, (), stage)
+        if refusal is not None:
+            logger.warning("event=stage_rejected stage=%s reason=%s", stage, refusal)
             if stage == "proposal":
-                raise SynthesisFailure(f"proposal refused by the kernel guard: {exc}") from exc
+                raise SynthesisFailure(f"proposal refused by the kernel guard: {refusal}") from refusal
         if stage == "proposal" and not contract.body(SectionKey.API_SPECIFICATIONS):
             raise SynthesisFailure("proposal stage produced no Symbolic API Specifications content")
     return contract

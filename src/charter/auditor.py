@@ -22,11 +22,11 @@ A worker may write its own file and files no task owns; an artifact at a
 peer task's path is dropped with feedback, so each contracted file committed
 is the body audited for it.
 
-Amendments run through the same guarded transition as any other action; an
-amendment that would break the kernel is dropped and the delta is downgraded
-to CRITICAL. After amending, every committed file is re-checked: a file that
-no longer satisfies the amended schema gets a synchronization task (status
-regressed to ERROR with a repair directive).
+An amendment is tried through the merge and guarded commit every document
+action takes; an amendment that would break the kernel is dropped and the
+delta is downgraded to CRITICAL. After amending, every committed file is
+re-checked: a file that no longer satisfies the amended schema gets a
+synchronization task (status regressed to ERROR with a repair directive).
 
 Every lookup is keyed by module path: a task id is a key of the kernel's
 ``entries`` and a workspace path, all spelled by ``kernel.normalize_path``.
@@ -46,8 +46,10 @@ and interventions in step order; the repair check, the existence check and
 the write-back read the entries the amendment step placed.
 ``scheduler.barrier`` applies the returned effects and creates tasks. Each
 agent's document action it returns carries the view its author was shown,
-which the barrier re-anchors it through; the write-back comes placed, as one
-patch per moved Status line and a diff of each amended entry.
+which the barrier re-anchors it through; the write-back is only patches,
+placed here in the snapshot: one per moved Status line and a diff of each
+amended entry. The amendment is tried with the calls that commit it, so a
+refusal here is the refusal the barrier's commit would meet.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .agents import AgentResponse, RoleKind
-from .contract import ActionOp, ContractAction, LanguageContract, Rejection, SectionKey, apply_action
+from .contract import ActionOp, ContractAction, LanguageContract, SectionKey
 from .kernel import (
     ApiSpecEntry,
     AttributeSpec,
@@ -69,14 +71,13 @@ from .kernel import (
     MethodSig,
     PathViolation,
     SymbolicKernel,
-    guard_violations,
     normalize_path,
     print_api_section,
     print_status,
     project,
     type_head,
 )
-from .patches import AtomicPatch, PlacedAction, apply_patches, diff_against_base
+from .patches import AtomicPatch, KernelViolation, commit_merge, diff_against_base, merge_layer
 from .tasks import Task, TaskStatus
 from .workspace import ExtractedSymbols, FileUnit, analyze
 
@@ -184,15 +185,15 @@ class AuditReport:
     deltas: tuple[AuditDelta, ...]
     interventions: tuple
     accepted_artifacts: tuple[tuple[str, tuple[FileUnit, ...]], ...]
-    write_back: PlacedAction | None  # the amended entries and planned statuses, placed in the snapshot
+    write_back: tuple[AtomicPatch, ...]  # the amended entries and planned statuses, placed in the snapshot
     contract_actions: tuple[tuple[str, ContractAction, ContractView], ...]  # agents' (author, action, view shown)
     feedback: tuple[tuple[str, str], ...]
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        journaled = [(author, action) for author, action, _ in self.contract_actions]
-        if self.write_back is not None:
-            journaled.insert(0, (AUDITOR_AUTHOR, self.write_back.action))
+        journaled = [(author, action.section, action.op) for author, action, _ in self.contract_actions]
+        if self.write_back:
+            journaled.insert(0, (AUDITOR_AUTHOR, SectionKey.API_SPECIFICATIONS, ActionOp.UPDATE))
         return {
             "existence": self.existence,
             "unmatched": list(self.unmatched),
@@ -205,8 +206,8 @@ class AuditReport:
                 for task_id, artifacts in self.accepted_artifacts
             ],
             "contract_actions": [
-                {"author": author, "section": action.section.value, "op": action.op.value}
-                for author, action in journaled
+                {"author": author, "section": section.value, "op": op.value}
+                for author, section, op in journaled
             ],
             "feedback": [list(f) for f in self.feedback],
             "warnings": list(self.warnings),
@@ -433,7 +434,7 @@ def _amended_entries(
     for module_id, entry in kernel.entries.items():
         added = tuple(classes.get(module_id, ()))
         if not added and not any(cls.name in grown for cls in entry.classes):
-            entries[module_id] = entry  # kept whole: its comparisons and printed lines still hold
+            entries[module_id] = entry  # kept whole: its comparisons still hold
             continue
         amended = tuple(
             ClassSpec(
@@ -507,8 +508,9 @@ def audit_layer(
     status moves and document actions at the barrier. Each agent action is
     ``(author, action, view)`` and carries the view of its dispatch
     (``DispatchOutcome.view``). The auditor's write-back (the amended entries,
-    stamped with the planned statuses) is placed here, in the snapshot the
-    layer read (``_write_back``).
+    stamped with the planned statuses) is its ``AtomicPatch``es, placed here
+    in the snapshot the layer read (``_write_back``), empty when no line
+    moves; ``patches.commit_actions`` journals the UPDATE they make.
     """
     kernel = project(contract)
     plan = _AuditPlan({task_id: task.status for task_id, task in tasks.items()})
@@ -587,24 +589,27 @@ def _try_amendment(
     deltas: dict[str, AuditDelta],
     plan: _AuditPlan,
 ) -> Mapping[str, ApiSpecEntry]:
-    """The entries (path -> entry) amended under the guard to legitimize every
-    PATCHABLE superset, as placed for the guarded trial. Without a PATCHABLE
-    delta they are the kernel's own entries, and none is built; when the
-    guard refuses the amendment they are the kernel's too, and the refusal
-    makes each PATCHABLE delta CRITICAL."""
+    """The entries (path -> entry) amended to legitimize every PATCHABLE
+    superset, tried under the guard as the barrier commits them: their
+    write-back merged into the snapshot and committed (``merge_layer``,
+    ``commit_merge``), the result dropped. Without a PATCHABLE delta they
+    are the kernel's own entries, and none is built; when the guard refuses
+    the amendment they are the kernel's too, and the refusal makes each
+    PATCHABLE delta CRITICAL."""
     patchable = {task_id: d.details for task_id, d in deltas.items() if d.kind is DeltaKind.PATCHABLE}
     if not patchable:
         return kernel.entries
     entries, symbols = _amended_entries(kernel, patchable, artifacts)
-    trial = apply_action(contract, _write_back(contract, entries, {}).action, guard=guard_violations)
-    if not isinstance(trial, Rejection):
-        plan.interventions.append(ContractAmendment(added_symbols=tuple(symbols)))
-        return entries
-    plan.warnings.append(f"amendment rejected: {trial}")
-    for task_id in sorted(patchable):
-        refused = MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual=str(trial.reason))
-        deltas[task_id] = AuditDelta(task_id, DeltaKind.CRITICAL, patchable[task_id] + (refused,))
-    return kernel.entries
+    try:
+        commit_merge(contract, merge_layer(contract, _write_back(contract, entries, {})))
+    except KernelViolation as exc:
+        plan.warnings.append(f"amendment rejected: kernel validation failed; {exc}")
+        for task_id in sorted(patchable):
+            refused = MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual="kernel validation failed")
+            deltas[task_id] = AuditDelta(task_id, DeltaKind.CRITICAL, patchable[task_id] + (refused,))
+        return kernel.entries
+    plan.interventions.append(ContractAmendment(added_symbols=tuple(symbols)))
+    return entries
 
 
 def _plan_worker_moves(deltas: dict[str, AuditDelta], plan: _AuditPlan) -> None:
@@ -680,14 +685,14 @@ def _sync_after_amendment(
 
 def _write_back(
     contract: LanguageContract, entries: Mapping[str, ApiSpecEntry], statuses: Mapping[str, TaskStatus]
-) -> PlacedAction | None:
+) -> tuple[AtomicPatch, ...]:
     """``entries`` (path -> entry, for each entry of the kernel of
     ``contract``) stamped with ``statuses``, as patches placed in the API
-    section of ``contract`` and journaled as the section they make; None
-    when they move no line. An entry the kernel holds as it is, with a
-    Status line, is patched only when its status moves: that line, printed
-    anew. Any other entry, amended or without a Status line, is its span,
-    trailing blanks trimmed, diffed against its own print. On a section in
+    section of ``contract``; none when they move no line. An entry the
+    kernel holds as it is, with a Status line, is patched only when its
+    status moves: that line, printed anew. Any other entry, amended or
+    without a Status line, is its span, trailing blanks trimmed, diffed
+    against its own print. On a section in
     canonical spelling the result is ``print_api_section`` of the stamped
     entries; in any other, only the lines that move are rewritten."""
     section = SectionKey.API_SPECIFICATIONS
@@ -705,12 +710,7 @@ def _write_back(
             end -= 1
         printed = print_api_section([replace(entry, status=status)])
         hunks += [(start + i0, start + i1, lines) for i0, i1, lines in diff_against_base(body[start:end], printed)]
-    if not hunks:
-        return None
-    return PlacedAction(
-        ContractAction(ActionOp.UPDATE, section, "\n".join(apply_patches(body, hunks))),
-        tuple(AtomicPatch(section, start, end, lines, AUDITOR_AUTHOR) for start, end, lines in hunks),
-    )
+    return tuple(AtomicPatch(section, start, end, lines, AUDITOR_AUTHOR) for start, end, lines in hunks)
 
 
 def _agent_actions(

@@ -323,8 +323,10 @@ def apply_action(
     The candidate contract is validated by ``guard`` (typically the kernel
     validator); any reported violation rejects the action and the caller's
     contract is untouched. ADD appends the content lines to the section body,
-    UPDATE replaces the body outright. The engine commits its batches through
-    ``patches.commit_actions``; the auditor tries its amendment here.
+    UPDATE replaces the body outright. The engine commits every document
+    action, and tries the auditor's amendment, through ``patches.merge_layer``
+    and ``commit_merge``; this is the library's and the tests' one-action
+    entry point.
     """
     if action.section is SectionKey.API_SPECIFICATIONS and is_partial_api_patch(action.content):
         return Rejection("partial API-spec patch (Status without File) refused to prevent clobbering")

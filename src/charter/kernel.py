@@ -15,15 +15,13 @@ changes only statuses shares the rest of the parent's kernel, so a
 mutation's projection costs what it changed rather than the section's
 size. Within one read each distinct line is read once: the Owner, Version,
 Status and block lines of every entry repeat, and so do members that many
-classes share. A class keeps its printed lines (``ClassSpec.printed_lines``),
-so a class that revisions share is printed once. Every reader but the
-planner and the auditor reads one kind of view (``task_view``): the
-entries of a set of modules and of their direct dependencies, with the
-Directory Structure and diagram lines inside that neighbourhood. A worker
-or critic reads its task's; the plan reviewer reads the modules validation
-flags (``review_view``). A view reads an index of module paths to lines
-that the value's first view builds and its kernel keeps, so it costs the
-size of its neighbourhood.
+classes share. Every reader but the planner and the auditor reads one kind
+of view (``task_view``): the entries of a set of modules and of their
+direct dependencies, with the Directory Structure and diagram lines inside
+that neighbourhood. A worker or critic reads its task's; the plan reviewer
+reads the modules validation flags (``review_view``). A view reads an index
+of module paths to lines that the value's first view builds and its kernel
+keeps, so it costs the size of its neighbourhood.
 
 Contract and code share one type model. Every type, of a contract attribute
 or header or of a code annotation, is read by ``read_type`` into one canonical
@@ -115,24 +113,6 @@ class ClassSpec:
             typed.append((f"{self.name}.{sig.name} return", sig.return_type))
             typed.extend((f"{self.name}.{sig.name}({n})", t) for n, t in sig.params)
         return tuple((where, type_head(alternative)) for where, t in typed for alternative in _outer_bars(t))
-
-    @cached_property
-    def printed_lines(self) -> tuple[str, ...]:
-        """The lines ``print_api_section`` writes for this class, from its
-        Class line on. Computed on first use, so every revision and every
-        write-back that keeps the class prints it once."""
-        lines = [f"    - Class: {self.name}"]
-        if self.attributes:
-            lines.append("      Attributes:")
-            for attr in self.attributes:
-                desc = f" | {attr.description}" if attr.description else ""
-                lines.append(f"        - {attr.name}: {_printed_type(attr.type_name)}{desc}")
-        if self.methods:
-            lines.append("      Methods:")
-            for sig in self.methods:
-                doc = f" | {sig.docstring}" if sig.docstring else ""
-                lines.append(f"        - {sig.text}{doc}")
-        return tuple(lines)
 
 
 @dataclass(frozen=True)
@@ -518,15 +498,12 @@ class _LineReads:
     its attribute or method (docstring included). Only readings are kept,
     never a check that depends on the entry or block a line stands in, and
     only a reading that succeeded, so a bad line raises where it first
-    occurs. A method line missing from the map takes the signature of a
-    header it shares with another line, so each distinct header is parsed
-    once per call too."""
+    occurs."""
 
     def __init__(self) -> None:
         self.fields: dict[str, tuple[str, str] | None] = {}
         self.attributes: dict[str, AttributeSpec] = {}
         self.methods: dict[str, MethodSig] = {}
-        self.headers: dict[str, MethodSig] = {}  # method header text -> its signature
 
     def field(self, line: str) -> tuple[str, str] | None:
         try:
@@ -556,12 +533,10 @@ class _LineReads:
             if m is None:
                 raise ProjectionError(f"unparseable method line: {line.strip()!r}", lineno)
             header, *doc = _outer_bars(m.group(1))
-            read = self.headers.get(header)
-            if read is None:
-                try:
-                    read = self.headers[header] = parse_signature(header)
-                except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
-                    raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
+            try:
+                read = parse_signature(header)
+            except (SignatureError, ValueError, RecursionError, MemoryError) as exc:
+                raise ProjectionError(f"bad method signature: {exc}", lineno) from exc
             sig = self.methods[line] = MethodSig(read.name, read.params, read.return_type, "|".join(doc).strip())
         return sig
 
@@ -664,9 +639,7 @@ def _parse_chunk(
 
 
 def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) -> list[str]:
-    """Canonical re-rendering; ``parse_api_section`` inverts it. An entry's
-    field lines are written here, its classes' lines are the ones each class
-    keeps (``ClassSpec.printed_lines``)."""
+    """Canonical re-rendering; ``parse_api_section`` inverts it."""
     lines: list[str] = []
     for i, entry in enumerate(entries):
         if i:
@@ -679,8 +652,18 @@ def print_api_section(entries: list[ApiSpecEntry] | tuple[ApiSpecEntry, ...]) ->
         )
         if entry.classes:
             lines.append("  Classes:")
-            for cls in entry.classes:
-                lines += cls.printed_lines
+        for cls in entry.classes:
+            lines.append(f"    - Class: {cls.name}")
+            if cls.attributes:
+                lines.append("      Attributes:")
+                for attr in cls.attributes:
+                    desc = f" | {attr.description}" if attr.description else ""
+                    lines.append(f"        - {attr.name}: {_printed_type(attr.type_name)}{desc}")
+            if cls.methods:
+                lines.append("      Methods:")
+                for sig in cls.methods:
+                    doc = f" | {sig.docstring}" if sig.docstring else ""
+                    lines.append(f"        - {sig.text}{doc}")
     return lines
 
 

@@ -11,9 +11,11 @@ still pass the kernel guard; ``commit_merge`` raises ``KernelViolation``
 otherwise. ``commit_actions`` is the one commit path of every document
 action: a layer's at its barrier, and a synthesis stage's, each batch placed,
 merged and committed once. An agent's action is placed here, through the
-view its author was shown; the auditor places its write-back itself
-(``PlacedAction``): one patch per Status line it moves, and a diff of each
-entry it amends against that entry's own lines.
+view its author was shown; the auditor places its write-back itself, as
+``AtomicPatch``es: one per Status line it moves, and a diff of each entry it
+amends against that entry's own lines. A batch the guard refuses is handled
+there too: its agents' actions are journaled as refused and the placed
+patches commit alone.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .contract import (
     body_from_text,
     journal_record,
     normalize_body,
+    rejection_record,
 )
 from .kernel import ContractView, Violation, guard_violations
 
@@ -59,15 +62,6 @@ class AtomicPatch:
     def __post_init__(self):
         if not (0 <= self.start <= self.end):
             raise ValueError(f"bad interval [{self.start}, {self.end})")
-
-
-@dataclass(frozen=True)
-class PlacedAction:
-    """A document action whose author placed its own patches in the snapshot,
-    as the auditor's write-back is: merged as they are, journaled as ``action``."""
-
-    action: ContractAction
-    patches: tuple[AtomicPatch, ...]
 
 
 @dataclass(frozen=True)
@@ -183,7 +177,7 @@ def _union_replacement(cluster: list[AtomicPatch]) -> tuple[str, ...]:
     return tuple(merged)
 
 
-def merge_layer(contract: LanguageContract, patches: list[AtomicPatch]) -> MergeResult:
+def merge_layer(contract: LanguageContract, patches: Sequence[AtomicPatch]) -> MergeResult:
     """Merge one batch's patches against ``contract``, the snapshot they address.
 
     Non-overlapping patches apply positionally; patches whose half-open
@@ -264,21 +258,27 @@ def commit_actions(
     contract: LanguageContract,
     actions: Sequence[tuple[str, ContractAction, ContractView]],
     journal: Callable[[dict], None],
-    placed: PlacedAction | None = None,
-) -> tuple[LanguageContract, int]:
+    placed: Sequence[AtomicPatch],
+    stage: str,
+) -> tuple[LanguageContract, int, KernelViolation | None]:
     """Place ``(author, action, view)`` triples against ``contract``, merge
-    them with the ``placed`` action's own patches and commit the result once;
-    return it and the merge's conflict count.
+    them with the ``placed`` patches and commit the result once; return it,
+    the merge's conflict count and the guard's refusal, if any.
 
     Each action is re-anchored through the view its author was shown
     (``patches_for_action``). One author's actions on one section are first
     folded in order into one: a later UPDATE replaces what that author's
     earlier actions wrote there, and an ADD extends it. So a batch is placed
-    against its snapshot whatever the order of its actions. Every action is
-    journaled at the revision it lands in, the placed one first, also when
+    against its snapshot whatever the order of its actions. The ``placed``
+    patches, the auditor's write-back, were placed in the snapshot's API
+    section by their author and merge as they are; they are journaled as the
+    UPDATE they make, that section with them applied. Every action is
+    journaled at the revision it lands in, the placed UPDATE first, also when
     the batch changes no line; a ``commit`` record follows when a revision is
-    made. When the guard refuses the merge, ``KernelViolation`` propagates
-    and nothing is journaled.
+    made.
+    When the guard refuses the merge, each agent action is journaled as
+    refused at ``stage`` (``"layer N"`` or a synthesis stage), the placed
+    patches are committed alone and the ``KernelViolation`` is returned.
     """
     folded: dict[tuple[str, SectionKey], tuple[ContractAction, ContractView]] = {}
     for author, action, view in actions:
@@ -292,14 +292,22 @@ def commit_actions(
         for (author, _), (action, view) in folded.items()
         for patch in patches_for_action(contract, action, author, view)
     ]
-    journaled = [action for _, action, _ in actions]
-    if placed is not None:
-        patches += placed.patches
-        journaled.insert(0, placed.action)
-    merged = merge_layer(contract, patches)
-    committed = commit_merge(contract, merged)
+    merged = merge_layer(contract, [*placed, *patches])
+    try:
+        committed, refusal = commit_merge(contract, merged), None
+    except KernelViolation as exc:
+        refusal = exc
+        for _, action, _ in actions:
+            journal(rejection_record(action, stage, str(exc)))
+        merged = merge_layer(contract, placed)
+        committed = commit_merge(contract, merged)
+    journaled = [] if refusal else [action for _, action, _ in actions]
+    if placed:
+        api = SectionKey.API_SPECIFICATIONS
+        written = apply_patches(contract.body(api), [(p.start, p.end, p.replacement) for p in placed])
+        journaled.insert(0, ContractAction(ActionOp.UPDATE, api, "\n".join(written)))
     for action in journaled:
         journal(journal_record(action, committed.revision))
     if committed is not contract:
         journal({"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()})
-    return committed, len(merged.conflicts)
+    return committed, len(merged.conflicts), refusal

@@ -36,10 +36,10 @@ from .agents import (
 )
 from .auditor import DispatchOutcome, TaskInjection, audit_layer
 from .backends import CompletionRequest, RequestRejected
-from .contract import LanguageContract, rejection_record
+from .contract import LanguageContract
 from .kernel import SymbolicKernel, ViolationKind, project
 from .ledger import RunLedger, file_sha256
-from .patches import KernelViolation, commit_actions
+from .patches import commit_actions
 from .tasks import Task, TaskStatus
 from .workspace import Workspace
 
@@ -258,8 +258,9 @@ def barrier(
     the committed contract: count attempts, audit, commit the document
     actions in one ``commit_actions`` batch and the audited units, move
     statuses, add feedback, create the tasks of new entries and write the
-    layer record. A batch the guard refuses is committed again without the
-    agents' actions, each of which is journaled as refused."""
+    layer record. When the guard refuses the batch, ``commit_actions``
+    journals the agents' actions as refused and commits the write-back
+    alone; each of their authors gets the refusal as feedback."""
     # A worker pass is an attempt once the model answered, the prompt could
     # not be built or the endpoint refused the request; any other transport
     # failure costs none.
@@ -272,22 +273,17 @@ def barrier(
         logger.warning("event=audit_warning layer=%d %s", layer, warning)
 
     # Every document action is a patch against the snapshot the layer read.
-    # If the guard refuses the merge, the agents' actions are dropped and
-    # journaled as refused, and the auditor's write-back (the guarded
-    # amendment plus Status lines) commits alone; artifacts and statuses stay
-    # as audited.
+    # If the guard refuses the merge, the agents' actions are dropped and the
+    # auditor's write-back (the guarded amendment plus Status lines) commits
+    # alone; artifacts and statuses stay as audited.
     feedback = list(report.feedback)
-    try:
-        contract, merge_conflicts = commit_actions(
-            contract, report.contract_actions, ledger.add_journal, report.write_back
-        )
-    except KernelViolation as exc:
+    contract, merge_conflicts, refusal = commit_actions(
+        contract, report.contract_actions, ledger.add_journal, report.write_back, f"layer {layer}"
+    )
+    if refusal is not None:
         authors = sorted({author for author, _, _ in report.contract_actions})
-        logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layer, authors, exc)
-        feedback.extend((author, f"document action rejected: {exc}") for author in authors)
-        for _, action, _ in report.contract_actions:
-            ledger.add_journal(rejection_record(action, f"layer {layer}", str(exc)))
-        contract, merge_conflicts = commit_actions(contract, (), ledger.add_journal, report.write_back)
+        logger.warning("event=merge_rejected layer=%d authors=%s reason=%s", layer, authors, refusal)
+        feedback.extend((author, f"document action rejected: {refusal}") for author in authors)
 
     commits = []
     for task_id, artifacts in report.accepted_artifacts:

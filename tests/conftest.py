@@ -14,6 +14,7 @@ from charter.contract import (
     LanguageContract,
     SectionKey,
     apply_action,
+    journal_record,
     new_contract,
     DEFAULT_TEMPLATE,
 )
@@ -24,7 +25,7 @@ from charter.kernel import (
     MethodSig,
     print_api_section,
 )
-from charter.patches import apply_patches
+from charter.patches import apply_patches, commit_actions
 from charter.tasks import TaskStatus
 
 logging.getLogger("charter").setLevel(logging.ERROR)
@@ -91,11 +92,19 @@ def simple_class(name: str, attrs: list[tuple[str, str]], methods: list[MethodSi
     )
 
 
+def written(contract, patches) -> str:
+    """The API section of ``contract`` with ``patches`` applied: the text of
+    the UPDATE ``commit_actions`` journals for a write-back."""
+    body = contract.body(SectionKey.API_SPECIFICATIONS)
+    return "\n".join(apply_patches(body, [(p.start, p.end, p.replacement) for p in patches]))
+
+
 def audit_checking_the_write_back(contract, files, tasks, outcomes):
     """``auditor.audit_layer``, checking that the write-back it places,
     applied alone to ``contract``, is ``print_api_section`` of the amended
     entries stamped with the planned statuses: the whole section the
-    auditor once printed and diffed against the snapshot."""
+    auditor once printed and diffed against the snapshot. It is also the
+    UPDATE that ``commit_actions`` journals for the write-back."""
     amended = []
     amend = auditor._try_amendment
 
@@ -109,12 +118,14 @@ def audit_checking_the_write_back(contract, files, tasks, outcomes):
     statuses.update((task_id, TaskStatus(new)) for task_id, _, new in report.status_updates)
     whole = print_api_section([replace(e, status=statuses.get(path, e.status)) for path, e in amended[0].items()])
     body = list(contract.body(SectionKey.API_SPECIFICATIONS))
-    if report.write_back is None:
+    if not report.write_back:
         assert body == whole
     else:
-        patches = report.write_back.patches
-        assert apply_patches(body, [(p.start, p.end, p.replacement) for p in patches]) == whole
-        assert report.write_back.action.content == "\n".join(whole)
+        assert apply_patches(body, [(p.start, p.end, p.replacement) for p in report.write_back]) == whole
+        journal = []
+        commit_actions(contract, (), journal.append, report.write_back, "layer 1")
+        update = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, "\n".join(whole))
+        assert journal[0] == journal_record(update, contract.revision + 1)
     return report
 
 

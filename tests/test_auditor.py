@@ -13,6 +13,7 @@ from charter.auditor import (
     DeltaKind,
     DetailKind,
     DispatchOutcome,
+    MismatchDetail,
     StatusRegression,
     SyncTask,
     TaskInjection,
@@ -25,13 +26,13 @@ from charter.auditor import (
     existence_check,
     match,
 )
-from charter.contract import SectionKey, apply_action, parse, render
+from charter.contract import ActionOp, ContractAction, SectionKey, apply_action, parse, render
 from charter.kernel import AttributeSpec, ClassSpec, print_api_section, project
 from charter.patches import commit_actions
 from charter.tasks import Task, TaskStatus
 from charter.workspace import FileUnit
 
-from conftest import contract_with, make_entry, method, simple_class
+from conftest import contract_with, make_entry, method, simple_class, written
 
 PLAYER_CLASS = simple_class(
     "Player",
@@ -426,12 +427,13 @@ def test_audit_layer_plans_amendment_regression_and_repair_into_one_state():
     assert report.existence == 1.0 and report.unmatched == ()
 
     assert report.contract_actions == ()
-    assert {patch.author for patch in report.write_back.patches} == {AUDITOR_AUTHOR}
-    written = project(apply_action(contract, report.write_back.action)).entries
+    assert {patch.author for patch in report.write_back} == {AUDITOR_AUTHOR}
+    update = ContractAction(ActionOp.UPDATE, SectionKey.API_SPECIFICATIONS, written(contract, report.write_back))
+    entries = project(apply_action(contract, update)).entries
     planned = {task_id: task.status.value for task_id, task in tasks.items()}
     planned.update((task_id, new) for task_id, _, new in report.status_updates)
-    assert {path: entry.status.value for path, entry in written.items()} == planned
-    player = written["entities/player.py"].classes[0]
+    assert {path: entry.status.value for path, entry in entries.items()} == planned
+    player = entries["entities/player.py"].classes[0]
     assert [a.name for a in player.attributes][-2:] == ["height", "width"]
 
 
@@ -510,7 +512,13 @@ def test_audit_layer_amendment_downgrade_on_duplicate_class():
     assert delta.kind is DeltaKind.CRITICAL
     assert not any(isinstance(i, ContractAmendment) for i in report.interventions)
     assert report.accepted_artifacts == ()
-    assert any("amendment rejected" in w for w in report.warnings)
+    assert report.warnings == (
+        "amendment rejected: kernel validation failed; TYPE_UNDEFINED(projection): "
+        "class Player declared in both entities/player.py and systems/collision.py",
+    )
+    assert delta.details[-1] == MismatchDetail(
+        DetailKind.MISMATCH, "systems/collision.py", expected="amendable superset", actual="kernel validation failed"
+    )
 
 
 PLAYER_BLACK = '''\
@@ -612,7 +620,7 @@ def test_audit_layer_amendment_records_members_from_the_audited_body():
     amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
     assert amendment.added_symbols == ("Inventory", "Player.heal", "Player.speed", "Player.width")
     assert report.contract_actions == () and report.to_dict()["contract_actions"][0]["author"] == "auditor"
-    assert report.write_back.action.content == """\
+    assert written(contract, report.write_back) == """\
 - File: entities/player.py
   Owner: backend
   Version: 2
@@ -706,7 +714,7 @@ def test_a_method_with_a_union_parameter_is_amended_into_the_contract():
     assert amendment.added_symbols == ("A.h", "B.k")
     assert report.warnings == ()
     assert report.contract_actions == ()
-    assert "        - def h(y: int | None) -> int | recorded from a.py" in report.write_back.action.content.splitlines()
+    assert "        - def h(y: int | None) -> int | recorded from a.py" in written(contract, report.write_back).splitlines()
 
 
 def test_a_receiver_is_a_peer_only_where_it_is_a_typed_parameter():
@@ -790,9 +798,9 @@ def test_a_status_write_back_places_one_patch_per_moved_status():
         printed = print_api_section([replace(e, status=planned.get(e.file_path, e.status)) for e in entries])
         changed = [i for i, (old, new) in enumerate(zip(base, printed)) if old != new]
         assert len(changed) == len(judged)
-        placed = [(p.start, p.end, p.replacement) for p in report.write_back.patches]
+        placed = [(p.start, p.end, p.replacement) for p in report.write_back]
         assert placed == [(i, i + 1, (printed[i],)) for i in changed]
-        assert report.write_back.action.content == "\n".join(printed)
+        assert written(contract, report.write_back) == "\n".join(printed)
 
 
 def test_a_status_write_back_builds_no_sequence_matcher(monkeypatch):
@@ -805,9 +813,9 @@ def test_a_status_write_back_builds_no_sequence_matcher(monkeypatch):
 
     monkeypatch.setattr(difflib, "SequenceMatcher", refuse)
     report = audit_layer(contract, {}, tasks, [_verdict(e.file_path, True) for e in entries])
-    assert len(report.write_back.patches) == 50
+    assert len(report.write_back) == 50
     printed = print_api_section([replace(e, status=TaskStatus.VERIFIED) for e in entries])
-    assert report.write_back.action.content == "\n".join(printed)
+    assert written(contract, report.write_back) == "\n".join(printed)
 
 
 # A section not in canonical spelling: bold fields, a ``File path`` key and
@@ -854,7 +862,7 @@ def test_a_write_back_rewrites_only_the_lines_it_moves_in_a_section_of_any_spell
     d_body = "class D:\n    def g(self) -> int:\n        return 1\n\n    def h(self) -> int:\n        return 2\n"
     report = audit_layer(contract, {}, tasks, [_verdict("a.py", True), _worker_outcome("d.py", "d.py", d_body)])
 
-    written = [
+    expected = [
         *_SPELLED["a.py"][:3],
         "  Status: VERIFIED",
         "",
@@ -865,9 +873,9 @@ def test_a_write_back_rewrites_only_the_lines_it_moves_in_a_section_of_any_spell
         *["- File: d.py", "  Owner: dev", "  Version: 2", "  Status: DONE", "  Classes:", "    - Class: D"],
         *["      Methods:", "        - def g() -> int | documented", "        - def h() -> int | recorded from d.py"],
     ]
-    assert report.write_back.action.content.split("\n") == written
-    committed, _ = commit_actions(contract, report.contract_actions, lambda record: None, report.write_back)
-    assert committed.body(SectionKey.API_SPECIFICATIONS) == tuple(written)
+    assert written(contract, report.write_back).split("\n") == expected
+    committed, _, _ = commit_actions(contract, report.contract_actions, lambda record: None, report.write_back, "layer 1")
+    assert committed.body(SectionKey.API_SPECIFICATIONS) == tuple(expected)
     reread = parse(render(committed))
     assert reread.sections == committed.sections
     statuses = {path: entry.status for path, entry in project(reread).entries.items()}

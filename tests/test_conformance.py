@@ -184,7 +184,7 @@ def test_a_placed_write_back_is_the_whole_section_once_printed(entry, mutation, 
     outcome = DispatchOutcome(PATH, RoleKind.WORKER, {}, response)
     tasks = {path: Task(id=path, owner="dev") for path in (PATH, later.file_path)}
     report = audit_checking_the_write_back(contract, {}, tasks, [outcome])
-    assert report.write_back is not None
+    assert report.write_back
 
 
 # A name a def binds anywhere in its own scope is untyped throughout the def,

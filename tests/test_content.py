@@ -57,4 +57,4 @@ def test_each_placed_write_back_is_the_whole_section_once_printed(name, monkeypa
     case = CASES[name]
     scheduler.run(case.intent, case.config, case.make_backend())
     assert len(audits) == GOLDEN[name]["layers"]
-    assert any(report.write_back is not None for report in audits)
+    assert any(report.write_back for report in audits)

@@ -15,6 +15,7 @@ from charter.contract import (
     apply_action,
     journal_record,
     new_contract,
+    rejection_record,
     render,
     DEFAULT_TEMPLATE,
 )
@@ -31,7 +32,7 @@ from charter.patches import (
 )
 from charter.kernel import full_view
 
-from conftest import contract_with, make_entry, method, simple_class
+from conftest import contract_with, make_entry, method, simple_class, written
 
 
 def _patch(section, start, end, lines, author):
@@ -274,7 +275,7 @@ def test_two_edits_and_an_add_of_one_author_fold_into_one_placement(case, data):
     ]
     journal = []
 
-    committed, _ = commit_actions(contract, [("w", action, view) for action in actions], journal.append)
+    committed, _, _ = commit_actions(contract, [("w", action, view) for action in actions], journal.append, (), "layer 1")
     body = committed.body(first.section)
     assert [line for line in body if not line.startswith("- hidden")] == [*second, "- added"]
     assert [line for line in body if line.startswith("- hidden")] == [base[i] for i in range(len(base)) if i not in shown]
@@ -286,7 +287,7 @@ def test_through_the_whole_view_an_action_applies_as_apply_action_does(case, op)
     base, _, proposed = case
     contract, action = _update(base, proposed)
     action = ContractAction(op, action.section, action.content)
-    committed, _ = commit_actions(contract, [("w", action, full_view(contract))], lambda record: None)
+    committed, _, _ = commit_actions(contract, [("w", action, full_view(contract))], lambda record: None, (), "layer 1")
     assert committed.sections == apply_action(contract, action).sections
 
 
@@ -294,7 +295,7 @@ def test_a_commit_trims_the_blank_lines_an_edit_leaves_at_a_section_end():
     contract = LanguageContract.empty().with_section(SectionKey.CONSTRAINTS, ("- x", "", "- y", "- z"))
     view = {**full_view(contract), SectionKey.CONSTRAINTS: (0, 3)}
     action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- z")
-    committed, _ = commit_actions(contract, [("w", action, view)], lambda record: None)
+    committed, _, _ = commit_actions(contract, [("w", action, view)], lambda record: None, (), "layer 1")
     assert committed.body(SectionKey.CONSTRAINTS) == ("- y", "- z")  # the hidden blank line is trimmed
 
 
@@ -302,6 +303,34 @@ def test_a_guarded_action_placed_through_a_view_is_rejected_whole():
     contract = contract_with([make_entry("a.py"), make_entry("b.py")])
     cyclic = ContractAction(ActionOp.UPDATE, SectionKey.DEPENDENCY_RELATIONSHIPS, "a.py --> b.py\nb.py --> a.py")
     journal = []
-    with pytest.raises(KernelViolation) as refused:
-        commit_actions(contract, [("w", cyclic, full_view(contract))], journal.append)
-    assert refused.value.violations and journal == []
+    committed, conflicts, refused = commit_actions(contract, [("w", cyclic, full_view(contract))], journal.append, (), "layer 1")
+    assert isinstance(refused, KernelViolation) and refused.violations
+    assert (committed, conflicts) == (contract, 0) and committed.revision == contract.revision
+    assert journal == [rejection_record(cyclic, "layer 1", str(refused))]
+
+
+@pytest.mark.parametrize("stage", ["layer 3", "rectification"])
+def test_a_refused_batch_journals_its_actions_as_refused_and_commits_the_write_back_alone(stage):
+    # The agents' actions close a cycle, so the guard refuses the batch; the
+    # auditor's write-back, a moved Status line, still commits.
+    contract = contract_with([make_entry("a.py"), make_entry("b.py")], ["a.py --> b.py"])
+    api = SectionKey.API_SPECIFICATIONS
+    at = contract.body(api).index("  Status: TODO")
+    write_back = (_patch(api, at, at + 1, ["  Status: DONE"], "auditor"),)
+    cyclic = ContractAction(ActionOp.ADD, SectionKey.DEPENDENCY_RELATIONSHIPS, "b.py --> a.py")
+    note = ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, "- no cycles")
+    actions = [("b.py", cyclic, full_view(contract)), ("b.py", note, full_view(contract))]
+    journal = []
+
+    committed, conflicts, refused = commit_actions(contract, actions, journal.append, write_back, stage)
+
+    assert isinstance(refused, KernelViolation) and "CYCLE" in str(refused)
+    assert conflicts == 0 and committed.revision == contract.revision + 1
+    update = ContractAction(ActionOp.UPDATE, api, written(contract, write_back))
+    assert committed.sections == apply_action(contract, update).sections
+    assert journal == [
+        rejection_record(cyclic, stage, str(refused)),
+        rejection_record(note, stage, str(refused)),
+        journal_record(update, committed.revision),
+        {"kind": "commit", "revision": committed.revision, "base_sha256": committed.fingerprint()},
+    ]
