@@ -103,8 +103,12 @@ def keepalive_check(repo_root, entry: str = "main.py", seconds: float = 60.0) ->
     """Launch the repository entry point and require it to stay alive.
 
     Stands in for the binary executability judgment: the process must not
-    exit (cleanly or not) before the keep-alive window closes.
+    exit (cleanly or not) before the keep-alive window closes. A window that
+    is not positive would pass a program that has not yet run, so it raises
+    ValueError.
     """
+    if not seconds > 0:
+        raise ValueError(f"keep-alive window must be positive, got {seconds!r}")
     try:
         proc = subprocess.Popen(
             [sys.executable, entry],

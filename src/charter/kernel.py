@@ -20,8 +20,8 @@ of view (``task_view``): the entries of a set of modules and of their
 direct dependencies, with the Directory Structure and diagram lines inside
 that neighbourhood. A worker or critic reads its task's; the plan reviewer
 reads the modules validation flags (``review_view``). A view reads an index
-of module paths to lines that the value's first view builds and its kernel
-keeps, so it costs the size of its neighbourhood.
+of module paths to lines that is built with the kernel and shared with it,
+so it costs the size of its neighbourhood.
 
 Contract and code share one type model. Every type, of a contract attribute
 or header or of a code annotation, is read by ``read_type`` into one canonical
@@ -151,14 +151,8 @@ class SymbolicKernel:
     entries: dict[str, ApiSpecEntry]  # module path -> entry, in contract order
     classes: dict[str, tuple[str, ClassSpec]]  # class name -> (owning module path, class)
     dependencies: dict[str, tuple[str, ...]]  # declared edges, module path -> successors
-    derived_edges: tuple[tuple[str, str], ...] = ()  # implied by cross-entry type refs
-    # Line index -> resolved endpoints of each edge line of the diagram, and
-    # line index -> kernel paths named by a Directory Structure line.
-    edge_lines: dict[int, tuple[str, str]] = field(default_factory=dict)
-    directory_lines: dict[int, frozenset[str]] = field(default_factory=dict)
-    # The inverted index views read, filled by a view of the contract value
-    # this kernel was projected from (``_view_index``).
-    _views: "_ViewIndex | None" = field(default=None, init=False, repr=False, compare=False)
+    derived_edges: tuple[tuple[str, str], ...]  # implied by cross-entry type refs
+    views: _ViewIndex = field(repr=False, compare=False)  # what ``task_view`` reads
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -758,7 +752,7 @@ def project(contract: LanguageContract) -> SymbolicKernel:
     API section equal to the basis's is not read at all. When the revision
     keeps the basis's diagram, Directory Structure, entry paths and class
     tuples, as a Status-only write-back does, the basis kernel's classes,
-    edges, line indices and findings are shared (``_restamped``); otherwise
+    edges, view index and findings are shared (``_restamped``); otherwise
     they are read again. The basis is dropped once the value's own kernel is
     kept, so no value holds more than its parent and no revision history
     accumulates.
@@ -783,14 +777,16 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
             classes[cls.name] = (path, cls)
 
     declared: dict[str, set[str]] = {path: set() for path in entries}
-    edge_lines: dict[int, tuple[str, str]] = {}
-    for index, left, right in parse_dependency_edges(list(contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS))):
+    edge_lines: dict[int, frozenset[str]] = {}
+    diagram = contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS)
+    for index, left, right in parse_dependency_edges(diagram):
         src = _resolve_endpoint(left, entries)
         dst = _resolve_endpoint(right, entries)
-        edge_lines[index] = (src, dst)
+        edge_lines[index] = frozenset((src, dst))
         if src != dst:
             declared[src].add(dst)
 
+    neighbourhood = {path: {path, *successors} for path, successors in declared.items()}
     derived: set[tuple[str, str]] = set()
     for path, entry in entries.items():
         for cls in entry.classes:
@@ -798,14 +794,22 @@ def _project(contract: LanguageContract) -> SymbolicKernel:
                 owner = classes[head][0] if head in classes else path
                 if owner != path and owner not in declared[path]:
                     derived.add((path, owner))
+                    neighbourhood[path].add(owner)
 
+    directory = contract.body(SectionKey.DIRECTORY_STRUCTURE)
+    views = _ViewIndex(
+        neighbourhood={path: frozenset(paths) for path, paths in neighbourhood.items()},
+        sections={
+            SectionKey.DIRECTORY_STRUCTURE: _section_lines(_directory_lines(directory, entries), directory),
+            SectionKey.DEPENDENCY_RELATIONSHIPS: _section_lines(edge_lines, diagram),
+        },
+    )
     return SymbolicKernel(
         entries=entries,
         classes=classes,
         dependencies={path: tuple(sorted(declared[path])) for path in sorted(entries)},
         derived_edges=tuple(sorted(derived)),
-        edge_lines=edge_lines,
-        directory_lines=_directory_lines(contract.body(SectionKey.DIRECTORY_STRUCTURE), entries),
+        views=views,
     )
 
 
@@ -830,15 +834,10 @@ def _same_structure(contract: LanguageContract, basis: LanguageContract, entries
 
 def _restamped(kernel: SymbolicKernel, entries: dict[str, ApiSpecEntry]) -> SymbolicKernel:
     """``kernel`` with ``entries`` in place of its own: the classes, edges,
-    line indices and findings, which read nothing else, are shared."""
-    restamped = SymbolicKernel(
-        entries=entries,
-        classes=kernel.classes,
-        dependencies=kernel.dependencies,
-        derived_edges=kernel.derived_edges,
-        edge_lines=kernel.edge_lines,
-        directory_lines=kernel.directory_lines,
-    )
+    view index and findings, which read nothing else, are shared. The index
+    holds no line of a section that a view shows whole, so a revision that
+    edits only such a section (Constraints, say) shares it too."""
+    restamped = replace(kernel, entries=entries)
     if "violations" in kernel.__dict__:  # found already: the same kernel finds the same
         restamped.__dict__["violations"] = kernel.violations
     return restamped
@@ -854,50 +853,31 @@ _SLICED = (SectionKey.API_SPECIFICATIONS, SectionKey.DIRECTORY_STRUCTURE, Sectio
 
 
 @dataclass(frozen=True)
+class _SectionLines:
+    """The lines of a Directory Structure or diagram body by the kernel paths
+    they name; an edge line names its endpoints."""
+
+    named: dict[int, frozenset[str]]  # line -> the kernel paths it names
+    lines: dict[str, tuple[int, ...]]  # path -> the lines naming it
+    free: tuple[int, ...]  # the lines naming no kernel path
+
+
+def _section_lines(named: dict[int, frozenset[str]], body: tuple[str, ...]) -> _SectionLines:
+    lines: dict[str, list[int]] = {}
+    for index, paths in named.items():
+        for path in paths:
+            lines.setdefault(path, []).append(index)
+    free = tuple(i for i in range(len(body)) if i not in named)
+    return _SectionLines(named, {path: tuple(indices) for path, indices in lines.items()}, free)
+
+
+@dataclass(frozen=True)
 class _ViewIndex:
-    """A contract value's kernel, inverted for views: each lookup a view makes
+    """A kernel inverted for views, built with it: each lookup a view makes
     costs the size of the neighbourhood it reads, not of the contract."""
 
-    whole: dict[SectionKey, tuple[int, ...]]  # every line of each section no view cuts
     neighbourhood: dict[str, frozenset[str]]  # path -> itself and its direct dependencies
-    directory: dict[str, tuple[int, ...]]  # path -> the Directory Structure lines naming it
-    directory_free: tuple[int, ...]  # the Directory Structure lines naming no kernel path
-    diagram: dict[str, tuple[int, ...]]  # path -> the edge lines it is an endpoint of
-    diagram_free: tuple[int, ...]  # the diagram lines that are not edges
-
-
-def _view_index(contract: LanguageContract) -> tuple[SymbolicKernel, _ViewIndex]:
-    """The value's kernel and its view index. The index is built on the
-    kernel's first view and kept on the kernel, as ``project`` keeps the
-    kernel on the value; a projection that never serves a view builds none."""
-    kernel = project(contract)
-    if kernel._views is None:
-        object.__setattr__(kernel, "_views", _build_view_index(contract, kernel))
-    return kernel, kernel._views
-
-
-def _build_view_index(contract: LanguageContract, kernel: SymbolicKernel) -> _ViewIndex:
-    neighbourhood = {path: {path, *successors} for path, successors in kernel.dependencies.items()}
-    for src, dst in kernel.derived_edges:
-        neighbourhood[src].add(dst)
-    directory_lines, edge_lines = kernel.directory_lines, kernel.edge_lines
-    directory: dict[str, list[int]] = {}
-    for index, paths in directory_lines.items():
-        for path in paths:
-            directory.setdefault(path, []).append(index)
-    diagram: dict[str, list[int]] = {}
-    for index, endpoints in edge_lines.items():
-        for path in set(endpoints):
-            diagram.setdefault(path, []).append(index)
-    sizes = {key: len(body) for key, body in contract.sections.items()}
-    return _ViewIndex(
-        whole={key: tuple(range(size)) for key, size in sizes.items() if key not in _SLICED},
-        neighbourhood={path: frozenset(paths) for path, paths in neighbourhood.items()},
-        directory={path: tuple(lines) for path, lines in directory.items()},
-        directory_free=tuple(i for i in range(sizes[SectionKey.DIRECTORY_STRUCTURE]) if i not in directory_lines),
-        diagram={path: tuple(lines) for path, lines in diagram.items()},
-        diagram_free=tuple(i for i in range(sizes[SectionKey.DEPENDENCY_RELATIONSHIPS]) if i not in edge_lines),
-    )
+    sections: dict[SectionKey, _SectionLines]  # the Directory Structure and the diagram
 
 
 def full_view(contract: LanguageContract) -> ContractView:
@@ -917,13 +897,15 @@ def task_view(contract: LanguageContract, *task_ids: str) -> ContractView:
     that name a kernel path outside the neighbourhood; Dependency
     Relationships drops the edge lines with an endpoint outside it. Blank
     lines left at either end of a section's view are trimmed, as they are
-    from an action's content. The lines are looked up through the value's
-    view index, so a view costs the size of its neighbourhood (and of the
-    lines that name no module).
+    from an action's content. The lines are looked up through the kernel's
+    view index (``SymbolicKernel.views``), so a view costs the size of its
+    neighbourhood (and of the lines that name no module); a section shown
+    whole is shown at the value's own length.
     """
-    kernel, index = _view_index(contract)
+    kernel = project(contract)
+    index = kernel.views
     shown = frozenset().union(*(index.neighbourhood.get(path, {path}) for path in task_ids))
-    view = dict(index.whole)
+    view = {key: tuple(range(len(body))) for key, body in contract.sections.items() if key not in _SLICED}
 
     api = contract.body(SectionKey.API_SPECIFICATIONS)
     lines = list(range(_first_entry_line(kernel, api)))
@@ -931,15 +913,9 @@ def task_view(contract: LanguageContract, *task_ids: str) -> ContractView:
         lines.extend(range(*span))
     view[SectionKey.API_SPECIFICATIONS] = _trimmed(api, lines)
 
-    named = {i for path in shown for i in index.directory.get(path, ()) if kernel.directory_lines[i] <= shown}
-    view[SectionKey.DIRECTORY_STRUCTURE] = _trimmed(
-        contract.body(SectionKey.DIRECTORY_STRUCTURE), sorted(named.union(index.directory_free))
-    )
-
-    named = {i for path in shown for i in index.diagram.get(path, ()) if shown.issuperset(kernel.edge_lines[i])}
-    view[SectionKey.DEPENDENCY_RELATIONSHIPS] = _trimmed(
-        contract.body(SectionKey.DEPENDENCY_RELATIONSHIPS), sorted(named.union(index.diagram_free))
-    )
+    for key, section in index.sections.items():
+        named = {i for path in shown for i in section.lines.get(path, ()) if section.named[i] <= shown}
+        view[key] = _trimmed(contract.body(key), sorted(named.union(section.free)))
     return view
 
 

@@ -20,7 +20,7 @@ which case the current best-effort repository is returned.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import Executor, ThreadPoolExecutor, wait
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -71,6 +71,8 @@ class RunConfig:
     def __post_init__(self):
         if self.t_max < 0:
             raise ValueError("t_max must be >= 0")
+        if self.attempt_cap < 0:
+            raise ValueError("attempt_cap must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,13 +142,14 @@ def run_layer(
 ) -> list[DispatchOutcome]:
     """Execute one layer against a single snapshot and collect at the barrier.
 
-    A failing dispatch only affects its own task. The requests are submitted
-    to ``pool``, the run's dispatch pool, whose threads only wait for the
-    backend; this thread waits once for them all, then parses each answer in
-    plan order. With ``pool=None`` (SEQUENTIAL mode, or a layer of one
-    dispatch) the requests are sent one at a time in plan order on the
-    caller's thread. The caller chooses: ``config.mode`` does not select the
-    pool here. The scripted backend makes the two produce identical outputs.
+    A failing dispatch only affects its own task. The requests are all
+    submitted at once to ``pool``, the run's dispatch pool, whose threads only
+    wait for the backend (``Executor.map``); this thread parses the answers in
+    plan order as they arrive. With ``pool=None`` (SEQUENTIAL mode, or a layer
+    of one dispatch) the requests are sent one at a time in plan order on the
+    caller's thread, each as its outcome is built. The caller chooses:
+    ``config.mode`` does not select the pool here. The scripted backend makes
+    the two produce identical outputs.
     """
     all_paths = tuple(sorted(tasks))
     requests: list[tuple[Dispatch, CompletionRequest | None, str]] = []
@@ -185,12 +188,7 @@ def run_layer(
             return exc
 
     sent = [request for _, request, _ in requests if request is not None]
-    if pool is None:
-        answers = map(complete, sent)  # each is sent as its outcome is built, in plan order
-    else:
-        futures = [pool.submit(complete, request) for request in sent]
-        wait(futures)
-        answers = (future.result() for future in futures)
+    answers = (map if pool is None else pool.map)(complete, sent)
     outcomes: list[DispatchOutcome] = []
     for dispatch, request, build_error in requests:
         if request is None:

@@ -231,6 +231,31 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert summary["converged"] is True  # the flag's t_max=5 won over the file's 0
 
 
+@pytest.mark.parametrize("command", ["generate", "replay"])
+def test_a_negative_attempt_cap_in_the_config_file_is_an_error(tmp_path, capsys, command):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"attempt_cap": -1}))
+    intent, transcript = str(fixture_path("intents", "gomoku.txt")), str(fixture_path("transcripts", "gomoku.jsonl"))
+    rest = {
+        "generate": ["--backend", "scripted", "--out", str(tmp_path / "build")],
+        "replay": ["--ledger", str(tmp_path / "run.ledger.jsonl")],
+    }[command]
+    argv = [command, "--intent", intent, "--transcript", transcript, "--config", str(config), *rest]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error == {"error": "ValueError", "message": "attempt_cap must be >= 0"}
+    assert not (tmp_path / "build").exists()
+
+
+def test_eval_refuses_a_keepalive_window_that_is_not_positive(tmp_path, capsys):
+    (tmp_path / "main.py").write_text("raise SystemExit(3)\n")
+    for seconds in ("0", "-1"):
+        assert main(["eval", "--gen", str(tmp_path), "--exec-check", "--exec-seconds", seconds]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1])["error"] == "ValueError"
+
+
 def test_remote_backend_settings_follow_flags_then_config_file(tmp_path, capsys):
     parser = _build_parser()
     args = parser.parse_args(["generate", "--intent", "i", "--out", "o", "--temperature", "0.5"])

@@ -157,6 +157,9 @@ def test_keepalive_check_quick(tmp_path):
     (tmp_path / "lives.py").write_text("import time\ntime.sleep(30)\n")
     assert keepalive_check(tmp_path, entry="dies.py", seconds=0.5) is False
     assert keepalive_check(tmp_path, entry="lives.py", seconds=0.5) is True
+    for seconds in (0, -1, float("nan")):  # a window that is not positive would pass "dies.py"
+        with pytest.raises(ValueError, match="keep-alive window must be positive"):
+            keepalive_check(tmp_path, entry="dies.py", seconds=seconds)
 
 
 def test_evaluate_combined_report():

@@ -507,7 +507,7 @@ def test_a_status_only_revision_shares_its_basis_kernel():
     assert kernel.entries["a.py"].status is TaskStatus.DONE
     assert kernel.classes is basis.classes
     assert kernel.dependencies is basis.dependencies and kernel.derived_edges is basis.derived_edges
-    assert kernel.edge_lines is basis.edge_lines and kernel.directory_lines is basis.directory_lines
+    assert kernel.views is basis.views
     assert kernel.violations is basis.violations
     fresh = _fresh(flipped)
     assert kernel == fresh and kernel.violations == fresh.violations
@@ -775,7 +775,7 @@ def test_a_derived_revision_reads_only_the_lines_it_changed(monkeypatch):
     reads.clear()
     elsewhere = project(parent.with_section(SectionKey.CONSTRAINTS, ["- No module performs I/O at import."]))
     assert reads == []
-    assert elsewhere.entries == old.entries and elsewhere.edge_lines == old.edge_lines
+    assert elsewhere.entries == old.entries and elsewhere.views == old.views
 
 
 def test_a_kernel_keeps_its_findings_in_validation_order():

@@ -289,6 +289,12 @@ def test_run_attempt_cap_parks_thrashing_task():
     assert result.layers_used == 3
 
 
+@pytest.mark.parametrize("field, value", [("t_max", -1), ("attempt_cap", -1)])
+def test_run_config_rejects_a_negative_bound(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+        RunConfig(**{field: value})
+
+
 def test_run_contractless_mode_swaps_dispatch_context(gomoku_intent, gomoku_transcript):
     captured = []
 

@@ -24,6 +24,7 @@ from charter.contract import (
 )
 from charter.kernel import ViolationKind, full_view, project, review_view, task_view, validate
 from charter.scheduler import RunConfig
+from charter.tasks import TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
 
@@ -56,11 +57,13 @@ def scanned_task_view(contract: LanguageContract, *task_ids: str) -> dict:
     view[API] = _scan_trimmed(api, lines)
 
     directory = contract.body(DIRECTORY)
-    lines = [i for i in range(len(directory)) if kernel.directory_lines.get(i, frozenset()) <= shown]
+    named = kernel.views.sections[DIRECTORY].named
+    lines = [i for i in range(len(directory)) if named.get(i, frozenset()) <= shown]
     view[DIRECTORY] = _scan_trimmed(directory, lines)
 
     diagram = contract.body(DIAGRAM)
-    lines = [i for i in range(len(diagram)) if shown.issuperset(kernel.edge_lines.get(i, ()))]
+    named = kernel.views.sections[DIAGRAM].named
+    lines = [i for i in range(len(diagram)) if shown.issuperset(named.get(i, ()))]
     view[DIAGRAM] = _scan_trimmed(diagram, lines)
     return view
 
@@ -157,17 +160,46 @@ def test_indexed_task_view_equals_the_scan_on_any_layout(layout):
         assert task_view(contract, *task_ids) == scanned_task_view(contract, *task_ids), task_ids
 
 
+def _counting_index_builds(monkeypatch) -> list:
+    built = []
+    index_type = charter.kernel._ViewIndex
+    monkeypatch.setattr(charter.kernel, "_ViewIndex", lambda **fields: built.append(1) or index_type(**fields))
+    return built
+
+
 def test_the_view_index_is_built_once_per_kernel(monkeypatch):
     contract = _layout_contract(3, {(0, 1)}, ["app/a.py --> lib/c.py"], ["app/a.py", "lib/c.py"])
-    built = []
-    build = charter.kernel._build_view_index
-    monkeypatch.setattr(charter.kernel, "_build_view_index", lambda *a: built.append(1) or build(*a))
-    project(contract)
-    assert built == []  # a projection alone builds no index
+    built = _counting_index_builds(monkeypatch)
+    parent = project(contract)
+    assert built == [1]  # projection builds the index
     for task_id in PATHS[:3]:
         task_view(contract, task_id)
     review_view(contract)
+    assert built == [1]  # a view builds none
+
+    api = list(contract.body(API))
+    status = next(i for i, line in enumerate(api) if line.strip() == "Status: TODO")
+    api[status] = api[status].replace("TODO", "DONE")
+    child = contract.with_section(API, api)
+    assert project(child).entries[PATHS[0]].status is TaskStatus.DONE
+    assert project(child).views is parent.views
+    task_view(child, PATHS[0])
     assert built == [1]
+
+
+@pytest.mark.parametrize("key", [SectionKey.CONSTRAINTS, SectionKey.GLOBAL_SHARED_KNOWLEDGE])
+def test_a_revision_of_a_section_no_view_cuts_shares_the_index_and_shows_the_section_whole(key, monkeypatch):
+    contract = _layout_contract(3, {(0, 1)}, ["app/a.py --> lib/c.py"], ["app/a.py", "lib/c.py"])
+    parent = project(contract)
+    built = _counting_index_builds(monkeypatch)
+    edited = [*contract.body(key), "- first added line", "", "- second added line"]
+    child = contract.with_section(key, edited)
+    assert project(child).views is parent.views and built == []
+    for task_ids in ((), (PATHS[0],), PATHS[:3]):
+        view = task_view(child, *task_ids)
+        assert view[key] == tuple(range(len(child.body(key)))) == tuple(range(len(edited)))
+        assert view == scanned_task_view(child, *task_ids)
+    assert built == []
 
 
 # --- the reviewer's view ---------------------------------------------------------------
