@@ -9,14 +9,17 @@ root:  python3 scripts/gen_fixtures.py
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
 
 from charter.agents import AgentResponse, format_response
 from charter.contract import ActionOp, ContractAction, SectionKey
 from charter.kernel import ApiSpecEntry, AttributeSpec, ClassSpec, MethodSig, print_api_section
 from charter.tasks import TaskStatus
 
-ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "src" / "charter" / "fixtures"
 
 

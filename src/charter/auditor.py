@@ -43,7 +43,10 @@ class objects for everything it records nothing on.
 ``audit_layer`` is a pure function of its inputs, run as named steps that
 move each task through one planned-status map and record feedback, warnings
 and interventions in step order; the repair check, the existence check and
-the write-back read the entries the amendment step placed.
+the write-back read the entries the amendment step placed. An intervention
+is built once, where it is planned, as the record the ledger writes: a dict
+whose ``kind`` is ``ContractAmendment``, ``StatusRegression`` or
+``SyncTask``.
 ``scheduler.barrier`` applies the returned effects and creates tasks. Each
 agent's document action it returns carries the view its author was shown,
 which the barrier re-anchors it through; the write-back is only patches,
@@ -134,56 +137,13 @@ class AuditDelta:
 
 
 @dataclass(frozen=True)
-class TaskInjection:
-    """A task the barrier created for a contract entry that had none."""
-
-    path: str
-
-    def to_dict(self) -> dict:
-        return {"kind": "TaskInjection", "path": self.path}
-
-
-@dataclass(frozen=True)
-class StatusRegression:
-    task_id: str
-    reason: str
-
-    def to_dict(self) -> dict:
-        return {"kind": "StatusRegression", "task": self.task_id, "reason": self.reason}
-
-
-@dataclass(frozen=True)
-class SyncTask:
-    task_id: str
-    directive: str
-
-    def to_dict(self) -> dict:
-        return {"kind": "SyncTask", "task": self.task_id, "directive": self.directive}
-
-
-@dataclass(frozen=True)
-class ContractAmendment:
-    """Schema additions written into the Symbolic API Specifications."""
-
-    added_symbols: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "ContractAmendment",
-            "section": SectionKey.API_SPECIFICATIONS.value,
-            "op": ActionOp.UPDATE.value,
-            "added_symbols": list(self.added_symbols),
-        }
-
-
-@dataclass(frozen=True)
 class AuditReport:
     existence: float
     unmatched: tuple[str, ...]
     status_updates: tuple[tuple[str, str, str], ...]
     consistency: bool
     deltas: tuple[AuditDelta, ...]
-    interventions: tuple
+    interventions: tuple[dict, ...]  # each the record the ledger writes, keyed by "kind"
     accepted_artifacts: tuple[tuple[str, tuple[FileUnit, ...]], ...]
     write_back: tuple[AtomicPatch, ...]  # the amended entries and planned statuses, placed in the snapshot
     contract_actions: tuple[tuple[str, ContractAction, ContractView], ...]  # agents' (author, action, view shown)
@@ -200,7 +160,7 @@ class AuditReport:
             "status_updates": [list(u) for u in self.status_updates],
             "consistency": self.consistency,
             "deltas": [d.to_dict() for d in self.deltas],
-            "interventions": [i.to_dict() for i in self.interventions],
+            "interventions": list(self.interventions),
             "accepted_artifacts": [
                 {"task": task_id, "paths": [unit.path for unit in artifacts]}
                 for task_id, artifacts in self.accepted_artifacts
@@ -486,7 +446,7 @@ class _AuditPlan:
     moves: list[tuple[str, TaskStatus, TaskStatus]] = field(default_factory=list)
     feedback: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    interventions: list = field(default_factory=list)
+    interventions: list[dict] = field(default_factory=list)
 
     def move(self, task_id: str, new: TaskStatus) -> None:
         self.moves.append((task_id, self.statuses[task_id], new))
@@ -534,7 +494,7 @@ def audit_layer(
         unmatched=unmatched,
         status_updates=tuple((t, old.value, new.value) for t, old, new in plan.moves),
         consistency=all(d.kind is DeltaKind.EMPTY for d in deltas.values())
-        and not any(isinstance(i, SyncTask) for i in plan.interventions),
+        and not any(i["kind"] == "SyncTask" for i in plan.interventions),
         deltas=tuple(deltas.values()),
         interventions=tuple(plan.interventions),
         accepted_artifacts=tuple(accepted.items()),
@@ -608,7 +568,14 @@ def _try_amendment(
             refused = MismatchDetail(DetailKind.MISMATCH, task_id, expected="amendable superset", actual="kernel validation failed")
             deltas[task_id] = AuditDelta(task_id, DeltaKind.CRITICAL, patchable[task_id] + (refused,))
         return kernel.entries
-    plan.interventions.append(ContractAmendment(added_symbols=tuple(symbols)))
+    plan.interventions.append(
+        {
+            "kind": "ContractAmendment",
+            "section": SectionKey.API_SPECIFICATIONS.value,
+            "op": ActionOp.UPDATE.value,
+            "added_symbols": symbols,
+        }
+    )
     return entries
 
 
@@ -649,7 +616,7 @@ def _plan_critic_verdicts(outcomes: list[DispatchOutcome], plan: _AuditPlan) -> 
             reason = verdict.reason or "critic rejected the implementation"
             plan.move(task_id, TaskStatus.ERROR)
             plan.feedback.append((task_id, reason))
-            plan.interventions.append(StatusRegression(task_id, reason))
+            plan.interventions.append({"kind": "StatusRegression", "task": task_id, "reason": reason})
 
 
 def _sync_after_amendment(
@@ -680,7 +647,7 @@ def _sync_after_amendment(
         if plan.statuses[task_id] is TaskStatus.DONE:
             plan.move(task_id, TaskStatus.ERROR)
         plan.feedback.append((task_id, directive))
-        plan.interventions.append(SyncTask(task_id=task_id, directive=directive))
+        plan.interventions.append({"kind": "SyncTask", "task": task_id, "directive": directive})
 
 
 def _write_back(

@@ -26,6 +26,10 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV_VARS = ("CHARTER_API_KEY", "OPENAI_API_KEY")
 # The largest share by which a retry's wait is stretched.
 JITTER = 0.5
+# The most dispatches in flight at once: the worker bound of a run's one
+# dispatch pool, wider than any bundled or benchmark layer, and the number of
+# connections a ``RemoteBackend`` keeps open for reuse.
+MAX_DISPATCH_THREADS = 64
 
 
 class BackendError(Exception):
@@ -104,6 +108,10 @@ class RemoteBackend:
     (a ``Retry-After`` is never shortened); no wait is longer than
     ``timeout``, the longest a request itself may take.
 
+    Without a ``session``, it makes one that keeps up to
+    ``MAX_DISPATCH_THREADS`` connections per host open, so every dispatch of
+    a wide layer reuses a connection the layer before it opened.
+
     The endpoint key comes from the environment only; it is never accepted as
     a flag or stored in config files.
     """
@@ -129,7 +137,12 @@ class RemoteBackend:
         self.retries = retries
         self.timeout = timeout
         self.backoff = backoff
-        self.session = session or requests.Session()
+        if session is None:
+            session = requests.Session()
+            adapter = requests.adapters.HTTPAdapter(pool_maxsize=MAX_DISPATCH_THREADS)
+            session.mount("http://", adapter)
+            session.mount("https://", adapter)
+        self.session = session
         self.rng = rng or random.Random()
 
     def _api_key(self) -> str:

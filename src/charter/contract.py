@@ -33,6 +33,10 @@ class SectionKey(Enum):
     DEPENDENCY_RELATIONSHIPS = "DependencyRelationships"
     API_SPECIFICATIONS = "SymbolicApiSpecifications"
 
+    # Members are singletons that compare by identity, so they hash by it too:
+    # a dict keyed by them then hashes in C, not through ``Enum.__hash__``.
+    __hash__ = object.__hash__
+
     @property
     def title(self) -> str:
         return _TITLES[self]

@@ -10,11 +10,14 @@ action comes from its report. The document actions commit through
 ``patches.commit_actions``, the path synthesis commits each stage through.
 ``create_tasks`` gives each entry of the synthesized contract, and of each
 committed one, that has no task a TODO task, so a module added to the
-contract in one layer is dispatched in the next. A layer's dispatches run side by side
-on the run's one thread pool, of at most ``MAX_DISPATCH_THREADS`` workers,
-so a run starts no more threads than its widest layer has dispatches. The
-loop runs until everything is verified or the layer budget is exhausted, in
-which case the current best-effort repository is returned.
+contract in one layer is dispatched in the next; the layer's record lists
+each such task as a ``TaskInjection`` intervention, after the auditor's. A
+layer's dispatches run side by side on the run's one thread pool, of at most
+``MAX_DISPATCH_THREADS`` workers (the bound a remote backend's connection
+pool is sized by), so a run starts no more threads than its widest layer
+has dispatches. The loop runs until everything is verified or the layer
+budget is exhausted, in which case the current best-effort repository is
+returned.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from .agents import (
     parse_response,
     synthesize_contract,
 )
-from .auditor import DispatchOutcome, TaskInjection, audit_layer
-from .backends import CompletionRequest, RequestRejected
+from .auditor import DispatchOutcome, audit_layer
+from .backends import MAX_DISPATCH_THREADS, CompletionRequest, RequestRejected
 from .contract import LanguageContract
 from .kernel import SymbolicKernel, ViolationKind, project
 from .ledger import RunLedger, file_sha256
@@ -50,11 +53,6 @@ class RunMode(Enum):
     PARALLEL = "PARALLEL"
     SEQUENTIAL = "SEQUENTIAL"
     NO_CONTRACT = "NO_CONTRACT"
-
-
-# The most dispatches in flight at once: the worker bound of a run's one
-# dispatch pool, wider than any bundled or benchmark layer.
-MAX_DISPATCH_THREADS = 64
 
 
 class InternalInconsistency(RuntimeError):
@@ -73,6 +71,8 @@ class RunConfig:
             raise ValueError("t_max must be >= 0")
         if self.attempt_cap < 0:
             raise ValueError("attempt_cap must be >= 0")
+        if self.context_limit < 1:
+            raise ValueError("context_limit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def barrier(
     # Every entry of the committed contract has a task: one that an action
     # of this layer added becomes TODO work for the next.
     created = create_tasks(project(contract), tasks)
-    interventions = [i.to_dict() for i in (*report.interventions, *map(TaskInjection, created))]
+    interventions = [*report.interventions, *({"kind": "TaskInjection", "path": path} for path in created)]
     for intervention in interventions:
         logger.info("event=intervention layer=%d %s", layer, intervention)
 

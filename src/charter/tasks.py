@@ -12,6 +12,8 @@ class TaskStatus(Enum):
     ERROR = "ERROR"
     VERIFIED = "VERIFIED"
 
+    __hash__ = object.__hash__  # identity, as ``SectionKey`` hashes
+
 
 # VERIFIED is absorbing: it never appears as a source state.
 LEGAL_TRANSITIONS: frozenset[tuple[TaskStatus, TaskStatus]] = frozenset(

@@ -9,14 +9,10 @@ import pytest
 from charter.agents import AgentResponse, RoleKind, Verdict
 from charter.auditor import (
     AUDITOR_AUTHOR,
-    ContractAmendment,
     DeltaKind,
     DetailKind,
     DispatchOutcome,
     MismatchDetail,
-    StatusRegression,
-    SyncTask,
-    TaskInjection,
     _amended_entries,
     audit_layer,
     classify,
@@ -246,7 +242,9 @@ def test_audit_layer_moves_tasks_by_critic_verdicts():
     )
     assert report.feedback == (("systems/collision.py", "collision uses undeclared width"),)
     assert report.warnings == ()
-    assert report.interventions == (StatusRegression("systems/collision.py", "collision uses undeclared width"),)
+    assert report.interventions == (
+        {"kind": "StatusRegression", "task": "systems/collision.py", "reason": "collision uses undeclared width"},
+    )
 
 
 def test_audit_layer_warns_when_a_critic_gives_no_verdict():
@@ -281,15 +279,15 @@ def test_audit_layer_schema_divergence_scenario():
     assert by_task["entities/player.py"].kind is DeltaKind.EMPTY
     assert by_task["systems/collision.py"].kind is DeltaKind.PATCHABLE
 
-    amendments = [i for i in report.interventions if isinstance(i, ContractAmendment)]
+    amendments = [i for i in report.interventions if i["kind"] == "ContractAmendment"]
     assert len(amendments) == 1
-    assert amendments[0].added_symbols == ("Player.height", "Player.width")
-    assert amendments[0].to_dict()["section"] == SectionKey.API_SPECIFICATIONS.value
+    assert amendments[0]["added_symbols"] == ["Player.height", "Player.width"]
+    assert amendments[0]["section"] == SectionKey.API_SPECIFICATIONS.value
 
-    syncs = [i for i in report.interventions if isinstance(i, SyncTask)]
+    syncs = [i for i in report.interventions if i["kind"] == "SyncTask"]
     assert len(syncs) == 1
-    assert syncs[0].task_id == "entities/player.py"
-    assert syncs[0].directive.startswith("Fix the schema definition; Player requires")
+    assert syncs[0]["task"] == "entities/player.py"
+    assert syncs[0]["directive"].startswith("Fix the schema definition; Player requires")
 
     # both artifacts were committed, and the backend task regressed afterwards
     assert [t for t, _ in report.accepted_artifacts] == [
@@ -312,8 +310,8 @@ def test_an_amendment_records_members_named_like_entry_fields(names):
 
     assert [d.kind for d in report.deltas] == [DeltaKind.PATCHABLE]
     assert report.warnings == ()
-    amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
-    assert amendment.added_symbols == tuple(f"Player.{name}" for name in sorted(names))
+    amendment = next(i for i in report.interventions if i["kind"] == "ContractAmendment")
+    assert amendment["added_symbols"] == [f"Player.{name}" for name in sorted(names)]
 
 
 def test_an_audit_without_a_patchable_delta_builds_no_amended_entries(monkeypatch):
@@ -414,9 +412,14 @@ def test_audit_layer_plans_amendment_regression_and_repair_into_one_state():
 
     directive = "Fix the schema definition; Player requires height, width."
     assert report.interventions == (
-        ContractAmendment(added_symbols=("Player.height", "Player.width")),
-        StatusRegression("ui/hud.py", "the score never changes"),
-        SyncTask("entities/player.py", directive),
+        {
+            "kind": "ContractAmendment",
+            "section": "SymbolicApiSpecifications",
+            "op": "update",
+            "added_symbols": ["Player.height", "Player.width"],
+        },
+        {"kind": "StatusRegression", "task": "ui/hud.py", "reason": "the score never changes"},
+        {"kind": "SyncTask", "task": "entities/player.py", "directive": directive},
     )
     assert report.status_updates == (
         ("systems/collision.py", "TODO", "DONE"),
@@ -471,7 +474,7 @@ class CollisionSystem:
     assert report.consistency is True
     assert all(d.kind is DeltaKind.EMPTY for d in report.deltas)
     # only the status write-back touches the document
-    assert [i for i in report.interventions if not isinstance(i, TaskInjection)] == []
+    assert [i for i in report.interventions if i["kind"] != "TaskInjection"] == []
 
 
 def test_audit_layer_is_pure():
@@ -493,7 +496,7 @@ def test_audit_layer_reports_an_unmatched_task_without_injecting_it():
     outcomes = [_worker_outcome("entities/player.py", "entities/player.py", PLAYER_OK)]
     report = audit_layer(contract, {}, tasks, outcomes)
     assert report.unmatched == ("systems/collision.py",)
-    assert not any(isinstance(i, TaskInjection) for i in report.interventions)
+    assert not any(i["kind"] == "TaskInjection" for i in report.interventions)
     assert report.existence == pytest.approx(0.5)
 
 
@@ -510,7 +513,7 @@ def test_audit_layer_amendment_downgrade_on_duplicate_class():
     report = audit_layer(contract, {}, tasks, outcomes)
     delta = report.deltas[0]
     assert delta.kind is DeltaKind.CRITICAL
-    assert not any(isinstance(i, ContractAmendment) for i in report.interventions)
+    assert not any(i["kind"] == "ContractAmendment" for i in report.interventions)
     assert report.accepted_artifacts == ()
     assert report.warnings == (
         "amendment rejected: kernel validation failed; TYPE_UNDEFINED(projection): "
@@ -617,8 +620,8 @@ def test_audit_layer_amendment_records_members_from_the_audited_body():
     ]
     report = audit_layer(contract, {}, _tasks(contract), outcomes)
 
-    amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
-    assert amendment.added_symbols == ("Inventory", "Player.heal", "Player.speed", "Player.width")
+    amendment = next(i for i in report.interventions if i["kind"] == "ContractAmendment")
+    assert amendment["added_symbols"] == ["Inventory", "Player.heal", "Player.speed", "Player.width"]
     assert report.contract_actions == () and report.to_dict()["contract_actions"][0]["author"] == "auditor"
     assert written(contract, report.write_back) == """\
 - File: entities/player.py
@@ -710,8 +713,8 @@ def test_a_method_with_a_union_parameter_is_amended_into_the_contract():
     ]
     report = audit_layer(contract, {}, _tasks(contract), outcomes)
     assert [(d.task_id, d.kind) for d in report.deltas] == [("a.py", DeltaKind.PATCHABLE), ("b.py", DeltaKind.PATCHABLE)]
-    amendment = next(i for i in report.interventions if isinstance(i, ContractAmendment))
-    assert amendment.added_symbols == ("A.h", "B.k")
+    amendment = next(i for i in report.interventions if i["kind"] == "ContractAmendment")
+    assert amendment["added_symbols"] == ["A.h", "B.k"]
     assert report.warnings == ()
     assert report.contract_actions == ()
     assert "        - def h(y: int | None) -> int | recorded from a.py" in written(contract, report.write_back).splitlines()

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import json
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
 from charter.agents import PromptBundle
 from charter.backends import (
     JITTER,
+    MAX_DISPATCH_THREADS,
     BackendError,
     CompletionRequest,
     MissingTranscriptEntry,
@@ -220,3 +224,52 @@ def test_remote_backend_sends_configured_model_and_temperature(monkeypatch):
     assert payload["temperature"] == 0.0
     assert payload["messages"][0]["content"] == "prompt text"
     assert headers["Authorization"] == "Bearer k"
+
+
+def test_remote_backend_reuses_its_connections_across_wide_layers(monkeypatch):
+    # The loopback endpoint holds each request until all of a layer's are in
+    # flight, so a layer needs one connection per dispatch at once. Layers
+    # after the first reuse them: no connection is opened twice.
+    monkeypatch.setenv("CHARTER_API_KEY", "k")
+    width, layers = 48, 3
+    assert width <= MAX_DISPATCH_THREADS
+    gate = threading.Barrier(width, timeout=30)
+    opened = []
+    body = json.dumps({"choices": [{"message": {"content": "ok"}}]}).encode()
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"  # keep the connection open between requests
+
+        def setup(self):
+            super().setup()
+            opened.append(self.client_address)
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            gate.wait()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    class Server(ThreadingHTTPServer):
+        request_queue_size = 4 * width  # the default backlog of 5 resets a burst of connects
+
+    server = Server(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    backend = RemoteBackend(base_url=f"http://127.0.0.1:{server.server_address[1]}/v1", retries=0)
+    backend.session.trust_env = False  # no proxy from the environment between client and loopback
+    try:
+        with ThreadPoolExecutor(max_workers=width) as pool:
+            for layer in range(1, layers + 1):
+                sent = [_request(layer=layer, task=f"m{i}.py") for i in range(width)]
+                assert list(pool.map(backend.complete, sent)) == ["ok"] * width
+    finally:
+        backend.session.close()
+        server.shutdown()
+        server.server_close()
+    assert len(opened) == width

@@ -247,6 +247,18 @@ def test_a_negative_attempt_cap_in_the_config_file_is_an_error(tmp_path, capsys,
     assert not (tmp_path / "build").exists()
 
 
+def test_a_context_limit_no_prompt_fits_is_an_error(tmp_path, capsys):
+    intent, transcript = str(fixture_path("intents", "gomoku.txt")), str(fixture_path("transcripts", "gomoku.jsonl"))
+    argv = [
+        "generate", "--intent", intent, "--transcript", transcript, "--backend", "scripted",
+        "--out", str(tmp_path / "build"), "--context-limit", "0",
+    ]
+    assert main(argv) == 1
+    error = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert error == {"error": "ValueError", "message": "context_limit must be >= 1"}
+    assert not (tmp_path / "build").exists()
+
+
 def test_eval_refuses_a_keepalive_window_that_is_not_positive(tmp_path, capsys):
     (tmp_path / "main.py").write_text("raise SystemExit(3)\n")
     for seconds in ("0", "-1"):

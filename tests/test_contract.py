@@ -33,6 +33,14 @@ def test_default_template_yields_seven_empty_sections():
     assert contract.revision == 0
 
 
+@pytest.mark.parametrize("enum", [SectionKey, TaskStatus])
+def test_section_keys_and_statuses_hash_by_identity(enum):
+    # Members are singletons compared by identity; a dict keyed by them must
+    # not call the Python-level ``Enum.__hash__`` on every lookup.
+    assert enum.__hash__ is object.__hash__
+    assert all(hash(member) == object.__hash__(member) for member in enum)
+
+
 def test_template_missing_section_rejected():
     doc = DEFAULT_TEMPLATE.replace("## Dependency Relationships\n\n", "")
     with pytest.raises(MalformedTemplate, match="Dependency Relationships"):

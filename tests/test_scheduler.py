@@ -289,9 +289,12 @@ def test_run_attempt_cap_parks_thrashing_task():
     assert result.layers_used == 3
 
 
-@pytest.mark.parametrize("field, value", [("t_max", -1), ("attempt_cap", -1)])
+@pytest.mark.parametrize(
+    "field, value", [("t_max", -1), ("attempt_cap", -1), ("context_limit", 0), ("context_limit", -5)]
+)
 def test_run_config_rejects_a_negative_bound(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be >= 0"):
+    least = 1 if field == "context_limit" else 0  # no prompt fits in zero tokens
+    with pytest.raises(ValueError, match=f"{field} must be >= {least}"):
         RunConfig(**{field: value})
 
 
