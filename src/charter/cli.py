@@ -19,7 +19,7 @@ from .auditor import existence_check, consistency_check
 from .backends import BackendError, RecordingBackend, RemoteBackend, ScriptedBackend
 from .contract import ContractError, parse as parse_contract
 from .evaluation import evaluate, keepalive_check, load_manifest, load_scores
-from .kernel import project
+from .kernel import KernelError, project
 from .ledger import RunLedger
 from .scheduler import RunConfig, RunMode, run
 from .workspace import Workspace
@@ -214,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "replay":
             return _cmd_replay(args, parser)
         parser.error(f"unknown command {args.command!r}")
-    except (SynthesisFailure, BackendError, ContractError, OSError, ValueError) as exc:
+    except (SynthesisFailure, BackendError, ContractError, KernelError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 1
     return 2

@@ -154,17 +154,14 @@ def body_from_text(text: str) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class LanguageContract:
     """An immutable contract value; ``revision`` counts the commits that made
-    it (one per synthesis stage or layer that changed it), not the actions."""
+    it (one per synthesis stage or layer that changed it), not the actions.
+    It refers to no other value: ``kernel.project`` is handed its basis."""
 
     sections: dict[SectionKey, tuple[str, ...]]
     revision: int
     # The value's projection, filled by ``kernel.project`` on first use; a
     # derived value starts without one.
     _kernel: object = field(default=None, init=False, repr=False, compare=False)
-    # The projected value this one was derived from, which ``kernel.project``
-    # reads unchanged API entries off and then clears: at most one level of
-    # history is ever held.
-    _basis: "LanguageContract | None" = field(default=None, init=False, repr=False, compare=False)
     # The digest of the value's rendering, filled by ``fingerprint`` on first use.
     _fingerprint: str | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -172,17 +169,10 @@ class LanguageContract:
         return self.sections[key]
 
     def with_section(self, key: SectionKey, lines: Sequence[str]) -> "LanguageContract":
+        """The next revision, with ``lines`` as the body of ``key``."""
         sections = dict(self.sections)
         sections[key] = normalize_body(lines)
-        return self.with_sections(sections)
-
-    def with_sections(self, sections: Mapping[SectionKey, tuple[str, ...]]) -> "LanguageContract":
-        """The next revision with these section bodies. When this value has
-        been projected, the new one records it as its projection basis."""
-        derived = LanguageContract(sections=dict(sections), revision=self.revision + 1)
-        if self._kernel is not None:
-            object.__setattr__(derived, "_basis", self)
-        return derived
+        return LanguageContract(sections=sections, revision=self.revision + 1)
 
     def fingerprint(self) -> str:
         """The sha256 of the rendered document, rendered once per value."""

@@ -8,14 +8,14 @@ a task id, a kernel key and a workspace path are one string. Every contract
 mutation is projected before it is accepted; a projection or validation
 failure is what lets the store refuse an action before it pollutes shared
 state. A contract value is immutable, so ``project`` computes its kernel once
-and keeps it on the value. A value derived from a projected parent reads
-field by field only the API entries whose lines changed and reuses the
-parent's for the rest (``parse_api_section``'s basis), and a revision that
-changes only statuses shares the rest of the parent's kernel, so a
-mutation's projection costs what it changed rather than the section's
-size. Within one read each distinct line is read once: the Owner, Version,
-Status and block lines of every entry repeat, and so do members that many
-classes share. Every reader but the planner and the auditor reads one kind
+and keeps it on the value. A revision projected through the projected
+snapshot it was merged from (``patches.commit_merge``) reads field by field
+only the API entries whose lines changed and reuses the snapshot's for the
+rest (``parse_api_section``'s basis), and a revision that changes only
+statuses shares the rest of the snapshot's kernel, so a mutation's
+projection costs what it changed rather than the section's size. Within one
+read each distinct line is read once: the Owner, Version, Status and block
+lines of every entry repeat, and so do members that many classes share. Every reader but the planner and the auditor reads one kind
 of view (``task_view``): the entries of a set of modules and of their
 direct dependencies, with the Directory Structure and diagram lines inside
 that neighbourhood. A worker or critic reads its task's; the plan reviewer
@@ -314,11 +314,11 @@ def type_head(type_name: str) -> str:
 # Bullets, indentation and bold markers are not significant; the field names
 # are. Attribute and method lines are only meaningful inside their blocks, and
 # an attribute may be named like a field (``_parse_chunk``): a ``file``
-# attribute is told from the next entry's File line by its indentation
-# (``_names_an_attribute``). A
-# description follows the first ``|`` outside brackets and string literals,
-# so a union type is printed in parentheses. An attribute type is a Python
-# expression.
+# attribute, or an ``owner``, ``version`` or ``status`` one in an entry
+# without that field, is told from the field by its indentation
+# (``_names_an_attribute``). A description follows the first ``|`` outside
+# brackets and string literals, so a union type is printed in parentheses. An
+# attribute type is a Python expression.
 
 _ATTR_LINE_RE = re.compile(r"^\s*-\s*([A-Za-z_]\w*)\s*:(.*)$")
 _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.*)$")
@@ -326,6 +326,8 @@ _METHOD_LINE_RE = re.compile(r"^\s*-\s*(def\s.*)$")
 
 _FILE_KEYS = ("file", "file path")
 _BLOCK_KEYS = ("classes", "attributes", "methods")
+_ENTRY_FIELDS = ("owner", "version", "status")
+_FIELD_NAMES = frozenset((*_ENTRY_FIELDS, *_BLOCK_KEYS))  # an attribute may be named like one
 
 
 class _EntryBuilder:
@@ -377,10 +379,11 @@ def _file_fields(body: tuple[str, ...] | list[str]) -> list[tuple[int, str]]:
 
 
 def _names_an_attribute(body: tuple[str, ...] | list[str], index: int) -> bool:
-    """Whether the File line at ``index`` is an attribute named ``file``: an
-    attribute line indented deeper than the ``Attributes:`` line above it,
-    with only blank lines and attribute lines of its own indentation (none a
-    File line) between them. A File line at the margin starts an entry."""
+    """Whether the field line at ``index`` is an attribute named like its
+    field (``file`` or an entry field): an attribute line indented deeper
+    than the ``Attributes:`` line above it, with only blank lines and
+    attribute lines of its own indentation (none a File line) between them.
+    A File line at the margin starts an entry."""
     line = body[index]
     indent = len(line) - len(line.lstrip())
     if not indent or not _ATTR_LINE_RE.match(line.replace("*", "")):
@@ -466,14 +469,15 @@ def _reused(
 ) -> ApiSpecEntry | None:
     """``old`` moved to ``[start, end)`` with the status read there, when the
     chunk ``lines`` equals its span but for the Status line; otherwise None.
-    The Status line is read through the call's line map ``reads``."""
+    The Status line is read through the call's line map ``reads``; one that
+    may be an attribute (``_names_an_attribute``) is left to the parser."""
     old_lines = old_body[slice(*old.span)]
     lines = tuple(lines)
     at = old.status_line
     status = old.status
     if at is not None and at < len(lines) and lines[at] != old_lines[at]:
         parsed = reads.field(lines[at])
-        if parsed is None or parsed[0] != "status":
+        if parsed is None or parsed[0] != "status" or _names_an_attribute(lines, at):
             return None
         status = read_status(parsed[1])
         if status is None:
@@ -548,10 +552,12 @@ def _parse_chunk(
     ``reads`` holds what the call has read each distinct line as so far.
 
     Inside an Attributes block an attribute may be named like a field: a
-    line for a field the entry already holds (``status``, ``owner``,
-    ``version``) is an attribute, and so is a ``classes``, ``attributes`` or
-    ``methods`` line that carries a type; without one it opens its block. A
-    ``file`` line reaches a chunk only as an attribute (``_names_an_attribute``)."""
+    ``status``, ``owner`` or ``version`` line is an attribute when the entry
+    already holds that field or when it is indented as a ``file`` attribute
+    is (``_names_an_attribute``); at the margin or the block's own
+    indentation it is the field. A ``classes``, ``attributes`` or ``methods``
+    line that carries a type is an attribute too; without one it opens its
+    block. A ``file`` line reaches a chunk only as an attribute."""
     block: str | None = None  # None | "attrs" | "methods"
     for index in range(first, end):
         line = body[index]
@@ -560,10 +566,12 @@ def _parse_chunk(
         lineno = index + 1
         parsed = reads.field(line)
         key = parsed[0] if parsed else None
-        if block == "attrs" and key is not None and (key in entry.seen_fields or key in _BLOCK_KEYS and parsed[1]):
+        if block == "attrs" and key in _FIELD_NAMES and (
+            parsed[1] if key in _BLOCK_KEYS else key in entry.seen_fields or _names_an_attribute(body, index)
+        ):
             key = None  # an attribute named like a field
 
-        if key in ("owner", "version", "status"):
+        if key in _ENTRY_FIELDS:
             if entry is None:
                 raise ProjectionError(f"{key} field before any File field", lineno)
             if key in entry.seen_fields:
@@ -741,30 +749,27 @@ def _directory_lines(body: tuple[str, ...], entries: dict[str, ApiSpecEntry]) ->
 # --- projection and validation ------------------------------------------------
 
 
-def project(contract: LanguageContract) -> SymbolicKernel:
+def project(contract: LanguageContract, basis: LanguageContract | None = None) -> SymbolicKernel:
     """Project the API and dependency sections into the kernel.
 
     A contract value never changes, so its kernel is computed once and kept
-    on the value; a projection that raises is not kept. A value derived from
-    a projected one (``with_section``, ``patches.commit_merge``) reads field
-    by field only the API entries whose lines changed against that basis,
-    and takes the basis's entries for the rest (``parse_api_section``); an
-    API section equal to the basis's is not read at all. When the revision
-    keeps the basis's diagram, Directory Structure, entry paths and class
-    tuples, as a Status-only write-back does, the basis kernel's classes,
-    edges, view index and findings are shared (``_restamped``); otherwise
-    they are read again. The basis is dropped once the value's own kernel is
-    kept, so no value holds more than its parent and no revision history
-    accumulates.
+    on the value; a projection that raises is not kept. A ``basis`` that has
+    been projected, the snapshot a revision was merged from, makes it read
+    field by field only the API entries whose lines changed and take the
+    basis's entries for the rest (``parse_api_section``); an API section
+    equal to the basis's is not read at all. When the revision keeps the
+    basis's diagram, Directory Structure, entry paths and class tuples, as a
+    Status-only write-back does, the basis kernel's classes, edges, view
+    index and findings are shared (``_restamped``); otherwise they are read
+    again. The kernel is the same with a basis as without one.
     """
     if contract._kernel is None:
-        object.__setattr__(contract, "_kernel", _project(contract))
-        object.__setattr__(contract, "_basis", None)
+        usable = basis if basis is not None and basis._kernel is not None else None
+        object.__setattr__(contract, "_kernel", _project(contract, usable))
     return contract._kernel
 
 
-def _project(contract: LanguageContract) -> SymbolicKernel:
-    basis = contract._basis
+def _project(contract: LanguageContract, basis: LanguageContract | None) -> SymbolicKernel:
     parsed = parse_api_section(contract.body(SectionKey.API_SPECIFICATIONS), basis)
     entries = {e.file_path: e for e in parsed}
     if basis is not None and _same_structure(contract, basis, entries):
@@ -892,26 +897,24 @@ def task_view(contract: LanguageContract, *task_ids: str) -> ContractView:
     direct dependencies: the declared edges and the derived edges out of it,
     never the transitive closure, so a view stays the same size however long
     the chain behind it. Every section is shown whole except three. Symbolic
-    API Specifications keeps the lines before its first entry and the
-    neighbourhood's entries, each whole; Directory Structure drops the lines
-    that name a kernel path outside the neighbourhood; Dependency
-    Relationships drops the edge lines with an endpoint outside it. Blank
-    lines left at either end of a section's view are trimmed, as they are
-    from an action's content. The lines are looked up through the kernel's
-    view index (``SymbolicKernel.views``), so a view costs the size of its
-    neighbourhood (and of the lines that name no module); a section shown
-    whole is shown at the value's own length.
+    API Specifications keeps the neighbourhood's entries, each whole;
+    Directory Structure drops the lines that name a kernel path outside the
+    neighbourhood; Dependency Relationships drops the edge lines with an
+    endpoint outside it. Blank lines left at either end of a section's view
+    are trimmed, as they are from an action's content. The lines are looked
+    up through the kernel's view index (``SymbolicKernel.views``), so a view
+    costs the size of its neighbourhood (and of the lines that name no
+    module); a section shown whole is shown at the value's own length.
     """
     kernel = project(contract)
     index = kernel.views
     shown = frozenset().union(*(index.neighbourhood.get(path, {path}) for path in task_ids))
     view = {key: tuple(range(len(body))) for key, body in contract.sections.items() if key not in _SLICED}
 
-    api = contract.body(SectionKey.API_SPECIFICATIONS)
-    lines = list(range(_first_entry_line(kernel, api)))
+    lines: list[int] = []
     for span in sorted(kernel.entries[path].span for path in shown if path in kernel.entries):
         lines.extend(range(*span))
-    view[SectionKey.API_SPECIFICATIONS] = _trimmed(api, lines)
+    view[SectionKey.API_SPECIFICATIONS] = _trimmed(contract.body(SectionKey.API_SPECIFICATIONS), lines)
 
     for key, section in index.sections.items():
         named = {i for path in shown for i in section.lines.get(path, ()) if section.named[i] <= shown}
@@ -927,11 +930,6 @@ def review_view(contract: LanguageContract) -> ContractView:
     finding a reviewer meets."""
     flagged = [v.subject for v in project(contract).violations if v.kind is ViolationKind.INCOMPLETE]
     return task_view(contract, *flagged)
-
-
-def _first_entry_line(kernel: SymbolicKernel, api: tuple[str, ...]) -> int:
-    first = next(iter(kernel.entries.values()), None)
-    return len(api) if first is None else first.span[0]
 
 
 def _trimmed(body: tuple[str, ...], lines: list[int]) -> tuple[int, ...]:
@@ -1014,14 +1012,15 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
     return violations
 
 
-def guard_violations(contract: LanguageContract) -> list[Violation]:
-    """Hard violations that reject a contract mutation (cycles, type safety).
+def guard_violations(contract: LanguageContract, basis: LanguageContract | None = None) -> list[Violation]:
+    """Hard violations that reject a contract mutation (cycles, type safety),
+    found in its projection through ``basis`` (``project``).
 
     INCOMPLETE findings are advisory and never block an action; a projection
     failure is reported as a blocking pseudo-violation.
     """
     try:
-        kernel = project(contract)
+        kernel = project(contract, basis)
     except KernelError as exc:
         return [Violation(ViolationKind.TYPE_UNDEFINED, "projection", str(exc))]
     return [v for v in kernel.violations if v.kind is not ViolationKind.INCOMPLETE]

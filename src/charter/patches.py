@@ -184,16 +184,11 @@ def merge_layer(contract: LanguageContract, patches: Sequence[AtomicPatch]) -> M
     intervals intersect form a cluster resolved by union (adjacent intervals
     do not conflict). The merge is independent of the input order. Each
     rebuilt section is trimmed of blank lines at both ends, as
-    ``LanguageContract.with_section`` trims a section it is given.
+    ``LanguageContract.with_section`` trims a section it is given. A patch
+    past its section's end raises ``StalePatch`` (``apply_patches``).
     """
     by_section: dict[SectionKey, list[AtomicPatch]] = {}
     for patch in patches:
-        base_len = len(contract.body(patch.section))
-        if patch.end > base_len:
-            raise StalePatch(
-                f"{patch.section.value}: interval [{patch.start},{patch.end}) "
-                f"exceeds base length {base_len}"
-            )
         by_section.setdefault(patch.section, []).append(patch)
 
     sections: dict[SectionKey, tuple[str, ...]] = dict(contract.sections)
@@ -242,13 +237,13 @@ def commit_merge(contract: LanguageContract, result: MergeResult) -> LanguageCon
 
     The committed contract must re-project to a valid kernel; otherwise the
     whole merge is rejected and the caller's contract is unchanged. It is
-    derived from ``contract`` (``LanguageContract.with_sections``), so its
-    projection re-reads only the API entries the merge changed.
+    projected through ``contract``, the snapshot it was merged against, so
+    its projection re-reads only the API entries the merge changed.
     """
     if result.patch_count == 0:
         return contract
-    candidate = contract.with_sections(result.sections)
-    violations = guard_violations(candidate)
+    candidate = LanguageContract(sections=result.sections, revision=contract.revision + 1)
+    violations = guard_violations(candidate, contract)
     if violations:
         raise KernelViolation(violations)
     return candidate

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -154,6 +155,18 @@ def test_audit_command_reports_a_malformed_contract_as_an_error(tmp_path, capsys
     error = json.loads(captured.err.strip().splitlines()[-1])
     assert error["error"] == "MalformedTemplate"
     assert "unknown section heading 'Goals'" in error["message"]
+
+
+def test_audit_command_reports_a_contract_that_does_not_project_as_an_error(tmp_path, capsys):
+    code, out, _ = _generate(tmp_path, capsys)
+    assert code == 0
+    contract = out / "project.contract.md"
+    contract.write_text(re.sub(r"(?m)^  Version: \d+$", "  Version: one", contract.read_text(), count=1))
+    code = main(["audit", "--contract", str(contract), "--workspace", str(out / "workspace")])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error == {"error": "ProjectionError", "message": "line 3: Version is not an integer: 'one'"}
 
 
 def test_replay_matches_and_detects_tamper(tmp_path, capsys):

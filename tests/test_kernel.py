@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import charter.auditor
 import charter.kernel
+import charter.patches
 from charter.agents import IntentSpec, synthesize_contract
 from charter.backends import ScriptedBackend
 from charter.contract import LanguageContract, SectionKey, new_contract, DEFAULT_TEMPLATE
@@ -428,6 +430,11 @@ def _edited(entries, edits):
 
 _TWO = _basis_entries([TaskStatus.TODO, TaskStatus.DONE])
 _BARE = print_api_section([make_entry("m0.py"), make_entry("m1.py")])  # each entry ends at its Status line
+# An entry whose Status line follows its Attributes block.
+_LATE_STATUS = [
+    "- File: a.py", "  Classes:", "    - Class: A", "      Methods:", "        - def f() -> None | documented",
+    "      Attributes:", "        - x: int", "  Status: TODO",
+]  # fmt: skip
 
 
 @given(_derived_api_sections())
@@ -435,25 +442,24 @@ _BARE = print_api_section([make_entry("m0.py"), make_entry("m1.py")])  # each en
 @example(_edited(_TWO, [(3, "  Status: SHIPPED")]))  # an unknown status value
 @example(_edited(_TWO, [(len(print_api_section(_TWO[:1])) + 1, "- File: m0.py")]))  # a duplicated path
 @example((_BARE, _BARE[:-1]))  # the last entry's Status line, its last line, deleted
+@example((_LATE_STATUS, [*_LATE_STATUS[:-1], "        - status: DONE"]))  # a Status line edited into an attribute
 @settings(max_examples=200, deadline=None)
 def test_a_projection_through_its_basis_equals_a_fresh_one(case):
     base, lines = case
     parent = new_contract(DEFAULT_TEMPLATE).with_section(SectionKey.API_SPECIFICATIONS, base)
     project(parent)
     child = parent.with_section(SectionKey.API_SPECIFICATIONS, lines)
-    assert child._basis is parent
     fresh = LanguageContract(sections=child.sections, revision=child.revision)
     outcomes = []
-    for contract in (child, fresh):
+    for contract, basis in ((child, parent), (fresh, None)):
         try:
-            kernel = project(contract)
+            kernel = project(contract, basis)
         except ProjectionError as exc:
             outcomes.append(str(exc))
         else:
             outcomes.append((kernel, [(e.span, e.status_line) for e in kernel.entries.values()]))
     assert outcomes[0] == outcomes[1]
-    if not isinstance(outcomes[0], str):
-        assert child._basis is None  # dropped once the kernel is kept
+    assert all(value is not parent for value in vars(child).values())  # the child keeps no history
 
 
 def test_each_distinct_header_of_a_read_is_parsed_once(monkeypatch):
@@ -480,8 +486,8 @@ def test_each_distinct_header_of_a_read_is_parsed_once(monkeypatch):
 
 
 def _basis_and_revisions():
-    """The kernel of a projected contract and two revisions derived from it:
-    one that flips a Status and one that documents and adds a method."""
+    """A projected contract and two revisions derived from it: one that
+    flips a Status and one that documents and adds a method."""
     a = make_entry("a.py", classes=(simple_class("A", [("n", "int")], [method("def run() -> None")]),))
     b = make_entry("b.py", classes=(simple_class("B", [("a", "A")], [method("def go(x: A) -> int")]),))
     c = make_entry("c.py", classes=(simple_class("C", [], [method("def idle() -> None", doc="")]),))
@@ -493,7 +499,7 @@ def _basis_and_revisions():
     )
     grown = replace(c, classes=(simple_class("C", [], [method("def idle() -> None"), method("def wake() -> None")]),))
     amended = contract.with_section(SectionKey.API_SPECIFICATIONS, print_api_section([a, b, grown]))
-    return basis, flipped, amended
+    return contract, flipped, amended
 
 
 def _fresh(contract: LanguageContract):
@@ -502,8 +508,9 @@ def _fresh(contract: LanguageContract):
 
 
 def test_a_status_only_revision_shares_its_basis_kernel():
-    basis, flipped, _ = _basis_and_revisions()
-    kernel = project(flipped)
+    parent, flipped, _ = _basis_and_revisions()
+    basis = project(parent)
+    kernel = project(flipped, parent)
     assert kernel.entries["a.py"].status is TaskStatus.DONE
     assert kernel.classes is basis.classes
     assert kernel.dependencies is basis.dependencies and kernel.derived_edges is basis.derived_edges
@@ -516,8 +523,9 @@ def test_a_status_only_revision_shares_its_basis_kernel():
 
 
 def test_a_revision_that_changes_a_class_is_projected_again():
-    basis, _, amended = _basis_and_revisions()
-    kernel = project(amended)
+    parent, _, amended = _basis_and_revisions()
+    basis = project(parent)
+    kernel = project(amended, parent)
     assert kernel.classes is not basis.classes
     assert kernel == _fresh(amended) and kernel.violations == () == _fresh(amended).violations
 
@@ -585,6 +593,16 @@ def test_a_section_of_repeated_lines_survives_print_and_parse(entries):
     parsed = parse_api_section(printed)
     assert parsed == entries
     assert print_api_section(parsed) == printed
+
+
+@pytest.mark.parametrize(
+    "field, type_name", [("Status", "str"), ("Version", "int"), ("Owner", "str")], ids=["status", "version", "owner"]
+)
+def test_an_attribute_named_like_a_field_the_entry_lacks_stays_an_attribute(field, type_name):
+    cls = simple_class("A", [(field.lower(), type_name), ("x", "int")], [method("def f() -> None")])
+    printed = print_api_section([make_entry("a.py", classes=(cls,))])
+    (entry,) = parse_api_section([line for line in printed if not line.strip().startswith(f"{field}:")])
+    assert entry.classes == (cls,)
 
 
 def test_one_line_is_read_as_a_field_in_one_entry_and_an_attribute_in_another():
@@ -726,12 +744,16 @@ def _revisions_of_runs():
 
 def test_every_revision_projected_through_its_basis_equals_a_fresh_projection(monkeypatch):
     compared = []
+    projected = []  # (contract, basis) as ``_project`` receives them
+    merged = []  # (committed revision, the snapshot it was merged from)
     derived = charter.kernel._project
+    commit = charter.patches.commit_merge
 
-    def checked(contract):
-        kernel = derived(contract)
-        if contract._basis is not None:
-            fresh = derived(LanguageContract(sections=contract.sections, revision=contract.revision))
+    def checked(contract, basis):
+        projected.append((contract, basis))
+        kernel = derived(contract, basis)
+        if basis is not None:
+            fresh = derived(LanguageContract(sections=contract.sections, revision=contract.revision), None)
             assert kernel == fresh
             assert [(e.span, e.status_line) for e in kernel.entries.values()] == [
                 (e.span, e.status_line) for e in fresh.entries.values()
@@ -740,11 +762,23 @@ def test_every_revision_projected_through_its_basis_equals_a_fresh_projection(mo
             compared.append(contract)
         return kernel
 
+    def recording_commit(contract, result):
+        committed = commit(contract, result)
+        if committed is not contract:
+            merged.append((committed, contract))
+        return committed
+
     monkeypatch.setattr(charter.kernel, "_project", checked)
+    for module in (charter.patches, charter.auditor):
+        monkeypatch.setattr(module, "commit_merge", recording_commit)
     for intent, config, backend in _revisions_of_runs():
         result = run(intent, config, backend)
         assert result.converged
     assert len(compared) > 30
+    bases = {id(contract): basis for contract, basis in projected}
+    later = [(committed, parent) for committed, parent in merged if committed.revision > 1]
+    assert len(later) > 30
+    assert all(bases[id(committed)] is parent for committed, parent in later)
 
 
 def _hundred_entries():
@@ -767,13 +801,13 @@ def test_a_derived_revision_reads_only_the_lines_it_changed(monkeypatch):
     read = charter.kernel.parse_field_line
     monkeypatch.setattr(charter.kernel, "parse_field_line", lambda line: reads.append(line) or read(line))
 
-    status_only = project(parent.with_section(SectionKey.API_SPECIFICATIONS, api))
+    status_only = project(parent.with_section(SectionKey.API_SPECIFICATIONS, api), parent)
     assert len(reads) <= 100 + len(flipped) + 2
     assert sum(e.status is TaskStatus.DONE for e in status_only.entries.values()) == len(flipped) == 10
     assert status_only.classes == old.classes and status_only.dependencies == old.dependencies
 
     reads.clear()
-    elsewhere = project(parent.with_section(SectionKey.CONSTRAINTS, ["- No module performs I/O at import."]))
+    elsewhere = project(parent.with_section(SectionKey.CONSTRAINTS, ["- No module performs I/O at import."]), parent)
     assert reads == []
     assert elsewhere.entries == old.entries and elsewhere.views == old.views
 

@@ -424,9 +424,9 @@ def test_each_contract_value_is_parsed_once(monkeypatch, gomoku_intent, gomoku_t
     parsed = []
     project_, parse_ = charter.kernel.project, charter.kernel.parse_api_section
 
-    def recording_project(contract):
+    def recording_project(contract, basis=None):
         projected.append(contract)
-        return project_(contract)
+        return project_(contract, basis)
 
     def recording_parse(body, basis):
         parsed.append(body)

@@ -181,7 +181,7 @@ def test_the_view_index_is_built_once_per_kernel(monkeypatch):
     status = next(i for i, line in enumerate(api) if line.strip() == "Status: TODO")
     api[status] = api[status].replace("TODO", "DONE")
     child = contract.with_section(API, api)
-    assert project(child).entries[PATHS[0]].status is TaskStatus.DONE
+    assert project(child, contract).entries[PATHS[0]].status is TaskStatus.DONE
     assert project(child).views is parent.views
     task_view(child, PATHS[0])
     assert built == [1]
@@ -194,7 +194,7 @@ def test_a_revision_of_a_section_no_view_cuts_shares_the_index_and_shows_the_sec
     built = _counting_index_builds(monkeypatch)
     edited = [*contract.body(key), "- first added line", "", "- second added line"]
     child = contract.with_section(key, edited)
-    assert project(child).views is parent.views and built == []
+    assert project(child, contract).views is parent.views and built == []
     for task_ids in ((), (PATHS[0],), PATHS[:3]):
         view = task_view(child, *task_ids)
         assert view[key] == tuple(range(len(child.body(key)))) == tuple(range(len(edited)))
