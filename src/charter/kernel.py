@@ -5,20 +5,22 @@ entries keyed by module path, the classes they declare, and the inter-module
 dependency digraph. A module is named by its ``File:`` path, normalized once
 here by ``normalize_path``, the same function the workspace keys files by, so
 a task id, a kernel key and a workspace path are one string. Every contract
-mutation is projected before it is accepted; a projection or validation
-failure is what lets the store refuse an action before it pollutes shared
-state. A contract value is immutable, so ``project`` computes its kernel once
-and keeps it on the value. A revision projected through the projected
-snapshot it was merged from (``patches.commit_merge``) reads field by field
-only the API entries whose lines changed and reuses the snapshot's for the
-rest (``parse_api_section``'s basis), and a revision that changes only
-statuses shares the rest of the snapshot's kernel, so a mutation's
-projection costs what it changed rather than the section's size. Within one
+mutation is projected before it is accepted; a projection failure or a
+finding of validation, found as the kernel is built, is what lets the store
+refuse an action before it pollutes shared state. A contract value is
+immutable, so ``project`` computes its kernel once and keeps it on the
+value. A revision projected through the projected snapshot it was merged
+from (``patches.commit_merge``) reads field by field only the API entries
+whose lines changed and reuses the snapshot's for the rest
+(``parse_api_section``'s basis), and a revision that changes only statuses
+shares the rest of the snapshot's kernel, so a mutation's projection costs
+what it changed rather than the section's size. Within one
 read each distinct line is read once: the Owner, Version, Status and block
-lines of every entry repeat, and so do members that many classes share. Every reader but the planner and the auditor reads one kind
-of view (``task_view``): the entries of a set of modules and of their
-direct dependencies, with the Directory Structure and diagram lines inside
-that neighbourhood. A worker or critic reads its task's; the plan reviewer
+lines of every entry repeat, and so do members that many classes share.
+Every reader but the planner and the auditor reads one kind of view
+(``task_view``): the entries of a set of modules and of their direct
+dependencies, with the Directory Structure and diagram lines inside that
+neighbourhood. A worker or critic reads its task's; the plan reviewer
 reads the modules validation flags (``review_view``). A view reads an index
 of module paths to lines that is built with the kernel and shared with it,
 so it costs the size of its neighbourhood.
@@ -42,6 +44,7 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from graphlib import CycleError, TopologicalSorter
 from itertools import compress, count
 
 from .contract import LanguageContract, SectionKey, parse_field_line, read_status
@@ -152,12 +155,8 @@ class SymbolicKernel:
     classes: dict[str, tuple[str, ClassSpec]]  # class name -> (owning module path, class)
     dependencies: dict[str, tuple[str, ...]]  # declared edges, module path -> successors
     derived_edges: tuple[tuple[str, str], ...]  # implied by cross-entry type refs
+    violations: tuple[Violation, ...]  # what ``validate`` returns, by (kind, subject)
     views: _ViewIndex = field(repr=False, compare=False)  # what ``task_view`` reads
-
-    @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """What ``validate`` finds in this kernel, computed on first use."""
-        return tuple(validate(self))
 
 
 class PathViolation(ValueError):
@@ -759,9 +758,10 @@ def project(contract: LanguageContract, basis: LanguageContract | None = None) -
     basis's entries for the rest (``parse_api_section``); an API section
     equal to the basis's is not read at all. When the revision keeps the
     basis's diagram, Directory Structure, entry paths and class tuples, as a
-    Status-only write-back does, the basis kernel's classes, edges, view
-    index and findings are shared (``_restamped``); otherwise they are read
-    again. The kernel is the same with a basis as without one.
+    Status-only write-back does, the basis kernel's classes, edges, findings
+    and view index are shared; otherwise they are read again. The findings
+    (``validate``) are found in the passes that derive the edges. The kernel
+    is the same with a basis as without one.
     """
     if contract._kernel is None:
         usable = basis if basis is not None and basis._kernel is not None else None
@@ -773,7 +773,9 @@ def _project(contract: LanguageContract, basis: LanguageContract | None) -> Symb
     parsed = parse_api_section(contract.body(SectionKey.API_SPECIFICATIONS), basis)
     entries = {e.file_path: e for e in parsed}
     if basis is not None and _same_structure(contract, basis, entries):
-        return _restamped(basis._kernel, entries)
+        # The index holds no line of a section a view shows whole, so a
+        # revision that edits only such a section (Constraints, say) shares it.
+        return replace(basis._kernel, entries=entries)
     classes: dict[str, tuple[str, ClassSpec]] = {}
     for path, entry in entries.items():
         for cls in entry.classes:
@@ -793,13 +795,26 @@ def _project(contract: LanguageContract, basis: LanguageContract | None) -> Symb
 
     neighbourhood = {path: {path, *successors} for path, successors in declared.items()}
     derived: set[tuple[str, str]] = set()
+    violations: list[Violation] = []
     for path, entry in entries.items():
         for cls in entry.classes:
-            for _, head in cls.member_heads:
-                owner = classes[head][0] if head in classes else path
-                if owner != path and owner not in declared[path]:
-                    derived.add((path, owner))
-                    neighbourhood[path].add(owner)
+            for where, head in cls.member_heads:
+                if head in classes:
+                    owner = classes[head][0]
+                    if owner != path and owner not in declared[path]:
+                        derived.add((path, owner))
+                        neighbourhood[path].add(owner)
+                elif head not in PRIMITIVE_TYPES:
+                    message = f"type {head!r} is neither primitive nor a declared class"
+                    violations.append(Violation(ViolationKind.TYPE_UNDEFINED, f"{path}::{where}", message))
+        if not any(sig.docstring for cls in entry.classes for sig in cls.methods):
+            message = "entry has no documented method; interface detail is insufficient"
+            violations.append(Violation(ViolationKind.INCOMPLETE, path, message))
+
+    dependencies = {path: tuple(sorted(declared[path])) for path in sorted(entries)}
+    if (cycle := find_cycle(list(entries), dependencies)) is not None:
+        violations.append(Violation(ViolationKind.CYCLE, " -> ".join(cycle), "dependency graph contains a cycle"))
+    violations.sort(key=lambda v: (v.kind.value, v.subject))
 
     directory = contract.body(SectionKey.DIRECTORY_STRUCTURE)
     views = _ViewIndex(
@@ -812,8 +827,9 @@ def _project(contract: LanguageContract, basis: LanguageContract | None) -> Symb
     return SymbolicKernel(
         entries=entries,
         classes=classes,
-        dependencies={path: tuple(sorted(declared[path])) for path in sorted(entries)},
+        dependencies=dependencies,
         derived_edges=tuple(sorted(derived)),
+        violations=tuple(violations),
         views=views,
     )
 
@@ -835,17 +851,6 @@ def _same_structure(contract: LanguageContract, basis: LanguageContract, entries
             for (path, entry), (old_path, old_entry) in zip(entries.items(), old.items())
         )
     )
-
-
-def _restamped(kernel: SymbolicKernel, entries: dict[str, ApiSpecEntry]) -> SymbolicKernel:
-    """``kernel`` with ``entries`` in place of its own: the classes, edges,
-    view index and findings, which read nothing else, are shared. The index
-    holds no line of a section that a view shows whole, so a revision that
-    edits only such a section (Constraints, say) shares it too."""
-    restamped = replace(kernel, entries=entries)
-    if "violations" in kernel.__dict__:  # found already: the same kernel finds the same
-        restamped.__dict__["violations"] = kernel.violations
-    return restamped
 
 
 # --- views: the lines one dispatch reads ----------------------------------------
@@ -942,38 +947,21 @@ def _trimmed(body: tuple[str, ...], lines: list[int]) -> tuple[int, ...]:
 
 
 def find_cycle(nodes: list[str] | tuple[str, ...], edges: dict[str, tuple[str, ...]]) -> list[str] | None:
-    """First cycle found by DFS over lexicographically ordered nodes, or None."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in nodes}
-    parent: dict[str, str] = {}
-    for root in sorted(nodes):
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(root, 0)]
-        color[root] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            successors = edges.get(node, ())
-            if idx < len(successors):
-                stack[-1] = (node, idx + 1)
-                nxt = successors[idx]
-                if nxt not in color:
-                    continue
-                if color[nxt] == GRAY:
-                    cycle = [nxt]
-                    cursor = node
-                    while cursor != nxt:
-                        cycle.append(cursor)
-                        cursor = parent[cursor]
-                    cycle.reverse()
-                    return cycle
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
+    """First cycle found by DFS over lexicographically ordered nodes, or None:
+    ``graphlib`` walks nodes and successors in the order they are added."""
+    known = set(nodes)
+    ordered = sorted(known)
+    sorter = TopologicalSorter()
+    for node in ordered:
+        sorter.add(node)
+    for node in ordered:
+        for successor in edges.get(node, ()):
+            if successor in known:
+                sorter.add(successor, node)
+    try:
+        sorter.prepare()
+    except CycleError as exc:
+        return exc.args[1][1:]  # the cycle's first node closes it again
     return None
 
 
@@ -986,30 +974,7 @@ def validate(kernel: SymbolicKernel) -> list[Violation]:
     INCOMPLETE: an entry none of whose methods carries a docstring, the proxy
     for an interface described in too little detail to implement against.
     """
-    violations: list[Violation] = []
-    cycle = find_cycle(list(kernel.entries), kernel.dependencies)
-    if cycle is not None:
-        violations.append(
-            Violation(ViolationKind.CYCLE, " -> ".join(cycle), "dependency graph contains a cycle")
-        )
-
-    for path, entry in kernel.entries.items():
-        for cls in entry.classes:
-            for where, head in cls.member_heads:
-                if head not in PRIMITIVE_TYPES and head not in kernel.classes:
-                    message = f"type {head!r} is neither primitive nor a declared class"
-                    violations.append(Violation(ViolationKind.TYPE_UNDEFINED, f"{path}::{where}", message))
-        methods = [sig for cls in entry.classes for sig in cls.methods]
-        if not any(sig.docstring for sig in methods):
-            violations.append(
-                Violation(
-                    ViolationKind.INCOMPLETE,
-                    path,
-                    "entry has no documented method; interface detail is insufficient",
-                )
-            )
-    violations.sort(key=lambda v: (v.kind.value, v.subject))
-    return violations
+    return list(kernel.violations)
 
 
 def guard_violations(contract: LanguageContract, basis: LanguageContract | None = None) -> list[Violation]:

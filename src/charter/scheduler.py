@@ -258,7 +258,9 @@ def barrier(
     statuses, add feedback, create the tasks of new entries and write the
     layer record. When the guard refuses the batch, ``commit_actions``
     journals the agents' actions as refused and commits the write-back
-    alone; each of their authors gets the refusal as feedback."""
+    alone; each of their authors gets the refusal as feedback. The record's
+    ``execution_width`` is the configured width, ``min(MAX_DISPATCH_THREADS,
+    dispatches)`` (1 under SEQUENTIAL), not an observed concurrency."""
     # A worker pass is an attempt once the model answered, the prompt could
     # not be built or the endpoint refused the request; any other transport
     # failure costs none.

@@ -316,6 +316,8 @@ class Workspace:
 
         ws = Workspace()
         base = Path(root)
+        if not base.is_dir():
+            raise NotADirectoryError(f"workspace root is not a directory: {root}")
         for path in sorted(base.rglob("*")):
             if not path.is_file():
                 continue

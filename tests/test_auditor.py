@@ -583,6 +583,53 @@ def test_audit_layer_drops_an_artifact_written_to_a_peer_tasks_file():
     assert ("systems/collision.py", "artifact dropped: entities/player.py is another task's file") in report.feedback
 
 
+def test_audit_layer_drops_an_artifact_whose_path_escapes_the_root():
+    contract = _plane_contract()
+    escaping = DispatchOutcome(
+        task_id="entities/player.py",
+        role=RoleKind.WORKER,
+        view={},
+        response=AgentResponse(
+            thinking="t", output="built", artifacts=(("../evil.py", "x = 1\n"), ("entities/player.py", PLAYER_OK))
+        ),
+    )
+    report = audit_layer(contract, {}, _tasks(contract), [escaping])
+    assert report.accepted_artifacts == (("entities/player.py", (FileUnit("entities/player.py", PLAYER_OK),)),)
+    assert report.feedback == (
+        ("entities/player.py", "artifact dropped: path escapes the workspace root: '../evil.py'"),
+    )
+
+
+def test_a_worker_answer_without_its_own_file_is_fed_back_and_not_audited():
+    contract = _plane_contract()
+    report = audit_layer(contract, {}, _tasks(contract), [_worker_outcome("entities/player.py", "util.py", "x = 1\n")])
+    assert report.deltas == () and report.accepted_artifacts == () and report.status_updates == ()
+    assert report.feedback == (("entities/player.py", "worker produced no artifact for entities/player.py"),)
+
+
+def test_a_failed_critic_dispatch_warns_and_leaves_the_status():
+    contract = _plane_contract()
+    tasks = _tasks(contract, {"entities/player.py": TaskStatus.DONE})
+    failed = DispatchOutcome(task_id="entities/player.py", role=RoleKind.CRITIC, view={}, error="timed out")
+    report = audit_layer(contract, {}, tasks, [failed])
+    assert report.status_updates == () and report.interventions == ()
+    assert report.warnings == ("critic for entities/player.py failed: timed out",)
+    assert report.feedback == (("entities/player.py", "critic dispatch failed: timed out"),)
+
+
+def test_a_verified_file_that_misses_amended_members_warns_and_is_not_regressed():
+    contract = _plane_contract()
+    tasks = _tasks(contract, {"entities/player.py": TaskStatus.VERIFIED})
+    outcomes = [_worker_outcome("systems/collision.py", "systems/collision.py", COLLISION_DEMANDING)]
+    report = audit_layer(contract, _units({"entities/player.py": PLAYER_OK}), tasks, outcomes)
+    assert [i["kind"] for i in report.interventions] == ["ContractAmendment"]
+    assert report.status_updates == (("systems/collision.py", "TODO", "DONE"),)
+    assert report.feedback == ()
+    assert report.warnings == (
+        "entities/player.py is already verified but misses amended symbols; no automatic cascade",
+    )
+
+
 PLAYER_GROWN = PLAYER_OK.replace(
     "        self.health: int = 100\n",
     "        self.health: int = 100\n        self.speed: float = 1.5\n        self._cache = {}\n",

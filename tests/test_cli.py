@@ -169,6 +169,22 @@ def test_audit_command_reports_a_contract_that_does_not_project_as_an_error(tmp_
     assert error == {"error": "ProjectionError", "message": "line 3: Version is not an integer: 'one'"}
 
 
+@pytest.mark.parametrize("command", ["eval", "audit"])
+@pytest.mark.parametrize("root", ["missing", "project.contract.md"])
+def test_a_workspace_root_that_is_not_a_directory_is_an_error(tmp_path, capsys, command, root):
+    code, out, _ = _generate(tmp_path, capsys)
+    assert code == 0
+    argv = {
+        "eval": ["eval", "--gen", str(out / root)],
+        "audit": ["audit", "--contract", str(out / "project.contract.md"), "--workspace", str(out / root)],
+    }[command]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    error = json.loads(captured.err.strip().splitlines()[-1])
+    assert error == {"error": "NotADirectoryError", "message": f"workspace root is not a directory: {out / root}"}
+
+
 def test_replay_matches_and_detects_tamper(tmp_path, capsys):
     code, out, _ = _generate(tmp_path, capsys)
     assert code == 0

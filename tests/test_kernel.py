@@ -257,6 +257,15 @@ def test_edge_endpoints_are_read_as_normalized_paths():
         project(contract_with(entries, dependency_lines=["/a.py --> b.py"]))
 
 
+def test_an_edge_endpoint_may_name_a_unique_module_stem():
+    mk = lambda p, cls: make_entry(p, classes=(simple_class(cls, [], [method("def f() -> None")]),))
+    entries = [mk("game/board.py", "Board"), mk("players/ai.py", "Ai")]
+    kernel = project(contract_with(entries, dependency_lines=["board --> ai"]))
+    assert kernel.dependencies == {"game/board.py": ("players/ai.py",), "players/ai.py": ()}
+    with pytest.raises(UnknownEdgeEndpoint, match="'board' is not a known module"):
+        project(contract_with([*entries, mk("ui/board.py", "BoardView")], dependency_lines=["board --> ai"]))
+
+
 def test_validate_finds_cycle():
     mk = lambda p, cls: make_entry(p, classes=(simple_class(cls, [], [method("def f() -> None")]),))
     contract = contract_with(
@@ -823,14 +832,26 @@ def test_a_kernel_keeps_its_findings_in_validation_order():
     assert guard_violations(contract) == [v for v in validate(kernel) if v.kind is not ViolationKind.INCOMPLETE]
 
 
-def test_each_kernel_is_validated_once_per_run(monkeypatch):
+def test_each_kernel_finds_its_violations_once_per_run(monkeypatch):
     plan = synth.chain_plan(1, 20)
-    validated = []
-    check = charter.kernel.validate
-    monkeypatch.setattr(charter.kernel, "validate", lambda kernel: validated.append(kernel) or check(kernel))
+    searches, built = [], []
+    find, build = charter.kernel.find_cycle, charter.kernel._project
+    monkeypatch.setattr(charter.kernel, "find_cycle", lambda nodes, edges: searches.append(nodes) or find(nodes, edges))
+
+    def recording_build(contract, basis):
+        built.append((contract, basis, build(contract, basis)))
+        return built[-1][2]
+
+    monkeypatch.setattr(charter.kernel, "_project", recording_build)
     run(IntentSpec(plan.intent), RunConfig(mode=RunMode.SEQUENTIAL), synth.SyntheticBackend(plan))
-    assert validated
-    assert len({id(kernel) for kernel in validated}) == len(validated)  # the list keeps every kernel alive
+    assert len({id(contract) for contract, _, _ in built}) == len(built)  # the list keeps every contract alive
+    shared = [
+        (kernel, basis._kernel)
+        for _, basis, kernel in built
+        if basis is not None and kernel.classes is basis._kernel.classes
+    ]
+    assert shared and all(kernel.violations is old.violations for kernel, old in shared)
+    assert len(searches) == len(built) - len(shared)
 
 
 @pytest.mark.parametrize("path", ["../a.py", "/a.py"])

@@ -15,7 +15,7 @@ import charter.kernel
 import charter.patches
 import charter.scheduler
 import charter.workspace
-from charter.agents import AgentResponse, IntentSpec, RoleKind, format_response, parse_response
+from charter.agents import AgentResponse, IntentSpec, RoleKind, build_prompt, format_response, parse_response
 from charter.backends import BackendError, RequestRejected, ScriptedBackend
 from charter.contract import (
     DEFAULT_TEMPLATE,
@@ -28,11 +28,12 @@ from charter.contract import (
     render,
 )
 from charter.kernel import ViolationKind, print_api_section, project, task_view
-from charter.ledger import file_sha256
+from charter.ledger import RunLedger, file_sha256
 from charter.scheduler import (
     InternalInconsistency,
     RunConfig,
     RunMode,
+    barrier,
     create_tasks,
     dispatch_for,
     plan_layer,
@@ -223,6 +224,36 @@ def test_a_parallel_layer_parses_every_answer_on_the_calling_thread(monkeypatch)
     assert c.response is None and "no <output> block" in c.error and not c.transport_failed
     assert parsed_on == [threading.current_thread()] * 2
 
+
+def test_a_worker_prompt_over_the_context_limit_errs_spends_an_attempt_and_is_fed_back():
+    wide = simple_class("B", [], [method(f"def step_{i}(value: int) -> None") for i in range(40)])
+    narrow = simple_class("A", [], [method("def f() -> None")])
+    contract = contract_with([make_entry("a.py", classes=(narrow,)), make_entry("b.py", classes=(wide,))])
+    tasks = {path: Task(id=path, owner="d") for path in ("a.py", "b.py")}
+    intent = IntentSpec("x")
+    needs = build_prompt(RoleKind.WORKER, tasks["b.py"], contract, intent).token_count
+    assert build_prompt(RoleKind.WORKER, tasks["a.py"], contract, intent).token_count < needs - 1
+    config = RunConfig(mode=RunMode.SEQUENTIAL, context_limit=needs - 1)
+    sent = []
+
+    class Backend:
+        def complete(self, request):
+            sent.append(request.task_id)
+            return _worker_record(1, request.task_id, "class A:\n    def f(self) -> None:\n        pass\n")["response"]
+
+    workspace = Workspace()
+    plan = plan_layer(tasks, workspace)
+    outcomes = run_layer(plan, Backend(), contract, intent, tasks, workspace, 1, config, pool=None)
+    assert sent == ["a.py"]
+    overflowed = outcomes[1]
+    assert (overflowed.task_id, overflowed.view, overflowed.response) == ("b.py", {}, None)
+    assert overflowed.error == f"prompt needs {needs} tokens, limit is {needs - 1}" and not overflowed.transport_failed
+
+    barrier(1, outcomes, contract, tasks, workspace, config, RunLedger())
+    assert tasks["b.py"].attempts == 1 and tasks["b.py"].status is TaskStatus.TODO
+    assert tasks["b.py"].feedback[-1] == f"worker dispatch failed: prompt needs {needs} tokens, limit is {needs - 1}"
+    assert tasks["a.py"].attempts == 1 and tasks["a.py"].status is TaskStatus.DONE
+
 def test_sequential_and_parallel_modes_match(gomoku_intent, gomoku_transcript):
     intent = IntentSpec(gomoku_intent.read_text())
     results = {}
@@ -372,7 +403,7 @@ def test_layer_snapshot_identical_for_all_dispatches(monkeypatch, gomoku_intent,
 
 
 def test_workspace_equals_fold_of_ledger_commits(plane_intent, plane_transcript):
-    from charter.ledger import file_sha256
+    from charter.ledger import RunLedger, file_sha256
 
     backend = ScriptedBackend.from_file(plane_transcript)
     result = run(IntentSpec(plane_intent.read_text()), RunConfig(t_max=6), backend)
