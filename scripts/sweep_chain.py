@@ -67,7 +67,7 @@ PHASES = {
     "parse": ("agents.parse_response",),
     "audit": ("auditor.audit_layer",),
     "extract_symbols": ("workspace.extract_symbols",),
-    "projection_validate": ("kernel.project", "kernel.validate"),
+    "projection": ("kernel.project",),
     "merge_commit": ("patches.commit_actions",),
 }
 OTHER = "other"

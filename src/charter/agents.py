@@ -42,7 +42,7 @@ from .contract import (
     section_key_from_name,
     DEFAULT_TEMPLATE,
 )
-from .kernel import ContractView, full_view, review_view, task_view
+from .kernel import NO_LINES, ContractView, review_view, task_view
 from .patches import commit_actions
 from .tasks import Task
 
@@ -180,23 +180,23 @@ def build_prompt(
 
     The bundle records the view its text shows, and a document action
     answering it is re-anchored through that view. The planner's bundle shows
-    the whole document (``kernel.full_view``). Worker and critic bundles show
-    the task's view of it (``kernel.task_view``): every section whole except
-    the Symbolic API Specifications, which hold only the entries of the task
-    and of its direct dependencies, and the Directory Structure and
-    Dependency Relationships lines of other modules, which are left out. The
-    reviewer's bundle shows the same view over the modules validation flags
+    the whole document: its view ``{}`` cuts no section. Worker and critic
+    bundles show the task's view (``kernel.task_view``), which cuts three: the
+    Symbolic API Specifications hold only the entries of the task and of its
+    direct dependencies, and the Directory Structure and Dependency
+    Relationships lines of other modules are left out. The reviewer's bundle
+    shows the same view over the modules validation flags
     (``kernel.review_view``). No bundle carries a peer file body; critic
     bundles additionally carry the body of the file under review. Given
     ``task_paths`` (the contract-less ablation), the document is replaced by
-    the raw intent plus the task path list, and the view is empty.
+    the raw intent plus the task path list, and the view is ``NO_LINES``.
     """
     if role in (RoleKind.WORKER, RoleKind.CRITIC) and task is None:
         raise ValueError(f"{role.value} dispatch requires a task")
     parts: list[str] = [SYSTEM_PROMPT, ROLE_PROMPTS[role]]
     parts.append(f"User intent:\n{intent.text.strip()}")
     if task_paths is not None:
-        view = {key: () for key in contract.sections}
+        view = NO_LINES
         if task_paths:
             parts.append("Task files:\n" + "\n".join(f"- {p}" for p in task_paths))
     else:
@@ -205,7 +205,7 @@ def build_prompt(
         elif role is RoleKind.DISCRIMINATOR:
             view = review_view(contract)
         else:
-            view = full_view(contract)
+            view = {}
         parts.append("Shared document:\n\n" + render(contract, view))
     if task is not None:
         directive = [f"Assigned file: {task.id}", f"Owner: {task.owner}"]

@@ -74,9 +74,12 @@ class ScriptedBackend:
 
     def __init__(self, records: list[dict]):
         self._responses: dict[tuple[int, str, str], str] = {}
-        for record in records:
-            key = (int(record["layer"]), str(record["role"]), str(record.get("task", "")))
-            self._responses[key] = str(record["response"])
+        for number, record in enumerate(records, 1):
+            try:
+                key = (int(record["layer"]), str(record["role"]), str(record.get("task", "")))
+                self._responses[key] = str(record["response"])
+            except KeyError as exc:
+                raise BackendError(f"transcript record {number} has no {exc} field") from None
 
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":

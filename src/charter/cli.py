@@ -89,13 +89,15 @@ def _setting(args, file_config: dict, key: str, default):
 
 
 def _run_config(args, file_config: dict) -> RunConfig:
-    default = RunConfig()
-    return RunConfig(
-        t_max=int(_setting(args, file_config, "t_max", default.t_max)),
-        mode=RunMode(_setting(args, file_config, "mode", default.mode)),
-        context_limit=int(_setting(args, file_config, "context_limit", default.context_limit)),
-        attempt_cap=int(file_config.get("attempt_cap", default.attempt_cap)),
-    )
+    """Each setting as ``_setting`` finds it; ValueError names one of the wrong type."""
+    default, fields = RunConfig(), {}
+    for key, read in (("t_max", int), ("mode", RunMode), ("context_limit", int), ("attempt_cap", int)):
+        value = _setting(args, file_config, key, getattr(default, key))
+        try:
+            fields[key] = read(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"config field {key!r} is not a valid {read.__name__}: {value!r}") from None
+    return RunConfig(**fields)
 
 
 def _make_backend(kind: str, args, file_config: dict, parser: argparse.ArgumentParser):

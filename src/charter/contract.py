@@ -188,8 +188,8 @@ class LanguageContract:
 def render(contract: LanguageContract, view: Mapping[SectionKey, Sequence[int]] | None = None) -> str:
     """Serialize to the canonical markdown layout, deterministically.
 
-    Given a ``view`` (section -> line indices), each section shows only those
-    of its lines."""
+    Given a ``view`` (section -> line indices), each section it names shows
+    only those of its lines; any other section is shown whole."""
     lines: list[str] = []
     for tier_title, keys in TIERS:
         lines.append(f"# {tier_title}")
@@ -198,7 +198,7 @@ def render(contract: LanguageContract, view: Mapping[SectionKey, Sequence[int]] 
             lines.append(f"## {key.title}")
             lines.append("")
             body = contract.sections[key]
-            if view is not None:
+            if view is not None and key in view:
                 body = [body[i] for i in view[key]]
             if body:
                 lines.extend(body)

@@ -79,13 +79,14 @@ def token_report(contract: LanguageContract, workspace: Workspace) -> tuple[int,
 
 
 def load_scores(path) -> tuple[float, float, float]:
-    """Read an externally supplied {exec, inter, rule} scores file."""
+    """Read an externally supplied {exec, inter, rule} scores file, a JSON
+    object of three numbers; ValueError names the first field without one."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    try:
-        return float(data["exec"]), float(data["inter"]), float(data["rule"])
-    except KeyError as exc:
-        raise ValueError(f"scores file missing key: {exc}") from exc
+    for key in ("exec", "inter", "rule"):
+        if not isinstance(data, dict) or not isinstance(data.get(key), (int, float)):
+            raise ValueError(f"scores file has no number in field {key!r}")
+    return float(data["exec"]), float(data["inter"]), float(data["rule"])
 
 
 def load_manifest(path) -> set[str]:

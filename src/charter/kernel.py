@@ -21,9 +21,9 @@ Every reader but the planner and the auditor reads one kind of view
 (``task_view``): the entries of a set of modules and of their direct
 dependencies, with the Directory Structure and diagram lines inside that
 neighbourhood. A worker or critic reads its task's; the plan reviewer
-reads the modules validation flags (``review_view``). A view reads an index
-of module paths to lines that is built with the kernel and shared with it,
-so it costs the size of its neighbourhood.
+reads the modules validation flags (``review_view``). A view names only the
+sections it cuts, and reads maps of module paths to lines that the kernel
+keeps, so it costs the size of its neighbourhood.
 
 Contract and code share one type model. Every type, of a contract attribute
 or header or of a code annotation, is read by ``read_type`` into one canonical
@@ -156,7 +156,9 @@ class SymbolicKernel:
     dependencies: dict[str, tuple[str, ...]]  # declared edges, module path -> successors
     derived_edges: tuple[tuple[str, str], ...]  # implied by cross-entry type refs
     violations: tuple[Violation, ...]  # what ``validate`` returns, by (kind, subject)
-    views: _ViewIndex = field(repr=False, compare=False)  # what ``task_view`` reads
+    # What ``task_view`` reads: path -> itself and its direct dependencies, and two sections' lines by path.
+    neighbourhood: dict[str, frozenset[str]] = field(repr=False, compare=False)
+    section_lines: dict[SectionKey, _SectionLines] = field(repr=False, compare=False)
 
 
 class PathViolation(ValueError):
@@ -759,7 +761,7 @@ def project(contract: LanguageContract, basis: LanguageContract | None = None) -
     equal to the basis's is not read at all. When the revision keeps the
     basis's diagram, Directory Structure, entry paths and class tuples, as a
     Status-only write-back does, the basis kernel's classes, edges, findings
-    and view index are shared; otherwise they are read again. The findings
+    and view maps are shared; otherwise they are read again. The findings
     (``validate``) are found in the passes that derive the edges. The kernel
     is the same with a basis as without one.
     """
@@ -773,8 +775,8 @@ def _project(contract: LanguageContract, basis: LanguageContract | None) -> Symb
     parsed = parse_api_section(contract.body(SectionKey.API_SPECIFICATIONS), basis)
     entries = {e.file_path: e for e in parsed}
     if basis is not None and _same_structure(contract, basis, entries):
-        # The index holds no line of a section a view shows whole, so a
-        # revision that edits only such a section (Constraints, say) shares it.
+        # The view maps hold no line of a section a view shows whole, so a
+        # revision that edits only such a section (Constraints, say) shares them.
         return replace(basis._kernel, entries=entries)
     classes: dict[str, tuple[str, ClassSpec]] = {}
     for path, entry in entries.items():
@@ -817,20 +819,17 @@ def _project(contract: LanguageContract, basis: LanguageContract | None) -> Symb
     violations.sort(key=lambda v: (v.kind.value, v.subject))
 
     directory = contract.body(SectionKey.DIRECTORY_STRUCTURE)
-    views = _ViewIndex(
-        neighbourhood={path: frozenset(paths) for path, paths in neighbourhood.items()},
-        sections={
-            SectionKey.DIRECTORY_STRUCTURE: _section_lines(_directory_lines(directory, entries), directory),
-            SectionKey.DEPENDENCY_RELATIONSHIPS: _section_lines(edge_lines, diagram),
-        },
-    )
     return SymbolicKernel(
         entries=entries,
         classes=classes,
         dependencies=dependencies,
         derived_edges=tuple(sorted(derived)),
         violations=tuple(violations),
-        views=views,
+        neighbourhood={path: frozenset(paths) for path, paths in neighbourhood.items()},
+        section_lines={
+            SectionKey.DIRECTORY_STRUCTURE: _section_lines(_directory_lines(directory, entries), directory),
+            SectionKey.DEPENDENCY_RELATIONSHIPS: _section_lines(edge_lines, diagram),
+        },
     )
 
 
@@ -855,11 +854,12 @@ def _same_structure(contract: LanguageContract, basis: LanguageContract, entries
 
 # --- views: the lines one dispatch reads ----------------------------------------
 
-# Section -> the ascending base line indices a reader is shown.
+# Section -> the ascending base line indices a reader is shown, for only the
+# sections the view cuts; a section it does not name is shown whole.
 ContractView = dict[SectionKey, tuple[int, ...]]
 
-# The sections a view may cut; every other section is shown whole.
-_SLICED = (SectionKey.API_SPECIFICATIONS, SectionKey.DIRECTORY_STRUCTURE, SectionKey.DEPENDENCY_RELATIONSHIPS)
+# The view that shows no line, of the contract-less ablation and of an unbuilt prompt; never mutated.
+NO_LINES: ContractView = {key: () for key in SectionKey}
 
 
 @dataclass(frozen=True)
@@ -881,47 +881,32 @@ def _section_lines(named: dict[int, frozenset[str]], body: tuple[str, ...]) -> _
     return _SectionLines(named, {path: tuple(indices) for path, indices in lines.items()}, free)
 
 
-@dataclass(frozen=True)
-class _ViewIndex:
-    """A kernel inverted for views, built with it: each lookup a view makes
-    costs the size of the neighbourhood it reads, not of the contract."""
-
-    neighbourhood: dict[str, frozenset[str]]  # path -> itself and its direct dependencies
-    sections: dict[SectionKey, _SectionLines]  # the Directory Structure and the diagram
-
-
-def full_view(contract: LanguageContract) -> ContractView:
-    """Every line of every section: what the planner reads and writes back through."""
-    return {key: tuple(range(len(body))) for key, body in contract.sections.items()}
-
-
 def task_view(contract: LanguageContract, *task_ids: str) -> ContractView:
     """The lines a reader of the modules ``task_ids`` reads and writes back through.
 
     The neighbourhood is the union, over those modules, of the module and its
     direct dependencies: the declared edges and the derived edges out of it,
     never the transitive closure, so a view stays the same size however long
-    the chain behind it. Every section is shown whole except three. Symbolic
-    API Specifications keeps the neighbourhood's entries, each whole;
-    Directory Structure drops the lines that name a kernel path outside the
-    neighbourhood; Dependency Relationships drops the edge lines with an
-    endpoint outside it. Blank lines left at either end of a section's view
-    are trimmed, as they are from an action's content. The lines are looked
-    up through the kernel's view index (``SymbolicKernel.views``), so a view
-    costs the size of its neighbourhood (and of the lines that name no
-    module); a section shown whole is shown at the value's own length.
+    the chain behind it. The view names the three sections it cuts; every
+    other section is shown whole. Symbolic API Specifications keeps the
+    neighbourhood's entries, each whole; Directory Structure drops the lines
+    that name a kernel path outside the neighbourhood; Dependency
+    Relationships drops the edge lines with an endpoint outside it. Blank
+    lines left at either end of a section's view are trimmed, as they are
+    from an action's content. The lines are looked up through the maps the
+    kernel keeps for views (``SymbolicKernel.neighbourhood`` and
+    ``section_lines``), so a view costs the size of its neighbourhood (and of
+    the lines that name no module).
     """
     kernel = project(contract)
-    index = kernel.views
-    shown = frozenset().union(*(index.neighbourhood.get(path, {path}) for path in task_ids))
-    view = {key: tuple(range(len(body))) for key, body in contract.sections.items() if key not in _SLICED}
+    shown = frozenset().union(*(kernel.neighbourhood.get(path, {path}) for path in task_ids))
 
     lines: list[int] = []
     for span in sorted(kernel.entries[path].span for path in shown if path in kernel.entries):
         lines.extend(range(*span))
-    view[SectionKey.API_SPECIFICATIONS] = _trimmed(contract.body(SectionKey.API_SPECIFICATIONS), lines)
+    view = {SectionKey.API_SPECIFICATIONS: _trimmed(contract.body(SectionKey.API_SPECIFICATIONS), lines)}
 
-    for key, section in index.sections.items():
+    for key, section in kernel.section_lines.items():
         named = {i for path in shown for i in section.lines.get(path, ()) if section.named[i] <= shown}
         view[key] = _trimmed(contract.body(key), sorted(named.union(section.free)))
     return view

@@ -114,21 +114,23 @@ def patches_for_action(
 
     ``view`` holds the lines the author was shown: the view its prompt bundle
     recorded (``kernel.task_view`` for a worker, critic or the plan reviewer,
-    ``kernel.full_view`` for the planner, empty for the contract-less
-    ablation). An UPDATE replaces what the author saw, so it is
-    diffed against the view and each hunk is re-anchored in the snapshot: a
-    pure insertion lands right after the preceding shown line; a replaced or
-    deleted range of the view is split into runs contiguous in the snapshot,
-    the first run taking the replacement and the later ones deleted. A line
-    the author was not shown is therefore never touched. An ADD is one
-    insertion at the end of the section (none when it adds no line). Under
-    the whole-contract view the hunks are the plain diff against the
-    snapshot.
+    ``{}`` for the planner, ``kernel.NO_LINES`` for the contract-less
+    ablation). An UPDATE replaces what the author saw. A section the view does
+    not name was shown whole, so its hunks are the plain diff against the
+    snapshot. Otherwise the UPDATE is diffed against the view and each hunk is
+    re-anchored in the snapshot: a pure insertion lands right after the
+    preceding shown line; a replaced or deleted range of the view is split
+    into runs contiguous in the snapshot, the first run taking the
+    replacement and the later ones deleted. A line the author was not shown
+    is therefore never touched. An ADD is one insertion at the end of the
+    section (none when it adds no line).
     """
     base = contract.body(action.section)
     new_lines = body_from_text(action.content)
     if action.op is ActionOp.ADD:
         hunks = [(len(base), len(base), new_lines)] if new_lines else []
+    elif action.section not in view:
+        hunks = diff_against_base(base, new_lines)
     else:
         shown = view[action.section]
         seen = [base[i] for i in shown]
@@ -159,17 +161,13 @@ def _reanchored(
     return [(s, e, replacement if k == 0 else ()) for k, (s, e) in enumerate(runs)]
 
 
-def _dedup_key(line: str) -> str:
-    return line.rstrip()
-
-
 def _union_replacement(cluster: list[AtomicPatch]) -> tuple[str, ...]:
     ordered = sorted(cluster, key=lambda p: (p.author, p.start, p.end))
     seen: set[str] = set()
     merged: list[str] = []
     for patch in ordered:
         for line in patch.replacement:
-            key = _dedup_key(line)
+            key = line.rstrip()
             if key in seen:
                 continue
             seen.add(key)

@@ -40,7 +40,7 @@ from .agents import (
 from .auditor import DispatchOutcome, audit_layer
 from .backends import MAX_DISPATCH_THREADS, CompletionRequest, RequestRejected
 from .contract import LanguageContract
-from .kernel import SymbolicKernel, ViolationKind, project
+from .kernel import NO_LINES, SymbolicKernel, ViolationKind, project
 from .ledger import RunLedger, file_sha256
 from .patches import commit_actions
 from .tasks import Task, TaskStatus
@@ -193,7 +193,7 @@ def run_layer(
     for dispatch, request, build_error in requests:
         if request is None:
             # No prompt was sent, so the dispatch was shown no line.
-            outcomes.append(DispatchOutcome(task_id=dispatch.task_id, role=dispatch.role, view={}, error=build_error))
+            outcomes.append(DispatchOutcome(dispatch.task_id, dispatch.role, NO_LINES, error=build_error))
             continue
         outcome_of = partial(DispatchOutcome, dispatch.task_id, dispatch.role, request.bundle.view)
         answer = next(answers)

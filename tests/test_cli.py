@@ -276,6 +276,60 @@ def test_a_negative_attempt_cap_in_the_config_file_is_an_error(tmp_path, capsys,
     assert not (tmp_path / "build").exists()
 
 
+def _json_error(capsys) -> dict:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(
+    "scores, field",
+    [
+        ([1, 1, 1], "exec"),
+        ({"exec": 1, "inter": None, "rule": 1}, "inter"),
+        ({"exec": 1, "inter": 1}, "rule"),
+        ({"exec": "0.9", "inter": 1, "rule": 1}, "exec"),
+    ],
+)
+def test_a_scores_file_that_is_no_object_of_numbers_is_an_error(tmp_path, capsys, scores, field):
+    path = tmp_path / "scores.json"
+    path.write_text(json.dumps(scores))
+    assert main(["eval", "--gen", str(tmp_path), "--scores", str(path)]) == 1
+    error = _json_error(capsys)
+    assert error == {"error": "ValueError", "message": f"scores file has no number in field {field!r}"}
+
+
+@pytest.mark.parametrize("command", ["generate", "replay"])
+@pytest.mark.parametrize("value", [None, [2], "two"])
+def test_a_config_setting_of_the_wrong_type_is_an_error(tmp_path, capsys, command, value):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"t_max": value}))
+    intent, transcript = str(fixture_path("intents", "gomoku.txt")), str(fixture_path("transcripts", "gomoku.jsonl"))
+    rest = {
+        "generate": ["--backend", "scripted", "--out", str(tmp_path / "build")],
+        "replay": ["--ledger", str(tmp_path / "run.ledger.jsonl")],
+    }[command]
+    argv = [command, "--intent", intent, "--transcript", transcript, "--config", str(config), *rest]
+    assert main(argv) == 1
+    error = _json_error(capsys)
+    assert error == {"error": "ValueError", "message": f"config field 't_max' is not a valid int: {value!r}"}
+    assert not (tmp_path / "build").exists()
+
+
+@pytest.mark.parametrize("field", ["role", "response", "layer"])
+def test_a_transcript_record_without_a_field_is_an_error(tmp_path, capsys, field):
+    records = [json.loads(line) for line in fixture_path("transcripts", "gomoku.jsonl").read_text().splitlines()]
+    del records[1][field]
+    transcript = tmp_path / "t.jsonl"
+    transcript.write_text("".join(json.dumps(record) + "\n" for record in records))
+    argv = [
+        "replay", "--intent", str(fixture_path("intents", "gomoku.txt")), "--transcript", str(transcript),
+        "--ledger", str(tmp_path / "run.ledger.jsonl"),
+    ]
+    assert main(argv) == 1
+    assert _json_error(capsys) == {"error": "BackendError", "message": f"transcript record 2 has no {field!r} field"}
+
+
 def test_a_context_limit_no_prompt_fits_is_an_error(tmp_path, capsys):
     intent, transcript = str(fixture_path("intents", "gomoku.txt")), str(fixture_path("transcripts", "gomoku.jsonl"))
     argv = [

@@ -30,7 +30,6 @@ from charter.patches import (
     merge_layer,
     patches_for_action,
 )
-from charter.kernel import full_view
 
 from conftest import contract_with, make_entry, method, simple_class, written
 
@@ -160,7 +159,7 @@ def test_stale_patch_detected():
 def test_patches_for_action_add_and_update():
     contract = new_contract(DEFAULT_TEMPLATE)
     contract = contract.with_section(SectionKey.CONSTRAINTS, ("old",))
-    view = full_view(contract)
+    view = {}
     add = ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, "extra")
     patches = patches_for_action(contract, add, "x", view)
     assert patches == [AtomicPatch(SectionKey.CONSTRAINTS, 1, 1, ("extra",), "x")]
@@ -176,7 +175,7 @@ def test_patches_for_action_add_and_update():
 def test_commit_merge_refreshes_base_and_bumps_revision():
     contract = _contract_with_attr_block()
     action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- constrained")
-    patches = patches_for_action(contract, action, "a", full_view(contract))
+    patches = patches_for_action(contract, action, "a", {})
     committed = commit_merge(contract, merge_layer(contract, patches))
     assert committed.revision == contract.revision + 1
     assert committed.body(SectionKey.CONSTRAINTS) == ("- constrained",)
@@ -196,7 +195,7 @@ def test_commit_merge_rejects_cycle_and_names_it():
         SectionKey.DEPENDENCY_RELATIONSHIPS,
         "a.py --> b.py\nb.py --> a.py",
     )
-    patches = patches_for_action(contract, action, "agent", full_view(contract))
+    patches = patches_for_action(contract, action, "agent", {})
     before = render(contract)
     with pytest.raises(KernelViolation) as excinfo:
         commit_merge(contract, merge_layer(contract, patches))
@@ -255,7 +254,7 @@ def test_the_whole_contract_view_patches_the_plain_diff(case):
         AtomicPatch(action.section, start, end, replacement, "w")
         for start, end, replacement in diff_against_base(list(base), proposed)
     ]
-    assert patches_for_action(contract, action, "w", full_view(contract)) == expected
+    assert patches_for_action(contract, action, "w", {}) == expected
 
 
 @given(_view_edits(), st.data())
@@ -267,7 +266,7 @@ def test_two_edits_and_an_add_of_one_author_fold_into_one_placement(case, data):
     second = list(proposed)
     at = data.draw(st.integers(0, len(second)))
     second[at:at + data.draw(st.integers(0, 2))] = data.draw(st.lists(st.sampled_from(_VIEW_LINES), max_size=2))
-    view = {**full_view(contract), first.section: shown}
+    view = {first.section: shown}
     actions = [
         first,
         ContractAction(ActionOp.UPDATE, first.section, "\n".join(second)),
@@ -287,13 +286,13 @@ def test_through_the_whole_view_an_action_applies_as_apply_action_does(case, op)
     base, _, proposed = case
     contract, action = _update(base, proposed)
     action = ContractAction(op, action.section, action.content)
-    committed, _, _ = commit_actions(contract, [("w", action, full_view(contract))], lambda record: None, (), "layer 1")
+    committed, _, _ = commit_actions(contract, [("w", action, {})], lambda record: None, (), "layer 1")
     assert committed.sections == apply_action(contract, action).sections
 
 
 def test_a_commit_trims_the_blank_lines_an_edit_leaves_at_a_section_end():
     contract = LanguageContract.empty().with_section(SectionKey.CONSTRAINTS, ("- x", "", "- y", "- z"))
-    view = {**full_view(contract), SectionKey.CONSTRAINTS: (0, 3)}
+    view = {SectionKey.CONSTRAINTS: (0, 3)}
     action = ContractAction(ActionOp.UPDATE, SectionKey.CONSTRAINTS, "- z")
     committed, _, _ = commit_actions(contract, [("w", action, view)], lambda record: None, (), "layer 1")
     assert committed.body(SectionKey.CONSTRAINTS) == ("- y", "- z")  # the hidden blank line is trimmed
@@ -303,7 +302,7 @@ def test_a_guarded_action_placed_through_a_view_is_rejected_whole():
     contract = contract_with([make_entry("a.py"), make_entry("b.py")])
     cyclic = ContractAction(ActionOp.UPDATE, SectionKey.DEPENDENCY_RELATIONSHIPS, "a.py --> b.py\nb.py --> a.py")
     journal = []
-    committed, conflicts, refused = commit_actions(contract, [("w", cyclic, full_view(contract))], journal.append, (), "layer 1")
+    committed, conflicts, refused = commit_actions(contract, [("w", cyclic, {})], journal.append, (), "layer 1")
     assert isinstance(refused, KernelViolation) and refused.violations
     assert (committed, conflicts) == (contract, 0) and committed.revision == contract.revision
     assert journal == [rejection_record(cyclic, "layer 1", str(refused))]
@@ -319,7 +318,7 @@ def test_a_refused_batch_journals_its_actions_as_refused_and_commits_the_write_b
     write_back = (_patch(api, at, at + 1, ["  Status: DONE"], "auditor"),)
     cyclic = ContractAction(ActionOp.ADD, SectionKey.DEPENDENCY_RELATIONSHIPS, "b.py --> a.py")
     note = ContractAction(ActionOp.ADD, SectionKey.CONSTRAINTS, "- no cycles")
-    actions = [("b.py", cyclic, full_view(contract)), ("b.py", note, full_view(contract))]
+    actions = [("b.py", cyclic, {}), ("b.py", note, {})]
     journal = []
 
     committed, conflicts, refused = commit_actions(contract, actions, journal.append, write_back, stage)

@@ -27,7 +27,7 @@ from charter.contract import (
     rejection_record,
     render,
 )
-from charter.kernel import ViolationKind, print_api_section, project, task_view
+from charter.kernel import NO_LINES, ViolationKind, print_api_section, project, task_view
 from charter.ledger import RunLedger, file_sha256
 from charter.scheduler import (
     InternalInconsistency,
@@ -246,7 +246,7 @@ def test_a_worker_prompt_over_the_context_limit_errs_spends_an_attempt_and_is_fe
     outcomes = run_layer(plan, Backend(), contract, intent, tasks, workspace, 1, config, pool=None)
     assert sent == ["a.py"]
     overflowed = outcomes[1]
-    assert (overflowed.task_id, overflowed.view, overflowed.response) == ("b.py", {}, None)
+    assert (overflowed.task_id, overflowed.response) == ("b.py", None) and overflowed.view is NO_LINES
     assert overflowed.error == f"prompt needs {needs} tokens, limit is {needs - 1}" and not overflowed.transport_failed
 
     barrier(1, outcomes, contract, tasks, workspace, config, RunLedger())

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import charter.agents
 from charter import scheduler
-from charter.agents import AgentResponse, IntentSpec, format_response, synthesize_contract
+from charter.agents import AgentResponse, IntentSpec, RoleKind, build_prompt, format_response, synthesize_contract
 from charter.backends import ScriptedBackend
 from charter.contract import (
     ActionOp,
@@ -21,10 +21,12 @@ from charter.contract import (
     apply_action,
     journal_record,
     rejection_record,
+    render,
 )
-from charter.kernel import ViolationKind, full_view, project, review_view, task_view, validate
+from charter.kernel import NO_LINES, ViolationKind, project, review_view, task_view, validate
+from charter.patches import commit_actions, patches_for_action
 from charter.scheduler import RunConfig
-from charter.tasks import TaskStatus
+from charter.tasks import Task, TaskStatus
 
 from conftest import contract_with, make_entry, method, simple_class
 
@@ -42,11 +44,12 @@ DIAGRAM = SectionKey.DEPENDENCY_RELATIONSHIPS
 
 def scanned_task_view(contract: LanguageContract, *task_ids: str) -> dict:
     """Reference: the task view read by scanning every Directory Structure and
-    diagram line, as it was before views were indexed."""
+    diagram line, as it was before views were indexed; it names the three
+    sections it cuts."""
     kernel = project(contract)
     shown = {path for task_id in task_ids for path in (task_id, *kernel.dependencies.get(task_id, ()))}
     shown.update(dst for src, dst in kernel.derived_edges if src in task_ids)
-    view = full_view(contract)
+    view = {}
 
     api = contract.body(API)
     first = next((entry.span[0] for entry in kernel.entries.values()), len(api))
@@ -57,12 +60,12 @@ def scanned_task_view(contract: LanguageContract, *task_ids: str) -> dict:
     view[API] = _scan_trimmed(api, lines)
 
     directory = contract.body(DIRECTORY)
-    named = kernel.views.sections[DIRECTORY].named
+    named = kernel.section_lines[DIRECTORY].named
     lines = [i for i in range(len(directory)) if named.get(i, frozenset()) <= shown]
     view[DIRECTORY] = _scan_trimmed(directory, lines)
 
     diagram = contract.body(DIAGRAM)
-    named = kernel.views.sections[DIAGRAM].named
+    named = kernel.section_lines[DIAGRAM].named
     lines = [i for i in range(len(diagram)) if shown.issuperset(named.get(i, ()))]
     view[DIAGRAM] = _scan_trimmed(diagram, lines)
     return view
@@ -161,9 +164,11 @@ def test_indexed_task_view_equals_the_scan_on_any_layout(layout):
 
 
 def _counting_index_builds(monkeypatch) -> list:
+    """One entry per line map built for views: a kernel builds two, the
+    Directory Structure's and the diagram's (``_section_lines``)."""
     built = []
-    index_type = charter.kernel._ViewIndex
-    monkeypatch.setattr(charter.kernel, "_ViewIndex", lambda **fields: built.append(1) or index_type(**fields))
+    section_lines = charter.kernel._section_lines
+    monkeypatch.setattr(charter.kernel, "_section_lines", lambda *args: built.append(1) or section_lines(*args))
     return built
 
 
@@ -171,20 +176,21 @@ def test_the_view_index_is_built_once_per_kernel(monkeypatch):
     contract = _layout_contract(3, {(0, 1)}, ["app/a.py --> lib/c.py"], ["app/a.py", "lib/c.py"])
     built = _counting_index_builds(monkeypatch)
     parent = project(contract)
-    assert built == [1]  # projection builds the index
+    assert built == [1, 1]  # projection builds the maps
     for task_id in PATHS[:3]:
         task_view(contract, task_id)
     review_view(contract)
-    assert built == [1]  # a view builds none
+    assert built == [1, 1]  # a view builds none
 
     api = list(contract.body(API))
     status = next(i for i, line in enumerate(api) if line.strip() == "Status: TODO")
     api[status] = api[status].replace("TODO", "DONE")
     child = contract.with_section(API, api)
     assert project(child, contract).entries[PATHS[0]].status is TaskStatus.DONE
-    assert project(child).views is parent.views
+    kernel = project(child)
+    assert kernel.neighbourhood is parent.neighbourhood and kernel.section_lines is parent.section_lines
     task_view(child, PATHS[0])
-    assert built == [1]
+    assert built == [1, 1]
 
 
 @pytest.mark.parametrize("key", [SectionKey.CONSTRAINTS, SectionKey.GLOBAL_SHARED_KNOWLEDGE])
@@ -194,12 +200,84 @@ def test_a_revision_of_a_section_no_view_cuts_shares_the_index_and_shows_the_sec
     built = _counting_index_builds(monkeypatch)
     edited = [*contract.body(key), "- first added line", "", "- second added line"]
     child = contract.with_section(key, edited)
-    assert project(child, contract).views is parent.views and built == []
+    kernel = project(child, contract)
+    assert kernel.neighbourhood is parent.neighbourhood and kernel.section_lines is parent.section_lines
+    assert built == []
     for task_ids in ((), (PATHS[0],), PATHS[:3]):
         view = task_view(child, *task_ids)
-        assert view[key] == tuple(range(len(child.body(key)))) == tuple(range(len(edited)))
+        assert key not in view  # shown whole
+        assert render(child, view) == render(child, {**view, key: tuple(range(len(edited)))})
         assert view == scanned_task_view(child, *task_ids)
     assert built == []
+
+
+# --- a view names only the sections it cuts ---------------------------------------------
+
+CUT = {API, DIRECTORY, DIAGRAM}
+_PROSE = (SectionKey.PROJECT_OVERVIEW, SectionKey.USER_STORIES, SectionKey.CONSTRAINTS, SectionKey.GLOBAL_SHARED_KNOWLEDGE)
+_LINES = ("- a", "- b", "", "- File: app/a.py", "app/a.py --> app/b.py", "  Status: DONE")
+
+
+def _whole(contract, view):
+    """``view`` as every section used to be spelled: a section it does not
+    name, shown whole, as the range of all its lines."""
+    return {key: view.get(key, tuple(range(len(body)))) for key, body in contract.sections.items()}
+
+
+@st.composite
+def _views_and_actions(draw):
+    """A contract of any layout and prose, a view of it (a task view, the
+    planner's, or any sections cut to any lines) and actions on any section."""
+    contract = _layout_contract(*draw(layouts()))
+    for key in _PROSE:
+        contract = contract.with_section(key, draw(st.lists(st.sampled_from(_LINES), max_size=6)))
+    kind = draw(st.sampled_from(("task", "planner", "any")))
+    if kind == "task":
+        view = task_view(contract, *draw(st.lists(st.sampled_from((*PATHS, OUTSIDE)), max_size=3)))
+    elif kind == "planner":
+        view = {}
+    else:
+        keys = draw(st.sets(st.sampled_from(list(SectionKey))))
+        view = {}
+        for key in sorted(keys, key=lambda k: k.value):
+            size = len(contract.body(key))
+            view[key] = tuple(sorted(draw(st.sets(st.integers(0, size - 1))))) if size else ()
+    content = st.lists(st.sampled_from(_LINES), max_size=4).map("\n".join)
+    action = st.builds(ContractAction, st.sampled_from(ActionOp), st.sampled_from(list(SectionKey)), content)
+    return contract, view, draw(st.lists(action, min_size=1, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_views_and_actions())
+def test_a_view_that_names_only_its_cuts_acts_as_the_view_that_spells_every_section(case):
+    contract, view, actions = case
+    whole = _whole(contract, view)
+    assert render(contract, view) == render(contract, whole)
+    for action in actions:
+        assert patches_for_action(contract, action, "w", view) == patches_for_action(contract, action, "w", whole)
+    commits = []
+    for shown in (view, whole):
+        journal = []
+        committed, conflicts, refusal = commit_actions(
+            contract, [("w", action, shown) for action in actions], journal.append, (), "layer 1"
+        )
+        commits.append((committed.sections, committed.revision, conflicts, str(refusal), journal))
+    assert commits[0] == commits[1]
+
+
+def test_each_bundle_view_names_only_the_sections_it_cuts():
+    contract = contract_with(*_flagged_plan())
+    intent = IntentSpec("six modules")
+    planner = build_prompt(RoleKind.PROJECT_MANAGER, None, contract, intent)
+    reviewer = build_prompt(RoleKind.DISCRIMINATOR, None, contract, intent)
+    worker = build_prompt(RoleKind.WORKER, Task(id="m2.py", owner="d"), contract, intent)
+    ablation = build_prompt(RoleKind.WORKER, Task(id="m2.py", owner="d"), contract, intent, task_paths=("m2.py",))
+    assert planner.view == {}
+    assert reviewer.view.keys() == worker.view.keys() == CUT
+    assert ablation.view is NO_LINES and all(lines == () for lines in NO_LINES.values())
+    assert render(contract, planner.view) == render(contract) in planner.text
+    for bundle in (reviewer, worker):
+        assert render(contract, bundle.view) == render(contract, _whole(contract, bundle.view)) in bundle.text
 
 
 # --- the reviewer's view ---------------------------------------------------------------
